@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import lstsq, pad_tall, qr_householder, svd_small
+from .kernels import SVDFactors, lstsq, pad_tall, qr_householder, svd_small
 from .sparse import (
     SparseMatrix,
     SparseVector,
@@ -102,6 +102,22 @@ def _qt_columns(q_thin, active_rows, positions):
     return m
 
 
+def _svd_nonzero_columns(m):
+    """:func:`svd_small` of ``m`` taken over its nonzero columns only.
+
+    The right singular vectors are scattered back to all columns of ``m``
+    with exact zeros at its zero columns, so a position of v_j that A_j
+    cannot see is never stored as roundoff.
+    """
+    live = np.any(m != 0.0, axis=0)
+    if not live.any():
+        return svd_small(m)
+    f = svd_small(m[:, live])
+    v = np.zeros((m.shape[1], f.v.shape[1]))
+    v[live] = f.v
+    return SVDFactors(f.u, f.sigma, v)
+
+
 def stabilize_column(q_thin, active_rows, j, l_j, policy, admissible):
     """Constrained replacement for a column with a tiny diagonal entry.
 
@@ -123,7 +139,7 @@ def stabilize_column(q_thin, active_rows, j, l_j, policy, admissible):
 
     m_hat = _qt_columns(q_thin, active_rows, chosen)
     p_j = _qt_columns(q_thin, active_rows, np.array([j]))[:, 0]
-    f = svd_small(m_hat)
+    f = _svd_nonzero_columns(m_hat)
     p_tilde = f.u.T @ p_j
     sign = 1.0 if p_tilde[0] >= 0.0 else -1.0
     v_hat = sign * f.v[:, 0]
@@ -151,7 +167,7 @@ def diaf_q_column(a, w_pattern, v_pattern, j, policy=None, target_norm=1.0):
     m_j = _qt_columns(qr.q_thin, sub.active_rows, vcols)
     fallback = False
     stabilized = False
-    f = svd_small(m_j)
+    f = _svd_nonzero_columns(m_j)
     if f.sigma[0] == 0.0:
         # nothing of the candidate positions is visible in the column
         # space of A_j; fall back to the diagonal so V leans nonsingular

@@ -1,9 +1,10 @@
 """Small dense factorization kernels used per column of the sparse algorithms.
 
 All routines here operate on row-compressed column blocks whose dimensions
-are tiny compared with the host matrix, so plain Householder / Jacobi
-iterations are both fast enough and give full control over sign conventions.
-Everything is pure and reentrant.
+are tiny compared with the host matrix.  QR and SVD call numpy's LAPACK and
+then fix the signs LAPACK leaves free (nonnegative R diagonal; each right
+singular vector's largest component nonnegative), so callers see one
+convention whatever the build.  Everything is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class SVDFactors:
 
     The sign of each right singular vector is fixed so that its
     largest-magnitude component is nonnegative (first such component on
-    ties), which makes results reproducible across platforms.
+    ties), so results do not depend on the signs a LAPACK build picks.
     """
 
     u: np.ndarray
@@ -66,9 +67,10 @@ class LstsqResult:
 
 
 def qr_householder(m):
-    """Householder QR of a dense ``m x k`` block with ``m >= k >= 1``.
+    """Thin QR of a dense ``m x k`` block with ``m >= k >= 1``.
 
-    Returns thin factors with ``r`` diagonal >= 0.  Raises on non-finite
+    LAPACK's Householder QR with the signs of R's rows (and Q's columns)
+    flipped so that the diagonal of ``r`` is >= 0.  Raises on non-finite
     input.
     """
     a = np.array(m, dtype=np.float64)
@@ -80,29 +82,7 @@ def qr_householder(m):
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entry in QR input")
     fro = float(np.sqrt((a * a).sum()))
-
-    vs = []
-    for j in range(k):
-        x = a[j:, j]
-        nx = float(np.sqrt(np.dot(x, x)))
-        if nx == 0.0:
-            vs.append(None)
-            continue
-        v = x.copy()
-        v[0] += nx if v[0] >= 0 else -nx
-        beta = 2.0 / float(np.dot(v, v))
-        vs.append((v, beta))
-        a[j:, j:] -= np.outer(v * beta, v @ a[j:, j:])
-    r = np.triu(a[:k, :k]).copy()
-
-    q = np.zeros((rows, k))
-    q[:k, :k] = np.eye(k)
-    for j in range(k - 1, -1, -1):
-        if vs[j] is None:
-            continue
-        v, beta = vs[j]
-        q[j:, :] -= np.outer(v * beta, v @ q[j:, :])
-
+    q, r = np.linalg.qr(a)
     flip = np.diag(r) < 0
     if flip.any():
         r[flip, :] = -r[flip, :]
@@ -111,62 +91,13 @@ def qr_householder(m):
     return QRFactors(q, r, rank)
 
 
-def _complete_orthonormal(u, start):
-    """Fill columns ``start:`` of ``u`` with an orthonormal completion."""
-    rows, k = u.shape
-    col = start
-    for cand in range(rows):
-        if col >= k:
-            break
-        w = np.zeros(rows)
-        w[cand] = 1.0
-        for _ in range(2):  # twice for numerical safety
-            w -= u[:, :col] @ (u[:, :col].T @ w)
-        nw = float(np.sqrt(np.dot(w, w)))
-        if nw > 0.5:
-            u[:, col] = w / nw
-            col += 1
-    if col < k:
-        raise ValueError("orthonormal completion failed")
+def svd_small(m):
+    """Thin SVD of a small dense matrix with canonical signs.
 
-
-_ROUND_ROBIN_CACHE = {}
-
-
-def _round_robin(q):
-    """Rounds of disjoint column pairs covering all q(q-1)/2 combinations.
-
-    The usual tournament schedule: pairs within a round touch disjoint
-    columns, so their rotations commute and can be applied in one batch.
-    """
-    rounds = _ROUND_ROBIN_CACHE.get(q)
-    if rounds is None:
-        arr = list(range(q)) + ([-1] if q % 2 else [])
-        n = len(arr)
-        rounds = []
-        for _ in range(n - 1):
-            pairs = [
-                (min(arr[k], arr[n - 1 - k]), max(arr[k], arr[n - 1 - k]))
-                for k in range(n // 2)
-                if arr[k] != -1 and arr[n - 1 - k] != -1
-            ]
-            rounds.append(
-                (
-                    np.array([p[0] for p in pairs], dtype=np.intp),
-                    np.array([p[1] for p in pairs], dtype=np.intp),
-                )
-            )
-            arr = [arr[0], arr[-1]] + arr[1:-1]
-        _ROUND_ROBIN_CACHE[q] = rounds
-    return rounds
-
-
-def svd_small(m, max_sweeps=30, tol=1e-14):
-    """One-sided Jacobi SVD of a small dense matrix.
-
-    Columns are rotated pairwise until every pair is orthogonal to ``tol``
-    relative to the column norms; non-convergence within ``max_sweeps``
-    sweeps signals pathological input and raises.
+    LAPACK's SVD with each right singular vector (and its left partner)
+    negated where needed so that its largest-magnitude component, the
+    first one on ties, is nonnegative.  A wide input is factored through
+    its transpose.  Raises on non-finite input.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -174,70 +105,14 @@ def svd_small(m, max_sweeps=30, tol=1e-14):
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entry in SVD input")
     if a.shape[0] < a.shape[1]:
-        f = svd_small(a.T, max_sweeps=max_sweeps, tol=tol)
-        return SVDFactors(f.v, f.sigma, f.u)
-
-    p, q = a.shape
-    # the rotation factor is stacked under the working block so every
-    # rotation updates both with a single pair of column writes
-    g = np.vstack([a, np.eye(q)])
-    # pairs of columns that are both numerically zero (below the rank
-    # cutoff) carry no signal; rotating them would shuffle roundoff noise
-    # forever on rank-deficient input
-    zero_sq = RANK_TOL ** 2 * float((a * a).sum())
-    for _ in range(max_sweeps):
-        # processing columns in norm order speeds up convergence a little
-        norms_sq = (g[:p] * g[:p]).sum(axis=0)
-        by_norm = np.argsort(-norms_sq, kind="stable")
-        rotated = False
-        for left, right in _round_robin(q):
-            li, ri = by_norm[left], by_norm[right]
-            bi = g[:p, li]
-            bj = g[:p, ri]
-            alpha = (bi * bi).sum(axis=0)
-            beta = (bj * bj).sum(axis=0)
-            gamma = (bi * bj).sum(axis=0)
-            act = (
-                (np.abs(gamma) > tol * np.sqrt(alpha * beta))
-                & (alpha > zero_sq)
-                & (beta > zero_sq)
-            )
-            if not act.any():
-                continue
-            rotated = True
-            li, ri = li[act], ri[act]
-            zeta = (beta[act] - alpha[act]) / (2.0 * gamma[act])
-            # hypot keeps extreme norm ratios from overflowing zeta**2
-            t = np.sign(zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
-            t[zeta == 0.0] = 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            gi, gj = g[:, li], g[:, ri]
-            g[:, li] = gi * c - gj * s
-            g[:, ri] = gi * s + gj * c
-        if not rotated:
-            break
+        v, sigma, ut = np.linalg.svd(a.T, full_matrices=False)
+        u = ut.T
     else:
-        raise ValueError("Jacobi SVD did not converge within 30 sweeps")
-
-    b, v = g[:p], g[p:]
-    sigma = np.sqrt((b * b).sum(axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    v = v[:, order]
-    u = np.zeros((p, q))
-    nz = sigma > 0.0
-    u[:, nz] = b[:, order[nz]] / sigma[nz]
-    if not nz.all():
-        first_zero = int(np.nonzero(~nz)[0][0])
-        _complete_orthonormal(u, first_zero)
-
-    for i in range(q):
-        kmax = int(np.argmax(np.abs(v[:, i])))
-        if v[kmax, i] < 0.0:
-            v[:, i] = -v[:, i]
-            u[:, i] = -u[:, i]
-    return SVDFactors(u, sigma, v)
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        v = vt.T
+    cols = np.arange(v.shape[1])
+    sign = np.where(v[np.argmax(np.abs(v), axis=0), cols] < 0.0, -1.0, 1.0)
+    return SVDFactors(u * sign, sigma, v * sign)
 
 
 def _solve_upper(r, b):

@@ -79,6 +79,8 @@ class VFactorization:
         z = np.asarray(x, dtype=np.float64).copy()
         for k in range(b.n_blocks - 1, -1, -1):
             lo, hi = b.bounds(k)
+            if not z[lo:hi].any():
+                continue  # a zero segment solves to zero and updates nothing
             z[lo:hi] = lu_solve(self.block_lu[k], z[lo:hi])
             rows, cols, vals = self._off[k]
             if len(rows):
@@ -95,7 +97,8 @@ class VFactorization:
             if len(rows):
                 contrib = np.bincount(cols - lo, weights=vals * z[rows], minlength=hi - lo)
                 z[lo:hi] -= contrib
-            z[lo:hi] = lu_solve_transpose(self.block_lu[k], z[lo:hi])
+            if z[lo:hi].any():
+                z[lo:hi] = lu_solve_transpose(self.block_lu[k], z[lo:hi])
         return z
 
     def lu_nonzeros(self):
@@ -169,7 +172,9 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000, x0=None):
     ``precond`` maps a residual-space vector through W V^{-1} (identity when
     None).  Convergence means the recurrence residual dropped below
     ``tol`` times the initial residual; a breakdown of the recurrence
-    coefficients is reported via the status instead of raising.
+    coefficients, or a non-finite value in them or in a residual norm, is
+    reported via the status instead of raising, with ``x`` left at the
+    last finite iterate.
     """
     n = a.n_cols
     b = np.asarray(b, dtype=np.float64)
@@ -205,11 +210,17 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000, x0=None):
         p_hat = precond(p)
         v = spmv(a, p_hat)
         denom = float(np.dot(r_hat, v))
-        if abs(denom) < BREAKDOWN_EPS * r0_norm * float(np.linalg.norm(v)) or denom == 0.0:
+        if (
+            not np.isfinite(denom)
+            or abs(denom) < BREAKDOWN_EPS * r0_norm * float(np.linalg.norm(v))
+            or denom == 0.0
+        ):
             return finish(it - 1, BREAKDOWN, float(np.linalg.norm(r)))
         alpha = rho / denom
         s = r - alpha * v
         s_norm = float(np.linalg.norm(s))
+        if not np.isfinite(s_norm):
+            return finish(it - 1, BREAKDOWN, float(np.linalg.norm(r)))
         if s_norm <= tol * r0_norm:
             x = x + alpha * p_hat
             return finish(it, CONVERGED, s_norm)
@@ -219,11 +230,14 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000, x0=None):
         if tt == 0.0:
             return finish(it - 1, BREAKDOWN, s_norm)
         omega = float(np.dot(t, s)) / tt
-        if abs(omega) < BREAKDOWN_EPS:
+        if not np.isfinite(omega) or abs(omega) < BREAKDOWN_EPS:
             return finish(it - 1, BREAKDOWN, s_norm)
+        r_next = s - omega * t
+        r_norm = float(np.linalg.norm(r_next))
+        if not np.isfinite(r_norm):
+            return finish(it - 1, BREAKDOWN, float(np.linalg.norm(r)))
         x = x + alpha * p_hat + omega * s_hat
-        r = s - omega * t
-        r_norm = float(np.linalg.norm(r))
+        r = r_next
         if r_norm <= tol * r0_norm:
             return finish(it, CONVERGED, r_norm)
         rho_prev = rho

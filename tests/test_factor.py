@@ -61,6 +61,27 @@ class TestDiafQColumn:
         assert np.array_equal(v.idx, [0])
 
 
+    def test_invisible_candidate_stores_no_entry(self):
+        # rows 1, 5, 7 and 9 lie outside the active rows of A_j = A[:, [2, 3, 4]],
+        # so their columns of Q_j^T are zero and v_j must skip them exactly
+        rng = np.random.default_rng(9)
+        j, wcols, vcols = 4, np.array([2, 3, 4]), np.array([0, 1, 3, 4, 5, 7, 8])
+        active = np.array([0, 2, 3, 4, 6, 8])
+        visible = np.intersect1d(vcols, active)
+        wp = SubspacePattern(10, [wcols if i == j else [i] for i in range(10)])
+        vp = SubspacePattern(10, [vcols if i == j else [i] for i in range(10)])
+        for _ in range(10):
+            dense = np.eye(10) * 4.0
+            dense[np.ix_(active, wcols)] += rng.standard_normal((len(active), 3))
+            _, v, rep = diaf_q_column(SparseMatrix.from_dense(dense), wp, vp, j)
+            assert not rep.fallback
+            assert np.array_equal(v.idx, visible)
+
+            q = np.linalg.qr(dense[:, wcols])[0]
+            oracle = np.linalg.svd(q[visible, :].T)[2][0]
+            oracle *= np.sign(oracle[np.searchsorted(visible, j)])  # diagonal made positive
+            assert np.allclose(v.val, oracle, atol=1e-12, rtol=0.0)
+
 class TestDiafQ:
     def test_identity(self):
         a = SparseMatrix.identity(5)

@@ -12,6 +12,35 @@ from diafact.kernels import (
 from diafact.sparse import SparseMatrix, SparseVector, extract_columns
 
 
+def assert_qr_convention(f, m):
+    """Thin factors reconstruct ``m`` with orthonormal Q and R diagonal >= 0."""
+    k = m.shape[1]
+    assert f.q_thin.shape == m.shape and f.r.shape == (k, k)
+    assert np.linalg.norm(f.q_thin.T @ f.q_thin - np.eye(k)) <= 1e-12 * k
+    assert np.linalg.norm(f.q_thin @ f.r - m) <= 1e-12 * max(np.linalg.norm(m), 1e-300)
+    assert np.array_equal(f.r, np.triu(f.r))
+    assert np.all(np.diag(f.r) >= 0.0)
+
+
+def assert_svd_convention(f, m):
+    """Thin SVD of ``m`` with sorted sigma and canonical right-vector signs.
+
+    The largest-magnitude component of each right singular vector is
+    nonnegative; on exact ties the first such component decides.
+    """
+    k = min(m.shape)
+    assert f.sigma.shape == (k,) and f.u.shape == (m.shape[0], k) and f.v.shape == (m.shape[1], k)
+    assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
+    scale = max(np.linalg.norm(m), 1e-300)
+    assert np.linalg.norm(f.u @ np.diag(f.sigma) @ f.v.T - m) <= 1e-12 * scale
+    assert np.linalg.norm(f.u.T @ f.u - np.eye(k)) <= 1e-12 * k
+    assert np.linalg.norm(f.v.T @ f.v - np.eye(k)) <= 1e-12 * k
+    for i in range(k):
+        mag = np.abs(f.v[:, i])
+        first = int(np.nonzero(mag == mag.max())[0][0])
+        assert f.v[first, i] >= 0.0
+
+
 class TestQR:
     def test_identity(self):
         f = qr_householder(np.eye(3))
@@ -27,22 +56,40 @@ class TestQR:
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((12, 4))
+        assert_qr_convention(qr_householder(m), m)
+
+    def test_negative_diagonal_flipped(self):
+        m = np.diag([-2.0, 3.0, -0.5])
         f = qr_householder(m)
-        assert np.linalg.norm(f.q_thin.T @ f.q_thin - np.eye(4)) <= 1e-12 * 4
-        assert np.linalg.norm(f.q_thin @ f.r - m) <= 1e-12 * np.linalg.norm(m)
-        assert np.all(np.diag(f.r) >= 0)
+        assert_qr_convention(f, m)
+        assert np.allclose(f.r, np.diag([2.0, 3.0, 0.5]))
+        assert np.allclose(f.q_thin, np.diag([-1.0, 1.0, -1.0]))
 
     def test_rank_deficiency_reported(self):
         m = np.ones((5, 3))
         f = qr_householder(m)
         assert f.rank == 1
-        assert np.linalg.norm(f.q_thin @ f.r - m) <= 1e-12 * np.linalg.norm(m)
+        assert_qr_convention(f, m)
+
+    def test_zero_column_keeps_exact_zero_diagonal(self):
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((6, 3))
+        m[:, 2] = 0.0
+        f = qr_householder(m)
+        assert_qr_convention(f, m)
+        assert f.r[2, 2] == 0.0 and f.rank == 2
+        z = qr_householder(np.zeros((4, 2)))
+        assert np.all(z.r == 0.0) and z.rank == 0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             qr_householder(np.array([[np.nan], [1.0]]))
         with pytest.raises(ValueError):
+            qr_householder(np.array([[np.inf], [1.0]]))
+        with pytest.raises(ValueError):
             qr_householder(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            qr_householder(np.ones(3))
 
     def test_many_random_shapes(self):
         rng = np.random.default_rng(1)
@@ -50,9 +97,7 @@ class TestQR:
             m = int(rng.integers(1, 30))
             k = int(rng.integers(1, m + 1))
             a = rng.standard_normal((m, k))
-            f = qr_householder(a)
-            assert np.linalg.norm(f.q_thin.T @ f.q_thin - np.eye(k)) <= 1e-12 * k
-            assert np.linalg.norm(f.q_thin @ f.r - a) <= 1e-12 * np.linalg.norm(a)
+            assert_qr_convention(qr_householder(a), a)
 
 
 class TestSVD:
@@ -78,27 +123,46 @@ class TestSVD:
         rng = np.random.default_rng(3)
         for shape in [(6, 4), (4, 6), (1, 5), (5, 1), (3, 3)]:
             m = rng.standard_normal(shape)
-            f = svd_small(m)
-            k = min(shape)
-            assert f.sigma.shape == (k,)
-            assert np.all(np.diff(f.sigma) <= 0)
-            assert np.linalg.norm(f.u @ np.diag(f.sigma) @ f.v.T - m) <= 1e-12 * np.linalg.norm(m)
-            assert np.linalg.norm(f.u.T @ f.u - np.eye(k)) <= 1e-12 * k
-            assert np.linalg.norm(f.v.T @ f.v - np.eye(k)) <= 1e-12 * k
+            assert_svd_convention(svd_small(m), m)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(4)
-        f = svd_small(rng.standard_normal((7, 4)))
-        for i in range(4):
-            assert f.v[np.argmax(np.abs(f.v[:, i])), i] >= 0
+        for _ in range(100):
+            shape = tuple(int(d) for d in rng.integers(1, 9, size=2))
+            m = rng.standard_normal(shape)
+            assert_svd_convention(svd_small(m), m)
+            assert_svd_convention(svd_small(-m), -m)
+
+    def test_sign_convention_diagonal(self):
+        m = np.diag([-1.0, 3.0, -2.0])
+        f = svd_small(m)
+        assert_svd_convention(f, m)
+        assert np.allclose(f.sigma, [3.0, 2.0, 1.0])
+        assert np.array_equal(f.v, np.eye(3)[:, [1, 2, 0]])
+
+    def test_sign_convention_first_on_ties(self):
+        # the leading right singular vector is (1, -1)/sqrt(2) up to sign;
+        # where its two magnitudes tie exactly the first one is made
+        # positive, and either way m and -m share one canonical v
+        for m in (np.array([[1.0, -1.0], [0.0, 0.0]]), np.array([[1.0, -1.0], [2.0, -2.0], [0.0, 0.0]])):
+            f, g = svd_small(m), svd_small(-m)
+            assert_svd_convention(f, m)
+            assert_svd_convention(g, -m)
+            assert np.allclose(np.abs(f.v[:, 0]), np.sqrt(0.5))
+            assert np.array_equal(f.v[:, 0], g.v[:, 0])
 
     def test_rank_deficient_input(self):
         rng = np.random.default_rng(5)
         base = rng.standard_normal((6, 2))
-        m = base @ rng.standard_normal((2, 4))
-        f = svd_small(m)
-        assert f.sigma[2] <= 1e-12 * f.sigma[0]
-        assert np.linalg.norm(f.u @ np.diag(f.sigma) @ f.v.T - m) <= 1e-11 * np.linalg.norm(m)
+        for m in (base @ rng.standard_normal((2, 4)), (base @ rng.standard_normal((2, 4))).T):
+            f = svd_small(m)
+            assert f.sigma[2] <= 1e-12 * f.sigma[0]
+            assert_svd_convention(f, m)
+
+    def test_rejects_bad_input(self):
+        for bad in (np.array([[np.nan, 1.0]]), np.array([[1.0], [-np.inf]]), np.zeros((0, 2)), np.ones(3)):
+            with pytest.raises(ValueError):
+                svd_small(bad)
 
 
 def column_block(dense, cols):

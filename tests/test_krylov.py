@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diafact.krylov as krylov
 from diafact.factor import diaf_q
 from diafact.krylov import (
     SingularBlockError,
@@ -52,6 +53,42 @@ class TestFactorV:
                 want_t = np.linalg.solve(d.T, x)
                 got_t = vf.solve_transpose(x)
                 assert np.linalg.norm(got_t - want_t) <= 1e-10 * np.linalg.norm(want_t)
+
+    def test_sparse_rhs_skips_zero_blocks(self, monkeypatch):
+        calls = {"solve": 0, "transpose": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(krylov, "lu_solve", counted("solve", krylov.lu_solve))
+        monkeypatch.setattr(
+            krylov, "lu_solve_transpose", counted("transpose", krylov.lu_solve_transpose)
+        )
+        rng = np.random.default_rng(2)
+        bounds = [0, 7, 13, 21, 30]
+        v = block_upper_matrix(rng, bounds)
+        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        d = v.to_dense()
+        # nonzero only inside block 1: blocks 2 and 3 are all zero on the way
+        # back, and block 0 is reached only through the off-block coupling
+        x = np.zeros(30)
+        x[[8, 11]] = [1.5, -2.0]
+        got = vf.solve(x)
+        want = np.linalg.solve(d, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.all(got[13:] == 0.0)
+        assert calls["solve"] == 2
+        # transposed: blocks 0 and 1 stay zero on the way forward
+        e = np.zeros(30)
+        e[15] = 1.0
+        got_t = vf.solve_transpose(e)
+        want_t = np.linalg.solve(d.T, e)
+        assert np.linalg.norm(got_t - want_t) <= 1e-12 * np.linalg.norm(want_t)
+        assert np.all(got_t[:13] == 0.0)
+        assert calls["transpose"] == 2
 
     def test_block_lu_reconstructs_blocks(self):
         rng = np.random.default_rng(1)
@@ -158,6 +195,29 @@ class TestBicgstab:
         assert rep.status in ("no_convergence", "breakdown")
         if rep.status == "no_convergence":
             assert rep.iterations == 2
+
+    def test_nan_preconditioner_reports_breakdown(self):
+        rng = np.random.default_rng(8)
+        a = random_sparse(rng, 30, density=0.2)
+        b = rng.standard_normal(30)
+        x, rep = bicgstab(a, b, precond=lambda r: np.full_like(r, np.nan), maxit=50)
+        assert rep.status == "breakdown"
+        assert rep.iterations <= 1
+        assert np.all(np.isfinite(x))
+        assert np.isfinite(rep.relative_residual) and np.isfinite(rep.true_relative_residual)
+
+    def test_nan_in_second_apply_reports_breakdown(self):
+        rng = np.random.default_rng(9)
+        a = random_sparse(rng, 30, density=0.2)
+        applied = []
+
+        def precond(r):
+            applied.append(1)
+            return r if len(applied) == 1 else np.full_like(r, np.nan)
+
+        x, rep = bicgstab(a, rng.standard_normal(30), precond=precond, maxit=50)
+        assert rep.status == "breakdown" and rep.iterations <= 1
+        assert np.all(np.isfinite(x))
 
     def test_preconditioning_cuts_iterations(self):
         rng = np.random.default_rng(7)
