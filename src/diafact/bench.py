@@ -145,11 +145,7 @@ def run_experiment(cfg):
             "patterns", lambda: _build_patterns(a3, blocks, shape, cfg)
         )
 
-        policy = StabilizationPolicy(
-            threshold=cfg.stab_threshold if cfg.stab_threshold > 0 else 1e-2,
-            r=cfg.stab_r,
-            enabled=cfg.stab_threshold > 0,
-        )
+        policy = StabilizationPolicy(threshold=cfg.stab_threshold, r=cfg.stab_r)
         if cfg.method == "diaf-q":
             pair = stage.run("factor", lambda: diaf_q(a3, w_pat, v_pat, policy))
         else:

@@ -12,56 +12,50 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import ExperimentConfig, emit_report, run_experiment
+from .bench import METHODS, V_SHAPES, ExperimentConfig, emit_report, run_experiment
 
 
 def build_parser():
+    """Parser with one flag per :class:`ExperimentConfig` field.
+
+    Each flag stores into the field it sets; a flag not given is left out
+    of the parsed namespace, so the field keeps its dataclass default.
+    """
     p = argparse.ArgumentParser(
         prog="diafact",
         description="Approximate inverse factoring preconditioner benchmark",
+        argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("--matrix", nargs="+", required=True, help="Matrix Market file(s)")
-    p.add_argument("--method", choices=["diaf-q", "diaf-s"], default="diaf-q")
-    p.add_argument("--v-shape", choices=["block-diag", "block-upper"], default="block-diag")
-    p.add_argument("--max-block", type=int, default=50, help="diagonal block size cap")
-    p.add_argument("--kv", type=int, default=0,
+    p.add_argument("--matrix", dest="matrix", nargs="+", required=True,
+                   help="Matrix Market file(s)")
+    p.add_argument("--method", dest="method", choices=METHODS)
+    p.add_argument("--v-shape", dest="v_shape", choices=tuple(V_SHAPES))
+    p.add_argument("--max-block", dest="max_block", type=int, help="diagonal block size cap")
+    p.add_argument("--kv", dest="k_v", type=int,
                    help="entries kept per column of V (0: structure of A in the shape)")
-    p.add_argument("--neumann-k", type=int, default=3, help="power series truncation")
-    p.add_argument("--tau-i", type=float, default=0.1, help="initial drop tolerance")
-    p.add_argument("--p-i", type=int, default=0, help="initial drop count (0: unused)")
-    p.add_argument("--tau-l", type=float, default=0.0, help="per-level drop tolerance")
-    p.add_argument("--p-l", type=int, default=0, help="per-level drop count (0: unused)")
-    p.add_argument("--stab-threshold", type=float, default=0.0,
+    p.add_argument("--neumann-k", dest="neumann_k", type=int, help="power series truncation")
+    p.add_argument("--tau-i", dest="tau_i", type=float, help="initial drop tolerance")
+    p.add_argument("--p-i", dest="p_i", type=int, help="initial drop count (0: unused)")
+    p.add_argument("--tau-l", dest="tau_l", type=float, help="per-level drop tolerance")
+    p.add_argument("--p-l", dest="p_l", type=int, help="per-level drop count (0: unused)")
+    p.add_argument("--stab-threshold", dest="stab_threshold", type=float,
                    help="stabilize columns with |v_jj| below this (0: off)")
-    p.add_argument("--stab-r", type=float, default=2.0, help="imposed diagonal weight")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative residual target")
-    p.add_argument("--maxit", type=int, default=1000, help="iteration cap")
+    p.add_argument("--stab-r", dest="stab_r", type=float, help="imposed diagonal weight")
+    p.add_argument("--tol", dest="tol", type=float, help="relative residual target")
+    p.add_argument("--maxit", dest="maxit", type=int, help="iteration cap")
     p.add_argument("--out", default=None, help="report file path")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    config_args = vars(build_parser().parse_args(argv))
+    matrices = config_args.pop("matrix")
+    out, fmt = config_args.pop("out"), config_args.pop("format")
     rows = []
-    for path in args.matrix:
+    for path in matrices:
         try:
-            cfg = ExperimentConfig(
-                matrix=path,
-                method=args.method,
-                v_shape=args.v_shape,
-                max_block=args.max_block,
-                k_v=args.kv,
-                neumann_k=args.neumann_k,
-                tau_i=args.tau_i,
-                p_i=args.p_i,
-                tau_l=args.tau_l,
-                p_l=args.p_l,
-                stab_threshold=args.stab_threshold,
-                stab_r=args.stab_r,
-                tol=args.tol,
-                maxit=args.maxit,
-            )
+            cfg = ExperimentConfig(matrix=path, **config_args)
         except ValueError as exc:
             print(f"invalid configuration: {exc}", file=sys.stderr)
             return 1
@@ -77,8 +71,8 @@ def main(argv=None):
                 f"its={row.its} status={row.status}"
             )
 
-    text = emit_report(rows, fmt=args.format, path=args.out)
-    if args.out is None:
+    text = emit_report(rows, fmt=fmt, path=out)
+    if out is None:
         print(text, end="")
 
     statuses = [r.status for r in rows]

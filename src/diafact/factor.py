@@ -21,14 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SVDFactors, lstsq, pad_tall, qr_householder, svd_small
-from .sparse import (
-    SparseMatrix,
-    SparseVector,
-    extract_columns,
-    gather_columns,
-    residual_fro,
-)
+from .kernels import SVDFactors, lstsq, pad_tall, qr_householder, rank_by_qt_norm, svd_small
+from .sparse import SparseMatrix, SparseVector, extract_columns, gather_columns, sorted_lookup
 
 __all__ = [
     "StabilizationPolicy",
@@ -48,12 +42,13 @@ class StabilizationPolicy:
 
     A column is recomputed when the magnitude of its diagonal component
     falls below ``threshold``; the imposed diagonal weight is ``r``.  The
-    recomputed direction does not depend on the value of ``r``.
+    default threshold 0 never fires, so stabilization is off unless a
+    positive threshold is given.  The recomputed direction does not depend
+    on the value of ``r``.
     """
 
-    threshold: float = 1e-2
+    threshold: float = 0.0
     r: float = 2.0
-    enabled: bool = False
 
     def __post_init__(self):
         if self.threshold < 0:
@@ -72,7 +67,11 @@ class ColumnReport:
 
 @dataclass
 class FactorPair:
-    """Computed factors with per-column diagnostics."""
+    """Computed factors with per-column diagnostics.
+
+    ``column_residuals[j]`` is ``||A w_j - v_j||_2`` and ``nrm`` is
+    ``||A W - V||_F``, the root of their sum of squares.
+    """
 
     w: SparseMatrix
     v: SparseMatrix
@@ -84,8 +83,8 @@ class FactorPair:
 
 def _require_diag(v_pattern, j):
     vcols = v_pattern.cols[j]
-    dpos = int(np.searchsorted(vcols, j))
-    if dpos >= len(vcols) or vcols[dpos] != j:
+    dpos, found = sorted_lookup(vcols, j)
+    if not found:
         raise ValueError(f"V pattern must contain the diagonal index (column {j})")
     return vcols, dpos
 
@@ -94,11 +93,9 @@ def _qt_columns(q_thin, active_rows, positions):
     """Columns of Q_j^T at global row ``positions`` (zero outside actives)."""
     k = q_thin.shape[1]
     m = np.zeros((k, len(positions)))
-    if len(active_rows):
-        pos = np.minimum(np.searchsorted(active_rows, positions), len(active_rows) - 1)
-        inside = active_rows[pos] == positions
-        # only genuine active rows of the (possibly padded) factor count
-        m[:, inside] = q_thin[pos[inside], :].T
+    # only genuine active rows of the (possibly padded) factor count
+    pos, inside = sorted_lookup(active_rows, positions)
+    m[:, inside] = q_thin[pos[inside], :].T
     return m
 
 
@@ -133,8 +130,7 @@ def stabilize_column(q_thin, active_rows, j, l_j, policy, admissible):
     if len(admissible) == 0 or l_j <= 1:
         return np.array([j], dtype=np.int64), np.array([policy.r])
 
-    scores = np.sqrt((_qt_columns(q_thin, active_rows, admissible) ** 2).sum(axis=0))
-    ranked = np.lexsort((admissible, -scores))
+    ranked = rank_by_qt_norm(q_thin, active_rows, admissible)
     chosen = np.sort(admissible[ranked[: l_j - 1]])
 
     m_hat = _qt_columns(q_thin, active_rows, chosen)
@@ -162,7 +158,6 @@ def diaf_q_column(a, w_pattern, v_pattern, j, policy=None, target_norm=1.0):
     vcols, dpos = _require_diag(v_pattern, j)
     sub = extract_columns(a, w_pattern.cols[j])
     qr = qr_householder(pad_tall(sub.dense_block))
-    rank_deficient = qr.rank < sub.k
 
     m_j = _qt_columns(qr.q_thin, sub.active_rows, vcols)
     fallback = False
@@ -177,7 +172,7 @@ def diaf_q_column(a, w_pattern, v_pattern, j, policy=None, target_norm=1.0):
         v_loc = f.v[:, 0]
         if v_loc[dpos] < 0.0:
             v_loc = -v_loc
-        if policy.enabled and abs(v_loc[dpos]) < policy.threshold:
+        if abs(v_loc[dpos]) < policy.threshold:
             idx, val = stabilize_column(
                 qr.q_thin, sub.active_rows, j, len(vcols), policy, vcols
             )
@@ -187,12 +182,12 @@ def diaf_q_column(a, w_pattern, v_pattern, j, policy=None, target_norm=1.0):
             keep = v_loc != 0.0
             v_j = SparseVector(n, vcols[keep], v_loc[keep] * target_norm)
 
-    sol = lstsq(sub, v_j)
+    sol = lstsq(sub, v_j, qr)
     w_j = SparseVector(n, sub.cols, sol.solution)
     report = ColumnReport(
         residual=sol.residual,
         stabilized=stabilized,
-        rank_deficient=rank_deficient or sol.rank_deficient,
+        rank_deficient=sol.rank_deficient,
         fallback=fallback,
     )
     return w_j, v_j, report
@@ -208,11 +203,7 @@ def diaf_s_column(a, w_pattern, v_pattern, j):
     vcols, _ = _require_diag(v_pattern, j)
     sub = extract_columns(a, w_pattern.cols[j])
 
-    if len(sub.active_rows):
-        pos = np.minimum(np.searchsorted(vcols, sub.active_rows), len(vcols) - 1)
-        removed = vcols[pos] == sub.active_rows
-    else:
-        removed = np.zeros(0, dtype=bool)
+    _, removed = sorted_lookup(vcols, sub.active_rows)
     a_hat = sub.dense_block[~removed]
     flagged = a_hat.shape[0] < sub.k
 
@@ -222,12 +213,8 @@ def diaf_s_column(a, w_pattern, v_pattern, j):
     sigma_min = float(f.sigma[-1])
 
     y = sub.dense_block @ w_loc
-    dpos = int(np.searchsorted(sub.active_rows, j)) if len(sub.active_rows) else 0
-    yj = (
-        y[dpos]
-        if len(sub.active_rows) and dpos < len(sub.active_rows) and sub.active_rows[dpos] == j
-        else 0.0
-    )
+    dpos, found = sorted_lookup(sub.active_rows, j)
+    yj = y[dpos] if found else 0.0
     if yj < 0.0:
         w_loc = -w_loc
     elif yj == 0.0 and w_loc[int(np.argmax(np.abs(w_loc)))] < 0.0:
@@ -274,7 +261,7 @@ def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
             flagged[j] = ",".join(reasons)
     w = SparseMatrix.from_columns(n, w_cols)
     v = SparseMatrix.from_columns(n, v_cols)
-    return FactorPair(w, v, residuals, stab_count, residual_fro(a, w, v), flagged)
+    return FactorPair(w, v, residuals, stab_count, float(np.sqrt((residuals ** 2).sum())), flagged)
 
 
 def diaf_s(a, w_pattern, v_pattern):
@@ -290,9 +277,7 @@ def diaf_s(a, w_pattern, v_pattern):
         w_cols.append((w_j.idx, w_j.val))
         # project A w_j onto the admissible structure of column j
         y_idx, y_val = gather_columns(a, w_j.idx, w_j.val)
-        vcols = v_pattern.cols[j]
-        pos = np.minimum(np.searchsorted(vcols, y_idx), len(vcols) - 1)
-        inside = vcols[pos] == y_idx
+        _, inside = sorted_lookup(v_pattern.cols[j], y_idx)
         v_cols.append((y_idx[inside], y_val[inside]))
         out = y_val[~inside]
         residuals[j] = float(np.sqrt(np.dot(out, out)))
@@ -301,4 +286,4 @@ def diaf_s(a, w_pattern, v_pattern):
             flagged[j] = ",".join(reasons)
     w = SparseMatrix.from_columns(n, w_cols)
     v = SparseMatrix.from_columns(n, v_cols)
-    return FactorPair(w, v, residuals, 0, residual_fro(a, w, v), flagged)
+    return FactorPair(w, v, residuals, 0, float(np.sqrt((residuals ** 2).sum())), flagged)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import ColumnSubmatrix, SparseVector
+from .sparse import ColumnSubmatrix, SparseVector, sorted_lookup
 
 __all__ = [
     "QRFactors",
@@ -22,6 +22,7 @@ __all__ = [
     "qr_householder",
     "svd_small",
     "lstsq",
+    "rank_by_qt_norm",
     "lu_factor",
     "lu_solve",
     "lu_solve_transpose",
@@ -131,14 +132,16 @@ def pad_tall(block):
     return np.vstack([block, np.zeros((k - rows, k))])
 
 
-def lstsq(a_j, rhs):
+def lstsq(a_j, rhs, qr=None):
     """Minimum-norm least squares ``min ||a_j w - rhs||_2``.
 
     ``a_j`` is a :class:`ColumnSubmatrix`; ``rhs`` is a sparse n-vector.
-    Components of ``rhs`` outside the active rows of ``a_j`` cannot be
-    reached by any ``w``; they are excluded from the solve but included in
-    the reported residual.  A rank-deficient block falls back to an SVD
-    pseudoinverse and is flagged.
+    ``qr`` is the :func:`qr_householder` factorization of
+    ``pad_tall(a_j.dense_block)`` when the caller already has it; without
+    it the block is factored here.  Components of ``rhs`` outside the
+    active rows of ``a_j`` cannot be reached by any ``w``; they are
+    excluded from the solve but included in the reported residual.  A
+    rank-deficient block falls back to an SVD pseudoinverse and is flagged.
     """
     if not isinstance(a_j, ColumnSubmatrix):
         raise TypeError("a_j must be a ColumnSubmatrix")
@@ -147,19 +150,14 @@ def lstsq(a_j, rhs):
     active = a_j.active_rows
     k = a_j.k
     b_act = np.zeros(len(active))
-    out_sq = 0.0
-    if rhs.nnz:
-        if len(active):
-            pos = np.minimum(np.searchsorted(active, rhs.idx), len(active) - 1)
-            inside = active[pos] == rhs.idx
-            b_act[pos[inside]] = rhs.val[inside]
-        else:
-            inside = np.zeros(rhs.nnz, dtype=bool)
-        out_sq = float(np.dot(rhs.val[~inside], rhs.val[~inside]))
+    pos, inside = sorted_lookup(active, rhs.idx)
+    b_act[pos[inside]] = rhs.val[inside]
+    out_sq = float(np.dot(rhs.val[~inside], rhs.val[~inside]))
 
     block = pad_tall(a_j.dense_block)
     b_pad = np.concatenate([b_act, np.zeros(block.shape[0] - len(b_act))])
-    qr = qr_householder(block)
+    if qr is None:
+        qr = qr_householder(block)
     qtb = qr.q_thin.T @ b_pad
     if qr.rank == k:
         w = _solve_upper(qr.r, qtb)
@@ -173,6 +171,19 @@ def lstsq(a_j, rhs):
     in_res = a_j.dense_block @ w - b_act
     residual = float(np.sqrt(np.dot(in_res, in_res) + out_sq))
     return LstsqResult(w, residual, flagged)
+
+
+def rank_by_qt_norm(q_thin, active_rows, positions):
+    """Order of ``positions`` by the norm of their column of Q_j^T, largest first.
+
+    A position outside ``active_rows`` scores zero; ties go to the smaller
+    position, so the leading ``k`` of the order nest as ``k`` grows.
+    """
+    pos, inside = sorted_lookup(active_rows, positions)
+    scores = np.zeros(len(positions))
+    rows = q_thin[pos[inside], :]
+    scores[inside] = np.sqrt((rows * rows).sum(axis=1))
+    return np.lexsort((positions, -scores))
 
 
 def lu_factor(a):

@@ -51,9 +51,6 @@ class SolveReport:
     status: str
     relative_residual: float
     true_relative_residual: float
-    rho: float | None = None
-    kappa_v: float | None = None
-    nrm: float | None = None
     timings: dict = field(default_factory=dict)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import lu_factor, lu_solve, qr_householder, pad_tall
+from .kernels import lu_solve, pad_tall, qr_householder, rank_by_qt_norm
 from .krylov import SingularBlockError, factor_v
 from .preprocess import BlockStructure
 from .sparse import (
@@ -27,6 +27,7 @@ from .sparse import (
     gather_columns,
     merge_sum,
     pattern_subtract_offdiag,
+    sorted_lookup,
 )
 
 __all__ = [
@@ -93,8 +94,8 @@ def numerical_drop(v, rule, protect=None):
         keep = np.zeros(v.nnz, dtype=bool)
         keep[ranked[: rule.p]] = True
     if protect is not None:
-        pos = np.searchsorted(v.idx, protect)
-        if pos < v.nnz and v.idx[pos] == protect:
+        pos, found = sorted_lookup(v.idx, protect)
+        if found:
             keep[pos] = True
     return SparseVector(v.n, v.idx[keep], v.val[keep])
 
@@ -104,9 +105,7 @@ def _project_to_pattern(a, pattern):
     cols = []
     for j in range(a.n_cols):
         idx, val = a.column(j)
-        pos = np.searchsorted(pattern.cols[j], idx)
-        pos = np.minimum(pos, len(pattern.cols[j]) - 1)
-        inside = pattern.cols[j][pos] == idx
+        _, inside = sorted_lookup(pattern.cols[j], idx)
         cols.append((idx[inside], val[inside]))
     return SparseMatrix.from_columns(a.n_rows, cols)
 
@@ -140,9 +139,7 @@ class _V0Solver:
     def __init__(self, a, v0_pattern, blocks, v0_shape):
         n = a.n_cols
         for j in range(n):
-            c = v0_pattern.cols[j]
-            k = np.searchsorted(c, j)
-            if k >= len(c) or c[k] != j:
+            if not sorted_lookup(v0_pattern.cols[j], j)[1]:
                 raise ValueError(f"V0 pattern must contain the diagonal (column {j})")
         v0 = _project_to_pattern(a, v0_pattern)
         diag_only = all(len(c) == 1 for c in v0_pattern.cols)
@@ -209,10 +206,8 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
     s_cols = []
     for j in range(n):
         idx, val = a.column(j)
-        pos = np.searchsorted(v0_pattern.cols[j], idx)
-        pos = np.minimum(pos, len(v0_pattern.cols[j]) - 1)
-        outside = v0_pattern.cols[j][pos] != idx
-        si, sv = solver.solve_sparse(n, idx[outside], val[outside])
+        _, inside = sorted_lookup(v0_pattern.cols[j], idx)
+        si, sv = solver.solve_sparse(n, idx[~inside], val[~inside])
         dropped = numerical_drop(SparseVector(n, si, sv, sort=True), cfg.initial_drop, protect=j)
         s_cols.append((dropped.idx, dropped.val))
     s = SparseMatrix.from_columns(n, s_cols)
@@ -284,15 +279,6 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
         else:
             sub = extract_columns(a, w_pattern.cols[j])
             q = qr_householder(pad_tall(sub.dense_block)).q_thin
-            scores = np.zeros(len(cand))
-            if len(sub.active_rows):
-                pos = np.minimum(
-                    np.searchsorted(sub.active_rows, cand), len(sub.active_rows) - 1
-                )
-                inside = sub.active_rows[pos] == cand
-                rows = q[pos[inside], :]
-                scores[inside] = np.sqrt((rows * rows).sum(axis=1))
-            ranked = np.lexsort((cand, -scores))
-            chosen = cand[ranked[:k_v]]
+            chosen = cand[rank_by_qt_norm(q, sub.active_rows, cand)[:k_v]]
         cols.append(np.union1d(chosen, [j]))
     return SubspacePattern(n, cols)

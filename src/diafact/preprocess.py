@@ -112,8 +112,13 @@ class BlockStructure:
         return int(self.block_bounds[b]), int(self.block_bounds[b + 1])
 
 
-def _balanced_magnitudes(a, sweeps=5):
-    """Row/column balanced entry magnitudes used to rank matching choices."""
+def _max_scaling(a, sweeps):
+    """Row and column scales after ``sweeps`` rounds of max-magnitude scaling.
+
+    Each round divides every row scale, then every column scale, by the
+    square root of its current scaled maximum magnitude; an empty row or
+    column keeps its scale.
+    """
     n_rows, n_cols = a.shape
     cols = a._entry_columns()
     mag = np.abs(a.values)
@@ -128,7 +133,13 @@ def _balanced_magnitudes(a, sweeps=5):
         col_max = np.zeros(n_cols)
         np.maximum.at(col_max, cols, scaled)
         c /= np.sqrt(np.where(col_max > 0.0, col_max, 1.0))
-    return mag * r[a.row_idx] * c[cols]
+    return r, c
+
+
+def _balanced_magnitudes(a, sweeps=5):
+    """Row/column balanced entry magnitudes used to rank matching choices."""
+    r, c = _max_scaling(a, sweeps)
+    return np.abs(a.values) * r[a.row_idx] * c[a._entry_columns()]
 
 
 def max_transversal(a):
@@ -250,28 +261,13 @@ def equilibrate(a, iterations=10):
     current scaled maxima; after convergence every row and column maximum
     magnitude lies in [1/2, 2].  Zero rows or columns are rejected.
     """
-    n_rows, n_cols = a.shape
-    cols = a._entry_columns()
-    absval = np.abs(a.values)
-    row_has = np.zeros(n_rows, dtype=bool)
+    row_has = np.zeros(a.n_rows, dtype=bool)
     row_has[a.row_idx] = True
     if not row_has.all():
         raise ValueError(f"zero row {int(np.nonzero(~row_has)[0][0])}")
     if np.any(np.diff(a.col_ptr) == 0):
         raise ValueError(f"zero column {int(np.nonzero(np.diff(a.col_ptr) == 0)[0][0])}")
-
-    r = np.ones(n_rows)
-    c = np.ones(n_cols)
-    for _ in range(iterations):
-        scaled = absval * r[a.row_idx] * c[cols]
-        row_max = np.zeros(n_rows)
-        np.maximum.at(row_max, a.row_idx, scaled)
-        r /= np.sqrt(row_max)
-        scaled = absval * r[a.row_idx] * c[cols]
-        col_max = np.zeros(n_cols)
-        np.maximum.at(col_max, cols, scaled)
-        c /= np.sqrt(col_max)
-    return Scaling(r, c)
+    return Scaling(*_max_scaling(a, iterations))
 
 
 def _tarjan_components(a):

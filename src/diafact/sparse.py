@@ -22,6 +22,7 @@ __all__ = [
     "pattern_subtract_offdiag",
     "spmv",
     "residual_fro",
+    "sorted_lookup",
 ]
 
 
@@ -164,8 +165,8 @@ class SparseMatrix:
         d = np.zeros(min(self.n_rows, self.n_cols))
         for j in range(len(d)):
             idx, val = self.column(j)
-            k = np.searchsorted(idx, j)
-            if k < len(idx) and idx[k] == j:
+            k, found = sorted_lookup(idx, j)
+            if found:
                 d[j] = val[k]
         return d
 
@@ -295,8 +296,8 @@ class SubspacePattern:
         """Return a copy whose column ``j`` always contains index ``j``."""
         cols = []
         for j, c in enumerate(self.cols):
-            k = np.searchsorted(c, j)
-            if k < len(c) and c[k] == j:
+            k, found = sorted_lookup(c, j)
+            if found:
                 cols.append(c)
             else:
                 cols.append(np.insert(c, k, j))
@@ -457,6 +458,20 @@ def pattern_subtract_offdiag(w_pattern, v0_pattern):
         drop = v0[v0 != j]
         cols.append(np.setdiff1d(w_pattern.cols[j], drop, assume_unique=True))
     return SubspacePattern(w_pattern.n, cols)
+
+
+def sorted_lookup(arr, keys):
+    """Where ``keys`` sit in the sorted array ``arr``, and whether they are there.
+
+    Returns ``(pos, found)``: the insertion points of ``np.searchsorted``
+    and a mask (a bool for a scalar key) that is true exactly where
+    ``arr[pos] == keys``.  Only ``pos[found]`` is guaranteed to index
+    ``arr``.
+    """
+    pos = np.searchsorted(arr, keys)
+    if len(arr) == 0:
+        return pos, np.zeros(np.shape(keys), dtype=bool)
+    return pos, arr[np.minimum(pos, len(arr) - 1)] == keys
 
 
 def spmv(a, x):

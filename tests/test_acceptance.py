@@ -96,7 +96,7 @@ def _bound_corpus():
         a = random_sparse(rng, n, density=0.1)
         wp = random_pattern(rng, n, per_col=5)
         vp = SubspacePattern(n, [np.arange(max(0, j - 3), j + 1) for j in range(n)])
-        policy = StabilizationPolicy(enabled=True)
+        policy = StabilizationPolicy(threshold=1e-2)
         corpus.append((a, diaf_q(a, wp, vp, policy)))
     return corpus
 
@@ -238,7 +238,7 @@ def test_criterion_8_stabilization():
     plain_diag = np.abs(np.diag(plain.v.to_dense()))
     assert np.any(plain_diag < 1e-2), "instance must trigger tiny diagonals"
 
-    policy = StabilizationPolicy(threshold=1e-2, r=2.0, enabled=True)
+    policy = StabilizationPolicy(threshold=1e-2, r=2.0)
     stab = diaf_q(a, wp, vp, policy)
     assert stab.stab_count >= 1
     stab_diag = np.abs(np.diag(stab.v.to_dense()))

@@ -1,5 +1,6 @@
 import json
-from dataclasses import asdict
+from collections import Counter
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -166,6 +167,24 @@ class TestCli:
     def test_error_exit_one(self, tmp_path, capsys):
         code = cli.main(["--matrix", str(tmp_path / "missing.mtx")])
         assert code == 1
+
+    def test_one_flag_per_config_field(self):
+        dests = Counter(a.dest for a in cli.build_parser()._actions)
+        for f in fields(ExperimentConfig):
+            assert dests[f.name] == 1, f.name
+        args = vars(cli.build_parser().parse_args(["--matrix", "x", "--kv", "4"]))
+        assert args == {"matrix": ["x"], "k_v": 4, "out": None, "format": "csv"}
+
+    def test_matrix_alone_gives_default_config(self, monkeypatch):
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            return ResultRow(problem="x", status="converged")
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        assert cli.main(["--matrix", "x"]) == 0
+        assert seen == [ExperimentConfig(matrix="x")]
 
     def test_json_to_stdout(self, identity_mtx, capsys):
         code = cli.main(["--matrix", identity_mtx, "--format", "json"])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import diafact.factor
+import diafact.kernels
 from diafact.factor import (
     StabilizationPolicy,
     diaf_q,
@@ -143,6 +145,22 @@ class TestDiafQ:
         assert pair.nrm == pytest.approx(
             float(np.sqrt((pair.column_residuals ** 2).sum())), rel=1e-12
         )
+        assert pair.nrm == pytest.approx(residual_fro(a, pair.w, pair.v), rel=1e-12)
+
+    def test_one_qr_per_column(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return qr_householder(m)
+
+        # lstsq looks the kernel up in its own module, diaf_q_column in factor
+        monkeypatch.setattr(diafact.factor, "qr_householder", counted)
+        monkeypatch.setattr(diafact.kernels, "qr_householder", counted)
+        rng = np.random.default_rng(13)
+        a = random_sparse(rng, 12, density=0.3)
+        diaf_q(a, random_pattern(rng, 12, per_col=3), random_pattern(rng, 12, per_col=2))
+        assert len(calls) == 12
 
     def test_factors_conform_to_patterns(self):
         rng = np.random.default_rng(12)
@@ -157,7 +175,7 @@ class TestDiafQ:
 
 class TestStabilize:
     def policy(self, r=2.0):
-        return StabilizationPolicy(threshold=1e-2, r=r, enabled=True)
+        return StabilizationPolicy(threshold=1e-2, r=r)
 
     def setup_qt(self, rng, n=8, k=4):
         a = random_sparse(rng, n, density=0.5)
@@ -215,7 +233,7 @@ class TestStabilize:
         vp = upper_triangular_pattern(n)
         plain = diaf_q(a, wp, vp)
         assert abs(plain.v.to_dense()[3, 3]) < 1e-2
-        stab = diaf_q(a, wp, vp, StabilizationPolicy(enabled=True))
+        stab = diaf_q(a, wp, vp, StabilizationPolicy(threshold=1e-2))
         assert stab.stab_count == 1
         d = np.abs(np.diag(stab.v.to_dense()))
         assert np.all(d >= min(2.0, 1e-2) - 1e-12)
@@ -290,3 +308,12 @@ class TestDiafS:
         for j in range(12):
             idx, _ = pair.v.column(j)
             assert np.all(np.isin(idx, vp.cols[j]))
+
+    def test_nrm_matches_residual_fro(self):
+        rng = np.random.default_rng(14)
+        a = random_sparse(rng, 10, density=0.3)
+        wp = random_pattern(rng, 10, per_col=3)
+        vp = random_pattern(rng, 10, per_col=2).with_diagonal()
+        pair = diaf_s(a, wp, vp)
+        assert pair.nrm > 0.0
+        assert pair.nrm == pytest.approx(residual_fro(a, pair.w, pair.v), rel=1e-12)

@@ -6,6 +6,7 @@ from diafact.kernels import (
     lu_factor,
     lu_solve,
     lu_solve_transpose,
+    pad_tall,
     qr_householder,
     svd_small,
 )
@@ -214,6 +215,21 @@ class TestLstsq:
         assert out.rank_deficient
         oracle = np.linalg.lstsq(dense[:, :2], rhs.to_dense(), rcond=None)[0]
         assert np.allclose(out.solution, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_given_qr_matches_own_factorization(self, rank_deficient):
+        rng = np.random.default_rng(31)
+        dense = rng.standard_normal((8, 8)) * (rng.random((8, 8)) < 0.5)
+        dense[np.diag_indices(8)] += 3.0
+        if rank_deficient:
+            dense[:, 4] = 2.0 * dense[:, 1]
+        sub = column_block(dense, [1, 4, 6])
+        rhs = SparseVector.from_dense(rng.standard_normal(8))
+        qr = qr_householder(pad_tall(sub.dense_block))
+        own, given = lstsq(sub, rhs), lstsq(sub, rhs, qr)
+        assert own.rank_deficient == given.rank_deficient == rank_deficient
+        assert np.array_equal(own.solution, given.solution)
+        assert own.residual == given.residual
 
 
 class TestLU:

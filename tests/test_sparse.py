@@ -10,6 +10,7 @@ from diafact.sparse import (
     pattern_subtract_offdiag,
     read_matrix_market,
     residual_fro,
+    sorted_lookup,
     spmv,
     write_matrix_market,
 )
@@ -206,6 +207,31 @@ class TestProducts:
         want = np.linalg.norm(a.to_dense() @ w.to_dense() - v.to_dense(), "fro")
         got = residual_fro(a, w, v)
         assert abs(got - want) <= 1e-13 * want
+
+
+class TestSortedLookup:
+    @pytest.mark.parametrize(
+        "arr, keys, found",
+        [
+            ([2, 5, 9], [2, 4, 5, 9], [True, False, True, True]),
+            ([], [0, 3], [False, False]),
+            ([2, 5, 9], [-1, 0, 1], [False, False, False]),
+            ([2, 5, 9], [10, 99], [False, False]),
+        ],
+        ids=["mixed", "empty", "below", "above"],
+    )
+    def test_vector_keys(self, arr, keys, found):
+        arr = np.array(arr, dtype=np.int64)
+        pos, got = sorted_lookup(arr, np.array(keys))
+        assert np.array_equal(got, found)
+        assert np.array_equal(pos, np.searchsorted(arr, keys))
+        assert np.array_equal(arr[pos[got]], np.array(keys)[got])
+
+    def test_scalar_key(self):
+        arr = np.array([2, 5, 9])
+        assert sorted_lookup(arr, 5) == (1, True)
+        assert not sorted_lookup(arr, 10)[1]
+        assert not sorted_lookup(np.empty(0, np.int64), 0)[1]
 
 
 class TestSparseVector:
