@@ -88,7 +88,9 @@ class ResultRow:
     nrm: float = float("nan")
     its: int = -1
     status: str = "error"
+    true_relative_residual: float = float("nan")
     stab_count: int = 0
+    flagged_columns: int = 0
     solution_error: float = float("nan")
     timings: dict = field(default_factory=dict)
     error_stage: str = ""
@@ -97,8 +99,8 @@ class ResultRow:
 
     CSV_FIELDS = (
         "problem", "n", "nnz", "max_block", "n_blocks", "rho", "kappa_v",
-        "nrm", "its", "status", "stab_count", "solution_error", "timings",
-        "error_stage", "error_message",
+        "nrm", "its", "status", "true_relative_residual", "stab_count",
+        "flagged_columns", "solution_error", "timings", "error_stage", "error_message",
     )
 
 
@@ -152,6 +154,7 @@ def run_experiment(cfg):
             pair = stage.run("factor", lambda: diaf_s(a3, w_pat, v_pat))
         row.nrm = pair.nrm
         row.stab_count = pair.stab_count
+        row.flagged_columns = len(pair.flagged_columns)
 
         vf = stage.run("factor_v", lambda: factor_v(pair.v, blocks, shape))
 
@@ -163,6 +166,7 @@ def run_experiment(cfg):
         )
         row.its = report.iterations
         row.status = report.status
+        row.true_relative_residual = report.true_relative_residual
 
         def metrics():
             x0 = q.undo(sc.col_scale * p.undo(y3))

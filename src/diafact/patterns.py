@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import lu_solve, pad_tall, qr_householder, rank_by_qt_norm
+from .kernels import pad_tall, qr_householder, rank_by_qt_norm
 from .krylov import SingularBlockError, factor_v
-from .preprocess import BlockStructure
 from .sparse import (
     SparseMatrix,
     SparseVector,
@@ -110,31 +109,14 @@ def _project_to_pattern(a, pattern):
     return SparseMatrix.from_columns(a.n_rows, cols)
 
 
-def _infer_diagonal_blocks(pattern):
-    """Finest contiguous block partition confining a block-diagonal pattern.
-
-    A pattern that is not block diagonal collapses to a single block, which
-    stays correct but makes the solve dense; callers with triangular V0
-    should pass explicit blocks instead.
-    """
-    n = pattern.n
-    hi = np.empty(n, dtype=np.int64)
-    lo = np.empty(n, dtype=np.int64)
-    for j, c in enumerate(pattern.cols):
-        lo[j] = min(c[0], j)
-        hi[j] = max(c[-1], j)
-    prefix_hi = np.maximum.accumulate(hi)
-    suffix_lo = np.minimum.accumulate(lo[::-1])[::-1]
-    bounds = [0]
-    for p in range(1, n):
-        if prefix_hi[p - 1] < p and suffix_lo[p] >= p:
-            bounds.append(p)
-    bounds.append(n)
-    return BlockStructure(np.array(bounds))
-
-
 class _V0Solver:
-    """Solves with V0 = P_{V0}A, specialized for the pattern's shape."""
+    """Solves with V0 = P_{V0}A.
+
+    A diagonal V0 divides by its diagonal.  Any other V0 is factored by
+    :func:`factor_v` under the given blocks and shape, and each sparse
+    right-hand side goes through the block back-substitution of
+    :meth:`VFactorization.solve`, which solves only the blocks it reaches.
+    """
 
     def __init__(self, a, v0_pattern, blocks, v0_shape):
         n = a.n_cols
@@ -150,34 +132,18 @@ class _V0Solver:
                 raise SingularBlockError(int(bad[0]))
             self._diag = d
             self._vf = None
-            self._blocks = None
             return
         self._diag = None
         if blocks is None:
-            blocks = _infer_diagonal_blocks(v0_pattern)
-            v0_shape = "block-diagonal"
-        self._blocks = blocks
+            raise ValueError("a non-diagonal V0 pattern needs its blocks")
         self._vf = factor_v(v0, blocks, v0_shape)
-        self._block_of = blocks.block_of()
 
     def solve_sparse(self, n, idx, val):
-        """Solve V0 z = c for a sparse right-hand side; returns (idx, val)."""
+        """Solve V0 z = c for a sparse right-hand side; returns sorted (idx, val)."""
         if len(idx) == 0:
             return idx, val
         if self._diag is not None:
             return idx, val / self._diag[idx]
-        if self._vf.shape == "block-diagonal":
-            out_i, out_v = [], []
-            for b in np.unique(self._block_of[idx]):
-                lo, hi = self._blocks.bounds(b)
-                seg = np.zeros(hi - lo)
-                mask = (idx >= lo) & (idx < hi)
-                seg[idx[mask] - lo] = val[mask]
-                z = lu_solve(self._vf.block_lu[b], seg)
-                nz = np.nonzero(z)[0]
-                out_i.append(nz + lo)
-                out_v.append(z[nz])
-            return np.concatenate(out_i), np.concatenate(out_v)
         dense = np.zeros(n)
         dense[idx] = val
         z = self._vf.solve(dense)
@@ -195,8 +161,9 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
     beforehand.  Finally the off-diagonal part of the V0 pattern is removed
     so the two subspaces only share the diagonal.
 
-    ``blocks``/``v0_shape`` describe how to invert V0; they may be omitted
-    for diagonal or contiguously block-diagonal V0 patterns.
+    ``blocks``/``v0_shape`` give the block shape V0 is factored under;
+    ``blocks`` may be omitted only for a diagonal V0 pattern, and any
+    other pattern without them raises ``ValueError``.
     """
     n = a.n_cols
     if a.n_rows != n or v0_pattern.n != n:
@@ -208,7 +175,7 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
         idx, val = a.column(j)
         _, inside = sorted_lookup(v0_pattern.cols[j], idx)
         si, sv = solver.solve_sparse(n, idx[~inside], val[~inside])
-        dropped = numerical_drop(SparseVector(n, si, sv, sort=True), cfg.initial_drop, protect=j)
+        dropped = numerical_drop(SparseVector(n, si, sv), cfg.initial_drop, protect=j)
         s_cols.append((dropped.idx, dropped.val))
     s = SparseMatrix.from_columns(n, s_cols)
 

@@ -103,10 +103,7 @@ class BlockStructure:
 
     def block_of(self):
         """Array mapping each index to its block number."""
-        out = np.empty(self.n, dtype=np.int64)
-        for b in range(self.n_blocks):
-            out[self.block_bounds[b]: self.block_bounds[b + 1]] = b
-        return out
+        return np.repeat(np.arange(self.n_blocks, dtype=np.int64), self.sizes)
 
     def bounds(self, b):
         return int(self.block_bounds[b]), int(self.block_bounds[b + 1])
@@ -351,24 +348,13 @@ def scc_block_structure(a, max_block):
     return Permutation(np.array(order)), BlockStructure(np.array(bounds))
 
 
-def block_pattern(blocks, shape, a=None):
+def block_pattern(blocks, shape):
     """Subspace pattern shaped by a block partition.
 
-    ``shape`` selects full diagonal blocks ("block-diagonal"), everything
+    ``shape`` selects full diagonal blocks ("block-diagonal") or everything
     from the top of the matrix down to the end of the diagonal block
-    ("block-upper-triangular"), or the diagonal plus the strictly lower
-    triangular structure of ``a`` ("gauss-seidel").
+    ("block-upper-triangular").
     """
-    n = blocks.n
-    if shape == "gauss-seidel":
-        if a is None or a.n_cols != n or a.n_rows != n:
-            raise ValueError("gauss-seidel shape needs the matrix itself")
-        cols = []
-        for j in range(n):
-            idx = a.column(j)[0]
-            cols.append(np.union1d(idx[idx > j], [j]))
-        return SubspacePattern(n, cols)
-
     cols = []
     for b in range(blocks.n_blocks):
         lo, hi = blocks.bounds(b)
@@ -379,4 +365,4 @@ def block_pattern(blocks, shape, a=None):
         else:
             raise ValueError(f"unknown block pattern shape '{shape}'")
         cols.extend([allowed] * (hi - lo))
-    return SubspacePattern(n, cols)
+    return SubspacePattern(blocks.n, cols)

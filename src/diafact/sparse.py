@@ -221,13 +221,10 @@ class SparseVector:
 
     __slots__ = ("n", "idx", "val")
 
-    def __init__(self, n, idx, val, sort=False):
+    def __init__(self, n, idx, val):
         self.n = int(n)
         self.idx = np.ascontiguousarray(idx, dtype=np.int64)
         self.val = np.ascontiguousarray(val, dtype=np.float64)
-        if sort and len(self.idx) > 1:
-            order = np.argsort(self.idx, kind="stable")
-            self.idx, self.val = self.idx[order], self.val[order]
 
     @classmethod
     def from_dense(cls, x):
@@ -312,9 +309,6 @@ class SubspacePattern:
             c = np.intersect1d(self.cols[j], other.cols[j], assume_unique=True)
             cols.append(c if len(c) else np.array([j], dtype=np.int64))
         return SubspacePattern(self.n, cols)
-
-    def column_counts(self):
-        return np.array([len(c) for c in self.cols])
 
     def __eq__(self, other):
         if not isinstance(other, SubspacePattern):

@@ -137,6 +137,8 @@ class TestEmitReport:
         text = emit_report(self.rows()[:1], "csv", out)
         lines = text.strip().splitlines()
         assert lines[0].startswith("problem,n,nnz,")
+        header = lines[0].split(",")
+        assert "true_relative_residual" in header and "flagged_columns" in header
         assert len(lines) == 2
         assert out.read_text() == text
 
@@ -149,6 +151,9 @@ class TestEmitReport:
         text = emit_report([row], "json")
         back = json.loads(text)
         assert back[0] == asdict(row)
+        assert row.status == "converged"
+        assert 0.0 <= back[0]["true_relative_residual"] <= 1e-8
+        assert back[0]["flagged_columns"] == 0
         assert back[0]["config"]["matrix"] == identity_mtx
 
     def test_empty_rows_rejected(self):

@@ -113,8 +113,15 @@ class TestFactorV:
 
     def test_out_of_shape_entry_rejected(self):
         v = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="shape in column 0"):
             factor_v(v, BlockStructure([0, 1, 2]), "block-diagonal")
+        # block-upper: the entry (5, 3) sits below block [2, 4); the entry
+        # (0, 4) above block [4, 6) is allowed
+        d = np.eye(6)
+        d[5, 3] = d[0, 4] = 1.0
+        with pytest.raises(ValueError, match="shape in column 3$"):
+            factor_v(SparseMatrix.from_dense(d), BlockStructure([0, 2, 4, 6]),
+                     "block-upper-triangular")
 
 
 class TestApplyPrecond:

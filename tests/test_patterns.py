@@ -9,7 +9,7 @@ from diafact.patterns import (
     numerical_drop,
     select_v_pattern,
 )
-from diafact.preprocess import BlockStructure
+from diafact.preprocess import BlockStructure, block_pattern
 from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern
 
 from helpers import random_pattern, random_sparse
@@ -129,17 +129,35 @@ class TestNeumannPattern:
             assert len(off) == 0
 
     def test_matches_dense_power_expansion(self):
+        # S = V0^{-1}(A - P_{V0}A); the pattern is the support of
+        # I + S + S^2 minus the off-diagonal part of the V0 pattern
         rng = np.random.default_rng(4)
-        for _ in range(5):
-            n = 9
-            a = random_sparse(rng, n, density=0.25)
-            d = a.to_dense()
-            s = np.linalg.inv(np.diag(np.diag(d))) @ (d - np.diag(np.diag(d)))
-            dense_acc = np.eye(n) + s + s @ s
-            pat = neumann_pattern(a, SubspacePattern.diagonal(n), no_drop_cfg(2))
-            for j in range(n):
-                want = np.nonzero(dense_acc[:, j])[0]
-                assert np.array_equal(pat.cols[j], want)
+        n = 9
+        bounds = BlockStructure([0, 2, 5, 6, 9])
+        for shape in (None, "block-diagonal", "block-upper-triangular"):
+            if shape is None:
+                v0, blocks = SubspacePattern.diagonal(n), None
+            else:
+                v0, blocks = block_pattern(bounds, shape), bounds
+            for _ in range(5):
+                a = random_sparse(rng, n, density=0.25)
+                d = a.to_dense()
+                p_v0 = np.zeros((n, n))
+                for j, c in enumerate(v0.cols):
+                    p_v0[c, j] = d[c, j]
+                s = np.linalg.solve(p_v0, d - p_v0)
+                dense_acc = np.eye(n) + s + s @ s
+                pat = neumann_pattern(a, v0, no_drop_cfg(2), blocks=blocks, v0_shape=shape)
+                for j in range(n):
+                    off_v0 = v0.cols[j][v0.cols[j] != j]
+                    want = np.setdiff1d(np.nonzero(dense_acc[:, j])[0], off_v0)
+                    assert np.array_equal(pat.cols[j], want), (shape, j)
+
+    def test_block_v0_without_blocks_rejected(self):
+        a = SparseMatrix.from_dense(np.eye(3) + np.diag([0.5, 0.5], 1))
+        v0 = SubspacePattern(3, [[0, 1], [0, 1], [2]])
+        with pytest.raises(ValueError, match="blocks"):
+            neumann_pattern(a, v0, no_drop_cfg(2))
 
 
 class TestAdjointPattern:

@@ -12,7 +12,7 @@ from diafact.preprocess import (
     max_transversal,
     scc_block_structure,
 )
-from diafact.sparse import SparseMatrix, SubspacePattern
+from diafact.sparse import SparseMatrix
 
 from helpers import random_sparse
 
@@ -146,21 +146,6 @@ class TestBlockPattern:
         pat = block_pattern(blocks, "block-upper-triangular")
         assert np.array_equal(pat.cols[0], [0, 1])
         assert np.array_equal(pat.cols[2], [0, 1, 2, 3])
-
-    def test_gauss_seidel_on_lower_bidiagonal(self):
-        n = 5
-        d = np.eye(n) + np.diag(np.ones(n - 1), -1)
-        a = SparseMatrix.from_dense(d)
-        blocks = BlockStructure([0, n])
-        pat = block_pattern(blocks, "gauss-seidel", a=a)
-        assert pat == SubspacePattern.from_matrix(a)
-
-    def test_gauss_seidel_ignores_upper_structure(self):
-        n = 4
-        d = np.eye(n) + np.diag(np.ones(n - 1), 1)
-        a = SparseMatrix.from_dense(d)
-        pat = block_pattern(BlockStructure([0, n]), "gauss-seidel", a=a)
-        assert pat == SubspacePattern.diagonal(n)
 
 
 class TestRoundTrip:
