@@ -206,8 +206,15 @@ def _format_timings(timings):
     return ";".join(f"{k}={v:.6f}" for k, v in timings.items())
 
 
+def _null_non_finite(value):
+    """``value`` with each non-finite float, in nested dicts too, as None."""
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v) for k, v in value.items()}
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def emit_report(rows, fmt="csv", path=None):
-    """Serialize result rows to CSV or JSON; returns the text written."""
+    """Serialize rows to CSV or JSON (non-finite floats as null); returns the text."""
     if not rows:
         raise ValueError("no rows to report")
     if fmt == "csv":
@@ -220,7 +227,7 @@ def emit_report(rows, fmt="csv", path=None):
             writer.writerow([d[k] for k in ResultRow.CSV_FIELDS])
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps([asdict(r) for r in rows], indent=2)
+        text = json.dumps([_null_non_finite(asdict(r)) for r in rows], indent=2, allow_nan=False)
     else:
         raise ValueError(f"unknown report format '{fmt}'")
     if path is not None:

@@ -25,7 +25,6 @@ __all__ = [
     "rank_by_qt_norm",
     "lu_factor",
     "lu_solve",
-    "lu_solve_transpose",
 ]
 
 # rank / pseudoinverse cutoff relative to the Frobenius norm of the input
@@ -210,6 +209,11 @@ def lu_factor(a):
 
 
 def lu_solve(factors, b):
+    """Solve ``a x = b`` given ``lu_factor(a)`` output.
+
+    ``b`` is a vector or a k-row matrix of right-hand sides, so
+    ``lu_solve(f, np.eye(k))`` is the inverse of ``a``.
+    """
     lu, perm = factors
     k = lu.shape[0]
     x = np.asarray(b, dtype=np.float64)[perm].copy()
@@ -218,17 +222,3 @@ def lu_solve(factors, b):
     for i in range(k - 1, -1, -1):
         x[i] = (x[i] - np.dot(lu[i, i + 1:], x[i + 1:])) / lu[i, i]
     return x
-
-
-def lu_solve_transpose(factors, b):
-    """Solve ``a.T y = b`` given ``lu_factor(a)`` output."""
-    lu, perm = factors
-    k = lu.shape[0]
-    w = np.asarray(b, dtype=np.float64).copy()
-    for i in range(k):  # U^T is lower triangular
-        w[i] = (w[i] - np.dot(lu[:i, i], w[:i])) / lu[i, i]
-    for i in range(k - 1, -1, -1):  # L^T is unit upper triangular
-        w[i] -= np.dot(lu[i + 1:, i], w[i + 1:])
-    y = np.empty(k)
-    y[perm] = w
-    return y

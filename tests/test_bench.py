@@ -156,6 +156,17 @@ class TestEmitReport:
         assert back[0]["flagged_columns"] == 0
         assert back[0]["config"]["matrix"] == identity_mtx
 
+    def test_json_failed_row_has_no_bare_nan(self, tmp_path):
+        row = run_experiment(ExperimentConfig(matrix=str(tmp_path / "missing.mtx")))
+        assert row.status == "error" and np.isnan(row.rho)
+
+        def reject(name):
+            raise ValueError(f"bare {name} in JSON report")
+
+        back = json.loads(emit_report([row], "json"), parse_constant=reject)
+        for name in ("rho", "kappa_v", "nrm", "true_relative_residual", "solution_error"):
+            assert back[0][name] is None, name
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             emit_report([], "csv")

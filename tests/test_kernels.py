@@ -5,7 +5,6 @@ from diafact.kernels import (
     lstsq,
     lu_factor,
     lu_solve,
-    lu_solve_transpose,
     pad_tall,
     qr_householder,
     svd_small,
@@ -239,7 +238,12 @@ class TestLU:
         b = rng.standard_normal(9)
         f = lu_factor(a)
         assert np.allclose(lu_solve(f, b), np.linalg.solve(a, b))
-        assert np.allclose(lu_solve_transpose(f, b), np.linalg.solve(a.T, b))
+        # a matrix right-hand side solves all its columns at once
+        inv = lu_solve(f, np.eye(9))
+        ref = np.linalg.inv(a)
+        assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+        cols = np.column_stack([lu_solve(f, e) for e in np.eye(9)])
+        assert np.linalg.norm(inv - cols) <= 1e-12 * np.linalg.norm(cols)
 
     def test_singular_raises(self):
         with pytest.raises(ZeroDivisionError):

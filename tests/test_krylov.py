@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import diafact.krylov as krylov
 from diafact.factor import diaf_q
 from diafact.krylov import (
     SingularBlockError,
@@ -54,23 +53,29 @@ class TestFactorV:
                 got_t = vf.solve_transpose(x)
                 assert np.linalg.norm(got_t - want_t) <= 1e-10 * np.linalg.norm(want_t)
 
-    def test_sparse_rhs_skips_zero_blocks(self, monkeypatch):
+    def test_sparse_rhs_skips_zero_blocks(self):
         calls = {"solve": 0, "transpose": 0}
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        class CountedInverse:
+            """A block inverse that counts its applies and transposed applies."""
 
-        monkeypatch.setattr(krylov, "lu_solve", counted("solve", krylov.lu_solve))
-        monkeypatch.setattr(
-            krylov, "lu_solve_transpose", counted("transpose", krylov.lu_solve_transpose)
-        )
+            def __init__(self, inv):
+                self.inv = inv
+
+            def __matmul__(self, x):
+                calls["solve"] += 1
+                return self.inv @ x
+
+            @property
+            def T(self):
+                calls["transpose"] += 1
+                return self.inv.T
+
         rng = np.random.default_rng(2)
         bounds = [0, 7, 13, 21, 30]
         v = block_upper_matrix(rng, bounds)
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        vf.block_inv = [CountedInverse(inv) for inv in vf.block_inv]
         d = v.to_dense()
         # nonzero only inside block 1: blocks 2 and 3 are all zero on the way
         # back, and block 0 is reached only through the off-block coupling
@@ -89,6 +94,31 @@ class TestFactorV:
         assert np.linalg.norm(got_t - want_t) <= 1e-12 * np.linalg.norm(want_t)
         assert np.all(got_t[:13] == 0.0)
         assert calls["transpose"] == 2
+
+    def test_ill_conditioned_blocks(self):
+        # kappa = 1e5 in every diagonal block: applying explicit inverses
+        # must stay within about 50 * u * kappa of a dense solve
+        rng = np.random.default_rng(5)
+        bounds = [0, 50, 100, 150, 200]
+        sigma = np.logspace(0, -5, 50)
+        d = np.zeros((200, 200))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            q1, _ = np.linalg.qr(rng.standard_normal((50, 50)))
+            q2, _ = np.linalg.qr(rng.standard_normal((50, 50)))
+            d[lo:hi, lo:hi] = (q1 * sigma) @ q2.T
+            d[:lo, lo:hi] = 1e-6 * rng.standard_normal((lo, 50))
+        assert 1e4 <= np.linalg.cond(d) <= 1e6
+        v = SparseMatrix.from_dense(d)
+        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        for _ in range(3):
+            x = rng.standard_normal(200)
+            want = np.linalg.solve(d, x)
+            assert np.linalg.norm(vf.solve(x) - want) <= 1e-9 * np.linalg.norm(want)
+            want_t = np.linalg.solve(d.T, x)
+            got_t = vf.solve_transpose(x)
+            assert np.linalg.norm(got_t - want_t) <= 1e-9 * np.linalg.norm(want_t)
+        again = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        assert np.array_equal(again.solve(x), vf.solve(x))
 
     def test_block_lu_reconstructs_blocks(self):
         rng = np.random.default_rng(1)
