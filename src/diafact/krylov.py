@@ -57,7 +57,9 @@ class VFactorization:
     """Per-block dense LU of V, the block inverses built from it, and the
     off-block structure; ``rho`` counts the LU, solves apply the inverses."""
 
-    __slots__ = ("shape", "blocks", "v", "block_lu", "block_inv", "_off", "_block_of")
+    __slots__ = (
+        "shape", "blocks", "v", "block_lu", "block_inv", "_off", "_off_rows", "_bounds", "_block_of"
+    )
 
     def __init__(self, shape, blocks, v, block_lu, off):
         self.shape = shape
@@ -66,7 +68,10 @@ class VFactorization:
         self.block_lu = block_lu
         self.block_inv = [lu_solve(f, np.eye(len(f[1]))) for f in block_lu]
         self._off = off
-        self._block_of = blocks.block_of()
+        # each block's distinct off-block rows, and each entry's slot among them
+        self._off_rows = [np.unique(rows, return_inverse=True) for rows, _, _ in off]
+        self._bounds = blocks.block_bounds.tolist()
+        self._block_of = blocks.block_of().tolist()
 
     @property
     def n(self):
@@ -91,11 +96,12 @@ class VFactorization:
                     break
                 hi = nz[-1] + 1
             k = self._block_of[hi - 1]
-            lo, hi = self.blocks.bounds(k)
+            lo, hi = self._bounds[k], self._bounds[k + 1]
             z[lo:hi] = self.block_inv[k] @ z[lo:hi]
-            rows, cols, vals = self._off[k]
-            if len(rows):
-                z[: lo] -= np.bincount(rows, weights=vals * z[cols], minlength=lo)[:lo]
+            _, cols, vals = self._off[k]
+            if len(cols):
+                urows, slot = self._off_rows[k]
+                z[urows] -= np.bincount(slot, weights=vals * z[cols], minlength=len(urows))
             hi = lo
         return z
 
@@ -103,7 +109,7 @@ class VFactorization:
         """Solve ``V.T z = x`` for dense ``x``."""
         z = np.asarray(x, dtype=np.float64).copy()
         for k in range(self.blocks.n_blocks):
-            lo, hi = self.blocks.bounds(k)
+            lo, hi = self._bounds[k], self._bounds[k + 1]
             rows, cols, vals = self._off[k]
             if len(rows):
                 z[lo:hi] -= np.bincount(cols - lo, weights=vals * z[rows], minlength=hi - lo)

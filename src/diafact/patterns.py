@@ -6,8 +6,10 @@ driven by an initial subspace V0.  Given W, the pattern of the V subspace
 is then selected greedily per column by scoring admissible positions with
 the norms of the corresponding columns of Q_j^T.
 
-Columnwise loops are independent; inputs are read-only and outputs are
-assembled by column index, so results are deterministic.
+Both W constructions run as index passes over whole sparse matrices (only
+the V0 solves go column by column), summing in the order a per-column loop
+would; the V selection factors one column at a time.  Inputs are
+read-only, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .sparse import (
     SparseVector,
     SubspacePattern,
     extract_columns,
-    gather_columns,
     merge_sum,
     pattern_subtract_offdiag,
-    sorted_lookup,
+    sparse_product,
 )
 
 __all__ = [
@@ -75,6 +76,33 @@ class NeumannConfig:
             raise ValueError("truncation depth must be nonnegative")
 
 
+def _drop_mask(col, idx, val, rule, protect):
+    """Entries of column segments that a :class:`DropRule` keeps.
+
+    ``col`` is nondecreasing and groups the entries into columns, ``idx``
+    holds their indices.  Per column, entries below ``tau`` times the
+    column's largest magnitude go, and of the rest at most ``p`` stay,
+    ranked by magnitude with ties to the smaller index.  An entry whose
+    index equals ``protect`` (a scalar, or one value per entry) is kept
+    regardless; ``None`` protects nothing.
+    """
+    mag = np.abs(val)
+    keep = np.ones(len(val), dtype=bool)
+    if rule.tau > 0.0:
+        starts = np.flatnonzero(np.diff(col, prepend=-1))
+        col_max = np.maximum.reduceat(mag, starts)
+        keep = mag >= rule.tau * np.repeat(col_max, np.diff(starts, append=len(mag)))
+    if rule.p > 0:
+        cand = np.flatnonzero(keep)
+        ranked = cand[np.lexsort((idx[cand], -mag[cand], col[cand]))]
+        rank = np.arange(len(ranked)) - np.searchsorted(col[ranked], col[ranked])
+        keep = np.zeros(len(val), dtype=bool)
+        keep[ranked[rank < rule.p]] = True
+    if protect is not None:
+        keep |= idx == protect
+    return keep
+
+
 def numerical_drop(v, rule, protect=None):
     """Apply a :class:`DropRule` to a sparse vector.
 
@@ -83,30 +111,16 @@ def numerical_drop(v, rule, protect=None):
     """
     if v.nnz == 0 or rule.unused:
         return v
-    mag = np.abs(v.val)
-    keep = np.ones(v.nnz, dtype=bool)
-    if rule.tau > 0.0:
-        keep = mag >= rule.tau * mag.max()
-    if rule.p > 0 and keep.sum() > rule.p:
-        cand = np.nonzero(keep)[0]
-        ranked = cand[np.lexsort((v.idx[cand], -mag[cand]))]
-        keep = np.zeros(v.nnz, dtype=bool)
-        keep[ranked[: rule.p]] = True
-    if protect is not None:
-        pos, found = sorted_lookup(v.idx, protect)
-        if found:
-            keep[pos] = True
+    keep = _drop_mask(np.zeros(v.nnz, dtype=np.int64), v.idx, v.val, rule, protect)
     return SparseVector(v.n, v.idx[keep], v.val[keep])
 
 
-def _project_to_pattern(a, pattern):
-    """Entries of ``a`` inside ``pattern``, as a sparse matrix."""
-    cols = []
-    for j in range(a.n_cols):
-        idx, val = a.column(j)
-        _, inside = sorted_lookup(pattern.cols[j], idx)
-        cols.append((idx[inside], val[inside]))
-    return SparseMatrix.from_columns(a.n_rows, cols)
+def _drop_columns(m, rule):
+    """:func:`numerical_drop` on every column of ``m``, protecting the diagonal."""
+    if m.nnz == 0 or rule.unused:
+        return m
+    col = m._entry_columns()
+    return m.masked(_drop_mask(col, m.row_idx, m.values, rule, col))
 
 
 class _V0Solver:
@@ -120,12 +134,12 @@ class _V0Solver:
 
     def __init__(self, a, v0_pattern, blocks, v0_shape):
         n = a.n_cols
-        for j in range(n):
-            if not sorted_lookup(v0_pattern.cols[j], j)[1]:
-                raise ValueError(f"V0 pattern must contain the diagonal (column {j})")
-        v0 = _project_to_pattern(a, v0_pattern)
-        diag_only = all(len(c) == 1 for c in v0_pattern.cols)
-        if diag_only:
+        diag = np.arange(n, dtype=np.int64) * (n + 1)
+        missing = np.flatnonzero(~v0_pattern.contains(diag))
+        if len(missing):
+            raise ValueError(f"V0 pattern must contain the diagonal (column {missing[0]})")
+        v0 = a.masked(v0_pattern.contains(a.entry_keys()))
+        if v0_pattern.nnz == n:  # the diagonal alone
             d = v0.diagonal()
             bad = np.nonzero(d == 0.0)[0]
             if len(bad):
@@ -151,15 +165,44 @@ class _V0Solver:
         return nz, z[nz]
 
 
+# S of a block-upper V0 is nearly dense before its drop, so its columns are
+# solved and dropped in batches of about this many entries
+_S_BATCH_ENTRIES = 1 << 16
+
+
+def _sparsified_s(a, v0_pattern, solver, rule):
+    """S = V0^{-1}(I - P_{V0})A with ``rule`` applied, one V0 solve per column."""
+    n = a.n_cols
+    rhs = a.masked(~v0_pattern.contains(a.entry_keys()))
+    ptr = rhs.col_ptr.tolist()
+    keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
+    batch, pending = [], 0
+    for j in range(n):
+        batch.append(solver.solve_sparse(n, rhs.row_idx[ptr[j]:ptr[j + 1]],
+                                         rhs.values[ptr[j]:ptr[j + 1]]))
+        pending += len(batch[-1][0])
+        if pending >= _S_BATCH_ENTRIES or j == n - 1:
+            part = SparseMatrix.from_columns(n, batch)
+            first = j + 1 - len(batch)
+            part = SparseMatrix.from_keys(n, n, part.entry_keys() + first * n, part.values)
+            part = _drop_columns(part, rule)
+            keys.append(part.entry_keys())
+            vals.append(part.values)
+            batch, pending = [], 0
+    return SparseMatrix.from_keys(n, n, np.concatenate(keys), np.concatenate(vals))
+
+
 def neumann_pattern(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
     """Pattern of W from sparsified truncated powers of S = V0^{-1}(I - P_{V0})A.
 
-    Per column j the vector t is repeatedly multiplied by S (``cfg.k``
-    times), dropped with the level rule after each product and accumulated
-    onto s starting from e_j; the support of s becomes the column's allowed
-    set.  The columns of S itself are sparsified once with the initial rule
-    beforehand.  Finally the off-diagonal part of the V0 pattern is removed
-    so the two subspaces only share the diagonal.
+    S is formed one V0 solve per column and sparsified with the initial
+    rule, a batch of columns at a time.  Then, on whole matrices, T starts
+    at the identity, is multiplied by S (``cfg.k`` times) and dropped with
+    the level rule after each product, and each T is accumulated onto the
+    identity; the support of each column of the sum becomes that column's
+    allowed set (the diagonal if it cancels to nothing).  Finally the
+    off-diagonal part of the V0 pattern is removed so the two subspaces
+    only share the diagonal.
 
     ``blocks``/``v0_shape`` give the block shape V0 is factored under;
     ``blocks`` may be omitted only for a diagonal V0 pattern, and any
@@ -170,31 +213,18 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
         raise ValueError("square matrix and matching pattern required")
     solver = _V0Solver(a, v0_pattern, blocks, v0_shape)
 
-    s_cols = []
-    for j in range(n):
-        idx, val = a.column(j)
-        _, inside = sorted_lookup(v0_pattern.cols[j], idx)
-        si, sv = solver.solve_sparse(n, idx[~inside], val[~inside])
-        dropped = numerical_drop(SparseVector(n, si, sv), cfg.initial_drop, protect=j)
-        s_cols.append((dropped.idx, dropped.val))
-    s = SparseMatrix.from_columns(n, s_cols)
-
-    cols = []
-    for j in range(n):
-        acc_i = np.array([j], dtype=np.int64)
-        acc_v = np.array([1.0])
-        t_i, t_v = acc_i, acc_v
-        for _ in range(cfg.k):
-            t_i, t_v = gather_columns(s, t_i, t_v)
-            t = numerical_drop(SparseVector(n, t_i, t_v), cfg.level_drop, protect=j)
-            t_i, t_v = t.idx, t.val
-            if len(t_i) == 0:
-                break
-            acc_i, acc_v = merge_sum(
-                np.concatenate([acc_i, t_i]), np.concatenate([acc_v, t_v])
-            )
-        cols.append(acc_i if len(acc_i) else np.array([j], dtype=np.int64))
-    return pattern_subtract_offdiag(SubspacePattern(n, cols), v0_pattern)
+    s = _sparsified_s(a, v0_pattern, solver, cfg.initial_drop)
+    t = SparseMatrix.identity(n)
+    acc_keys, acc_vals = t.entry_keys(), t.values
+    for _ in range(cfg.k):
+        t = _drop_columns(sparse_product(s, t), cfg.level_drop)
+        if t.nnz == 0:
+            break
+        acc_keys, acc_vals = merge_sum(
+            np.concatenate([acc_keys, t.entry_keys()]), np.concatenate([acc_vals, t.values])
+        )
+    w = SubspacePattern.from_keys_or_diagonal(n, acc_keys)
+    return pattern_subtract_offdiag(w, v0_pattern)
 
 
 def adjoint_pattern(a, v0_pattern, rule=DropRule()):
@@ -209,18 +239,14 @@ def adjoint_pattern(a, v0_pattern, rule=DropRule()):
     if a.n_rows != n or v0_pattern.n != n:
         raise ValueError("square matrix and matching pattern required")
     at = a.transpose()
-    cols = []
-    for j in range(n):
-        # |A^T| applied to the column indicator: positive wherever any of
-        # the selected rows of A has an entry, so nothing can cancel away
-        parts_i = [at.column(r)[0] for r in v0_pattern.cols[j]]
-        parts_v = [np.abs(at.column(r)[1]) for r in v0_pattern.cols[j]]
-        wi, wmag = merge_sum(np.concatenate(parts_i), np.concatenate(parts_v))
-        if not rule.unused:
-            probe = numerical_drop(SparseVector(n, wi, wmag), rule, protect=j)
-            wi = probe.idx
-        cols.append(np.union1d(wi, [j]))
-    return SubspacePattern(n, cols)
+    # |A^T| times the indicator of the V0 pattern: positive wherever any of
+    # the selected rows of A has an entry, so nothing can cancel away
+    abs_at = SparseMatrix(n, n, at.col_ptr, at.row_idx, np.abs(at.values), validate=False)
+    keys = v0_pattern.keys()
+    probe = _drop_columns(
+        sparse_product(abs_at, SparseMatrix.from_keys(n, n, keys, np.ones(len(keys)))), rule
+    )
+    return SubspacePattern.from_keys_or_diagonal(n, probe.entry_keys()).with_diagonal()
 
 
 def select_v_pattern(a, w_pattern, v_candidate, k_v):

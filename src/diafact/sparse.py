@@ -19,6 +19,7 @@ __all__ = [
     "read_matrix_market",
     "write_matrix_market",
     "extract_columns",
+    "sparse_product",
     "pattern_subtract_offdiag",
     "spmv",
     "residual_fro",
@@ -98,10 +99,7 @@ class SparseMatrix:
             summed = np.add.reduceat(values, starts) if len(starts) else values[:0]
             rows, cols, values = rows[starts], cols[starts], summed
         keep = values != 0.0
-        rows, cols, values = rows[keep], cols[keep], values[keep]
-        col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=n_cols), out=col_ptr[1:])
-        return cls(n_rows, n_cols, col_ptr, rows, values)
+        return cls(n_rows, n_cols, _col_ptr(cols[keep], n_cols), rows[keep], values[keep])
 
     @classmethod
     def from_dense(cls, a):
@@ -118,19 +116,22 @@ class SparseMatrix:
     def from_columns(cls, n_rows, columns):
         """Assemble from per-column ``(row_indices, values)`` pairs."""
         n_cols = len(columns)
-        col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-        idx_parts, val_parts = [], []
-        for j, (idx, val) in enumerate(columns):
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=np.float64)
-            keep = val != 0.0
-            idx, val = idx[keep], val[keep]
-            col_ptr[j + 1] = col_ptr[j] + len(idx)
-            idx_parts.append(idx)
-            val_parts.append(val)
-        row_idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
-        values = np.concatenate(val_parts) if val_parts else np.empty(0)
-        return cls(n_rows, n_cols, col_ptr, row_idx, values)
+        counts = np.fromiter((len(idx) for idx, _ in columns), np.int64, n_cols)
+        if n_cols:
+            row_idx = np.concatenate([idx for idx, _ in columns]).astype(np.int64)
+            values = np.concatenate([val for _, val in columns]).astype(np.float64)
+        else:
+            row_idx, values = np.empty(0, np.int64), np.empty(0)
+        keep = values != 0.0
+        owner = np.repeat(np.arange(n_cols, dtype=np.int64), counts)[keep]
+        return cls(n_rows, n_cols, _col_ptr(owner, n_cols), row_idx[keep], values[keep])
+
+    @classmethod
+    def from_keys(cls, n_rows, n_cols, keys, values):
+        """Build from sorted unique keys ``col * n_rows + row`` and nonzero values."""
+        cols = keys // n_rows
+        return cls(n_rows, n_cols, _col_ptr(cols, n_cols), keys - cols * n_rows, values,
+                   validate=False)
 
     # -- basics ------------------------------------------------------------
 
@@ -161,13 +162,21 @@ class SparseMatrix:
             )
         return self._col_of_entry
 
+    def entry_keys(self):
+        """Key ``col * n_rows + row`` of every entry; sorted, as CSC stores them."""
+        return self._entry_columns() * self.n_rows + self.row_idx
+
+    def masked(self, keep):
+        """The entries where the nnz-length mask ``keep`` is true."""
+        col_ptr = _col_ptr(self._entry_columns()[keep], self.n_cols)
+        return SparseMatrix(self.n_rows, self.n_cols, col_ptr, self.row_idx[keep],
+                            self.values[keep], validate=False)
+
     def diagonal(self):
         d = np.zeros(min(self.n_rows, self.n_cols))
-        for j in range(len(d)):
-            idx, val = self.column(j)
-            k, found = sorted_lookup(idx, j)
-            if found:
-                d[j] = val[k]
+        cols = self._entry_columns()
+        on = self.row_idx == cols
+        d[cols[on]] = self.values[on]
         return d
 
     def transpose(self):
@@ -190,9 +199,7 @@ class SparseMatrix:
         counts = np.diff(self.col_ptr)[order]
         col_ptr = np.zeros(self.n_cols + 1, dtype=np.int64)
         np.cumsum(counts, out=col_ptr[1:])
-        gather = np.concatenate(
-            [np.arange(self.col_ptr[c], self.col_ptr[c + 1]) for c in order]
-        ) if self.nnz else np.empty(0, np.int64)
+        gather, _ = _span_gather(self.col_ptr, order)
         return SparseMatrix(
             self.n_rows, self.n_cols, col_ptr,
             self.row_idx[gather], self.values[gather], validate=False,
@@ -253,69 +260,132 @@ class SubspacePattern:
     ``[0, n)``.  Patterns meant to host an invertible factor must include
     the diagonal index ``j`` in column ``j``; that is the caller's duty and
     is validated by the consumers that rely on it.
+
+    Columns given as one shared array (full blocks) are stored once: the
+    distinct index sets sit back to back in ``_rows`` with offsets
+    ``_ptr``, and ``_which[j]`` names the set of column ``j``.  Whole-pattern
+    operations work on keys ``col * n + row`` (see :meth:`keys`).
     """
 
-    __slots__ = ("n", "cols")
+    __slots__ = ("n", "_which", "_ptr", "_rows", "_set_keys", "_cols")
 
     def __init__(self, n, cols):
         self.n = int(n)
         if len(cols) != self.n:
             raise ValueError("pattern needs one index set per column")
-        checked = []
-        seen = {}  # columns may share one array (full blocks); validate once
+        first = {}  # columns may share one array (full blocks); keep it once
+        which = np.empty(self.n, dtype=np.int64)
+        distinct = []
         for j, c in enumerate(cols):
-            cached = seen.get(id(c))
-            if cached is not None:
-                checked.append(cached)
-                continue
-            arr = np.asarray(c, dtype=np.int64)
-            if arr.ndim != 1 or len(arr) == 0:
+            d = first.get(id(c))
+            if d is None:
+                d = first[id(c)] = len(distinct)
+                distinct.append(c)
+            which[j] = d
+        arrs = [np.asarray(c, dtype=np.int64) for c in distinct]
+        # a set that is not one-dimensional is reported like an empty one
+        arrs = [arr if arr.ndim == 1 else np.empty(0, np.int64) for arr in arrs]
+        ptr = np.zeros(len(arrs) + 1, dtype=np.int64)
+        np.cumsum([len(arr) for arr in arrs], out=ptr[1:])
+        rows = np.concatenate(arrs) if arrs else np.empty(0, np.int64)
+        self._set(which, ptr, rows)
+
+    def _set(self, which, ptr, rows):
+        """Validate the distinct sets in one pass and store them."""
+        # a set whose indices do not strictly increase goes through np.unique
+        breaks = np.flatnonzero(np.diff(rows) <= 0) + 1
+        breaks = breaks[~np.isin(breaks, ptr)]
+        if len(breaks):
+            parts = [rows[lo:hi] for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+            for d in np.unique(np.searchsorted(ptr, breaks, side="right") - 1).tolist():
+                parts[d] = np.unique(parts[d])
+            np.cumsum([len(part) for part in parts], out=ptr[1:])
+            rows = np.concatenate(parts)
+        lens = np.diff(ptr)
+        empty = lens == 0
+        out_of_range = np.zeros(len(lens), dtype=bool)
+        owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+        out_of_range[owner[(rows < 0) | (rows >= self.n)]] = True
+        bad = empty | out_of_range
+        if bad[which].any():
+            j = int(np.argmax(bad[which]))
+            if empty[which[j]]:
                 raise ValueError(f"column {j}: pattern column must be nonempty")
-            if len(arr) > 1 and not np.all(np.diff(arr) > 0):
-                arr = np.unique(arr)
-            if arr[0] < 0 or arr[-1] >= self.n:
-                raise ValueError(f"column {j}: pattern index out of range")
-            seen[id(c)] = arr
-            checked.append(arr)
-        self.cols = checked
+            raise ValueError(f"column {j}: pattern index out of range")
+        self._which, self._ptr, self._rows, self._cols = which, ptr, rows, None
+        self._set_keys = owner * self.n + rows  # sorted: set after set
+
+    @property
+    def cols(self):
+        """Per-column index arrays; columns sharing a set share one array."""
+        if self._cols is None:
+            ptr = self._ptr.tolist()
+            views = [self._rows[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+            self._cols = [views[d] for d in self._which.tolist()]
+        return self._cols
+
+    @property
+    def nnz(self):
+        """Number of allowed positions over all columns."""
+        return int(np.diff(self._ptr)[self._which].sum())
+
+    @classmethod
+    def from_keys(cls, n, keys):
+        """Pattern allowing exactly the sorted unique keys ``col * n + row``."""
+        pattern = cls.__new__(cls)
+        pattern.n = n = int(n)
+        cols = keys // n
+        pattern._set(np.arange(n, dtype=np.int64), _col_ptr(cols, n), keys - cols * n)
+        return pattern
+
+    @classmethod
+    def from_keys_or_diagonal(cls, n, keys):
+        """Like :meth:`from_keys`; a column without keys allows its diagonal."""
+        empty = np.flatnonzero(np.bincount(keys // n, minlength=n) == 0)
+        return cls.from_keys(n, _insert_keys(keys, empty * (n + 1)))
 
     @classmethod
     def diagonal(cls, n):
-        return cls(n, [np.array([j]) for j in range(n)])
+        return cls.from_keys(n, np.arange(n, dtype=np.int64) * (n + 1))
 
     @classmethod
     def from_matrix(cls, a):
         if a.n_rows != a.n_cols:
             raise ValueError("pattern requires a square matrix")
-        return cls(a.n_cols, [a.column(j)[0] for j in range(a.n_cols)])
+        return cls.from_keys(a.n_cols, a.entry_keys())
+
+    def keys(self):
+        """Sorted keys ``col * n + row`` of every allowed position."""
+        pos, col = _span_gather(self._ptr, self._which)
+        return col * self.n + self._rows[pos]
+
+    def contains(self, keys):
+        """Whether each key ``col * n + row`` names an allowed position."""
+        keys = np.asarray(keys, dtype=np.int64)
+        cols = keys // self.n
+        _, found = sorted_lookup(self._set_keys, self._which[cols] * self.n + keys - cols * self.n)
+        return found
 
     def with_diagonal(self):
-        """Return a copy whose column ``j`` always contains index ``j``."""
-        cols = []
-        for j, c in enumerate(self.cols):
-            k, found = sorted_lookup(c, j)
-            if found:
-                cols.append(c)
-            else:
-                cols.append(np.insert(c, k, j))
-        return SubspacePattern(self.n, cols)
+        """Return a pattern whose column ``j`` always contains index ``j``."""
+        diag = np.arange(self.n, dtype=np.int64) * (self.n + 1)
+        missing = diag[~self.contains(diag)]
+        if not len(missing):
+            return self
+        return SubspacePattern.from_keys(self.n, _insert_keys(self.keys(), missing))
 
     def intersected(self, other):
         """Columnwise intersection; empty columns fall back to the diagonal."""
         if other.n != self.n:
             raise ValueError("pattern dimension mismatch")
-        cols = []
-        for j in range(self.n):
-            c = np.intersect1d(self.cols[j], other.cols[j], assume_unique=True)
-            cols.append(c if len(c) else np.array([j], dtype=np.int64))
-        return SubspacePattern(self.n, cols)
+        small, large = (self, other) if self.nnz <= other.nnz else (other, self)
+        keys = small.keys()
+        return SubspacePattern.from_keys_or_diagonal(self.n, keys[large.contains(keys)])
 
     def __eq__(self, other):
         if not isinstance(other, SubspacePattern):
             return NotImplemented
-        return self.n == other.n and all(
-            np.array_equal(a, b) for a, b in zip(self.cols, other.cols)
-        )
+        return self.n == other.n and np.array_equal(self.keys(), other.keys())
 
 
 class ColumnSubmatrix:
@@ -425,16 +495,15 @@ def extract_columns(a, cols):
     cols = np.asarray(cols, dtype=np.int64)
     if len(cols) == 0:
         raise ValueError("at least one column must be selected")
-    if np.any(np.diff(cols) <= 0):
+    if (cols[1:] <= cols[:-1]).any():
         raise ValueError("columns must be sorted and unique")
     if cols[0] < 0 or cols[-1] >= a.n_cols:
         raise ValueError("column index out of range")
-    chunks = [a.column(c)[0] for c in cols]
-    active = np.unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
+    pos, owner = _span_gather(a.col_ptr, cols)
+    rows = a.row_idx[pos]
+    active = np.unique(rows)
     block = np.zeros((len(active), len(cols)))
-    for t, c in enumerate(cols):
-        idx, val = a.column(c)
-        block[np.searchsorted(active, idx), t] = val
+    block[np.searchsorted(active, rows), owner] = a.values[pos]
     return ColumnSubmatrix(a.n_rows, cols, active, block)
 
 
@@ -446,12 +515,10 @@ def pattern_subtract_offdiag(w_pattern, v0_pattern):
     """
     if w_pattern.n != v0_pattern.n:
         raise ValueError("pattern dimension mismatch")
-    cols = []
-    for j in range(w_pattern.n):
-        v0 = v0_pattern.cols[j]
-        drop = v0[v0 != j]
-        cols.append(np.setdiff1d(w_pattern.cols[j], drop, assume_unique=True))
-    return SubspacePattern(w_pattern.n, cols)
+    keys = w_pattern.keys()
+    cols = keys // w_pattern.n
+    keep = ~v0_pattern.contains(keys) | (keys - cols * w_pattern.n == cols)
+    return SubspacePattern.from_keys(w_pattern.n, keys[keep])
 
 
 def sorted_lookup(arr, keys):
@@ -479,23 +546,66 @@ def spmv(a, x):
     return np.bincount(a.row_idx, weights=contrib, minlength=a.n_rows)
 
 
+def _col_ptr(cols, n_cols):
+    """CSC column offsets of entries whose sorted column indices are ``cols``."""
+    col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=col_ptr[1:])
+    return col_ptr
+
+
+def _span_gather(col_ptr, cols):
+    """Entry positions of the columns ``cols`` of a CSC array, in order.
+
+    Returns ``(pos, owner)``: the positions of the columns' entries, column
+    after column and in storage order within each, and for every position
+    the index into ``cols`` of the column it belongs to.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    starts = col_ptr[cols]
+    counts = col_ptr[cols + 1] - starts
+    # ndarray methods: this runs once per column problem, where the
+    # dispatch of the np.* wrappers is a noticeable share of the cost
+    owner = np.arange(len(cols), dtype=np.int64).repeat(counts)
+    shift = (starts + counts - counts.cumsum()).repeat(counts)
+    return np.arange(len(owner), dtype=np.int64) + shift, owner
+
+
+def _insert_keys(keys, new):
+    """Sorted ``keys`` with the sorted ``new`` keys, absent from it, merged in."""
+    return np.insert(keys, np.searchsorted(keys, new), new)
+
+
 def gather_columns(a, idx, val):
     """Sparse product ``a @ x`` for sparse ``x`` given as (idx, val).
 
     Returns sorted (idx, val) with exact zeros removed.
     """
-    if len(idx) == 0:
-        return np.empty(0, np.int64), np.empty(0)
-    parts_i, parts_v = [], []
-    for c, xv in zip(idx, val):
-        ri, rv = a.column(c)
-        parts_i.append(ri)
-        parts_v.append(rv * xv)
-    return merge_sum(np.concatenate(parts_i), np.concatenate(parts_v))
+    pos, owner = _span_gather(a.col_ptr, idx)
+    return merge_sum(a.row_idx[pos], a.values[pos] * np.asarray(val, dtype=np.float64)[owner])
+
+
+def sparse_product(a, b):
+    """Sparse product ``a @ b`` with exact zeros removed.
+
+    Column ``j`` is summed exactly as ``gather_columns(a, *b.column(j))``
+    sums it: over the entries of ``b``'s column in row order and, for
+    each, over the matching column of ``a``, with one keyed merge for the
+    whole matrix.
+    """
+    if a.n_cols != b.n_rows:
+        raise ValueError("dimension mismatch")
+    pos, owner = _span_gather(a.col_ptr, b.row_idx)
+    keys = b._entry_columns()[owner] * a.n_rows + a.row_idx[pos]
+    keys, vals = merge_sum(keys, a.values[pos] * b.values[owner])
+    return SparseMatrix.from_keys(a.n_rows, b.n_cols, keys, vals)
 
 
 def merge_sum(idx, val):
-    """Sum duplicate indices of an unsorted sparse vector; drop exact zeros."""
+    """Sum duplicate indices of an unsorted sparse vector; drop exact zeros.
+
+    Duplicates are summed in input order, so with keys ``col * n + row`` for
+    ``idx`` this is the keyed merge of whole sparse matrices.
+    """
     if len(idx) == 0:
         return idx.astype(np.int64), val
     uniq, inverse = np.unique(idx, return_inverse=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diafact.patterns as patterns
 from diafact.patterns import (
     DropRule,
     NeumannConfig,
@@ -12,7 +13,7 @@ from diafact.patterns import (
 from diafact.preprocess import BlockStructure, block_pattern
 from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern
 
-from helpers import random_pattern, random_sparse
+from helpers import neumann_pattern_reference, random_pattern, random_sparse
 
 
 def brute_force_drop(values, tau, p):
@@ -152,6 +153,51 @@ class TestNeumannPattern:
                     off_v0 = v0.cols[j][v0.cols[j] != j]
                     want = np.setdiff1d(np.nonzero(dense_acc[:, j])[0], off_v0)
                     assert np.array_equal(pat.cols[j], want), (shape, j)
+
+    @pytest.mark.parametrize("shape", [None, "block-diagonal", "block-upper-triangular"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("level", [DropRule(), DropRule(0.2, 4)])
+    @pytest.mark.parametrize("initial", [DropRule(0.1, 0), DropRule(0.05, 3)])
+    def test_matches_per_column_reference(self, shape, k, level, initial):
+        rng = np.random.default_rng([5, k])
+        n = 30
+        bounds = BlockStructure([0, 4, 9, 10, 16, 23, 30])
+        if shape is None:
+            v0, blocks = SubspacePattern.diagonal(n), None
+        else:
+            v0, blocks = block_pattern(bounds, shape), bounds
+        cfg = NeumannConfig(k=k, initial_drop=initial, level_drop=level)
+        for dominant in (True, False):
+            a = random_sparse(rng, n, density=0.12, dominant=dominant)
+            got = neumann_pattern(a, v0, cfg, blocks=blocks, v0_shape=shape)
+            assert got == neumann_pattern_reference(a, v0, cfg, blocks=blocks, v0_shape=shape)
+
+    @pytest.mark.parametrize("batch", [1, 7, 40])
+    def test_s_in_batches_matches_reference(self, monkeypatch, batch):
+        monkeypatch.setattr(patterns, "_S_BATCH_ENTRIES", batch)
+        rng = np.random.default_rng(6)
+        bounds = BlockStructure([0, 4, 9, 10, 16, 23, 30])
+        v0 = block_pattern(bounds, "block-upper-triangular")
+        cfg = NeumannConfig(k=2, initial_drop=DropRule(0.05, 3), level_drop=DropRule(0.1, 0))
+        a = random_sparse(rng, 30, density=0.12, dominant=False)
+        got = neumann_pattern(a, v0, cfg, blocks=bounds, v0_shape="block-upper-triangular")
+        assert got == neumann_pattern_reference(
+            a, v0, cfg, blocks=bounds, v0_shape="block-upper-triangular"
+        )
+
+    def test_cancelled_column_falls_back_to_diagonal(self):
+        # S = [[0, -1], [1, 0]] on the first block: e_j + S e_j + S^2 e_j +
+        # S^3 e_j is exactly zero for j = 0, 1
+        d = np.zeros((4, 4))
+        d[:2, :2] = [[1.0, -1.0], [1.0, 1.0]]
+        d[2:, 2:] = [[2.0, 0.5], [0.25, 3.0]]
+        a = SparseMatrix.from_dense(d)
+        v0 = SubspacePattern.diagonal(4)
+        cfg = no_drop_cfg(3)
+        pat = neumann_pattern(a, v0, cfg)
+        assert pat == neumann_pattern_reference(a, v0, cfg)
+        assert np.array_equal(pat.cols[0], [0]) and np.array_equal(pat.cols[1], [1])
+        assert np.array_equal(pat.cols[2], [2, 3])
 
     def test_block_v0_without_blocks_rejected(self):
         a = SparseMatrix.from_dense(np.eye(3) + np.diag([0.5, 0.5], 1))

@@ -7,13 +7,17 @@ from diafact.sparse import (
     SparseVector,
     SubspacePattern,
     extract_columns,
+    gather_columns,
     pattern_subtract_offdiag,
     read_matrix_market,
     residual_fro,
     sorted_lookup,
+    sparse_product,
     spmv,
     write_matrix_market,
 )
+
+from diafact.preprocess import BlockStructure, block_pattern
 
 from helpers import random_sparse
 
@@ -90,6 +94,16 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(2, 2, [0, 2, 2], [1, 0], [1.0, 1.0])  # unsorted rows
 
+    def test_diagonal_with_missing_entries(self):
+        a = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 0.0, 5.0], [4.0, 0.0, -3.0]])
+        assert np.array_equal(a.diagonal(), [2.0, 0.0, -3.0])
+
+    def test_diagonal_of_rectangular(self):
+        tall = SparseMatrix.from_dense([[1.0, 0.0], [7.0, 0.0], [0.0, 9.0]])
+        assert np.array_equal(tall.diagonal(), [1.0, 0.0])
+        wide = SparseMatrix.from_dense([[0.0, 1.0, 2.0], [0.0, 6.0, 0.0]])
+        assert np.array_equal(wide.diagonal(), [0.0, 6.0])
+
     def test_transpose_matches_dense(self):
         rng = np.random.default_rng(3)
         a = random_sparse(rng, 9, density=0.3)
@@ -138,6 +152,14 @@ class TestExtractColumns:
         back[sub.active_rows] = sub.dense_block
         assert np.array_equal(back, a.to_dense()[:, cols])
 
+    def test_empty_column_in_selection(self):
+        a = SparseMatrix.from_dense([[1.0, 0.0, 0.0], [0.0, 0.0, 3.0], [2.0, 0.0, 0.0]])
+        sub = extract_columns(a, [0, 1, 2])
+        assert np.array_equal(sub.active_rows, [0, 1, 2])
+        assert np.array_equal(sub.dense_block, a.to_dense())
+        only = extract_columns(a, [1])
+        assert len(only.active_rows) == 0 and only.dense_block.shape == (0, 1)
+
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
             extract_columns(SparseMatrix.identity(3), [])
@@ -174,6 +196,38 @@ class TestPatterns:
         with pytest.raises(ValueError):
             SubspacePattern(2, [[0], [2]])
 
+    def test_unsorted_and_duplicate_columns_uniqued(self):
+        p = SubspacePattern(3, [[2, 0, 2], np.array([1, 1]), [0, 1, 2]])
+        assert [c.tolist() for c in p.cols] == [[0, 2], [1], [0, 1, 2]]
+        assert p == SubspacePattern(3, [[0, 2], [1], [0, 1, 2]])
+
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            ([[0], [1], [], [5]], "column 2: pattern column must be nonempty"),
+            ([[0], [1], [4], []], "column 2: pattern index out of range"),
+            ([[0], [-1], [], [1]], "column 1: pattern index out of range"),
+            ([[0], [4, 1, 1], [2], [3]], "column 1: pattern index out of range"),
+        ],
+    )
+    def test_first_bad_column_named(self, cols, message):
+        with pytest.raises(ValueError, match=message):
+            SubspacePattern(4, cols)
+
+    def test_first_bad_column_behind_a_shared_array(self):
+        good, bad = np.array([0, 1]), np.array([0, 9])
+        with pytest.raises(ValueError, match="column 2: pattern index out of range"):
+            SubspacePattern(5, [good, good, bad, [3], bad])
+
+    def test_block_upper_shares_one_array_per_block(self):
+        blocks = BlockStructure([0, 3, 4, 8])
+        pat = block_pattern(blocks, "block-upper-triangular")
+        for b in range(blocks.n_blocks):
+            lo, hi = blocks.bounds(b)
+            assert pat.cols[lo] is pat.cols[hi - 1]
+            assert np.array_equal(pat.cols[lo], np.arange(hi))
+        assert pat.cols[0] is not pat.cols[3]
+
     def test_with_diagonal_and_intersection(self):
         p = SubspacePattern(3, [[1], [0], [0, 2]])
         q = p.with_diagonal()
@@ -188,6 +242,29 @@ class TestProducts:
         a = random_sparse(rng, 9, density=0.3)
         x = rng.standard_normal(9)
         assert np.allclose(spmv(a, x), a.to_dense() @ x, atol=1e-14)
+
+    def test_gather_empty_idx(self):
+        a = SparseMatrix.identity(3)
+        idx, val = gather_columns(a, np.array([], dtype=np.int64), np.array([]))
+        assert idx.dtype == np.int64 and len(idx) == 0 and len(val) == 0
+
+    def test_gather_drops_exact_cancellation(self):
+        a = SparseMatrix.from_dense([[1.0, 1.0], [2.0, -3.0], [0.5, 0.0]])
+        idx, val = gather_columns(a, np.array([0, 1]), np.array([1.0, -1.0]))
+        assert idx.tolist() == [1, 2] and val.tolist() == [5.0, 0.5]
+        idx, val = gather_columns(a, np.array([0, 0]), np.array([1.0, -1.0]))
+        assert len(idx) == 0 and len(val) == 0
+
+    def test_product_sums_like_per_column_gather(self):
+        rng = np.random.default_rng(29)
+        a = random_sparse(rng, 12, density=0.3, dominant=False)
+        b = random_sparse(rng, 12, density=0.25, dominant=False)
+        c = sparse_product(a, b)
+        assert np.allclose(c.to_dense(), a.to_dense() @ b.to_dense(), atol=1e-13)
+        for j in range(12):
+            idx, val = gather_columns(a, *b.column(j))
+            got_idx, got_val = c.column(j)
+            assert np.array_equal(got_idx, idx) and np.array_equal(got_val, val)
 
     def test_residual_identity_is_zero(self):
         a = SparseMatrix.identity(4)
