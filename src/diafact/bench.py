@@ -111,7 +111,7 @@ def preconditioner_density(w, vf, nnz_a):
 
 
 class _Stage:
-    """Times named pipeline stages and remembers where a failure happened."""
+    """Times named pipeline stages, failed ones too, and remembers where one failed."""
 
     def __init__(self):
         self.timings = {}
@@ -120,9 +120,10 @@ class _Stage:
     def run(self, name, fn):
         self.current = name
         t0 = time.perf_counter()
-        out = fn()
-        self.timings[name] = time.perf_counter() - t0
-        return out
+        try:
+            return fn()
+        finally:
+            self.timings[name] = time.perf_counter() - t0
 
 
 def run_experiment(cfg):

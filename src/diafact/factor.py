@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SVDFactors, lstsq, pad_tall, qr_householder, rank_by_qt_norm, svd_small
-from .sparse import SparseMatrix, SparseVector, extract_columns, gather_columns, sorted_lookup
+from .sparse import SparseMatrix, SparseVector, extract_columns, sorted_lookup, sparse_product
 
 __all__ = [
     "StabilizationPolicy",
@@ -269,21 +269,19 @@ def diaf_s(a, w_pattern, v_pattern):
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     n = a.n_cols
-    w_cols, v_cols = [], []
-    residuals = np.zeros(n)
+    w_cols = []
     flagged = {}
     for j in range(n):
         w_j, rep = diaf_s_column(a, w_pattern, v_pattern, j)
         w_cols.append((w_j.idx, w_j.val))
-        # project A w_j onto the admissible structure of column j
-        y_idx, y_val = gather_columns(a, w_j.idx, w_j.val)
-        _, inside = sorted_lookup(v_pattern.cols[j], y_idx)
-        v_cols.append((y_idx[inside], y_val[inside]))
-        out = y_val[~inside]
-        residuals[j] = float(np.sqrt(np.dot(out, out)))
         reasons = _flag_reasons(rep)
         if reasons:
             flagged[j] = ",".join(reasons)
     w = SparseMatrix.from_columns(n, w_cols)
-    v = SparseMatrix.from_columns(n, v_cols)
-    return FactorPair(w, v, residuals, 0, float(np.sqrt((residuals ** 2).sum())), flagged)
+    # project A W onto the admissible structure; the rest is the residual
+    y = sparse_product(a, w)
+    inside = v_pattern.contains(y.entry_keys())
+    outside = np.where(inside, 0.0, y.values)
+    residuals = np.sqrt(np.bincount(y._entry_columns(), weights=outside * outside, minlength=n))
+    return FactorPair(w, y.masked(inside), residuals, 0,
+                      float(np.sqrt((residuals ** 2).sum())), flagged)

@@ -1,16 +1,18 @@
 """Preprocessing: zero-free diagonal, scaling and block triangular structure.
 
 A matrix is brought to the experimental form used by the benchmark driver in
-three steps: a maximum transversal makes the diagonal structurally nonzero,
-iterative equilibration balances row/column magnitudes, and a strongly
-connected component analysis yields an ordered block partition so that the
-permuted matrix is block lower triangular up to the diagonal blocks.  The
-partition in turn defines block-shaped subspace patterns.
+three steps: a maximum-product transversal makes the diagonal nonzero with
+the largest product of magnitudes (a choice that does not depend on the
+input's diagonal scaling, up to ties), iterative equilibration balances
+row/column magnitudes, and a strongly connected component analysis yields an
+ordered block partition so that the permuted matrix is block lower
+triangular up to the diagonal blocks.  The partition in turn defines
+block-shaped subspace patterns.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 
 import numpy as np
 
@@ -109,154 +111,90 @@ class BlockStructure:
         return int(self.block_bounds[b]), int(self.block_bounds[b + 1])
 
 
-def _max_scaling(a, sweeps):
-    """Row and column scales after ``sweeps`` rounds of max-magnitude scaling.
-
-    Each round divides every row scale, then every column scale, by the
-    square root of its current scaled maximum magnitude; an empty row or
-    column keeps its scale.
-    """
-    n_rows, n_cols = a.shape
-    cols = a._entry_columns()
-    mag = np.abs(a.values)
-    r = np.ones(n_rows)
-    c = np.ones(n_cols)
-    for _ in range(sweeps):
-        scaled = mag * r[a.row_idx] * c[cols]
-        row_max = np.zeros(n_rows)
-        np.maximum.at(row_max, a.row_idx, scaled)
-        r /= np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
-        scaled = mag * r[a.row_idx] * c[cols]
-        col_max = np.zeros(n_cols)
-        np.maximum.at(col_max, cols, scaled)
-        c /= np.sqrt(np.where(col_max > 0.0, col_max, 1.0))
-    return r, c
-
-
-def _balanced_magnitudes(a, sweeps=5):
-    """Row/column balanced entry magnitudes used to rank matching choices."""
-    r, c = _max_scaling(a, sweeps)
-    return np.abs(a.values) * r[a.row_idx] * c[a._entry_columns()]
-
-
 def max_transversal(a):
-    """Column permutation giving a structurally nonzero diagonal.
+    """Column permutation maximizing the product of diagonal magnitudes.
 
-    Augmenting-path maximum-cardinality matching between rows and columns.
-    Magnitudes (balanced by a few equilibration sweeps) only steer the
-    heuristics: the greedy seed takes the diagonal when it is competitive
-    within its row and the largest entry otherwise, and augmenting searches
-    visit large entries first.  An already zero-free-diagonal matrix keeps
-    the identity permutation unless off-diagonal entries clearly dominate.
-    Raises :class:`StructuralSingularityError` with the exhausted row set
-    when no perfect matching exists.
+    A minimum-cost perfect matching of rows to columns on the costs
+    ``log(max_i |a_ij|) - log|a_ij|`` (Olschowka & Neumaier; Duff & Koster,
+    MC64): each column first takes its first free largest entry, then every
+    unmatched column augments along a shortest path (Dijkstra on reduced
+    costs ``c_ij - u_i - v_j``, ties to the smaller row) and the dual
+    potentials ``u``, ``v`` are updated so reduced costs stay nonnegative.
+    A diagonal scaling multiplies every matching's product by one constant,
+    so the result does not depend on it, up to ties.  Raises
+    :class:`StructuralSingularityError` naming the rows reached when no
+    perfect matching exists.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     n = a.n_rows
-    at = a.transpose()  # column r of `at` lists the columns of `a` seen by row r
+    lens = np.diff(a.col_ptr)
+    if not lens.all():
+        raise StructuralSingularityError(
+            f"structurally singular matrix: column {int(np.argmin(lens))} is empty "
+            "and reaches no rows"
+        )
+    log_mag = np.log(np.abs(a.values))
+    col_max = np.maximum.reduceat(log_mag, a.col_ptr[:-1])
+    cost = (col_max[a._entry_columns()] - log_mag).tolist()
+    ptr, rows = a.col_ptr.tolist(), a.row_idx.tolist()
 
-    score = _balanced_magnitudes(at)
-    adj = []
-    for r in range(n):
-        lo, hi = at.col_ptr[r], at.col_ptr[r + 1]
-        cols = at.row_idx[lo:hi]
-        vals = score[lo:hi]
-        order = np.lexsort((cols, -vals))
-        adj.append((cols[order], vals[order]))
+    col_of_row = [-1] * n
+    row_of_col = [-1] * n
+    for j in range(n):
+        for e in range(ptr[j], ptr[j + 1]):
+            if cost[e] == 0.0 and col_of_row[rows[e]] == -1:
+                col_of_row[rows[e]], row_of_col[j] = j, rows[e]
+                break
 
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    for r in range(n):
-        cols, vals = adj[r]
-        if len(cols) == 0:
+    u = [0.0] * n  # row potentials
+    v = [0.0] * n  # column potentials
+    for j0 in range(n):
+        if row_of_col[j0] != -1:
             continue
-        free = row_of_col[cols] == -1
-        if not free.any():
-            continue
-        pick = int(cols[free][0])  # largest free entry
-        dpos = np.nonzero(cols == r)[0]
-        if len(dpos) and row_of_col[r] == -1 and vals[dpos[0]] >= 0.5 * vals[free][0]:
-            pick = r
-        col_of_row[r] = pick
-        row_of_col[pick] = r
-
-    for start in range(n):
-        if col_of_row[start] != -1:
-            continue
-        visited_cols = np.zeros(n, dtype=bool)
-        visited_rows = [start]
-        parent_col = {}
-        # BFS over alternating paths: free row -> columns -> matched rows
-        queue = deque([start])
-        augmenting = -1
-        while queue and augmenting < 0:
-            r = queue.popleft()
-            for c in adj[r][0]:
-                if visited_cols[c]:
-                    continue
-                visited_cols[c] = True
-                parent_col[c] = r
-                if row_of_col[c] == -1:
-                    augmenting = c
-                    break
-                visited_rows.append(int(row_of_col[c]))
-                queue.append(int(row_of_col[c]))
-        if augmenting < 0:
-            raise StructuralSingularityError(
-                "structurally singular matrix: rows "
-                f"{sorted(set(visited_rows))} exhaust their reachable columns"
-            )
-        c = augmenting
-        while c != -1:
-            r = parent_col[c]
-            prev = col_of_row[r]
-            col_of_row[r] = c
-            row_of_col[c] = r
-            c = prev
-
-    _improve_matching(adj, col_of_row, row_of_col)
+        dist, pred, done, entered = {}, {}, {}, {j0: 0.0}
+        heap = []
+        j, dj = j0, 0.0
+        while True:
+            for e in range(ptr[j], ptr[j + 1]):
+                i = rows[e]
+                d = dj + cost[e] - u[i] - v[j]
+                if i not in done and d < dist.get(i, np.inf):
+                    dist[i], pred[i] = d, j
+                    heapq.heappush(heap, (d, i))
+            while heap and heap[0][1] in done:
+                heapq.heappop(heap)
+            if not heap:
+                raise StructuralSingularityError(
+                    f"structurally singular matrix: columns {sorted(entered)} "
+                    f"reach only rows {sorted(done)}"
+                )
+            d, i = heapq.heappop(heap)
+            done[i] = d
+            if col_of_row[i] == -1:
+                break
+            j, dj = col_of_row[i], d
+            entered[j] = d
+        # reduced costs stay nonnegative and the whole path becomes tight
+        for r, dr in done.items():
+            u[r] += dr - d
+        for c, dc in entered.items():
+            v[c] += d - dc
+        while True:  # flip the path back to j0: row i takes column j
+            j = pred[i]
+            col_of_row[i], row_of_col[j], i = j, i, row_of_col[j]
+            if j == j0:
+                break
     return Permutation(col_of_row)
-
-
-def _improve_matching(adj, col_of_row, row_of_col, passes=3):
-    """Pairwise swaps that grow the product of matched magnitudes.
-
-    A cheap stand-in for the dual-variable optimization of weighted
-    matchings: swap the partners of two rows whenever the product of the
-    crossed entries beats the current one.  Converges in a couple of
-    passes and never touches cardinality.
-    """
-    n = len(col_of_row)
-    lut = [dict(zip(adj[r][0].tolist(), adj[r][1].tolist())) for r in range(n)]
-    for _ in range(passes):
-        swaps = 0
-        for r in range(n):
-            c_cur = col_of_row[r]
-            row = lut[r]
-            for c, val in row.items():
-                if c == c_cur:
-                    continue
-                r2 = row_of_col[c]
-                cross = lut[r2].get(c_cur)
-                if cross is None:
-                    continue
-                if val * cross > row[c_cur] * lut[r2][c] * (1.0 + 1e-9):
-                    col_of_row[r], col_of_row[r2] = c, c_cur
-                    row_of_col[c], row_of_col[c_cur] = r, r2
-                    c_cur = c
-                    swaps += 1
-            col_of_row[r] = c_cur
-        if swaps == 0:
-            break
 
 
 def equilibrate(a, iterations=10):
     """Iterative row/column infinity-norm equilibration.
 
-    Repeatedly divides row and column scales by the square root of the
-    current scaled maxima; after convergence every row and column maximum
-    magnitude lies in [1/2, 2].  Zero rows or columns are rejected.
+    Each sweep divides every row scale, then every column scale, by the
+    square root of its current scaled maximum magnitude; after convergence
+    every row and column maximum magnitude lies in [1/2, 2].  Zero rows or
+    columns are rejected.
     """
     row_has = np.zeros(a.n_rows, dtype=bool)
     row_has[a.row_idx] = True
@@ -264,7 +202,18 @@ def equilibrate(a, iterations=10):
         raise ValueError(f"zero row {int(np.nonzero(~row_has)[0][0])}")
     if np.any(np.diff(a.col_ptr) == 0):
         raise ValueError(f"zero column {int(np.nonzero(np.diff(a.col_ptr) == 0)[0][0])}")
-    return Scaling(*_max_scaling(a, iterations))
+    cols = a._entry_columns()
+    mag = np.abs(a.values)
+    r = np.ones(a.n_rows)
+    c = np.ones(a.n_cols)
+    for _ in range(iterations):
+        row_max = np.zeros(a.n_rows)
+        np.maximum.at(row_max, a.row_idx, mag * r[a.row_idx] * c[cols])
+        r /= np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
+        col_max = np.zeros(a.n_cols)
+        np.maximum.at(col_max, cols, mag * r[a.row_idx] * c[cols])
+        c /= np.sqrt(np.where(col_max > 0.0, col_max, 1.0))
+    return Scaling(r, c)
 
 
 def _tarjan_components(a):

@@ -8,6 +8,8 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -446,6 +448,8 @@ def read_matrix_market(path):
             n_rows, n_cols, nnz = (int(t) for t in size_line.split())
         except ValueError:
             raise MatrixMarketError(f"{path}:{lineno}: malformed size line") from None
+        if min(n_rows, n_cols, nnz) < 0:
+            raise MatrixMarketError(f"{path}:{lineno}: negative count in size line")
 
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
@@ -461,6 +465,8 @@ def read_matrix_market(path):
                 i, j, v = int(t[0]), int(t[1]), float(t[2])
             except (ValueError, IndexError):
                 raise MatrixMarketError(f"{path}:{lineno}: malformed entry") from None
+            if not math.isfinite(v):
+                raise MatrixMarketError(f"{path}:{lineno}: non-finite entry")
             if k >= nnz:
                 raise MatrixMarketError(f"{path}:{lineno}: more entries than declared")
             if not (1 <= i <= n_rows and 1 <= j <= n_cols):

@@ -88,6 +88,18 @@ class TestRunExperiment:
         row = run_experiment(ExperimentConfig(matrix="/nonexistent/a.mtx"))
         assert row.status == "error"
         assert row.error_stage == "read"
+        assert row.timings["read"] >= 0.0  # the failing stage is timed too
+
+    def test_structurally_singular_matrix_stops_in_transversal(self, tmp_path):
+        # columns 0 and 1 both reach row 0 alone; no column is empty
+        a = SparseMatrix.from_dense([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 4.0]])
+        path = tmp_path / "singular.mtx"
+        write_matrix_market(a, path)
+        row = run_experiment(ExperimentConfig(matrix=str(path)))
+        assert row.status == "error"
+        assert row.error_stage == "transversal"
+        assert row.error_message.startswith("StructuralSingularityError")
+        assert "transversal" in row.timings
 
     def test_rho_matches_recomputation(self, synthetic_mtx):
         from diafact.factor import diaf_q

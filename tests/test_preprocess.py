@@ -64,6 +64,39 @@ class TestMaxTransversal:
         with pytest.raises(StructuralSingularityError, match="rows"):
             max_transversal(a)
 
+    def test_singularity_without_empty_column_names_rows(self):
+        # columns 0 and 1 both reach row 0 alone
+        a = SparseMatrix.from_dense([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 4.0]])
+        with pytest.raises(StructuralSingularityError, match=r"columns \[0, 1\] reach only rows \[0\]"):
+            max_transversal(a)
+
+    def test_product_is_brute_force_maximum(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            d = rng.standard_normal((n, n)) * np.exp(3 * rng.standard_normal((n, n)))
+            d *= rng.random((n, n)) < 0.5
+            d[np.arange(n), rng.permutation(n)] = 1.0 + rng.random(n)  # some perfect matching
+            log_abs = np.log(np.abs(np.where(d != 0.0, d, 1.0)))
+            best = max(
+                log_abs[np.arange(n), p].sum()
+                for p in itertools.permutations(range(n))
+                if np.all(d[np.arange(n), p] != 0.0)
+            )
+            a = SparseMatrix.from_dense(d)
+            got = np.log(np.abs(a.permuted_columns(max_transversal(a).forward).diagonal())).sum()
+            assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_invariant_under_diagonal_scaling(self):
+        rng = np.random.default_rng(10)
+        n = 60
+        a = random_sparse(rng, n, density=0.1, dominant=False)
+        a = SparseMatrix.from_dense(a.to_dense()[rng.permutation(n)])  # rows scrambled
+        q = max_transversal(a).forward
+        for _ in range(4):
+            r, c = 10.0 ** rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-1, 1, n)
+            assert np.array_equal(max_transversal(a.scaled(r, c)).forward, q)
+
 
 class TestEquilibrate:
     def test_diagonal_scales_to_one(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,22 @@ class TestMatrixMarket:
     def test_parse_failure_reports_line_number(self, tmp_path):
         p = write_mm(tmp_path, "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 bogus 1.0\n")
         with pytest.raises(MatrixMarketError, match=":3"):
+            read_matrix_market(p)
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("2 2 -1\n", 2, "negative count"),
+            ("-2 2 1\n1 1 1.0\n", 2, "negative count"),
+            ("2 -2 1\n1 1 1.0\n", 2, "negative count"),
+            ("2 2 2\n1 1 1.0\n2 2 nan\n", 4, "non-finite entry"),
+            ("2 2 1\n1 1 -inf\n", 3, "non-finite entry"),
+        ],
+        ids=["negative-nnz", "negative-rows", "negative-cols", "nan", "inf"],
+    )
+    def test_malformed_input_names_path_and_line(self, tmp_path, body, line, message):
+        p = write_mm(tmp_path, "%%MatrixMarket matrix coordinate real general\n" + body)
+        with pytest.raises(MatrixMarketError, match=f"{re.escape(str(p))}:{line}: {message}"):
             read_matrix_market(p)
 
     def test_roundtrip_is_bit_for_bit(self, tmp_path):
