@@ -89,8 +89,12 @@ class ResultRow:
     its: int = -1
     status: str = "error"
     true_relative_residual: float = float("nan")
+    residual_gap: bool = False
     stab_count: int = 0
     flagged_columns: int = 0
+    column_residual_max: float = float("nan")
+    column_residual_p99: float = float("nan")
+    min_abs_v_diag: float = float("nan")
     solution_error: float = float("nan")
     timings: dict = field(default_factory=dict)
     error_stage: str = ""
@@ -99,8 +103,9 @@ class ResultRow:
 
     CSV_FIELDS = (
         "problem", "n", "nnz", "max_block", "n_blocks", "rho", "kappa_v",
-        "nrm", "its", "status", "true_relative_residual", "stab_count",
-        "flagged_columns", "solution_error", "timings", "error_stage", "error_message",
+        "nrm", "its", "status", "true_relative_residual", "residual_gap", "stab_count",
+        "flagged_columns", "column_residual_max", "column_residual_p99", "min_abs_v_diag",
+        "solution_error", "timings", "error_stage", "error_message",
     )
 
 
@@ -156,6 +161,9 @@ def run_experiment(cfg):
         row.nrm = pair.nrm
         row.stab_count = pair.stab_count
         row.flagged_columns = len(pair.flagged_columns)
+        row.column_residual_max = float(pair.column_residuals.max())
+        row.column_residual_p99 = float(np.percentile(pair.column_residuals, 99))
+        row.min_abs_v_diag = float(np.abs(pair.v.diagonal()).min())
 
         vf = stage.run("factor_v", lambda: factor_v(pair.v, blocks, shape))
 
@@ -168,6 +176,7 @@ def run_experiment(cfg):
         row.its = report.iterations
         row.status = report.status
         row.true_relative_residual = report.true_relative_residual
+        row.residual_gap = report.residual_gap
 
         def metrics():
             x0 = q.undo(sc.col_scale * p.undo(y3))

@@ -9,6 +9,15 @@ column of W instead: w_j is the right singular vector of the smallest
 singular value of A_j with the rows admissible for v_j removed, and V is
 assembled afterwards as the pattern projection of A W.
 
+The column problems are independent, and each algorithm solves them in
+one sweep.  The sweep gathers the blocks A_j of a chunk of columns in one
+index pass (:func:`~diafact.sparse.column_chunks`), runs the dense kernels
+as stacked LAPACK calls over the columns whose kernel inputs share a
+shape, and does the rest in array passes over the chunk; diaf-q keeps one
+:func:`qr_householder` call per column.  The one-column functions are the
+sweep over a single column, and a column's result does not depend on the
+chunk it is solved in.
+
 Columns whose leading direction leaves a tiny diagonal in V can be
 stabilized: the diagonal component is pinned to a constant r and the
 remaining weight goes to the best unit combination of earlier admissible
@@ -21,8 +30,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SVDFactors, lstsq, pad_tall, qr_householder, rank_by_qt_norm, svd_small
-from .sparse import SparseMatrix, SparseVector, extract_columns, sorted_lookup, sparse_product
+from .kernels import (
+    SVDFactors,
+    _qr_signed,
+    _svd_signed,
+    lstsq,
+    qr_householder,
+    rank_by_qt_norm,
+    svd_small,
+)
+from .sparse import (
+    ColumnSubmatrix,
+    SparseMatrix,
+    SparseVector,
+    column_chunks,
+    sorted_lookup,
+    sparse_product,
+)
 
 __all__ = [
     "StabilizationPolicy",
@@ -79,14 +103,6 @@ class FactorPair:
     stab_count: int
     nrm: float
     flagged_columns: dict
-
-
-def _require_diag(v_pattern, j):
-    vcols = v_pattern.cols[j]
-    dpos, found = sorted_lookup(vcols, j)
-    if not found:
-        raise ValueError(f"V pattern must contain the diagonal index (column {j})")
-    return vcols, dpos
 
 
 def _qt_columns(q_thin, active_rows, positions):
@@ -146,92 +162,274 @@ def stabilize_column(q_thin, active_rows, j, l_j, policy, admissible):
     return idx[keep], val[keep]
 
 
+# unit roundoff of float64
+_U = np.finfo(np.float64).eps / 2
+
+
+@dataclass
+class _Sweep:
+    """What a sweep computed for its columns.
+
+    ``w`` and ``v`` hold values on the positions of the W and V patterns'
+    :meth:`~diafact.sparse.SubspacePattern.keys` (0.0: nothing stored); the
+    per-column arrays follow the order of the swept columns.
+    """
+
+    w: np.ndarray
+    v: np.ndarray
+    residuals: np.ndarray
+    stabilized: np.ndarray
+    rank_deficient: np.ndarray
+    fallback: np.ndarray
+
+    @classmethod
+    def empty(cls, w_pattern, v_pattern, n_columns):
+        flags = (np.zeros(n_columns, dtype=bool) for _ in range(3))
+        return cls(np.zeros(w_pattern.nnz), np.zeros(v_pattern.nnz), np.zeros(n_columns), *flags)
+
+    def report(self, i):
+        return ColumnReport(float(self.residuals[i]), bool(self.stabilized[i]),
+                            bool(self.rank_deficient[i]), bool(self.fallback[i]))
+
+    def flagged(self, columns):
+        """Flag reasons of the flagged columns, keyed by column."""
+        out = {}
+        for i in np.flatnonzero(self.rank_deficient | self.fallback).tolist():
+            reasons = [name for name, hit in (("rank-deficient", self.rank_deficient[i]),
+                                              ("zero-candidate-fallback", self.fallback[i])) if hit]
+            out[int(columns[i])] = ",".join(reasons)
+        return out
+
+
+def _require_diagonal(v_pattern, columns):
+    missing = columns[~v_pattern.contains(columns * (v_pattern.n + 1))]
+    if len(missing):
+        raise ValueError(f"V pattern must contain the diagonal index (column {missing[0]})")
+
+
+def _positions(n, columns):
+    """Index of each column among ``columns``."""
+    where = np.zeros(n, dtype=np.int64)
+    where[columns] = np.arange(len(columns))
+    return where
+
+
+def _visible_factors(ch):
+    """One :func:`qr_householder` call per column of the chunk.
+
+    Returns ``(q, start, r, rank, deficient)``.  ``q`` holds the rows of
+    each Q_j at its visible candidates (all that the column problem reads
+    of Q_j), column after column; the row of V position ``e`` starts at
+    ``start[e]``.  ``r`` lists the R_j, and ``deficient`` maps each
+    rank-deficient column to its block and factors.
+    """
+    vis, vptr, local = ch.v_visible()
+    row_off = np.concatenate([[0], np.cumsum(np.diff(vptr) * ch.k)])
+    col = ch.v_col[vis]
+    start = np.zeros(len(ch.v_col), dtype=np.int64)
+    start[vis] = row_off[col] + (np.arange(len(vis)) - vptr[col]) * ch.k[col]
+    q, r, rank, deficient = np.empty(row_off[-1]), [], np.empty(len(ch.cols), np.int64), {}
+    spans = zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]), row_off[:-1].tolist(),
+                row_off[1:].tolist())
+    for c, (block, rows, lo, hi) in enumerate(spans):
+        f = qr_householder(block)
+        q[lo:hi] = f.q_thin[rows].ravel()
+        r.append(f.r)
+        rank[c] = f.rank
+        if f.rank < len(f.r):
+            deficient[c] = block, f
+    return q, start, r, rank, deficient
+
+
+def _leading_directions(ch, q, start):
+    """Leading right singular vector and value of each column's ``m_j``.
+
+    ``m_j`` is Q_j^T at the candidate rows.  Its SVD runs over the nonzero
+    columns only, stacked over the columns whose ``m_j`` has one shape, so
+    a candidate that A_j cannot see gets an exact zero, never roundoff.
+    Returns ``(lead, sigma)``, ``lead`` on the V positions of the chunk.
+    """
+    col, k = ch.v_col, ch.k
+    live = np.zeros(len(col), dtype=bool)
+    vis = np.flatnonzero(ch.v_seen)
+    for kk in np.unique(k[col[vis]]).tolist():
+        e = vis[k[col[vis]] == kk]
+        live[e] = q[start[e][:, None] + np.arange(kk)].any(axis=1)
+    live = np.flatnonzero(live)
+    n_live = np.bincount(col[live], minlength=len(ch.cols))
+    first = np.cumsum(n_live) - n_live
+    lead, sigma = np.zeros(len(col)), np.zeros(len(ch.cols))
+    shape = k * (n_live.max() + 1) + n_live
+    for key in np.unique(shape[n_live > 0]).tolist():
+        cols = np.flatnonzero(shape == key)
+        width, kk = int(n_live[cols[0]]), int(k[cols[0]])
+        e = live[first[cols][:, None] + np.arange(width)]
+        _, sig, v = _svd_signed(np.swapaxes(q[start[e][..., None] + np.arange(kk)], 1, 2))
+        lead[e], sigma[cols] = v[:, :, 0], sig[:, 0]
+    return lead, sigma
+
+
+def _full_rank_solves(ch, q, start, r, full, val):
+    """``w_j = R_j^{-1} Q_j^T v_j`` for the full-rank columns, roundoff dropped.
+
+    Stacked over the columns with one k.  ``Q_j^T v_j`` sums the rows of
+    Q_j at the visible candidates, weighted by ``val``.  Returns the
+    chunk's W values, zero for the other columns.
+    """
+    col, k = ch.v_col, ch.k
+    w = np.zeros(ch.set_ptr[-1])
+    for kk in np.unique(k[full]).tolist():
+        cols = np.flatnonzero(full & (k == kk))
+        span = np.arange(kk)
+        e = np.flatnonzero(ch.v_seen & full[col] & (k[col] == kk))
+        slot = _positions(len(ch.cols), cols)[col[e]]
+        qtb = np.bincount((slot[:, None] * kk + span).ravel(),
+                          weights=(q[start[e][:, None] + span] * val[e][:, None]).ravel(),
+                          minlength=len(cols) * kk).reshape(len(cols), kk, 1)
+        r_k = np.stack([r[c] for c in cols.tolist()])
+        sol = np.linalg.solve(r_k, qtb)[:, :, 0]
+        r_diag = np.abs(np.diagonal(r_k, axis1=1, axis2=2))
+        bound = ch.m[cols].clip(min=kk) * kk * _U * r_diag.max(axis=1) / r_diag.min(axis=1)
+        bound *= np.sqrt((sol * sol).sum(axis=1))
+        w[ch.set_ptr[cols][:, None] + span] = np.where(np.abs(sol) < bound[:, None], 0.0, sol)
+    return w
+
+
+def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
+    """The diaf-q column problems of ``columns``, a chunk at a time.
+
+    Per chunk: one :func:`qr_householder` call per column; the SVD of the
+    candidate part ``m_j`` of Q_j^T, stacked over the columns whose
+    ``m_j`` (over its nonzero columns) has one shape; the sign rules in
+    array passes; the solve ``R_j w_j = Q_j^T v_j``, stacked over the
+    columns with one k; and the residuals in array passes.  Stabilized,
+    fallback and rank-deficient columns take their own per-column steps.
+
+    Entries of a full-rank solve's ``w_j`` below ``m k u kappa ||w_j||``
+    are dropped, where the block factored is ``m x k``, ``u`` is the unit
+    roundoff and ``kappa = max |r_ii| / min |r_ii|`` is a lower bound on
+    the condition number of R_j.  Householder least squares solves a
+    problem within ``m k u`` of A_j (its backward error), which moves
+    ``w_j`` by up to ``m k u kappa(R_j) ||w_j||`` to first order, so such
+    entries cannot be told from zero.  Residuals are taken after the drop.
+    """
+    n = a.n_cols
+    _require_diagonal(v_pattern, columns)
+    out = _Sweep.empty(w_pattern, v_pattern, len(columns))
+    where = _positions(n, columns)
+    for ch in column_chunks(a, w_pattern, v_pattern, columns):
+        i, size, col, seen = where[ch.cols], len(ch.cols), ch.v_col, ch.v_seen
+        seg = np.searchsorted(col, np.arange(size + 1))
+        q, start, r, rank, deficient = _visible_factors(ch)
+        lead, sigma = _leading_directions(ch, q, start)
+
+        diag = np.flatnonzero(ch.v_rows == ch.cols[col])
+        lead *= np.where(lead[diag] < 0.0, -1.0, 1.0)[col]
+        # nothing of the candidate positions is visible in the column space
+        # of A_j: fall back to the diagonal so V leans nonsingular
+        fallback = sigma == 0.0
+        stabilize = ~fallback & (np.abs(lead[diag]) < policy.threshold)
+        val = lead * norms[i][col]
+        val[fallback[col]] = 0.0
+        val[diag[fallback]] = norms[i][fallback]
+        for c in np.flatnonzero(stabilize).tolist():
+            vcols = ch.v_rows[seg[c]:seg[c + 1]]
+            visible = seen[seg[c]:seg[c + 1]]
+            q_c = q[start[seg[c]:seg[c + 1]][visible][:, None] + np.arange(ch.k[c])]
+            idx, sval = stabilize_column(q_c, vcols[visible], int(ch.cols[c]), len(vcols),
+                                         policy, vcols)
+            val[seg[c]:seg[c + 1]] = 0.0
+            val[seg[c] + np.searchsorted(vcols, idx)] = sval
+
+        w = _full_rank_solves(ch, q, start, r, rank == ch.k, val)
+        for c, (block, f) in deficient.items():
+            sub = ColumnSubmatrix(n, ch.sets[ch.set_ptr[c]:ch.set_ptr[c + 1]],
+                                  ch.active[ch.row_ptr[c]:ch.row_ptr[c + 1]], block[:ch.m[c]])
+            keep = np.flatnonzero(val[seg[c]:seg[c + 1]]) + seg[c]
+            sol = lstsq(sub, SparseVector(n, ch.v_rows[keep], val[keep]), f)
+            w[ch.set_ptr[c]:ch.set_ptr[c + 1]] = sol.solution
+
+        # ||A_j w_j - v_j||: the block's entries times w_j, less v_j on the
+        # active rows, plus the part of v_j outside them
+        d = np.bincount(ch.entry_row, weights=ch.val * w[ch.entry_set], minlength=len(ch.active))
+        d[ch.v_at[seen]] -= val[seen]
+        row_col = np.arange(size).repeat(ch.m)
+        outside = np.bincount(col[~seen], weights=val[~seen] ** 2, minlength=size)
+        out.residuals[i] = np.sqrt(np.bincount(row_col, weights=d * d, minlength=size) + outside)
+        out.w[ch.slots] = w
+        out.v[ch.v_pos] = val
+        out.stabilized[i] = stabilize
+        out.rank_deficient[i] = rank < ch.k
+        out.fallback[i] = fallback
+    return out
+
+
+def _sweep_s(a, w_pattern, v_pattern, columns):
+    """The diaf-s column problems of ``columns``, a chunk at a time.
+
+    A_j comes without the rows admissible for v_j; its QR, the SVD of R_j
+    and the sign rule run stacked over the columns whose blocks share one
+    padded shape.
+    """
+    n = a.n_cols
+    _require_diagonal(v_pattern, columns)
+    out = _Sweep.empty(w_pattern, v_pattern, len(columns))
+    where = _positions(n, columns)
+    a_keys = a.entry_keys()
+    for ch in column_chunks(a, w_pattern, v_pattern, columns, outside_v=True):
+        for sel, blocks in ch.shape_groups():
+            j, k = ch.cols[sel], blocks.shape[2]
+            _, r, rank = _qr_signed(blocks)
+            _, sigma, v = _svd_signed(r)
+            w = v[:, :, -1]
+            # sign: (A_j w_j)_j >= 0, or the largest entry of w_j if that is 0
+            sets = ch.sets[ch.set_ptr[sel][:, None] + np.arange(k)]
+            at, found = sorted_lookup(a_keys, sets * n + j[:, None])
+            row_j = np.zeros(sets.shape)
+            row_j[found] = a.values[at[found]]
+            y = (row_j[:, None, :] @ w[:, :, None])[:, 0, 0]
+            big = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)[:, 0]
+            flip = (y < 0.0) | ((y == 0.0) & (big < 0.0))
+            out.w[ch.slots[ch.set_ptr[sel][:, None] + np.arange(k)]] = np.where(flip[:, None], -w, w)
+            out.residuals[where[j]] = sigma[:, -1]
+            out.rank_deficient[where[j]] = (ch.m[sel] < k) | (rank < k)
+    return out
+
+
+def _assemble(pattern, values):
+    """The matrix holding ``values`` on the pattern's keys, zeros left out."""
+    keys, keep = pattern.keys(), values != 0.0
+    return SparseMatrix.from_keys(pattern.n, pattern.n, keys[keep], values[keep])
+
+
 def diaf_q_column(a, w_pattern, v_pattern, j, policy=None, target_norm=1.0):
-    """One column of the QR-based factorization.
+    """One column of the QR-based factorization: the sweep over column ``j``.
 
     Returns ``(w_j, v_j, report)`` with both columns as sparse vectors.
     ``target_norm`` rescales the computed unit v_j; the assembled product
     W V^{-1} is invariant under any positive choice.
     """
-    policy = policy or StabilizationPolicy()
+    cols = np.array([j], dtype=np.int64)
+    out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(),
+                   np.array([float(target_norm)]))
+    wpos, _, wrows = w_pattern.gather(cols)
+    vpos, _, vrows = v_pattern.gather(cols)
+    v = out.v[vpos]
+    keep = v != 0.0
     n = a.n_cols
-    vcols, dpos = _require_diag(v_pattern, j)
-    sub = extract_columns(a, w_pattern.cols[j])
-    qr = qr_householder(pad_tall(sub.dense_block))
-
-    m_j = _qt_columns(qr.q_thin, sub.active_rows, vcols)
-    fallback = False
-    stabilized = False
-    f = _svd_nonzero_columns(m_j)
-    if f.sigma[0] == 0.0:
-        # nothing of the candidate positions is visible in the column
-        # space of A_j; fall back to the diagonal so V leans nonsingular
-        fallback = True
-        v_j = SparseVector(n, np.array([j]), np.array([target_norm]))
-    else:
-        v_loc = f.v[:, 0]
-        if v_loc[dpos] < 0.0:
-            v_loc = -v_loc
-        if abs(v_loc[dpos]) < policy.threshold:
-            idx, val = stabilize_column(
-                qr.q_thin, sub.active_rows, j, len(vcols), policy, vcols
-            )
-            v_j = SparseVector(n, idx, val)
-            stabilized = True
-        else:
-            keep = v_loc != 0.0
-            v_j = SparseVector(n, vcols[keep], v_loc[keep] * target_norm)
-
-    sol = lstsq(sub, v_j, qr)
-    w_j = SparseVector(n, sub.cols, sol.solution)
-    report = ColumnReport(
-        residual=sol.residual,
-        stabilized=stabilized,
-        rank_deficient=sol.rank_deficient,
-        fallback=fallback,
-    )
-    return w_j, v_j, report
+    return SparseVector(n, wrows, out.w[wpos]), SparseVector(n, vrows[keep], v[keep]), out.report(0)
 
 
 def diaf_s_column(a, w_pattern, v_pattern, j):
-    """One column of the SVD-based factorization.
+    """One column of the SVD-based factorization: the sweep over column ``j``.
 
     Returns ``(w_j, report)``; w_j has unit norm and minimizes the part of
     ``A_j w`` that falls outside the admissible positions of v_j.
     """
-    n = a.n_cols
-    vcols, _ = _require_diag(v_pattern, j)
-    sub = extract_columns(a, w_pattern.cols[j])
-
-    _, removed = sorted_lookup(vcols, sub.active_rows)
-    a_hat = sub.dense_block[~removed]
-    flagged = a_hat.shape[0] < sub.k
-
-    qr = qr_householder(pad_tall(a_hat))
-    f = svd_small(qr.r)
-    w_loc = f.v[:, -1]
-    sigma_min = float(f.sigma[-1])
-
-    y = sub.dense_block @ w_loc
-    dpos, found = sorted_lookup(sub.active_rows, j)
-    yj = y[dpos] if found else 0.0
-    if yj < 0.0:
-        w_loc = -w_loc
-    elif yj == 0.0 and w_loc[int(np.argmax(np.abs(w_loc)))] < 0.0:
-        w_loc = -w_loc
-
-    w_j = SparseVector(n, sub.cols, w_loc)
-    report = ColumnReport(residual=sigma_min, rank_deficient=flagged or qr.rank < sub.k)
-    return w_j, report
-
-
-def _flag_reasons(report):
-    reasons = []
-    if report.rank_deficient:
-        reasons.append("rank-deficient")
-    if report.fallback:
-        reasons.append("zero-candidate-fallback")
-    return reasons
+    cols = np.array([j], dtype=np.int64)
+    out = _sweep_s(a, w_pattern, v_pattern, cols)
+    wpos, _, wrows = w_pattern.gather(cols)
+    return SparseVector(a.n_cols, wrows, out.w[wpos]), out.report(0)
 
 
 def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
@@ -243,25 +441,14 @@ def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     n = a.n_cols
-    w_cols, v_cols = [], []
-    residuals = np.zeros(n)
-    flagged = {}
-    stab_count = 0
-    for j in range(n):
-        target = 1.0 if column_norms is None else float(column_norms[j])
-        if target <= 0:
-            raise ValueError("column norms must be positive")
-        w_j, v_j, rep = diaf_q_column(a, w_pattern, v_pattern, j, policy, target)
-        w_cols.append((w_j.idx, w_j.val))
-        v_cols.append((v_j.idx, v_j.val))
-        residuals[j] = rep.residual
-        stab_count += rep.stabilized
-        reasons = _flag_reasons(rep)
-        if reasons:
-            flagged[j] = ",".join(reasons)
-    w = SparseMatrix.from_columns(n, w_cols)
-    v = SparseMatrix.from_columns(n, v_cols)
-    return FactorPair(w, v, residuals, stab_count, float(np.sqrt((residuals ** 2).sum())), flagged)
+    norms = np.ones(n) if column_norms is None else np.asarray(column_norms, dtype=np.float64)
+    if np.any(norms <= 0):
+        raise ValueError("column norms must be positive")
+    cols = np.arange(n)
+    out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(), norms)
+    res = out.residuals
+    return FactorPair(_assemble(w_pattern, out.w), _assemble(v_pattern, out.v), res,
+                      int(out.stabilized.sum()), float(np.sqrt((res ** 2).sum())), out.flagged(cols))
 
 
 def diaf_s(a, w_pattern, v_pattern):
@@ -269,19 +456,13 @@ def diaf_s(a, w_pattern, v_pattern):
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     n = a.n_cols
-    w_cols = []
-    flagged = {}
-    for j in range(n):
-        w_j, rep = diaf_s_column(a, w_pattern, v_pattern, j)
-        w_cols.append((w_j.idx, w_j.val))
-        reasons = _flag_reasons(rep)
-        if reasons:
-            flagged[j] = ",".join(reasons)
-    w = SparseMatrix.from_columns(n, w_cols)
+    cols = np.arange(n)
+    out = _sweep_s(a, w_pattern, v_pattern, cols)
+    w = _assemble(w_pattern, out.w)
     # project A W onto the admissible structure; the rest is the residual
     y = sparse_product(a, w)
     inside = v_pattern.contains(y.entry_keys())
     outside = np.where(inside, 0.0, y.values)
     residuals = np.sqrt(np.bincount(y._entry_columns(), weights=outside * outside, minlength=n))
     return FactorPair(w, y.masked(inside), residuals, 0,
-                      float(np.sqrt((residuals ** 2).sum())), flagged)
+                      float(np.sqrt((residuals ** 2).sum())), out.flagged(cols))

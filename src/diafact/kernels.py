@@ -4,7 +4,10 @@ All routines here operate on row-compressed column blocks whose dimensions
 are tiny compared with the host matrix.  QR and SVD call numpy's LAPACK and
 then fix the signs LAPACK leaves free (nonnegative R diagonal; each right
 singular vector's largest component nonnegative), so callers see one
-convention whatever the build.  Everything is pure and reentrant.
+convention whatever the build.  The same rules apply to stacks of blocks
+through ``_qr_signed`` and ``_svd_signed``, which the column sweeps call
+once per group of equally shaped blocks.  Everything is pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -81,14 +84,26 @@ def qr_householder(m):
         raise ValueError("need rows >= cols >= 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entry in QR input")
-    fro = float(np.sqrt((a * a).sum()))
+    q, r, rank = _qr_signed(a)
+    return QRFactors(q, r, int(rank))
+
+
+def _qr_signed(a):
+    """LAPACK QR of one block or a stack of blocks ``(..., m, k)``, m >= k.
+
+    Returns ``(q, r, rank)`` under :func:`qr_householder`'s rules: the
+    signs of R's rows (and Q's columns) make R's diagonal nonnegative, and
+    ``rank`` counts the diagonal entries above ``RANK_TOL`` times the
+    Frobenius norm of the block.  A stacked call gives each block bitwise
+    the factors of its own call.
+    """
+    fro = np.sqrt((a * a).sum(axis=(-2, -1)))
     q, r = np.linalg.qr(a)
-    flip = np.diag(r) < 0
-    if flip.any():
-        r[flip, :] = -r[flip, :]
-        q[:, flip] = -q[:, flip]
-    rank = int(np.count_nonzero(np.abs(np.diag(r)) > RANK_TOL * fro))
-    return QRFactors(q, r, rank)
+    sign = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+    r *= sign[..., :, None]
+    q *= sign[..., None, :]
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return q, r, np.count_nonzero(diag > RANK_TOL * fro[..., None], axis=-1)
 
 
 def svd_small(m):
@@ -104,23 +119,25 @@ def svd_small(m):
         raise ValueError("expected a nonempty 2-d array")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entry in SVD input")
-    if a.shape[0] < a.shape[1]:
-        v, sigma, ut = np.linalg.svd(a.T, full_matrices=False)
-        u = ut.T
+    return SVDFactors(*_svd_signed(a))
+
+
+def _svd_signed(a):
+    """Thin SVD ``(u, sigma, v)`` of one matrix or a stack ``(..., p, q)``.
+
+    Wide input goes through its transpose and the signs follow
+    :func:`svd_small`.  A stacked call gives each matrix bitwise the
+    factors of its own call.
+    """
+    if a.shape[-2] < a.shape[-1]:
+        v, sigma, ut = np.linalg.svd(np.swapaxes(a, -2, -1), full_matrices=False)
+        u = np.swapaxes(ut, -2, -1)
     else:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-        v = vt.T
-    cols = np.arange(v.shape[1])
-    sign = np.where(v[np.argmax(np.abs(v), axis=0), cols] < 0.0, -1.0, 1.0)
-    return SVDFactors(u * sign, sigma, v * sign)
-
-
-def _solve_upper(r, b):
-    k = r.shape[0]
-    x = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        x[i] = (b[i] - np.dot(r[i, i + 1:], x[i + 1:])) / r[i, i]
-    return x
+        v = np.swapaxes(vt, -2, -1)
+    big = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    sign = np.where(np.take_along_axis(v, big, axis=-2) < 0.0, -1.0, 1.0)
+    return u * sign, sigma, v * sign
 
 
 def pad_tall(block):
@@ -159,7 +176,7 @@ def lstsq(a_j, rhs, qr=None):
         qr = qr_householder(block)
     qtb = qr.q_thin.T @ b_pad
     if qr.rank == k:
-        w = _solve_upper(qr.r, qtb)
+        w = np.linalg.solve(qr.r, qtb)
         flagged = False
     else:
         f = svd_small(qr.r)

@@ -45,12 +45,18 @@ class SingularBlockError(Exception):
 
 @dataclass
 class SolveReport:
-    """Metrics bundle for one preconditioned solve."""
+    """Metrics bundle for one preconditioned solve.
+
+    ``residual_gap`` is true when the recurrence residual and the true
+    relative residual ``||b - A x|| / ||r0||`` differ by more than
+    ``10 * tol``, so the recurrence no longer tracks the iterate.
+    """
 
     iterations: int
     status: str
     relative_residual: float
     true_relative_residual: float
+    residual_gap: bool = False
 
 
 class VFactorization:
@@ -198,7 +204,8 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000, x0=None):
 
     def finish(its, status, rnorm):
         true_res = float(np.linalg.norm(b - spmv(a, x))) / r0_norm
-        return x, SolveReport(its, status, rnorm / r0_norm, true_res)
+        gap = not abs(rnorm / r0_norm - true_res) <= 10.0 * tol
+        return x, SolveReport(its, status, rnorm / r0_norm, true_res, gap)
 
     rho_prev = alpha = omega = 1.0
     v = np.zeros(n)

@@ -8,7 +8,9 @@ the norms of the corresponding columns of Q_j^T.
 
 Both W constructions run as index passes over whole sparse matrices (only
 the V0 solves go column by column), summing in the order a per-column loop
-would; the V selection factors one column at a time.  Inputs are
+would.  The V selection reads the blocks A_j from the chunked column
+sweep of :func:`~diafact.sparse.column_chunks`, factors one block per
+call, and ranks the candidates of a whole chunk at once.  Inputs are
 read-only, so results are deterministic.
 """
 
@@ -18,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import pad_tall, qr_householder, rank_by_qt_norm
+from .kernels import qr_householder
 from .krylov import SingularBlockError, factor_v
 from .sparse import (
     SparseMatrix,
     SparseVector,
     SubspacePattern,
-    extract_columns,
+    column_chunks,
     merge_sum,
     pattern_subtract_offdiag,
     sparse_product,
@@ -257,21 +259,28 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     corresponding column of Q_j^T (zero outside the active rows).  The
     ``k_v`` best positions are kept, the diagonal always included, with
     ties resolved toward smaller indices so selections nest as ``k_v``
-    grows.
+    grows.  Only columns with more than ``k_v`` candidates are factored,
+    one :func:`qr_householder` call each.
     """
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_candidate.n != n:
         raise ValueError("square matrix and matching patterns required")
     if k_v < 1:
         raise ValueError("k_v must be at least 1")
-    cols = []
-    for j in range(n):
-        cand = v_candidate.cols[j]
-        if len(cand) <= k_v:
-            chosen = cand
-        else:
-            sub = extract_columns(a, w_pattern.cols[j])
-            q = qr_householder(pad_tall(sub.dense_block)).q_thin
-            chosen = cand[rank_by_qt_norm(q, sub.active_rows, cand)[:k_v]]
-        cols.append(np.union1d(chosen, [j]))
-    return SubspacePattern(n, cols)
+    counts = v_candidate.counts()
+    kept = np.flatnonzero(counts <= k_v)
+    _, owner, rows = v_candidate.gather(kept)
+    keys = [kept[owner] * n + rows, np.arange(n, dtype=np.int64) * (n + 1)]
+    for ch in column_chunks(a, w_pattern, v_candidate, np.flatnonzero(counts > k_v)):
+        vis, vptr, local = ch.v_visible()
+        scores = np.zeros(len(ch.v_rows))
+        for block, rows, lo, hi in zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]),
+                                       vptr[:-1].tolist(), vptr[1:].tolist()):
+            qt = qr_householder(block).q_thin[rows]
+            scores[vis[lo:hi]] = np.sqrt((qt * qt).sum(axis=1))
+        # rank each column's candidates by score, ties to the smaller row
+        order = np.lexsort((ch.v_rows, -scores, ch.v_col))
+        col = ch.v_col[order]
+        best = order[np.arange(len(order)) - np.searchsorted(col, col) < k_v]
+        keys.append(ch.cols[ch.v_col[best]] * n + ch.v_rows[best])
+    return SubspacePattern.from_keys(n, np.unique(np.concatenate(keys)))

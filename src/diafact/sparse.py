@@ -18,9 +18,11 @@ __all__ = [
     "SparseVector",
     "SubspacePattern",
     "ColumnSubmatrix",
+    "ColumnChunk",
     "read_matrix_market",
     "write_matrix_market",
     "extract_columns",
+    "column_chunks",
     "sparse_product",
     "pattern_subtract_offdiag",
     "spmv",
@@ -329,7 +331,15 @@ class SubspacePattern:
     @property
     def nnz(self):
         """Number of allowed positions over all columns."""
-        return int(np.diff(self._ptr)[self._which].sum())
+        return int(self.counts().sum())
+
+    def counts(self):
+        """Number of allowed positions of each column."""
+        return np.diff(self._ptr)[self._which]
+
+    def sums(self, weights):
+        """Per column, the sum of ``weights[i]`` over its allowed indices ``i``."""
+        return np.add.reduceat(weights[self._rows], self._ptr[:-1])[self._which]
 
     @classmethod
     def from_keys(cls, n, keys):
@@ -360,6 +370,19 @@ class SubspacePattern:
         """Sorted keys ``col * n + row`` of every allowed position."""
         pos, col = _span_gather(self._ptr, self._which)
         return col * self.n + self._rows[pos]
+
+    def gather(self, cols):
+        """The allowed positions of the columns ``cols``, column after column.
+
+        Returns ``(pos, owner, rows)``: each position's index among
+        :meth:`keys`, the index into ``cols`` of its column, and its row.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        key_ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.counts(), out=key_ptr[1:])
+        pos, owner = _span_gather(key_ptr, cols)
+        first = (self._ptr[self._which[cols]] - key_ptr[cols])[owner]
+        return pos, owner, self._rows[first + pos]
 
     def contains(self, keys):
         """Whether each key ``col * n + row`` names an allowed position."""
@@ -505,12 +528,108 @@ def extract_columns(a, cols):
         raise ValueError("columns must be sorted and unique")
     if cols[0] < 0 or cols[-1] >= a.n_cols:
         raise ValueError("column index out of range")
-    pos, owner = _span_gather(a.col_ptr, cols)
-    rows = a.row_idx[pos]
-    active = np.unique(rows)
+    owner, at, rows, vals = _set_entries(a, cols, np.array([0, len(cols)]))
+    _, active, local = _set_rows(a.n_rows, 1, owner, rows)
     block = np.zeros((len(active), len(cols)))
-    block[np.searchsorted(active, rows), owner] = a.values[pos]
+    block[local, at] = vals
     return ColumnSubmatrix(a.n_rows, cols, active, block)
+
+
+# a chunk of a column sweep gathers about this many entries (of A and of V)
+_SWEEP_ENTRIES = 1 << 12
+
+
+class ColumnChunk:
+    """The blocks A_j of a run of columns j, gathered in one index pass.
+
+    Column ``c`` of the chunk is matrix column ``cols[c]``.  Its block takes
+    the matrix columns ``sets[set_ptr[c]:set_ptr[c + 1]]`` (``k[c]`` of
+    them; ``slots`` holds their positions among the W pattern's
+    :meth:`SubspacePattern.keys`) on its ``m[c]`` active rows
+    ``active[row_ptr[c]:row_ptr[c + 1]]``, ascending.  The block's entries
+    are ``val`` at flat active row ``entry_row`` and flat set position
+    ``entry_set``.
+
+    The V pattern's positions of the chunk come column after column:
+    ``v_pos`` among its keys, chunk column ``v_col`` and row ``v_rows``;
+    ``v_at`` indexes ``active`` where ``v_seen``, which is true exactly at
+    an active row of the column's block.
+    """
+
+    __slots__ = ("cols", "k", "m", "sets", "set_ptr", "slots", "active", "row_ptr",
+                 "entry_row", "entry_set", "val", "v_pos", "v_col", "v_rows", "v_at", "v_seen",
+                 "blocks", "_pad", "_by_shape", "_off")
+
+    def __init__(self, a, w_pattern, v_pattern, cols, outside_v):
+        n = a.n_rows
+        self.cols = cols
+        self.slots, owner, self.sets = w_pattern.gather(cols)
+        self.set_ptr = _col_ptr(owner, len(cols))
+        col, at, rows, self.val = _set_entries(a, self.sets, self.set_ptr)
+        if outside_v:
+            keep = ~v_pattern.contains(cols[col] * n + rows)
+            col, at, rows, self.val = col[keep], at[keep], rows[keep], self.val[keep]
+        self.row_ptr, self.active, local = _set_rows(n, len(cols), col, rows)
+        self.entry_row, self.entry_set = self.row_ptr[col] + local, self.set_ptr[col] + at
+        self.k, self.m = np.diff(self.set_ptr), np.diff(self.row_ptr)
+        self.v_pos, self.v_col, self.v_rows = v_pattern.gather(cols)
+        row_col = np.arange(len(cols), dtype=np.int64).repeat(self.m)
+        self.v_at, self.v_seen = sorted_lookup(row_col * n + self.active,
+                                               self.v_col * n + self.v_rows)
+
+        # the dense blocks, padded to at least k rows, back to back in one
+        # flat array and ordered by shape, so blocks of one shape are a slice
+        self._pad = np.maximum(self.m, self.k)
+        size = self._pad * self.k
+        order = self._by_shape = np.lexsort((self.k, self._pad))
+        self._off = np.empty(len(cols), dtype=np.int64)
+        self._off[order] = np.cumsum(size[order]) - size[order]
+        self.blocks = np.zeros(int(size.sum()))
+        self.blocks[self._off[col] + local * self.k[col] + at] = self.val
+
+    def views(self, flat):
+        """Each column's ``(rows, k)`` view of ``flat``, laid out like :attr:`blocks`."""
+        for off, rows, k in zip(self._off.tolist(), self._pad.tolist(), self.k.tolist()):
+            yield flat[off:off + rows * k].reshape(rows, k)
+
+    def shape_groups(self):
+        """Chunk columns sharing one padded block shape, with their blocks stacked."""
+        order = self._by_shape
+        shape = self._pad[order] * (self.k.max() + 1) + self.k[order]
+        bounds = np.concatenate([[0], np.flatnonzero(np.diff(shape)) + 1, [len(order)]])
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            sel = order[lo:hi]
+            rows, k, off = int(self._pad[sel[0]]), int(self.k[sel[0]]), int(self._off[sel[0]])
+            yield sel, self.blocks[off:off + len(sel) * rows * k].reshape(len(sel), rows, k)
+
+    def v_visible(self):
+        """The V positions at active rows, column after column.
+
+        Returns ``(e, ptr, local)``: their indices (where ``v_seen``), the
+        offsets of each column's share of ``e``, and their rows within the
+        column's block.
+        """
+        e = np.flatnonzero(self.v_seen)
+        col = self.v_col[e]
+        return e, _col_ptr(col, len(self.cols)), self.v_at[e] - self.row_ptr[col]
+
+
+def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False):
+    """The blocks A_j of ``columns`` as :class:`ColumnChunk` runs.
+
+    A_j holds the columns ``w_pattern.cols[j]`` of ``a`` on their nonzero
+    rows; with ``outside_v`` the rows in ``v_pattern.cols[j]`` are left
+    out.  A chunk holds about ``_SWEEP_ENTRIES`` entries of ``a`` and of
+    ``v_pattern``, so memory stays bounded; a column's block does not
+    depend on its chunk.
+    """
+    columns = np.asarray(columns, dtype=np.int64)
+    size = w_pattern.sums(np.diff(a.col_ptr))[columns] + v_pattern.counts()[columns]
+    chunk = (np.cumsum(size) - size) // _SWEEP_ENTRIES
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [len(columns)]])
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        if lo < hi:
+            yield ColumnChunk(a, w_pattern, v_pattern, columns[lo:hi], outside_v)
 
 
 def pattern_subtract_offdiag(w_pattern, v0_pattern):
@@ -574,6 +693,30 @@ def _span_gather(col_ptr, cols):
     owner = np.arange(len(cols), dtype=np.int64).repeat(counts)
     shift = (starts + counts - counts.cumsum()).repeat(counts)
     return np.arange(len(owner), dtype=np.int64) + shift, owner
+
+
+def _set_entries(a, sets, ptr):
+    """Entries of the column sets ``sets[ptr[i]:ptr[i + 1]]`` of ``a``, set after set.
+
+    Returns ``(owner, at, rows, vals)``: per entry the index of its set, the
+    position of its column within the set, its row and its value.
+    """
+    pos, flat = _span_gather(a.col_ptr, sets)
+    owner = np.arange(len(ptr) - 1, dtype=np.int64).repeat(np.diff(ptr))[flat]
+    return owner, flat - ptr[owner], a.row_idx[pos], a.values[pos]
+
+
+def _set_rows(n_rows, n_sets, owner, rows):
+    """The distinct rows of each set and each entry's position among them.
+
+    Returns ``(row_ptr, active, local)``: the sets' distinct rows, ascending
+    and set after set, with their offsets, and for every entry the index of
+    its row among its set's rows.
+    """
+    keys, inverse = np.unique(owner * n_rows + rows, return_inverse=True)
+    key_set = keys // n_rows
+    row_ptr = _col_ptr(key_set, n_sets)
+    return row_ptr, keys - key_set * n_rows, inverse - row_ptr[owner]
 
 
 def _insert_keys(keys, new):

@@ -2,8 +2,10 @@
 
 import numpy as np
 
+from diafact.factor import stabilize_column
+from diafact.kernels import lstsq, pad_tall, qr_householder, svd_small
 from diafact.patterns import _V0Solver
-from diafact.sparse import SparseMatrix, SubspacePattern, merge_sum
+from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern, extract_columns, merge_sum
 
 
 def random_sparse(rng, n, density=0.15, dominant=True):
@@ -87,4 +89,137 @@ def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None, v0_shape="block-d
         c = acc_i if len(acc_i) else np.array([j])
         off_v0 = v0_pattern.cols[j][v0_pattern.cols[j] != j]
         cols.append(np.setdiff1d(c, off_v0))
+    return SubspacePattern(n, cols)
+
+
+def _qt_at(q_thin, active_rows, positions):
+    """Columns of Q_j^T at global rows ``positions`` (zero outside the active rows)."""
+    m = np.zeros((q_thin.shape[1], len(positions)))
+    for t, p in enumerate(positions):
+        hit = np.flatnonzero(active_rows == p)
+        if len(hit):
+            m[:, t] = q_thin[hit[0]]
+    return m
+
+
+def diaf_q_column_reference(a, w_pattern, v_pattern, j, policy, target_norm=1.0):
+    """One diaf-q column solved on its own, kernel by kernel.
+
+    Returns ``(w_j, v_j, residual, stabilized, rank_deficient, fallback)``
+    with ``w_j`` over ``w_pattern.cols[j]`` and ``v_j`` over
+    ``v_pattern.cols[j]`` as dense local vectors.  A full-rank solution
+    drops the entries below ``m k u (max|r_ii| / min|r_ii|) ||w_j||`` and
+    the residual is that of the dropped ``w_j``.
+    """
+    n = a.n_cols
+    vcols = v_pattern.cols[j]
+    sub = extract_columns(a, w_pattern.cols[j])
+    block = pad_tall(sub.dense_block)
+    qr = qr_householder(block)
+    m_j = _qt_at(qr.q_thin, sub.active_rows, vcols)
+    live = np.any(m_j != 0.0, axis=0)
+    v_loc = np.zeros(len(vcols))
+    fallback = stabilized = False
+    if live.any():
+        f = svd_small(m_j[:, live])
+        v_loc[live] = f.v[:, 0]
+        fallback = f.sigma[0] == 0.0
+    else:
+        fallback = True
+    dpos = int(np.flatnonzero(vcols == j)[0])
+    if fallback:
+        v_loc[:] = 0.0
+        v_loc[dpos] = target_norm
+    else:
+        if v_loc[dpos] < 0.0:
+            v_loc = -v_loc
+        if abs(v_loc[dpos]) < policy.threshold:
+            stabilized = True
+            idx, val = stabilize_column(qr.q_thin, sub.active_rows, j, len(vcols), policy, vcols)
+            v_loc[:] = 0.0
+            v_loc[np.searchsorted(vcols, idx)] = val
+        else:
+            v_loc = v_loc * target_norm
+    keep = v_loc != 0.0
+    sol = lstsq(sub, SparseVector(n, vcols[keep], v_loc[keep]), qr)
+    w = sol.solution.copy()
+    if not sol.rank_deficient:
+        d = np.abs(np.diag(qr.r))
+        bound = block.shape[0] * block.shape[1] * np.finfo(float).eps / 2 * d.max() / d.min()
+        w[np.abs(w) < bound * np.linalg.norm(w)] = 0.0
+    b = np.zeros(n)
+    b[vcols] = v_loc
+    full = np.zeros(n)
+    full[sub.active_rows] = sub.dense_block @ w
+    residual = float(np.linalg.norm(full - b))
+    return w, v_loc, residual, stabilized, sol.rank_deficient, fallback
+
+
+def diaf_s_column_reference(a, w_pattern, v_pattern, j):
+    """One diaf-s column solved on its own: ``(w_j, residual, rank_deficient)``."""
+    vcols = v_pattern.cols[j]
+    sub = extract_columns(a, w_pattern.cols[j])
+    removed = np.isin(sub.active_rows, vcols)
+    a_hat = sub.dense_block[~removed]
+    qr = qr_householder(pad_tall(a_hat))
+    f = svd_small(qr.r)
+    w = f.v[:, -1]
+    y = sub.dense_block @ w
+    yj = y[np.flatnonzero(sub.active_rows == j)[0]] if j in sub.active_rows else 0.0
+    if yj < 0.0 or (yj == 0.0 and w[np.argmax(np.abs(w))] < 0.0):
+        w = -w
+    return w, float(f.sigma[-1]), bool(a_hat.shape[0] < sub.k or qr.rank < sub.k)
+
+
+def sweep_problem(seed, n=60):
+    """A square matrix with W and V patterns whose column problems mix cases.
+
+    Blocks A_j come in many shapes, tall and wide; the columns 1, 2 and 3
+    of A share the two rows {0, 1}, so a W set holding all three gives a
+    wide, rank-deficient block, and a W set {1} with candidate rows away
+    from {0, 1} leaves nothing visible (the zero-candidate fallback).
+    Every column's gather holds the same number of entries, ``size``
+    (entries of A in its W columns plus its V candidates), so a chunk
+    limit of ``c * size`` entries puts ``c`` columns in each chunk.
+
+    Returns ``(a, w_pattern, v_pattern, size)``.
+    """
+    rng = np.random.default_rng(seed)
+    dense = random_sparse(rng, n, density=0.08, dominant=False).to_dense()
+    dense[:, 1:4] = 0.0
+    dense[:2, 1:4] = rng.standard_normal((2, 3))
+    a = SparseMatrix.from_dense(dense)
+    nnz = np.diff(a.col_ptr)
+    w_cols = []
+    for j in range(n):
+        if j % 9 == 4:
+            w_cols.append(np.array([1, 2, 3]))  # wide and rank-deficient
+        elif j % 9 == 7:
+            w_cols.append(np.array([1]))  # candidates chosen away from rows 0, 1
+        else:
+            extra = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
+            w_cols.append(np.unique(np.concatenate([extra, [j]])))
+    gathered = np.array([nnz[c].sum() for c in w_cols])
+    size = int(gathered.max()) + 2
+    v_cols = []
+    for j in range(n):
+        pool = np.setdiff1d(np.arange(n), [j, 0, 1] if j % 9 == 7 else [j])
+        others = rng.choice(pool, size=size - gathered[j] - 1, replace=False)
+        v_cols.append(np.unique(np.concatenate([others, [j]])))
+    return a, SubspacePattern(n, w_cols), SubspacePattern(n, v_cols), size
+
+
+def select_v_pattern_reference(a, w_pattern, v_candidate, k_v):
+    """Greedy V selection column by column: the ``k_v`` candidates with the
+    largest Q_j^T column norms (ties to the smaller index), plus j."""
+    n = a.n_cols
+    cols = []
+    for j in range(n):
+        cand = v_candidate.cols[j]
+        if len(cand) > k_v:
+            sub = extract_columns(a, w_pattern.cols[j])
+            m = _qt_at(qr_householder(pad_tall(sub.dense_block)).q_thin, sub.active_rows, cand)
+            scores = np.sqrt((m.T * m.T).sum(axis=1))
+            cand = cand[np.lexsort((cand, -scores))[:k_v]]
+        cols.append(np.union1d(cand, [j]))
     return SubspacePattern(n, cols)

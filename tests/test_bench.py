@@ -132,6 +132,11 @@ class TestRunExperiment:
         pair = diaf_q(a3, w_pat, v_pat)
         vf = factor_v(pair.v, blocks, "block-diagonal")
         assert row.rho == pytest.approx(preconditioner_density(pair.w, vf, a0.nnz))
+        assert row.column_residual_max == pytest.approx(pair.column_residuals.max())
+        assert row.column_residual_p99 == pytest.approx(np.percentile(pair.column_residuals, 99))
+        assert row.column_residual_max >= row.column_residual_p99 > 0.0
+        assert row.min_abs_v_diag == pytest.approx(np.abs(np.diag(pair.v.to_dense())).min())
+        assert row.residual_gap is False
         assert row.nrm == pytest.approx(pair.nrm)
 
 
@@ -150,7 +155,9 @@ class TestEmitReport:
         lines = text.strip().splitlines()
         assert lines[0].startswith("problem,n,nnz,")
         header = lines[0].split(",")
-        assert "true_relative_residual" in header and "flagged_columns" in header
+        for name in ("true_relative_residual", "flagged_columns", "residual_gap",
+                     "column_residual_max", "column_residual_p99", "min_abs_v_diag"):
+            assert name in header
         assert len(lines) == 2
         assert out.read_text() == text
 
@@ -166,6 +173,9 @@ class TestEmitReport:
         assert row.status == "converged"
         assert 0.0 <= back[0]["true_relative_residual"] <= 1e-8
         assert back[0]["flagged_columns"] == 0
+        assert back[0]["residual_gap"] is False
+        assert back[0]["column_residual_max"] == back[0]["column_residual_p99"] == 0.0
+        assert back[0]["min_abs_v_diag"] == 1.0
         assert back[0]["config"]["matrix"] == identity_mtx
 
     def test_json_failed_row_has_no_bare_nan(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import diafact.factor
 import diafact.kernels
+import diafact.sparse
 from diafact.factor import (
     StabilizationPolicy,
     diaf_q,
@@ -19,7 +20,15 @@ from diafact.sparse import (
     residual_fro,
 )
 
-from helpers import full_pattern, random_orthogonal, random_pattern, random_sparse
+from helpers import (
+    diaf_q_column_reference,
+    diaf_s_column_reference,
+    full_pattern,
+    random_orthogonal,
+    random_pattern,
+    random_sparse,
+    sweep_problem,
+)
 
 
 def upper_triangular_pattern(n):
@@ -146,6 +155,30 @@ class TestDiafQ:
             float(np.sqrt((pair.column_residuals ** 2).sum())), rel=1e-12
         )
         assert pair.nrm == pytest.approx(residual_fro(a, pair.w, pair.v), rel=1e-12)
+
+    def test_roundoff_entries_of_w_are_dropped(self):
+        # A e_3 lies inside V_3 = {2, 3, 5}, so v_3 is A e_3 / ||A e_3|| and
+        # w_3 is e_3 / ||A e_3|| exactly; the entries at 6 and 8 are roundoff
+        rng = np.random.default_rng(15)
+        n, kept = 10, 0
+        wp = SubspacePattern(n, [[3, 6, 8] if j == 3 else [j] for j in range(n)])
+        vp = SubspacePattern(n, [[2, 3, 5] if j == 3 else [j] for j in range(n)])
+        for _ in range(20):
+            dense = rng.standard_normal((n, n))
+            dense[:, 3] = 0.0
+            dense[[2, 3, 5], 3] = rng.standard_normal(3)
+            a = SparseMatrix.from_dense(dense)
+            pair = diaf_q(a, wp, vp)
+            idx, val = pair.w.column(3)
+            assert np.array_equal(idx, [3])
+            scale = np.sign(dense[3, 3]) / np.linalg.norm(dense[:, 3])  # v_33 >= 0
+            assert val[0] == pytest.approx(scale, rel=1e-12)
+            assert pair.column_residuals[3] <= 1e-14
+            sub = extract_columns(a, [3, 6, 8])
+            qr = qr_householder(sub.dense_block)
+            raw = np.linalg.solve(qr.r, qr.q_thin.T @ (dense[sub.active_rows, 3] * scale))
+            kept += np.count_nonzero(raw[1:])
+        assert kept > 0  # the undropped solve does leave roundoff here
 
     def test_one_qr_per_column(self, monkeypatch):
         calls = []
@@ -317,3 +350,89 @@ class TestDiafS:
         pair = diaf_s(a, wp, vp)
         assert pair.nrm > 0.0
         assert pair.nrm == pytest.approx(residual_fro(a, pair.w, pair.v), rel=1e-12)
+
+
+def local(m, j, rows):
+    """Column ``j`` of a sparse matrix as a dense vector over ``rows``."""
+    idx, val = m.column(j)
+    out = np.zeros(len(rows))
+    out[np.searchsorted(rows, idx)] = val
+    return out
+
+
+class TestSweep:
+    """The chunked column sweep against columns solved one at a time."""
+
+    @pytest.fixture(params=["one column", "seven columns", "all columns"])
+    def problem(self, request, monkeypatch):
+        a, wp, vp, size = sweep_problem(21)
+        limit = {"one column": 1, "seven columns": 7 * size, "all columns": 10 ** 12}
+        monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", limit[request.param])
+        return a, wp, vp
+
+    def test_chunks_hold_the_stated_columns(self, monkeypatch):
+        a, wp, vp, size = sweep_problem(21)
+        for limit, count in ((1, 1), (7 * size, 7), (10 ** 12, a.n_cols)):
+            monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", limit)
+            chunks = list(diafact.sparse.column_chunks(a, wp, vp, np.arange(a.n_cols)))
+            assert [len(ch.cols) for ch in chunks[:-1]] == [count] * (len(chunks) - 1)
+            assert np.array_equal(np.concatenate([ch.cols for ch in chunks]), np.arange(a.n_cols))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    def test_diaf_q_matches_columns_solved_alone(self, problem, threshold):
+        a, wp, vp = problem
+        policy = StabilizationPolicy(threshold=threshold)
+        pair = diaf_q(a, wp, vp, policy)
+        seen = set()
+        for j in range(a.n_cols):
+            w, v, res, stab, deficient, fallback = diaf_q_column_reference(a, wp, vp, j, policy)
+            assert np.array_equal(local(pair.v, j, vp.cols[j]), v)
+            got = local(pair.w, j, wp.cols[j])
+            assert np.linalg.norm(got - w) <= 1e-12 * np.linalg.norm(w)
+            assert pair.column_residuals[j] == pytest.approx(res, rel=1e-10, abs=1e-13)
+            reasons = [r for r, hit in (("rank-deficient", deficient),
+                                        ("zero-candidate-fallback", fallback)) if hit]
+            assert pair.flagged_columns.get(j, "") == ",".join(reasons)
+            seen.update(reasons + ["stabilized"] * stab)
+        assert seen >= {"rank-deficient", "zero-candidate-fallback"}
+        assert ("stabilized" in seen) == (threshold > 0) == (pair.stab_count > 0)
+
+    def test_diaf_s_matches_columns_solved_alone(self, problem):
+        a, wp, vp = problem
+        pair = diaf_s(a, wp, vp)
+        aw = a.to_dense() @ pair.w.to_dense()
+        for j in range(a.n_cols):
+            w, res, deficient = diaf_s_column_reference(a, wp, vp, j)
+            assert np.array_equal(local(pair.w, j, wp.cols[j]), w)
+            assert pair.column_residuals[j] == pytest.approx(res, rel=1e-10, abs=1e-13)
+            assert (j in pair.flagged_columns) == deficient
+            assert np.allclose(local(pair.v, j, vp.cols[j]), aw[vp.cols[j], j], rtol=0, atol=1e-13)
+
+    def test_results_do_not_depend_on_chunks(self, problem):
+        a, wp, vp = problem
+        policy = StabilizationPolicy(threshold=0.3)
+        got = [diaf_q(a, wp, vp, policy), diaf_s(a, wp, vp)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diafact.sparse, "_SWEEP_ENTRIES", 1 << 12)
+            want = [diaf_q(a, wp, vp, policy), diaf_s(a, wp, vp)]
+        for g, w in zip(got, want):
+            for m in ("w", "v"):
+                assert np.array_equal(getattr(g, m).entry_keys(), getattr(w, m).entry_keys())
+                assert np.array_equal(getattr(g, m).values, getattr(w, m).values)
+            assert np.array_equal(g.column_residuals, w.column_residuals)
+
+    def test_column_functions_are_the_sweep_over_one_column(self):
+        a, wp, vp, _ = sweep_problem(22)
+        policy = StabilizationPolicy(threshold=0.3)
+        pair_q, pair_s = diaf_q(a, wp, vp, policy), diaf_s(a, wp, vp)
+        for j in range(a.n_cols):
+            w, v, rep = diaf_q_column(a, wp, vp, j, policy)
+            assert np.array_equal(w.idx, wp.cols[j])
+            assert np.array_equal(w.val, local(pair_q.w, j, wp.cols[j]))
+            assert np.array_equal(v.idx, pair_q.v.column(j)[0])
+            assert np.array_equal(v.val, pair_q.v.column(j)[1])
+            assert rep.residual == pair_q.column_residuals[j]
+            w, rep = diaf_s_column(a, wp, vp, j)
+            assert np.array_equal(w.val, local(pair_s.w, j, wp.cols[j]))
+            # diaf_s takes its residuals from A W afterwards, the column from sigma_min
+            assert rep.residual == pytest.approx(pair_s.column_residuals[j], rel=1e-12, abs=1e-14)

@@ -233,6 +233,27 @@ class TestBicgstab:
         if rep.status == "no_convergence":
             assert rep.iterations == 2
 
+    def test_residual_gap_flags_a_recurrence_that_left_the_iterate(self):
+        rng = np.random.default_rng(3)
+        a = random_sparse(rng, 30)
+        b = rng.standard_normal(30)
+        _, rep = bicgstab(a, b, tol=1e-8)
+        assert rep.status == "converged" and not rep.residual_gap
+
+        def scribbling(r):
+            # returns the right vector but halves the caller's copy, so the
+            # recurrence residual is no longer b - A x
+            out = r.copy()
+            r *= 0.5
+            return out
+
+        x, rep = bicgstab(a, b, precond=scribbling, tol=1e-8)
+        assert rep.status == "converged" and rep.relative_residual <= 1e-8
+        assert rep.true_relative_residual > 10 * 1e-8
+        assert rep.residual_gap
+        assert rep.true_relative_residual == pytest.approx(
+            np.linalg.norm(b - spmv(a, x)) / np.linalg.norm(b), rel=1e-12)
+
     def test_nan_preconditioner_reports_breakdown(self):
         rng = np.random.default_rng(8)
         a = random_sparse(rng, 30, density=0.2)

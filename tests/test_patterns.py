@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import diafact.patterns as patterns
+import diafact.sparse as sparse
 from diafact.patterns import (
     DropRule,
     NeumannConfig,
@@ -13,7 +14,13 @@ from diafact.patterns import (
 from diafact.preprocess import BlockStructure, block_pattern
 from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern
 
-from helpers import neumann_pattern_reference, random_pattern, random_sparse
+from helpers import (
+    neumann_pattern_reference,
+    random_pattern,
+    random_sparse,
+    select_v_pattern_reference,
+    sweep_problem,
+)
 
 
 def brute_force_drop(values, tau, p):
@@ -246,6 +253,14 @@ class TestAdjointPattern:
 
 
 class TestSelectV:
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("k_v", [1, 3, 8])
+    def test_matches_columns_scored_alone(self, monkeypatch, chunk, k_v):
+        a, wp, cand, size = sweep_problem(23)
+        if chunk is not None:  # columns per chunk; None: all in one
+            monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", chunk * size)
+        assert select_v_pattern(a, wp, cand, k_v) == select_v_pattern_reference(a, wp, cand, k_v)
+
     def test_identity_selects_diagonal(self):
         a = SparseMatrix.identity(6)
         w = SubspacePattern.diagonal(6)
