@@ -44,7 +44,6 @@ from .factor import (
     diaf_s,
     diaf_q_column,
     diaf_s_column,
-    stabilize_column,
 )
 from .krylov import (
     SingularBlockError,

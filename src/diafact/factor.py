@@ -14,14 +14,16 @@ one sweep.  The sweep gathers the blocks A_j of a chunk of columns in one
 index pass (:func:`~diafact.sparse.column_chunks`), runs the dense kernels
 as stacked LAPACK calls over the columns whose kernel inputs share a
 shape, and does the rest in array passes over the chunk; diaf-q keeps one
-:func:`qr_householder` call per column.  The one-column functions are the
-sweep over a single column, and a column's result does not depend on the
-chunk it is solved in.
+:func:`qr_householder` call per column.  Every diaf-q column, stabilized
+or rank-deficient ones too, goes through the same stacked passes.  The
+one-column functions are the sweep over a single column, and a column's
+result does not depend on the chunk it is solved in.
 
 Columns whose leading direction leaves a tiny diagonal in V can be
 stabilized: the diagonal component is pinned to a constant r and the
-remaining weight goes to the best unit combination of earlier admissible
-positions, found from the SVD of those columns of Q_j^T.
+remaining weight goes to the best unit combination of the earlier
+admissible positions that A_j can see, found from the SVD of those
+columns of Q_j^T; with no such position, v_j = r e_j.
 """
 
 from __future__ import annotations
@@ -30,19 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    SVDFactors,
-    _qr_signed,
-    _svd_signed,
-    lstsq,
-    qr_householder,
-    rank_by_qt_norm,
-    svd_small,
-)
+from .kernels import RANK_TOL, _qr_signed, _svd_signed, qr_householder
 from .sparse import (
-    ColumnSubmatrix,
     SparseMatrix,
     SparseVector,
+    _span_gather,
     column_chunks,
     sorted_lookup,
     sparse_product,
@@ -54,7 +48,6 @@ __all__ = [
     "FactorPair",
     "diaf_q_column",
     "diaf_s_column",
-    "stabilize_column",
     "diaf_q",
     "diaf_s",
 ]
@@ -103,63 +96,6 @@ class FactorPair:
     stab_count: int
     nrm: float
     flagged_columns: dict
-
-
-def _qt_columns(q_thin, active_rows, positions):
-    """Columns of Q_j^T at global row ``positions`` (zero outside actives)."""
-    k = q_thin.shape[1]
-    m = np.zeros((k, len(positions)))
-    # only genuine active rows of the (possibly padded) factor count
-    pos, inside = sorted_lookup(active_rows, positions)
-    m[:, inside] = q_thin[pos[inside], :].T
-    return m
-
-
-def _svd_nonzero_columns(m):
-    """:func:`svd_small` of ``m`` taken over its nonzero columns only.
-
-    The right singular vectors are scattered back to all columns of ``m``
-    with exact zeros at its zero columns, so a position of v_j that A_j
-    cannot see is never stored as roundoff.
-    """
-    live = np.any(m != 0.0, axis=0)
-    if not live.any():
-        return svd_small(m)
-    f = svd_small(m[:, live])
-    v = np.zeros((m.shape[1], f.v.shape[1]))
-    v[live] = f.v
-    return SVDFactors(f.u, f.sigma, v)
-
-
-def stabilize_column(q_thin, active_rows, j, l_j, policy, admissible):
-    """Constrained replacement for a column with a tiny diagonal entry.
-
-    Pins the diagonal to ``policy.r`` and maximizes the norm of
-    ``r p_j + M_hat v_hat`` over unit ``v_hat``, where ``M_hat`` holds the
-    ``l_j - 1`` largest admissible columns of Q_j^T with position < j and
-    ``p_j`` is the column of Q_j^T at position j.  The solution is the
-    leading right singular vector of ``M_hat`` with its sign matched to the
-    first component of ``U_hat^T p_j`` (+1 when that component vanishes).
-    """
-    admissible = np.asarray(admissible, dtype=np.int64)
-    admissible = admissible[admissible < j]
-    if len(admissible) == 0 or l_j <= 1:
-        return np.array([j], dtype=np.int64), np.array([policy.r])
-
-    ranked = rank_by_qt_norm(q_thin, active_rows, admissible)
-    chosen = np.sort(admissible[ranked[: l_j - 1]])
-
-    m_hat = _qt_columns(q_thin, active_rows, chosen)
-    p_j = _qt_columns(q_thin, active_rows, np.array([j]))[:, 0]
-    f = _svd_nonzero_columns(m_hat)
-    p_tilde = f.u.T @ p_j
-    sign = 1.0 if p_tilde[0] >= 0.0 else -1.0
-    v_hat = sign * f.v[:, 0]
-
-    idx = np.concatenate([chosen, [j]])
-    val = np.concatenate([v_hat, [policy.r]])
-    keep = val != 0.0
-    return idx[keep], val[keep]
 
 
 # unit roundoff of float64
@@ -217,18 +153,17 @@ def _positions(n, columns):
 def _visible_factors(ch):
     """One :func:`qr_householder` call per column of the chunk.
 
-    Returns ``(q, start, r, rank, deficient)``.  ``q`` holds the rows of
-    each Q_j at its visible candidates (all that the column problem reads
-    of Q_j), column after column; the row of V position ``e`` starts at
-    ``start[e]``.  ``r`` lists the R_j, and ``deficient`` maps each
-    rank-deficient column to its block and factors.
+    Returns ``(q, start, r, rank)``.  ``q`` holds the rows of each Q_j at
+    its visible candidates (all that the column problem reads of Q_j),
+    column after column; the row of V position ``e`` starts at
+    ``start[e]``.  ``r`` lists the R_j.
     """
     vis, vptr, local = ch.v_visible()
     row_off = np.concatenate([[0], np.cumsum(np.diff(vptr) * ch.k)])
     col = ch.v_col[vis]
     start = np.zeros(len(ch.v_col), dtype=np.int64)
     start[vis] = row_off[col] + (np.arange(len(vis)) - vptr[col]) * ch.k[col]
-    q, r, rank, deficient = np.empty(row_off[-1]), [], np.empty(len(ch.cols), np.int64), {}
+    q, r, rank = np.empty(row_off[-1]), [], np.empty(len(ch.cols), np.int64)
     spans = zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]), row_off[:-1].tolist(),
                 row_off[1:].tolist())
     for c, (block, rows, lo, hi) in enumerate(spans):
@@ -236,62 +171,80 @@ def _visible_factors(ch):
         q[lo:hi] = f.q_thin[rows].ravel()
         r.append(f.r)
         rank[c] = f.rank
-        if f.rank < len(f.r):
-            deficient[c] = block, f
-    return q, start, r, rank, deficient
+    return q, start, r, rank
 
 
-def _leading_directions(ch, q, start):
-    """Leading right singular vector and value of each column's ``m_j``.
+def _leading_directions(ch, q, start, mask):
+    """Leading singular triplet of each column's ``m_j``.
 
-    ``m_j`` is Q_j^T at the candidate rows.  Its SVD runs over the nonzero
-    columns only, stacked over the columns whose ``m_j`` has one shape, so
-    a candidate that A_j cannot see gets an exact zero, never roundoff.
-    Returns ``(lead, sigma)``, ``lead`` on the V positions of the chunk.
+    ``m_j`` is Q_j^T at the visible V positions where ``mask`` is true.
+    Its SVD runs over the nonzero columns only, stacked over the columns
+    whose ``m_j`` has one shape, so a position that A_j cannot see gets an
+    exact zero, never roundoff.  Returns ``(lead, sigma, u1)``: the right
+    vector on the V positions of the chunk, the value per column (0 where
+    ``m_j`` has no nonzero column) and the left vector on the column's
+    W slots, laid out like ``ch.sets``.
     """
     col, k = ch.v_col, ch.k
     live = np.zeros(len(col), dtype=bool)
-    vis = np.flatnonzero(ch.v_seen)
+    vis = np.flatnonzero(mask)
     for kk in np.unique(k[col[vis]]).tolist():
         e = vis[k[col[vis]] == kk]
         live[e] = q[start[e][:, None] + np.arange(kk)].any(axis=1)
     live = np.flatnonzero(live)
     n_live = np.bincount(col[live], minlength=len(ch.cols))
     first = np.cumsum(n_live) - n_live
-    lead, sigma = np.zeros(len(col)), np.zeros(len(ch.cols))
+    lead, sigma, u1 = np.zeros(len(col)), np.zeros(len(ch.cols)), np.zeros(ch.set_ptr[-1])
     shape = k * (n_live.max() + 1) + n_live
     for key in np.unique(shape[n_live > 0]).tolist():
         cols = np.flatnonzero(shape == key)
         width, kk = int(n_live[cols[0]]), int(k[cols[0]])
         e = live[first[cols][:, None] + np.arange(width)]
-        _, sig, v = _svd_signed(np.swapaxes(q[start[e][..., None] + np.arange(kk)], 1, 2))
+        u, sig, v = _svd_signed(np.swapaxes(q[start[e][..., None] + np.arange(kk)], 1, 2))
         lead[e], sigma[cols] = v[:, :, 0], sig[:, 0]
-    return lead, sigma
+        u1[ch.set_ptr[cols][:, None] + np.arange(kk)] = u[:, :, 0]
+    return lead, sigma, u1
 
 
-def _full_rank_solves(ch, q, start, r, full, val):
-    """``w_j = R_j^{-1} Q_j^T v_j`` for the full-rank columns, roundoff dropped.
+def _solves(ch, q, start, r, rank, val):
+    """``w_j = R_j^+ Q_j^T v_j`` for the columns of the chunk, stacked by k.
 
-    Stacked over the columns with one k.  ``Q_j^T v_j`` sums the rows of
-    Q_j at the visible candidates, weighted by ``val``.  Returns the
-    chunk's W values, zero for the other columns.
+    ``Q_j^T v_j`` sums the rows of Q_j at the visible candidates, weighted
+    by ``val``.  A full-rank R_j is solved directly and the roundoff of
+    the solution dropped.  A rank-deficient one is inverted through its
+    SVD, with the singular values up to ``RANK_TOL ||A_j||_F`` cut as
+    :func:`~diafact.kernels.lstsq` cuts them.  Returns the chunk's W
+    values.
     """
     col, k = ch.v_col, ch.k
     w = np.zeros(ch.set_ptr[-1])
-    for kk in np.unique(k[full]).tolist():
-        cols = np.flatnonzero(full & (k == kk))
+    full = rank == k
+    if not full.all():
+        owner = np.arange(len(ch.cols)).repeat(k)[ch.entry_set]
+        fro = np.sqrt(np.bincount(owner, weights=ch.val * ch.val, minlength=len(ch.cols)))
+    for kk in np.unique(k).tolist():
+        cols = np.flatnonzero(k == kk)
         span = np.arange(kk)
-        e = np.flatnonzero(ch.v_seen & full[col] & (k[col] == kk))
+        e = np.flatnonzero(ch.v_seen & (k[col] == kk))
         slot = _positions(len(ch.cols), cols)[col[e]]
         qtb = np.bincount((slot[:, None] * kk + span).ravel(),
                           weights=(q[start[e][:, None] + span] * val[e][:, None]).ravel(),
                           minlength=len(cols) * kk).reshape(len(cols), kk, 1)
         r_k = np.stack([r[c] for c in cols.tolist()])
-        sol = np.linalg.solve(r_k, qtb)[:, :, 0]
-        r_diag = np.abs(np.diagonal(r_k, axis1=1, axis2=2))
-        bound = ch.m[cols].clip(min=kk) * kk * _U * r_diag.max(axis=1) / r_diag.min(axis=1)
-        bound *= np.sqrt((sol * sol).sum(axis=1))
-        w[ch.set_ptr[cols][:, None] + span] = np.where(np.abs(sol) < bound[:, None], 0.0, sol)
+        sol, f = np.empty((len(cols), kk)), full[cols]
+        if f.any():
+            x = np.linalg.solve(r_k[f], qtb[f])[:, :, 0]
+            r_diag = np.abs(np.diagonal(r_k[f], axis1=1, axis2=2))
+            bound = ch.m[cols[f]].clip(min=kk) * kk * _U * r_diag.max(axis=1) / r_diag.min(axis=1)
+            bound *= np.sqrt((x * x).sum(axis=1))
+            sol[f] = np.where(np.abs(x) < bound[:, None], 0.0, x)
+        if not f.all():
+            u, sigma, v = _svd_signed(r_k[~f])
+            inv = np.where(sigma > RANK_TOL * fro[cols[~f]][:, None],
+                           1.0 / np.where(sigma > 0, sigma, 1.0), 0.0)
+            y = inv * (np.swapaxes(u, 1, 2) @ qtb[~f])[:, :, 0]
+            sol[~f] = (v @ y[:, :, None])[:, :, 0]
+        w[ch.set_ptr[cols][:, None] + span] = sol
     return w
 
 
@@ -301,9 +254,10 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     Per chunk: one :func:`qr_householder` call per column; the SVD of the
     candidate part ``m_j`` of Q_j^T, stacked over the columns whose
     ``m_j`` (over its nonzero columns) has one shape; the sign rules in
-    array passes; the solve ``R_j w_j = Q_j^T v_j``, stacked over the
-    columns with one k; and the residuals in array passes.  Stabilized,
-    fallback and rank-deficient columns take their own per-column steps.
+    array passes; the solve ``w_j = R_j^+ Q_j^T v_j``, stacked over the
+    columns with one k; and the residuals in array passes.  A stabilized
+    column takes a second pass of the same SVD over its admissible
+    positions.
 
     Entries of a full-rank solve's ``w_j`` below ``m k u kappa ||w_j||``
     are dropped, where the block factored is ``m x k``, ``u`` is the unit
@@ -319,9 +273,8 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     where = _positions(n, columns)
     for ch in column_chunks(a, w_pattern, v_pattern, columns):
         i, size, col, seen = where[ch.cols], len(ch.cols), ch.v_col, ch.v_seen
-        seg = np.searchsorted(col, np.arange(size + 1))
-        q, start, r, rank, deficient = _visible_factors(ch)
-        lead, sigma = _leading_directions(ch, q, start)
+        q, start, r, rank = _visible_factors(ch)
+        lead, sigma, _ = _leading_directions(ch, q, start, seen)
 
         diag = np.flatnonzero(ch.v_rows == ch.cols[col])
         lead *= np.where(lead[diag] < 0.0, -1.0, 1.0)[col]
@@ -332,22 +285,21 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
         val = lead * norms[i][col]
         val[fallback[col]] = 0.0
         val[diag[fallback]] = norms[i][fallback]
-        for c in np.flatnonzero(stabilize).tolist():
-            vcols = ch.v_rows[seg[c]:seg[c + 1]]
-            visible = seen[seg[c]:seg[c + 1]]
-            q_c = q[start[seg[c]:seg[c + 1]][visible][:, None] + np.arange(ch.k[c])]
-            idx, sval = stabilize_column(q_c, vcols[visible], int(ch.cols[c]), len(vcols),
-                                         policy, vcols)
-            val[seg[c]:seg[c + 1]] = 0.0
-            val[seg[c] + np.searchsorted(vcols, idx)] = sval
+        if stabilize.any():
+            # v_jj = r; the rest is the leading direction over the visible
+            # admissible positions (< j), signed by u_1 . (row of Q_j at j),
+            # and nothing where none of them is visible
+            lead, _, u1 = _leading_directions(
+                ch, q, start, seen & stabilize[col] & (ch.v_rows < ch.cols[col]))
+            c = np.flatnonzero(stabilize & seen[diag])
+            slot, owner = _span_gather(ch.set_ptr, c)
+            at_j = (start[diag] - ch.set_ptr[:-1])[c][owner] + slot
+            align = np.bincount(c[owner], weights=u1[slot] * q[at_j], minlength=size)
+            redo = stabilize[col]
+            val[redo] = (lead * np.where(align < 0.0, -1.0, 1.0)[col])[redo]
+            val[diag[stabilize]] = policy.r
 
-        w = _full_rank_solves(ch, q, start, r, rank == ch.k, val)
-        for c, (block, f) in deficient.items():
-            sub = ColumnSubmatrix(n, ch.sets[ch.set_ptr[c]:ch.set_ptr[c + 1]],
-                                  ch.active[ch.row_ptr[c]:ch.row_ptr[c + 1]], block[:ch.m[c]])
-            keep = np.flatnonzero(val[seg[c]:seg[c + 1]]) + seg[c]
-            sol = lstsq(sub, SparseVector(n, ch.v_rows[keep], val[keep]), f)
-            w[ch.set_ptr[c]:ch.set_ptr[c + 1]] = sol.solution
+        w = _solves(ch, q, start, r, rank, val)
 
         # ||A_j w_j - v_j||: the block's entries times w_j, less v_j on the
         # active rows, plus the part of v_j outside them

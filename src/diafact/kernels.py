@@ -1,4 +1,4 @@
-"""Small dense factorization kernels used per column of the sparse algorithms.
+"""Small dense factorization kernels for the column problems.
 
 All routines here operate on row-compressed column blocks whose dimensions
 are tiny compared with the host matrix.  QR and SVD call numpy's LAPACK and
@@ -6,8 +6,11 @@ then fix the signs LAPACK leaves free (nonnegative R diagonal; each right
 singular vector's largest component nonnegative), so callers see one
 convention whatever the build.  The same rules apply to stacks of blocks
 through ``_qr_signed`` and ``_svd_signed``, which the column sweeps call
-once per group of equally shaped blocks.  Everything is pure and
-reentrant.
+once per group of equally shaped blocks.  :func:`qr_householder` factors
+one block, once per column in diaf-q and in the V selection;
+:func:`svd_small` and :func:`lstsq` are the one-column forms of the sweep's
+stacked SVD and solve, kept for direct use and as references.  Everything
+is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ __all__ = [
     "qr_householder",
     "svd_small",
     "lstsq",
-    "rank_by_qt_norm",
     "lu_factor",
     "lu_solve",
 ]
@@ -148,16 +150,14 @@ def pad_tall(block):
     return np.vstack([block, np.zeros((k - rows, k))])
 
 
-def lstsq(a_j, rhs, qr=None):
+def lstsq(a_j, rhs):
     """Minimum-norm least squares ``min ||a_j w - rhs||_2``.
 
     ``a_j`` is a :class:`ColumnSubmatrix`; ``rhs`` is a sparse n-vector.
-    ``qr`` is the :func:`qr_householder` factorization of
-    ``pad_tall(a_j.dense_block)`` when the caller already has it; without
-    it the block is factored here.  Components of ``rhs`` outside the
-    active rows of ``a_j`` cannot be reached by any ``w``; they are
-    excluded from the solve but included in the reported residual.  A
-    rank-deficient block falls back to an SVD pseudoinverse and is flagged.
+    Components of ``rhs`` outside the active rows of ``a_j`` cannot be
+    reached by any ``w``; they are excluded from the solve but included in
+    the reported residual.  A rank-deficient block falls back to an SVD
+    pseudoinverse and is flagged.
     """
     if not isinstance(a_j, ColumnSubmatrix):
         raise TypeError("a_j must be a ColumnSubmatrix")
@@ -172,8 +172,7 @@ def lstsq(a_j, rhs, qr=None):
 
     block = pad_tall(a_j.dense_block)
     b_pad = np.concatenate([b_act, np.zeros(block.shape[0] - len(b_act))])
-    if qr is None:
-        qr = qr_householder(block)
+    qr = qr_householder(block)
     qtb = qr.q_thin.T @ b_pad
     if qr.rank == k:
         w = np.linalg.solve(qr.r, qtb)
@@ -187,19 +186,6 @@ def lstsq(a_j, rhs, qr=None):
     in_res = a_j.dense_block @ w - b_act
     residual = float(np.sqrt(np.dot(in_res, in_res) + out_sq))
     return LstsqResult(w, residual, flagged)
-
-
-def rank_by_qt_norm(q_thin, active_rows, positions):
-    """Order of ``positions`` by the norm of their column of Q_j^T, largest first.
-
-    A position outside ``active_rows`` scores zero; ties go to the smaller
-    position, so the leading ``k`` of the order nest as ``k`` grows.
-    """
-    pos, inside = sorted_lookup(active_rows, positions)
-    scores = np.zeros(len(positions))
-    rows = q_thin[pos[inside], :]
-    scores[inside] = np.sqrt((rows * rows).sum(axis=1))
-    return np.lexsort((positions, -scores))
 
 
 def lu_factor(a):

@@ -78,6 +78,14 @@ class NeumannConfig:
             raise ValueError("truncation depth must be nonnegative")
 
 
+def _top_per_column(col, idx, score, p):
+    """Positions of the at most ``p`` largest-``score`` entries of each
+    column ``col`` groups, with ties to the smaller ``idx``."""
+    order = np.lexsort((idx, -score, col))
+    c = col[order]
+    return order[np.arange(len(order)) - np.searchsorted(c, c) < p]
+
+
 def _drop_mask(col, idx, val, rule, protect):
     """Entries of column segments that a :class:`DropRule` keeps.
 
@@ -96,10 +104,8 @@ def _drop_mask(col, idx, val, rule, protect):
         keep = mag >= rule.tau * np.repeat(col_max, np.diff(starts, append=len(mag)))
     if rule.p > 0:
         cand = np.flatnonzero(keep)
-        ranked = cand[np.lexsort((idx[cand], -mag[cand], col[cand]))]
-        rank = np.arange(len(ranked)) - np.searchsorted(col[ranked], col[ranked])
         keep = np.zeros(len(val), dtype=bool)
-        keep[ranked[rank < rule.p]] = True
+        keep[cand[_top_per_column(col[cand], idx[cand], mag[cand], rule.p)]] = True
     if protect is not None:
         keep |= idx == protect
     return keep
@@ -278,9 +284,6 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
                                        vptr[:-1].tolist(), vptr[1:].tolist()):
             qt = qr_householder(block).q_thin[rows]
             scores[vis[lo:hi]] = np.sqrt((qt * qt).sum(axis=1))
-        # rank each column's candidates by score, ties to the smaller row
-        order = np.lexsort((ch.v_rows, -scores, ch.v_col))
-        col = ch.v_col[order]
-        best = order[np.arange(len(order)) - np.searchsorted(col, col) < k_v]
+        best = _top_per_column(ch.v_col, ch.v_rows, scores, k_v)
         keys.append(ch.cols[ch.v_col[best]] * n + ch.v_rows[best])
     return SubspacePattern.from_keys(n, np.unique(np.concatenate(keys)))

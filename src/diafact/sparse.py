@@ -93,17 +93,9 @@ class SparseMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        order = np.lexsort((rows, cols))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if len(rows):
-            new_group = np.empty(len(rows), dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (np.diff(cols) != 0) | (np.diff(rows) != 0)
-            starts = np.nonzero(new_group)[0]
-            summed = np.add.reduceat(values, starts) if len(starts) else values[:0]
-            rows, cols, values = rows[starts], cols[starts], summed
-        keep = values != 0.0
-        return cls(n_rows, n_cols, _col_ptr(cols[keep], n_cols), rows[keep], values[keep])
+        keys, values = merge_sum(cols * n_rows + rows, values)
+        cols = keys // n_rows
+        return cls(n_rows, n_cols, _col_ptr(cols, n_cols), keys - cols * n_rows, values)
 
     @classmethod
     def from_dense(cls, a):
@@ -473,11 +465,12 @@ def read_matrix_market(path):
             raise MatrixMarketError(f"{path}:{lineno}: malformed size line") from None
         if min(n_rows, n_cols, nnz) < 0:
             raise MatrixMarketError(f"{path}:{lineno}: negative count in size line")
+        if min(n_rows, n_cols) == 0:
+            raise MatrixMarketError(f"{path}:{lineno}: the matrix is empty ({n_rows} x {n_cols})")
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        k = 0
+        # the declared count is checked at the end, never trusted for an
+        # allocation
+        rows, cols, vals = [], [], []
         for line in fh:
             lineno += 1
             s = line.strip()
@@ -490,14 +483,16 @@ def read_matrix_market(path):
                 raise MatrixMarketError(f"{path}:{lineno}: malformed entry") from None
             if not math.isfinite(v):
                 raise MatrixMarketError(f"{path}:{lineno}: non-finite entry")
-            if k >= nnz:
+            if len(rows) >= nnz:
                 raise MatrixMarketError(f"{path}:{lineno}: more entries than declared")
             if not (1 <= i <= n_rows and 1 <= j <= n_cols):
                 raise MatrixMarketError(f"{path}:{lineno}: index out of range")
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
-            k += 1
-        if k != nnz:
-            raise MatrixMarketError(f"{path}: declared {nnz} entries, found {k}")
+            rows.append(i - 1)
+            cols.append(j - 1)
+            vals.append(v)
+        if len(rows) != nnz:
+            raise MatrixMarketError(f"{path}: declared {nnz} entries, found {len(rows)}")
+    rows, cols, vals = np.array(rows, np.int64), np.array(cols, np.int64), np.array(vals)
 
     if symmetry == "symmetric":
         off = rows != cols

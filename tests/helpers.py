@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from diafact.factor import stabilize_column
 from diafact.kernels import lstsq, pad_tall, qr_householder, svd_small
 from diafact.patterns import _V0Solver
 from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern, extract_columns, merge_sum
@@ -102,6 +101,23 @@ def _qt_at(q_thin, active_rows, positions):
     return m
 
 
+def _stabilized_reference(q_thin, active_rows, vcols, j, r):
+    """A stabilized v_j over ``vcols``: ``r`` at j, and on the admissible
+    positions below j that A_j can see, the leading right singular vector
+    of those columns of Q_j^T, signed so that its left partner has a
+    nonnegative product with the column of Q_j^T at j.  With no such
+    position, ``r e_j``."""
+    v = np.where(vcols == j, r, 0.0)
+    below = np.flatnonzero(vcols < j)
+    m_hat = _qt_at(q_thin, active_rows, vcols[below])
+    live = np.any(m_hat != 0.0, axis=0)
+    if live.any():
+        f = svd_small(m_hat[:, live])
+        p_j = _qt_at(q_thin, active_rows, [j])[:, 0]
+        v[below[live]] = f.v[:, 0] if f.u[:, 0] @ p_j >= 0.0 else -f.v[:, 0]
+    return v
+
+
 def diaf_q_column_reference(a, w_pattern, v_pattern, j, policy, target_norm=1.0):
     """One diaf-q column solved on its own, kernel by kernel.
 
@@ -135,13 +151,11 @@ def diaf_q_column_reference(a, w_pattern, v_pattern, j, policy, target_norm=1.0)
             v_loc = -v_loc
         if abs(v_loc[dpos]) < policy.threshold:
             stabilized = True
-            idx, val = stabilize_column(qr.q_thin, sub.active_rows, j, len(vcols), policy, vcols)
-            v_loc[:] = 0.0
-            v_loc[np.searchsorted(vcols, idx)] = val
+            v_loc = _stabilized_reference(qr.q_thin, sub.active_rows, vcols, j, policy.r)
         else:
             v_loc = v_loc * target_norm
     keep = v_loc != 0.0
-    sol = lstsq(sub, SparseVector(n, vcols[keep], v_loc[keep]), qr)
+    sol = lstsq(sub, SparseVector(n, vcols[keep], v_loc[keep]))
     w = sol.solution.copy()
     if not sol.rank_deficient:
         d = np.abs(np.diag(qr.r))

@@ -229,3 +229,82 @@ class TestCli:
         assert code == 0
         captured = capsys.readouterr().out
         assert '"problem": "eye"' in captured
+
+
+def _malformed(rng, kind):
+    """A small Matrix Market text broken in one way, with the stage and the
+    message fragment its run must end with."""
+    n = int(rng.integers(2, 7))
+    dense = np.diag(rng.uniform(1.0, 2.0, n)) + rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+    rows, cols = np.nonzero(dense)
+    entries = [[int(i) + 1, int(j) + 1, repr(float(dense[i, j]))] for i, j in zip(rows, cols)]
+    banner, size = "%%MatrixMarket matrix coordinate real general", f"{n} {n} {len(entries)}"
+    e = int(rng.integers(len(entries)))
+    if kind == "truncated entry":
+        entries[e] = entries[e][:2]
+        expect = "read", "malformed entry"
+    elif kind in ("index 0", "index above n"):
+        entries[e][int(rng.integers(2))] = 0 if kind == "index 0" else n + 1
+        expect = "read", "index out of range"
+    elif kind == "skew-symmetric":
+        banner = banner.replace("general", "skew-symmetric")
+        expect = "read", "unsupported symmetry 'skew-symmetric'"
+    elif kind == "pattern":
+        banner = banner.replace("real", "pattern")
+        expect = "read", "unsupported field 'pattern'"
+    elif kind == "array":
+        banner, size = banner.replace("coordinate", "array"), f"{n} {n}"
+        entries = [[repr(float(x))] for x in dense.T.ravel()]
+        expect = "read", "only coordinate matrices are supported"
+    elif kind == "empty file":
+        return "", ("read", "missing MatrixMarket banner")
+    elif kind == "banner only":
+        return banner + "\n", ("read", "missing size line")
+    elif kind == "n=1":
+        size, entries = "1 1 1", [[1, 1, "0.0"]]
+        expect = "transversal", "column 0 is empty"
+    elif kind == "cancelling duplicates":
+        c = int(cols[e])
+        entries += [[i, j, repr(-float(v))] for i, j, v in entries if j == c + 1]
+        size = f"{n} {n} {len(entries)}"
+        expect = "transversal", f"column {c} is empty"
+    elif kind == "zero row":
+        r = int(rows[e])
+        entries += [[i, j, repr(-float(v))] for i, j, v in entries if i == r + 1]
+        size = f"{n} {n} {len(entries)}"
+        expect = "transversal", "structurally singular matrix"
+    elif kind == "zero size":
+        size, entries = "0 0 0", []
+        expect = "read", "the matrix is empty (0 x 0)"
+    elif kind == "huge declared count":
+        size = f"{n} {n} 99999999999"
+        expect = "read", f"declared 99999999999 entries, found {len(entries)}"
+    lines = [banner, size] + [" ".join(map(str, entry)) for entry in entries]
+    return "\n".join(lines) + "\n", expect
+
+
+class TestMalformedInputs:
+    KINDS = ("truncated entry", "index 0", "index above n", "skew-symmetric", "pattern", "array",
+             "empty file", "banner only", "n=1", "cancelling duplicates", "zero row",
+             "zero size", "huge declared count")
+
+    def test_each_ends_in_a_named_stage_with_exit_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        for draw in range(3):
+            for kind in self.KINDS:
+                text, (stage, fragment) = _malformed(rng, kind)
+                path = tmp_path / f"draw{draw}.mtx"
+                path.write_text(text)
+                messages = []
+                for _ in range(2):
+                    assert cli.main(["--matrix", str(path)]) == 1, kind
+                    messages.append(capsys.readouterr().err)
+                assert messages[0] == messages[1], kind
+                assert f"failed in stage '{stage}'" in messages[0], (kind, messages[0])
+                assert fragment in messages[0], (kind, messages[0])
+
+    def test_one_by_one_matrix_converges(self, tmp_path, capsys):
+        path = tmp_path / "one.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 -3.5\n")
+        assert cli.main(["--matrix", str(path)]) == 0
+        assert "status=converged" in capsys.readouterr().out

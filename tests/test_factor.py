@@ -10,7 +10,6 @@ from diafact.factor import (
     diaf_q_column,
     diaf_s,
     diaf_s_column,
-    stabilize_column,
 )
 from diafact.kernels import qr_householder
 from diafact.sparse import (
@@ -207,55 +206,94 @@ class TestDiafQ:
 
 
 class TestStabilize:
-    def policy(self, r=2.0):
-        return StabilizationPolicy(threshold=1e-2, r=r)
+    """Stabilized columns, solved through the sweep."""
 
-    def setup_qt(self, rng, n=8, k=4):
-        a = random_sparse(rng, n, density=0.5)
-        sub = extract_columns(a, np.arange(k) * 2)
-        q = qr_householder(sub.dense_block).q_thin
-        return q, sub.active_rows
+    @staticmethod
+    def stabilized(a, wp, vp, j, r=2.0, threshold=1.0):
+        _, v, rep = diaf_q_column(a, wp, vp, j, StabilizationPolicy(threshold=threshold, r=r))
+        assert rep.stabilized
+        return v
+
+    @staticmethod
+    def random_problem(seed, n=8):
+        rng = np.random.default_rng(seed)
+        return random_sparse(rng, n, density=0.5), random_pattern(rng, n, per_col=3), full_pattern(n)
 
     def test_direction_independent_of_r(self):
-        rng = np.random.default_rng(6)
-        q, act = self.setup_qt(rng)
+        a, wp, vp = self.random_problem(6)
         j = 6
-        admissible = np.arange(6)
         results = []
         for r in (0.5, 2.0, 10.0):
-            idx, val = stabilize_column(q, act, j, 4, self.policy(r), admissible)
-            off = idx != j
-            results.append((idx[off], val[off]))
-            assert val[~off][0] == pytest.approx(r)
+            v = self.stabilized(a, wp, vp, j, r)
+            off = v.idx != j
+            assert np.array_equal(v.val[~off], [r])
+            assert off.any() and np.all(v.idx[off] < j)
+            results.append((v.idx[off], v.val[off]))
         for idx, val in results[1:]:
             assert np.array_equal(idx, results[0][0])
-            assert np.allclose(val, results[0][1])
+            assert np.array_equal(val, results[0][1])
 
     def test_no_admissible_positions(self):
-        rng = np.random.default_rng(7)
-        q, act = self.setup_qt(rng)
-        idx, val = stabilize_column(q, act, 0, 3, self.policy(), np.array([0]))
-        assert np.array_equal(idx, [0])
-        assert val[0] == pytest.approx(2.0)
+        a, wp, vp = self.random_problem(7)
+        v = self.stabilized(a, wp, vp, 0)
+        assert np.array_equal(v.idx, [0])
+        assert np.array_equal(v.val, [2.0])
+
+    def test_unreachable_admissible_positions_are_left_out(self):
+        # A_4 is column 5 of A, on rows {0, 5}: of V_4 = {3, 4, 5} only 5 is
+        # visible, so v_44 = 0 and the column is stabilized, and its one
+        # admissible position 3 cannot be reached
+        dense = np.eye(6)
+        dense[0, 5] = 1.0
+        a = SparseMatrix.from_dense(dense)
+        wp = SubspacePattern(6, [[0], [1], [2], [3], [5], [5]])
+        vp = SubspacePattern(6, [[0], [1], [2], [3], [3, 4, 5], [5]])
+        v = self.stabilized(a, wp, vp, 4, threshold=0.1)
+        assert np.array_equal(v.idx, [4])
+        assert np.array_equal(v.val, [2.0])
+        pair = diaf_q(a, wp, vp, StabilizationPolicy(threshold=0.1))
+        assert pair.stab_count == 1
+        assert np.array_equal(pair.v.column(4)[0], [4])
 
     def test_zero_alignment_picks_plus_sign(self):
-        # p_j = 0 when row j is outside the active rows, so the first
-        # component of U^T p_j vanishes and the +1 branch is taken
-        q = np.eye(3)
-        act = np.array([0, 1, 2])
-        idx, val = stabilize_column(q, act, 4, 2, self.policy(), np.array([1]))
-        assert np.array_equal(idx, [1, 4])
-        assert val[0] > 0
+        # row 4 is not an active row of A_4 (columns 0-2 of the identity),
+        # so the column of Q_4^T at 4 vanishes, its product with the left
+        # singular vector is 0 and the +1 branch is taken
+        a = SparseMatrix.identity(5)
+        wp = SubspacePattern(5, [[0], [1], [2], [3], [0, 1, 2]])
+        vp = SubspacePattern(5, [[0], [1], [2], [3], [1, 4]])
+        v = self.stabilized(a, wp, vp, 4)
+        assert np.array_equal(v.idx, [1, 4])
+        assert v.val[0] > 0
 
     def test_aligned_case_keeps_leading_vector(self):
-        rng = np.random.default_rng(8)
-        q, act = self.setup_qt(rng)
+        a, wp, vp = self.random_problem(8)
         j = 7
-        adm = np.arange(5)
-        idx, val = stabilize_column(q, act, j, 3, self.policy(), adm)
+        v = self.stabilized(a, wp, vp, j)
         # the selected off-diagonal part is a unit vector by construction
-        off = idx != j
-        assert np.dot(val[off], val[off]) == pytest.approx(1.0, abs=1e-12)
+        off = v.idx != j
+        assert np.dot(v.val[off], v.val[off]) == pytest.approx(1.0, abs=1e-12)
+        assert v.val[~off][0] == 2.0
+
+    def test_diagonal_floor_holds_on_random_problems(self):
+        rng = np.random.default_rng(17)
+        stabilized = 0
+        for _ in range(20):
+            n = int(rng.integers(4, 14))
+            a = random_sparse(rng, n, density=float(rng.uniform(0.1, 0.5)),
+                              dominant=bool(rng.integers(2)))
+            wp = random_pattern(rng, n, per_col=int(rng.integers(1, 4)))
+            vp = random_pattern(rng, n, per_col=int(rng.integers(1, 5)))
+            policy = StabilizationPolicy(threshold=float(1.0 - rng.random()), r=[0.5, 2.0][rng.integers(2)])
+            pair = diaf_q(a, wp, vp, policy)
+            diag = pair.v.diagonal()
+            assert np.all(np.abs(diag) >= min(policy.r, policy.threshold))
+            reports = [diaf_q_column(a, wp, vp, j, policy)[2] for j in range(n)]
+            stab = np.array([rep.stabilized for rep in reports])
+            assert np.all(diag[stab] == policy.r)
+            assert pair.stab_count == stab.sum()
+            stabilized += pair.stab_count
+        assert stabilized > 0
 
     def test_integration_removes_tiny_diagonals(self):
         n = 4
