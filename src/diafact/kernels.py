@@ -9,8 +9,11 @@ through ``_qr_signed`` and ``_svd_signed``, which the column sweeps call
 once per group of equally shaped blocks.  :func:`qr_householder` factors
 one block, once per column in diaf-q and in the V selection;
 :func:`svd_small` and :func:`lstsq` are the one-column forms of the sweep's
-stacked SVD and solve, kept for direct use and as references.  Everything
-is pure and reentrant.
+stacked SVD and solve, kept for direct use and as references.  The block
+LU of V is stacked the same way: :func:`lu_factor_stack` and
+:func:`lu_solve_stack` work on all equally sized blocks at once, and
+:func:`lu_factor` and :func:`lu_solve` are their one-block case.
+Everything is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ __all__ = [
     "svd_small",
     "lstsq",
     "lu_factor",
+    "lu_factor_stack",
     "lu_solve",
+    "lu_solve_stack",
 ]
 
 # rank / pseudoinverse cutoff relative to the Frobenius norm of the input
@@ -191,37 +196,68 @@ def lstsq(a_j, rhs):
 def lu_factor(a):
     """Dense LU with partial pivoting; returns (lu, perm) with a[perm] = L @ U.
 
-    Raises ``ZeroDivisionError`` on an exactly singular block.
+    The one-block case of :func:`lu_factor_stack`.  Raises
+    ``ZeroDivisionError`` on an exactly singular block.
     """
-    lu = np.array(a, dtype=np.float64)
+    lu = np.asarray(a, dtype=np.float64)
     k = lu.shape[0]
     if lu.shape != (k, k):
         raise ValueError("square block expected")
-    perm = np.arange(k)
+    lu, perm, singular = lu_factor_stack(lu[None])
+    if singular[0]:
+        raise ZeroDivisionError("singular block in LU factorization")
+    return lu[0], perm[0]
+
+
+def lu_factor_stack(a):
+    """Partially pivoted LU of every block of a stack ``(s, k, k)``.
+
+    Returns ``(lu, perm, singular)`` with ``a[i][perm[i]] = L_i @ U_i``.
+    Each block takes the row operations of a one-block LU in the same order
+    (pivot on the first largest magnitude, scale the column, subtract the
+    outer product), so its factors are bitwise those of the block alone.
+    ``singular`` marks the blocks that met an exactly zero pivot; their
+    elimination goes on with a unit divisor, so their factors are not an LU.
+    """
+    lu = np.array(a, dtype=np.float64)
+    s, k, _ = lu.shape
+    perm = np.tile(np.arange(k), (s, 1))
+    singular = np.zeros(s, dtype=bool)
+    at = np.arange(s)
     for c in range(k):
-        piv = c + int(np.argmax(np.abs(lu[c:, c])))
-        if lu[piv, c] == 0.0:
-            raise ZeroDivisionError("singular block in LU factorization")
-        if piv != c:
-            lu[[c, piv]] = lu[[piv, c]]
-            perm[[c, piv]] = perm[[piv, c]]
-        lu[c + 1:, c] /= lu[c, c]
-        if c + 1 < k:
-            lu[c + 1:, c + 1:] -= np.outer(lu[c + 1:, c], lu[c, c + 1:])
-    return lu, perm
+        piv = c + np.argmax(np.abs(lu[:, c:, c]), axis=1)
+        pivot = lu[at, piv, c]
+        singular |= pivot == 0.0
+        lu[at, piv], lu[:, c] = lu[:, c], lu[at, piv]
+        perm[at, piv], perm[:, c] = perm[:, c], perm[at, piv]
+        lu[:, c + 1:, c] /= np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        lu[:, c + 1:, c + 1:] -= lu[:, c + 1:, c, None] * lu[:, c, None, c + 1:]
+    return lu, perm, singular
 
 
 def lu_solve(factors, b):
     """Solve ``a x = b`` given ``lu_factor(a)`` output.
 
     ``b`` is a vector or a k-row matrix of right-hand sides, so
-    ``lu_solve(f, np.eye(k))`` is the inverse of ``a``.
+    ``lu_solve(f, np.eye(k))`` is the inverse of ``a``.  The one-block case
+    of :func:`lu_solve_stack`.
     """
     lu, perm = factors
-    k = lu.shape[0]
-    x = np.asarray(b, dtype=np.float64)[perm].copy()
+    b = np.asarray(b, dtype=np.float64)
+    return lu_solve_stack(lu[None], perm[None], b.reshape(1, len(perm), -1)).reshape(b.shape)
+
+
+def lu_solve_stack(lu, perm, b):
+    """Solve ``a_i x_i = b_i`` for a stack of :func:`lu_factor_stack` factors.
+
+    ``b`` has shape ``(s, k, r)``.  Each row of the substitutions is one
+    stacked product, so every block's solve is bitwise that of the block
+    alone.
+    """
+    k = lu.shape[1]
+    x = np.take_along_axis(np.asarray(b, dtype=np.float64), perm[:, :, None], axis=1)
     for i in range(1, k):
-        x[i] -= np.dot(lu[i, :i], x[:i])
+        x[:, i] -= (lu[:, i:i + 1, :i] @ x[:, :i])[:, 0]
     for i in range(k - 1, -1, -1):
-        x[i] = (x[i] - np.dot(lu[i, i + 1:], x[i + 1:])) / lu[i, i]
+        x[:, i] = (x[:, i] - (lu[:, i:i + 1, i + 1:] @ x[:, i + 1:])[:, 0]) / lu[:, i, i, None]
     return x

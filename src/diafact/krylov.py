@@ -1,12 +1,15 @@
 """Applying the preconditioner: block LU of V, BiCGSTAB, condition estimate.
 
-The factor V lives in a block-diagonal or block-upper-triangular subspace,
-so applying V^{-1} reduces to one dense matvec per diagonal block, through
-block inverses built once from the blocks' LU factors, plus a block
-back-substitution.  The solver is right-preconditioned BiCGSTAB with
-the usual breakdown safeguards; convergence is declared when the recurrence
-residual has dropped by the requested factor, and a true-residual check is
-recorded alongside.
+The factor V lives in a block-diagonal or block-upper-triangular subspace.
+Its diagonal blocks are factored as stacks of equally sized blocks, and
+each block's inverse is built once from its LU.  A solve walks the DAG of
+the blocks level by level: the blocks of one size in a level are applied as
+one stacked product, and the entries above the blocks update the later
+levels as a sparse pass.  The same walk serves a vector or a block of
+right-hand sides, and V^T with the levels reversed.  The solver is
+right-preconditioned BiCGSTAB with the usual breakdown safeguards;
+convergence is declared when the recurrence residual has dropped by the
+requested factor, and a true-residual check is recorded alongside.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import lu_factor, lu_solve
+from .kernels import lu_factor_stack, lu_solve_stack
 from .sparse import spmv
 
 __all__ = [
@@ -36,11 +39,18 @@ BREAKDOWN = "breakdown"
 
 
 class SingularBlockError(Exception):
-    """A diagonal block of V is singular; stabilization may help."""
+    """Diagonal blocks of V are exactly singular; stabilization may help.
 
-    def __init__(self, block_index):
-        super().__init__(f"singular diagonal block {block_index}")
-        self.block_index = block_index
+    ``blocks`` holds every singular block in ascending order and
+    ``block_index`` the first of them.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = tuple(sorted(int(b) for b in np.atleast_1d(blocks)))
+        self.block_index = self.blocks[0]
+        super().__init__(
+            f"singular diagonal block {self.block_index} ({len(self.blocks)} singular in all)"
+        )
 
 
 @dataclass
@@ -60,68 +70,77 @@ class SolveReport:
 
 
 class VFactorization:
-    """Per-block dense LU of V, the block inverses built from it, and the
-    off-block structure; ``rho`` counts the LU, solves apply the inverses."""
+    """Dense LU of V's diagonal blocks, stacked by size, and the level plan
+    that applies the inverses built from it; ``rho`` counts the LU.
+
+    ``lu_stacks`` holds one ``(members, lu, perm)`` per block size: the
+    block numbers, ascending, and their :func:`lu_factor_stack` factors.
+    """
 
     __slots__ = (
-        "shape", "blocks", "v", "block_lu", "block_inv", "_off", "_off_rows", "_bounds", "_block_of"
+        "shape", "blocks", "v", "lu_stacks", "_off_nnz", "_order", "_place", "_level_of", "_levels"
     )
 
-    def __init__(self, shape, blocks, v, block_lu, off):
+    def __init__(self, shape, blocks, v, lu_stacks, off):
         self.shape = shape
         self.blocks = blocks
         self.v = v
-        self.block_lu = block_lu
-        self.block_inv = [lu_solve(f, np.eye(len(f[1]))) for f in block_lu]
-        self._off = off
-        # each block's distinct off-block rows, and each entry's slot among them
-        self._off_rows = [np.unique(rows, return_inverse=True) for rows, _, _ in off]
-        self._bounds = blocks.block_bounds.tolist()
-        self._block_of = blocks.block_of().tolist()
+        self.lu_stacks = lu_stacks
+        self._off_nnz = len(off[0])
+        self._order, self._place, self._level_of, self._levels = _level_plan(
+            blocks, lu_stacks, *off)
 
     @property
     def n(self):
         return self.blocks.n
 
     def solve(self, x):
-        """Solve ``V z = x`` for dense ``x`` by block back-substitution.
+        """Solve ``V z = x`` for a vector ``x`` or an ``(n, b)`` block of them.
 
-        The walk starts at the block of the last nonzero entry and, after
-        each block, jumps straight to the block of the last nonzero above
-        it: an all-zero segment solves to zero and updates nothing, so only
-        the blocks a sparse right-hand side reaches are solved.  This one
-        walk serves both the preconditioner apply and the V0 solves of the
-        patterns stage.
+        The walk goes level by level through the block DAG, from the level
+        of the first nonzero entry.  It first subtracts the off-block
+        entries that update the level's blocks, then applies each stack of
+        the level's equally sized blocks as one product with their
+        inverses, one matrix-vector product per block and right-hand side,
+        so a column's result does not depend on the others.  When ``x``
+        has a zero entry, a block whose right-hand side is all zero is
+        skipped; without one every block is applied, since a block that
+        cancels to zero solves to zero either way.  This one walk serves
+        the preconditioner apply and the V0 solves of the patterns stage.
         """
-        z = np.asarray(x, dtype=np.float64).copy()
-        hi = self.n
-        while hi:
-            if z[hi - 1] == 0.0:  # scan only past a zero: dense z is O(1) per block
-                nz = np.flatnonzero(z[:hi])
-                if not len(nz):
-                    break
-                hi = nz[-1] + 1
-            k = self._block_of[hi - 1]
-            lo, hi = self._bounds[k], self._bounds[k + 1]
-            z[lo:hi] = self.block_inv[k] @ z[lo:hi]
-            _, cols, vals = self._off[k]
-            if len(cols):
-                urows, slot = self._off_rows[k]
-                z[urows] -= np.bincount(slot, weights=vals * z[cols], minlength=len(urows))
-            hi = lo
-        return z
+        return self._walk(x, False)
 
     def solve_transpose(self, x):
-        """Solve ``V.T z = x`` for dense ``x``."""
-        z = np.asarray(x, dtype=np.float64).copy()
-        for k in range(self.blocks.n_blocks):
-            lo, hi = self._bounds[k], self._bounds[k + 1]
-            rows, cols, vals = self._off[k]
-            if len(rows):
-                z[lo:hi] -= np.bincount(cols - lo, weights=vals * z[rows], minlength=hi - lo)
-            if z[lo:hi].any():
-                z[lo:hi] = self.block_inv[k].T @ z[lo:hi]
-        return z
+        """Solve ``V.T z = x``: the walk of :meth:`solve`, levels reversed."""
+        return self._walk(x, True)
+
+    def _walk(self, x, transpose):
+        x = np.asarray(x, dtype=np.float64)
+        # one right-hand side per row, positions in the order of the stacks
+        z = np.ascontiguousarray(x.T[..., self._order]).reshape(-1, self.n)
+        b = len(z)
+        # the levels before the first nonzero entry solve to zero and update
+        # nothing; positions are in level order
+        reached = z.any(axis=0)
+        if transpose:
+            levels = self._levels[self._level_of[-1 - reached[::-1].argmax()]::-1]
+        else:
+            levels = self._levels[self._level_of[reached.argmax()]:]
+        sparse = not z.all()
+        for update, update_t, stacks in levels:
+            _subtract(z, update_t if transpose else update)
+            for lo, hi, k, inv in stacks:
+                if transpose:
+                    inv = np.swapaxes(inv, 1, 2)
+                seg = z[:, lo:hi].reshape(b, -1, k, 1)  # (right-hand side, block, row)
+                live = np.flatnonzero(seg.any(axis=2)) if sparse else None
+                if live is None or len(live) == b * len(inv):  # no gather of the inverses
+                    seg[...] = inv @ seg
+                elif len(live):
+                    rhs, blk = np.divmod(live, len(inv))
+                    seg[rhs, blk] = inv[blk] @ seg[rhs, blk]
+        z = z[:, self._place]
+        return z.T if x.ndim == 2 else z[0]
 
     def lu_nonzeros(self):
         """Nonzero counts (nz_l, nz_u) of the assembled LU factors of V.
@@ -130,49 +149,130 @@ class VFactorization:
         off-diagonal blocks of V belong to U.
         """
         nz_l = self.n  # unit diagonal
-        nz_u = 0
-        for lu, _ in self.block_lu:
+        nz_u = self._off_nnz
+        for _, lu, _ in self.lu_stacks:
             nz_l += int(np.count_nonzero(np.tril(lu, -1)))
             nz_u += int(np.count_nonzero(np.triu(lu)))
-        nz_u += sum(len(rows) for rows, _, _ in self._off)
         return nz_l, nz_u
+
+
+def _level_plan(blocks, lu_stacks, rows, cols, vals):
+    """The walk of :meth:`VFactorization.solve`: an order of the positions
+    and one entry per level.
+
+    The entries ``(rows, cols, vals)`` above the diagonal blocks, in CSC
+    order, couple blocks: solving block ``block_of[c]`` updates block
+    ``block_of[r]``.  A block's level is one more than the level of any
+    block whose solve updates it, so the blocks of one level do not touch.
+    Each level holds the update of its blocks for ``solve`` and for
+    ``solve_transpose``, and one stack per block size: its span in the
+    position order, the block size and the blocks' inverses.  The updates
+    subtract in the order of a block-by-block back-substitution: in
+    ``solve`` a row takes one sum per updating block, from the last block
+    down; in ``solve_transpose`` a column takes one sum over its entries.
+    """
+    block_of = blocks.block_of()
+    src, dst = block_of[cols], block_of[rows]
+    level = np.zeros(blocks.n_blocks, dtype=np.int64)
+    while len(src):  # longest path from the blocks nothing updates
+        deeper = level.copy()
+        np.maximum.at(deeper, dst, level[src] + 1)
+        if np.array_equal(deeper, level):
+            break
+        level = deeper
+    lo = blocks.block_bounds[:-1]
+    inverses = [
+        (members, lu_solve_stack(lu, perm, np.broadcast_to(np.eye(lu.shape[1]), lu.shape)))
+        for members, lu, perm in lu_stacks
+    ]
+    order, stacks = [], []
+    for lev in range(int(level.max()) + 1):
+        stacks.append([])
+        for members, inv in inverses:
+            at = level[members] == lev
+            if at.any():
+                k, start = inv.shape[1], sum(map(len, order))
+                order.append((lo[members[at], None] + np.arange(k)).ravel())
+                stacks[-1].append((start, start + len(order[-1]), k, inv[at]))
+    order = np.concatenate(order)
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    plan = []
+    for lev, level_stacks in enumerate(stacks):
+        e = np.flatnonzero(level[dst] == lev)
+        e = e[np.lexsort((-src[e], rows[e]))]
+        update = _update(place[cols[e]], place[rows[e]], src[e], vals[e])
+        e = np.flatnonzero(level[src] == lev)
+        update_t = _update(place[rows[e]], place[cols[e]], cols[e], vals[e])
+        plan.append((update, update_t, level_stacks))
+    return order, place, np.repeat(level, blocks.sizes)[order], plan
+
+
+def _update(src, tgt, key, vals):
+    """A sparse update ``z[tgt] -= vals * z[src]``: the entries of a run of
+    equal ``(tgt, key)`` are summed in order, and the runs subtract in
+    order.  Returns (src, run of each entry, vals, target of each run)."""
+    start = np.ones(len(tgt), dtype=bool)
+    start[1:] = (tgt[1:] != tgt[:-1]) | (key[1:] != key[:-1])
+    return src, np.cumsum(start) - 1, vals, tgt[start]
+
+
+def _subtract(z, update):
+    """Apply an :func:`_update` to every row of the C-ordered ``z``."""
+    src, run, vals, tgt = update
+    if len(src):
+        b, n, runs = *z.shape, len(tgt)
+        # the same update on each row, as flat indices into z; a vector
+        # skips the shift (shifting by 0 made a one-vector solve through the
+        # 72 levels of the cd2d-60 V about twice as slow)
+        if b > 1:
+            shift = np.arange(b)[:, None]
+            src, tgt = (src + n * shift).ravel(), (tgt + n * shift).ravel()
+            run, vals = (run + runs * shift).ravel(), np.tile(vals, b)
+        flat = z.reshape(-1)
+        np.subtract.at(flat, tgt, np.bincount(run, weights=vals * flat[src], minlength=len(tgt)))
 
 
 def factor_v(v, blocks, shape):
     """Factor V for fast inverse application under the given block shape.
 
-    Diagonal blocks get dense LU with partial pivoting and an inverse built
-    from it, so a solve applies each block as one matvec; for the
-    block-upper-triangular shape the entries above the diagonal blocks are
-    kept sparse for the block back-substitution.  Entries outside the shape
-    or a singular block raise.
+    The diagonal blocks of one size are gathered into one dense stack in
+    one index pass and factored together by :func:`lu_factor_stack`, and
+    their inverses are built from that LU; for the block-upper-triangular
+    shape the entries above the diagonal blocks stay sparse for the walk of
+    :meth:`VFactorization.solve`.  Shape errors (an unknown shape,
+    dimensions that disagree, an entry outside the shape) are checked over
+    the whole of V before any block is factored and raise ``ValueError``;
+    then one :class:`SingularBlockError` names every exactly singular block.
     """
     if shape not in ("block-diagonal", "block-upper-triangular"):
         raise ValueError(f"unknown shape '{shape}'")
     if v.n_rows != v.n_cols or v.n_cols != blocks.n:
         raise ValueError("V and block structure dimensions disagree")
 
-    entry_cols = v._entry_columns()
-    block_lu = []
-    off = []
-    for k in range(blocks.n_blocks):
-        lo, hi = blocks.bounds(k)
-        span = slice(v.col_ptr[lo], v.col_ptr[hi])
-        rows, cols, vals = v.row_idx[span], entry_cols[span], v.values[span]
-        above = rows < lo
-        outside = (rows >= hi) | (above & (shape == "block-diagonal"))
-        if outside.any():
-            raise ValueError(
-                f"entry outside the {shape} shape in column {cols[outside][0]}"
-            )
-        dense = np.zeros((hi - lo, hi - lo))
-        dense[rows[~above] - lo, cols[~above] - lo] = vals[~above]
-        try:
-            block_lu.append(lu_factor(dense))
-        except ZeroDivisionError:
-            raise SingularBlockError(k) from None
-        off.append((rows[above], cols[above], vals[above]))
-    return VFactorization(shape, blocks, v, block_lu, off)
+    cols = v._entry_columns()
+    block_of = blocks.block_of()
+    row_block, col_block = block_of[v.row_idx], block_of[cols]
+    above = row_block < col_block
+    outside = (row_block > col_block) | (above & (shape == "block-diagonal"))
+    if outside.any():
+        raise ValueError(f"entry outside the {shape} shape in column {cols[outside][0]}")
+    lo, sizes = blocks.block_bounds[:-1], blocks.sizes
+    slot = np.empty(blocks.n_blocks, dtype=np.int64)  # each block's place in its stack
+    stacks, singular = [], []
+    for size in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == size)
+        slot[members] = np.arange(len(members))
+        e = np.flatnonzero((row_block == col_block) & (sizes[col_block] == size))
+        b = col_block[e]
+        dense = np.zeros((len(members), size, size))
+        dense[slot[b], v.row_idx[e] - lo[b], cols[e] - lo[b]] = v.values[e]
+        lu, perm, bad = lu_factor_stack(dense)
+        stacks.append((members, lu, perm))
+        singular.extend(members[bad].tolist())
+    if singular:
+        raise SingularBlockError(singular)
+    return VFactorization(shape, blocks, v, stacks, (v.row_idx[above], cols[above], v.values[above]))
 
 
 def apply_right_precond(w, vf, x):

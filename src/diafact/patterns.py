@@ -6,12 +6,15 @@ driven by an initial subspace V0.  Given W, the pattern of the V subspace
 is then selected greedily per column by scoring admissible positions with
 the norms of the corresponding columns of Q_j^T.
 
-Both W constructions run as index passes over whole sparse matrices (only
-the V0 solves go column by column), summing in the order a per-column loop
-would.  The V selection reads the blocks A_j from the chunked column
-sweep of :func:`~diafact.sparse.column_chunks`, factors one block per
-call, and ranks the candidates of a whole chunk at once.  Inputs are
-read-only, so results are deterministic.
+Both W constructions run as index passes over whole sparse matrices,
+summing in the order a per-column loop would.  The V0 solves of S take a
+dense batch of columns through one walk of
+:meth:`~diafact.krylov.VFactorization.solve` each, and a column's
+solution does not depend on its batch.  The V selection reads the blocks
+A_j from the chunked column sweep of
+:func:`~diafact.sparse.column_chunks`, factors one block per call, and
+ranks the candidates of a whole chunk at once.  Inputs are read-only, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -135,9 +138,11 @@ class _V0Solver:
     """Solves with V0 = P_{V0}A.
 
     A diagonal V0 divides by its diagonal.  Any other V0 is factored by
-    :func:`factor_v` under the given blocks and shape, and each sparse
-    right-hand side goes through the block back-substitution of
-    :meth:`VFactorization.solve`, which solves only the blocks it reaches.
+    :func:`factor_v` under the given blocks and shape, and a batch of
+    right-hand sides goes through one walk of :meth:`VFactorization.solve`
+    as dense columns.  A zero on the diagonal of a diagonal V0 raises one
+    :class:`SingularBlockError` naming all such positions, as
+    :func:`factor_v` does for singular blocks.
     """
 
     def __init__(self, a, v0_pattern, blocks, v0_shape):
@@ -149,9 +154,9 @@ class _V0Solver:
         v0 = a.masked(v0_pattern.contains(a.entry_keys()))
         if v0_pattern.nnz == n:  # the diagonal alone
             d = v0.diagonal()
-            bad = np.nonzero(d == 0.0)[0]
+            bad = np.flatnonzero(d == 0.0)
             if len(bad):
-                raise SingularBlockError(int(bad[0]))
+                raise SingularBlockError(bad)
             self._diag = d
             self._vf = None
             return
@@ -160,57 +165,59 @@ class _V0Solver:
             raise ValueError("a non-diagonal V0 pattern needs its blocks")
         self._vf = factor_v(v0, blocks, v0_shape)
 
-    def solve_sparse(self, n, idx, val):
-        """Solve V0 z = c for a sparse right-hand side; returns sorted (idx, val)."""
-        if len(idx) == 0:
-            return idx, val
+    def solve_sparse(self, c):
+        """``V0^{-1} c`` for a sparse matrix ``c`` of right-hand sides, as a
+        sparse matrix of the same shape without exact zeros."""
+        n, width = c.shape
         if self._diag is not None:
-            return idx, val / self._diag[idx]
-        dense = np.zeros(n)
-        dense[idx] = val
-        z = self._vf.solve(dense)
-        nz = np.nonzero(z)[0]
-        return nz, z[nz]
+            z = SparseMatrix(n, width, c.col_ptr, c.row_idx, c.values / self._diag[c.row_idx],
+                             validate=False)
+            return z.masked(z.values != 0.0)
+        dense = np.zeros((width, n))
+        dense[c._entry_columns(), c.row_idx] = c.values
+        z = self._vf.solve(dense.T).T.ravel()  # C order: index col * n + row
+        keys = np.flatnonzero(z)
+        return SparseMatrix.from_keys(n, width, keys, z[keys])
 
 
-# S of a block-upper V0 is nearly dense before its drop, so its columns are
-# solved and dropped in batches of about this many entries
-_S_BATCH_ENTRIES = 1 << 16
+# S is solved this many columns at a time, as dense n-vectors.  The batch
+# bounds the memory the V0 solves take: with 24 columns the peak RSS of a
+# run stays within 1% of solving one column at a time at n = 636
+# (flowsheet-q-upper) and at n = 3,600 (cd2d-60: 75.3 against 75.5 MB).
+# Wider batches spread the walk's fixed cost over more columns: at
+# n = 3,600, batches of 2^14 values (4 columns) made S 2.4 times slower.
+_V0_BATCH_COLUMNS = 24
 
 
 def _sparsified_s(a, v0_pattern, solver, rule):
-    """S = V0^{-1}(I - P_{V0})A with ``rule`` applied, one V0 solve per column."""
+    """S = V0^{-1}(I - P_{V0})A with ``rule`` applied, one batch of columns at a time."""
     n = a.n_cols
     rhs = a.masked(~v0_pattern.contains(a.entry_keys()))
-    ptr = rhs.col_ptr.tolist()
     keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
-    batch, pending = [], 0
-    for j in range(n):
-        batch.append(solver.solve_sparse(n, rhs.row_idx[ptr[j]:ptr[j + 1]],
-                                         rhs.values[ptr[j]:ptr[j + 1]]))
-        pending += len(batch[-1][0])
-        if pending >= _S_BATCH_ENTRIES or j == n - 1:
-            part = SparseMatrix.from_columns(n, batch)
-            first = j + 1 - len(batch)
-            part = SparseMatrix.from_keys(n, n, part.entry_keys() + first * n, part.values)
-            part = _drop_columns(part, rule)
-            keys.append(part.entry_keys())
-            vals.append(part.values)
-            batch, pending = [], 0
+    for first in range(0, n, _V0_BATCH_COLUMNS):
+        last = min(first + _V0_BATCH_COLUMNS, n)
+        lo, hi = rhs.col_ptr[first], rhs.col_ptr[last]
+        part = solver.solve_sparse(SparseMatrix(
+            n, last - first, rhs.col_ptr[first:last + 1] - lo, rhs.row_idx[lo:hi],
+            rhs.values[lo:hi], validate=False))
+        part = _drop_columns(
+            SparseMatrix.from_keys(n, n, part.entry_keys() + first * n, part.values), rule)
+        keys.append(part.entry_keys())
+        vals.append(part.values)
     return SparseMatrix.from_keys(n, n, np.concatenate(keys), np.concatenate(vals))
 
 
 def neumann_pattern(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
     """Pattern of W from sparsified truncated powers of S = V0^{-1}(I - P_{V0})A.
 
-    S is formed one V0 solve per column and sparsified with the initial
-    rule, a batch of columns at a time.  Then, on whole matrices, T starts
-    at the identity, is multiplied by S (``cfg.k`` times) and dropped with
-    the level rule after each product, and each T is accumulated onto the
-    identity; the support of each column of the sum becomes that column's
-    allowed set (the diagonal if it cancels to nothing).  Finally the
-    off-diagonal part of the V0 pattern is removed so the two subspaces
-    only share the diagonal.
+    S is formed a batch of columns at a time: each batch takes one V0 solve
+    of its dense columns and is sparsified with the initial rule before the
+    next.  Then, on whole matrices, T starts at the identity, is multiplied
+    by S (``cfg.k`` times) and dropped with the level rule after each
+    product, and each T is accumulated onto the identity; the support of
+    each column of the sum becomes that column's allowed set (the diagonal
+    if it cancels to nothing).  Finally the off-diagonal part of the V0
+    pattern is removed so the two subspaces only share the diagonal.
 
     ``blocks``/``v0_shape`` give the block shape V0 is factored under;
     ``blocks`` may be omitted only for a diagonal V0 pattern, and any

@@ -52,6 +52,23 @@ def drop_reference(idx, val, rule, protect):
     return idx[keep], val[keep]
 
 
+def lu_factor_reference(a):
+    """Row-by-row partially pivoted LU of one block: (lu, perm) with
+    a[perm] = L @ U, or None when a pivot is exactly zero."""
+    lu = np.array(a, dtype=np.float64)
+    k = lu.shape[0]
+    perm = np.arange(k)
+    for c in range(k):
+        piv = c + int(np.argmax(np.abs(lu[c:, c])))
+        if lu[piv, c] == 0.0:
+            return None
+        lu[[c, piv]] = lu[[piv, c]]
+        perm[[c, piv]] = perm[[piv, c]]
+        lu[c + 1:, c] /= lu[c, c]
+        lu[c + 1:, c + 1:] -= np.outer(lu[c + 1:, c], lu[c, c + 1:])
+    return lu, perm
+
+
 def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
     """Column-by-column construction of the sparsified-powers W pattern.
 
@@ -67,8 +84,8 @@ def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None, v0_shape="block-d
     for j in range(n):
         idx, val = a.column(j)
         inside = np.isin(idx, v0_pattern.cols[j])
-        si, sv = solver.solve_sparse(n, idx[~inside], val[~inside])
-        s_cols.append(drop_reference(si, sv, cfg.initial_drop, j))
+        col = solver.solve_sparse(SparseMatrix.from_columns(n, [(idx[~inside], val[~inside])]))
+        s_cols.append(drop_reference(col.row_idx, col.values, cfg.initial_drop, j))
     s = SparseMatrix.from_columns(n, s_cols)
 
     cols = []

@@ -1,14 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from diafact.kernels import (
     lstsq,
     lu_factor,
+    lu_factor_stack,
     lu_solve,
+    lu_solve_stack,
     qr_householder,
     svd_small,
 )
 from diafact.sparse import SparseMatrix, SparseVector, extract_columns
+
+from helpers import lu_factor_reference
 
 
 def assert_qr_convention(f, m):
@@ -232,3 +238,32 @@ class TestLU:
     def test_singular_raises(self):
         with pytest.raises(ZeroDivisionError):
             lu_factor(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_stack_matches_one_block_factors(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((12, k, k))
+        a[:, 0] *= 1e-3  # small first rows, so every member pivots
+        a[3] = 0.0  # exactly singular members: zero, a repeated row, a zero column
+        if k > 1:
+            a[7, 1] = a[7, 0]
+            a[10, :, k - 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lu, perm, singular = lu_factor_stack(a)
+            ok = ~singular
+            inv = np.zeros_like(a)
+            inv[ok] = lu_solve_stack(lu[ok], perm[ok], np.broadcast_to(np.eye(k), a[ok].shape))
+            for i in range(len(a)):
+                ref = lu_factor_reference(a[i])
+                assert singular[i] == (ref is None)
+                if ref is None:
+                    with pytest.raises(ZeroDivisionError):
+                        lu_factor(a[i])
+                    continue
+                one = lu_factor(a[i])
+                assert np.array_equal(lu[i], one[0]) and np.array_equal(perm[i], one[1])
+                assert np.array_equal(lu[i], ref[0]) and np.array_equal(perm[i], ref[1])
+                assert np.array_equal(inv[i], lu_solve(one, np.eye(k)))
+        assert singular[3] and singular[7] == (k > 1) and singular[10] == (k > 1)
+        assert (perm[~singular] != np.arange(k)).any() or k == 1

@@ -12,7 +12,7 @@ from diafact.krylov import (
 from diafact.preprocess import BlockStructure
 from diafact.sparse import SparseMatrix, SubspacePattern, spmv
 
-from helpers import random_pattern, random_sparse
+from helpers import lu_factor_reference, random_pattern, random_sparse
 
 
 def block_upper_matrix(rng, bounds):
@@ -56,26 +56,33 @@ class TestFactorV:
     def test_sparse_rhs_skips_zero_blocks(self):
         calls = {"solve": 0, "transpose": 0}
 
-        class CountedInverse:
-            """A block inverse that counts its applies and transposed applies."""
+        class CountedStack:
+            """A stack of block inverses that counts its products, plain and transposed."""
 
-            def __init__(self, inv):
-                self.inv = inv
+            def __init__(self, inv, transposed=False):
+                self.inv, self.transposed = inv, transposed
+
+            def __len__(self):
+                return len(self.inv)
+
+            def __getitem__(self, blocks):
+                return CountedStack(self.inv[blocks], self.transposed)
+
+            def swapaxes(self, axis1, axis2):  # np.swapaxes defers to this
+                return CountedStack(np.swapaxes(self.inv, axis1, axis2), not self.transposed)
 
             def __matmul__(self, x):
-                calls["solve"] += 1
+                calls["transpose" if self.transposed else "solve"] += 1
                 return self.inv @ x
-
-            @property
-            def T(self):
-                calls["transpose"] += 1
-                return self.inv.T
 
         rng = np.random.default_rng(2)
         bounds = [0, 7, 13, 21, 30]
         v = block_upper_matrix(rng, bounds)
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
-        vf.block_inv = [CountedInverse(inv) for inv in vf.block_inv]
+        # four sizes: each stack holds one block, so an apply is a block's
+        assert sum(len(stacks) for _, _, stacks in vf._levels) == 4
+        vf._levels = [(up, up_t, [(lo, hi, k, CountedStack(inv)) for lo, hi, k, inv in stacks])
+                      for up, up_t, stacks in vf._levels]
         d = v.to_dense()
         # nonzero only inside block 1: blocks 2 and 3 are all zero on the way
         # back, and block 0 is reached only through the off-block coupling
@@ -85,7 +92,7 @@ class TestFactorV:
         want = np.linalg.solve(d, x)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert np.all(got[13:] == 0.0)
-        assert calls["solve"] == 2
+        assert calls["solve"] == 2  # blocks 2 and 3 skipped
         # transposed: blocks 0 and 1 stay zero on the way forward
         e = np.zeros(30)
         e[15] = 1.0
@@ -93,7 +100,47 @@ class TestFactorV:
         want_t = np.linalg.solve(d.T, e)
         assert np.linalg.norm(got_t - want_t) <= 1e-12 * np.linalg.norm(want_t)
         assert np.all(got_t[:13] == 0.0)
-        assert calls["transpose"] == 2
+        assert calls["transpose"] == 2  # blocks 0 and 1 skipped
+
+    @pytest.mark.parametrize("shape", ["block-diagonal", "block-upper-triangular"])
+    def test_block_of_right_hand_sides_matches_columns(self, shape):
+        rng = np.random.default_rng(4)
+        bounds = [0, 3, 7, 10, 13, 18, 21, 25]
+        v = block_upper_matrix(rng, bounds)
+        if shape == "block-diagonal":
+            v = v.masked(v.row_idx >= np.repeat(bounds[:-1], np.diff(bounds))[v._entry_columns()])
+        vf = factor_v(v, BlockStructure(bounds), shape)
+        assert len(vf._levels) >= (3 if shape == "block-upper-triangular" else 1)
+        d = v.to_dense()
+        for width in (1, 7, 25):
+            dense = rng.standard_normal((25, width))
+            # with zeros the walk tests each block for a zero right-hand side
+            for x in (dense * (rng.random((25, width)) < 0.5), dense):
+                got, got_t = vf.solve(x), vf.solve_transpose(x)
+                assert got.shape == got_t.shape == (25, width)
+                for j in range(width):
+                    assert np.array_equal(got[:, j], vf.solve(x[:, j]))
+                    assert np.array_equal(got_t[:, j], vf.solve_transpose(x[:, j]))
+                want_t = np.linalg.solve(d.T, x)
+                assert np.linalg.norm(got_t - want_t) <= 1e-12 * np.linalg.norm(want_t)
+                want = np.linalg.solve(d, x)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_block_cancelled_to_zero_by_its_update(self):
+        # no zero in x, so no block is tested; block 0's right-hand side
+        # cancels exactly after the update from block 1 and solves to zero
+        d = np.array([[2.0, 1.0, 1.0, 0.0],
+                      [1.0, 3.0, 0.0, 1.0],
+                      [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+        vf = factor_v(SparseMatrix.from_dense(d), BlockStructure([0, 2, 4]),
+                      "block-upper-triangular")
+        got = vf.solve(np.array([1.0, 1.0, 1.0, 1.0]))
+        assert np.array_equal(got, [0.0, 0.0, 1.0, 1.0])
+        # transposed: block 1's right-hand side is what block 0 subtracts
+        z0 = vf.solve_transpose(np.array([1.0, 1.0, 0.0, 0.0]))[:2]
+        got_t = vf.solve_transpose(np.concatenate([[1.0, 1.0], z0]))
+        assert np.array_equal(got_t, np.concatenate([z0, [0.0, 0.0]]))
 
     def test_ill_conditioned_blocks(self):
         # kappa = 1e5 in every diagonal block: applying explicit inverses
@@ -122,15 +169,20 @@ class TestFactorV:
 
     def test_block_lu_reconstructs_blocks(self):
         rng = np.random.default_rng(1)
-        bounds = [0, 5, 9]
+        bounds = [0, 5, 9, 14]
         v = block_upper_matrix(rng, bounds)
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
         d = v.to_dense()
-        for k, (lu, perm) in enumerate(vf.block_lu):
-            lo, hi = vf.blocks.bounds(k)
-            l = np.tril(lu, -1) + np.eye(hi - lo)
-            u = np.triu(lu)
-            assert np.allclose((l @ u), d[lo:hi, lo:hi][perm], atol=1e-12)
+        seen = []
+        for members, lu, perm in vf.lu_stacks:
+            for k, f, p in zip(members, lu, perm):
+                lo, hi = vf.blocks.bounds(k)
+                l = np.tril(f, -1) + np.eye(hi - lo)
+                assert np.allclose((l @ np.triu(f)), d[lo:hi, lo:hi][p], atol=1e-12)
+                ref_lu, ref_perm = lu_factor_reference(d[lo:hi, lo:hi])
+                assert np.array_equal(f, ref_lu) and np.array_equal(p, ref_perm)
+                seen.append(int(k))
+        assert sorted(seen) == [0, 1, 2]
 
     def test_singular_block_names_index(self):
         d = np.eye(6)
@@ -140,6 +192,38 @@ class TestFactorV:
         with pytest.raises(SingularBlockError) as err:
             factor_v(v, BlockStructure([0, 3, 5, 6]), "block-upper-triangular")
         assert err.value.block_index == 1
+        assert err.value.blocks == (1,)
+
+    def test_every_singular_block_named(self):
+        # blocks 4 (size 1), 1 and 3 (size 2) singular, in two stacks
+        d = np.eye(9) + np.diag(np.full(8, 0.5), 1)
+        d[2:4, 2:4] = [[1.0, 2.0], [2.0, 4.0]]
+        d[6:8, 6:8] = 0.0
+        d[6, 7] = d[5, 6] = 1.0
+        d[8, 8] = 0.0
+        d[7, 8] = 1.0
+        bounds = BlockStructure([0, 2, 4, 5, 6, 8, 9])
+        with pytest.raises(SingularBlockError, match=r"block 1 \(3 singular in all\)") as err:
+            factor_v(SparseMatrix.from_dense(d), bounds, "block-upper-triangular")
+        assert err.value.blocks == (1, 4, 5) and err.value.block_index == 1
+
+    def test_shape_errors_come_before_singular_blocks(self):
+        # block 0 is singular, and column 3 holds an entry below its block
+        d = np.eye(4)
+        d[0, 0] = 0.0
+        d[1, 0] = d[3, 2] = 1.0
+        v = SparseMatrix.from_dense(d)
+        with pytest.raises(ValueError, match="shape in column 2$"):
+            factor_v(v, BlockStructure([0, 2, 3, 4]), "block-upper-triangular")
+        with pytest.raises(ValueError, match="dimensions"):
+            factor_v(v, BlockStructure([0, 2, 5]), "block-upper-triangular")
+        with pytest.raises(ValueError, match="unknown shape"):
+            factor_v(v, BlockStructure([0, 2, 3, 4]), "block-lower-triangular")
+        d[3, 2] = 0.0
+        with pytest.raises(SingularBlockError) as err:
+            factor_v(SparseMatrix.from_dense(d), BlockStructure([0, 2, 3, 4]),
+                     "block-upper-triangular")
+        assert err.value.blocks == (0,)
 
     def test_out_of_shape_entry_rejected(self):
         v = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 1.0]])

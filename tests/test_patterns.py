@@ -11,6 +11,7 @@ from diafact.patterns import (
     numerical_drop,
     select_v_pattern,
 )
+from diafact.krylov import SingularBlockError
 from diafact.preprocess import BlockStructure, block_pattern
 from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern
 
@@ -181,16 +182,33 @@ class TestNeumannPattern:
 
     @pytest.mark.parametrize("batch", [1, 7, 40])
     def test_s_in_batches_matches_reference(self, monkeypatch, batch):
-        monkeypatch.setattr(patterns, "_S_BATCH_ENTRIES", batch)
+        # batch: columns per dense V0 solve; 40 > n puts all columns in one
         rng = np.random.default_rng(6)
+        n = 30
         bounds = BlockStructure([0, 4, 9, 10, 16, 23, 30])
-        v0 = block_pattern(bounds, "block-upper-triangular")
         cfg = NeumannConfig(k=2, initial_drop=DropRule(0.05, 3), level_drop=DropRule(0.1, 0))
-        a = random_sparse(rng, 30, density=0.12, dominant=False)
-        got = neumann_pattern(a, v0, cfg, blocks=bounds, v0_shape="block-upper-triangular")
-        assert got == neumann_pattern_reference(
-            a, v0, cfg, blocks=bounds, v0_shape="block-upper-triangular"
-        )
+        a = random_sparse(rng, n, density=0.12, dominant=False)
+        for shape in (None, "block-upper-triangular"):
+            v0, blocks = (SubspacePattern.diagonal(n), None) if shape is None else (
+                block_pattern(bounds, shape), bounds)
+            solver = patterns._V0Solver(a, v0, blocks, shape)
+            monkeypatch.setattr(patterns, "_V0_BATCH_COLUMNS", n)
+            whole = patterns._sparsified_s(a, v0, solver, cfg.initial_drop)
+            monkeypatch.setattr(patterns, "_V0_BATCH_COLUMNS", batch)
+            s = patterns._sparsified_s(a, v0, solver, cfg.initial_drop)
+            assert np.array_equal(s.col_ptr, whole.col_ptr)
+            assert np.array_equal(s.row_idx, whole.row_idx)
+            assert np.array_equal(s.values, whole.values)
+            got = neumann_pattern(a, v0, cfg, blocks=blocks, v0_shape=shape)
+            assert got == neumann_pattern_reference(a, v0, cfg, blocks=blocks, v0_shape=shape)
+
+    def test_zero_diagonal_v0_names_every_position(self):
+        d = np.eye(5) + np.diag([1.0] * 4, 1)
+        d[1, 1] = d[3, 3] = 0.0
+        a = SparseMatrix.from_dense(d)
+        with pytest.raises(SingularBlockError, match=r"block 1 \(2 singular in all\)") as err:
+            neumann_pattern(a, SubspacePattern.diagonal(5), NeumannConfig(k=1))
+        assert err.value.blocks == (1, 3) and err.value.block_index == 1
 
     def test_cancelled_column_falls_back_to_diagonal(self):
         # S = [[0, -1], [1, 0]] on the first block: e_j + S e_j + S^2 e_j +
