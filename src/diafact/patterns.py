@@ -10,10 +10,14 @@ Both W constructions run as index passes over whole sparse matrices,
 summing in the order a per-column loop would.  The V0 solves of S take a
 dense batch of columns through one walk of
 :meth:`~diafact.krylov.VFactorization.solve` each, and a column's
-solution does not depend on its batch.  The V selection reads the blocks
-A_j from the chunked column sweep of
-:func:`~diafact.sparse.column_chunks`, factors one block per call, and
-ranks the candidates of a whole chunk at once.  Inputs are read-only, so
+solution does not depend on its batch.  The V selection first cuts the
+candidate, in one index pass, to the rows the blocks A_j reach, plus the
+diagonal: no other position can score above zero.  It reads the blocks
+from the chunked column sweep of :func:`~diafact.sparse.column_chunks`
+over that cut, so a chunk counts cut positions, not the whole candidate,
+and factors one block per call.  A column with fewer positive scores than
+``k_v`` is filled with its smallest-index candidates that score zero, read
+from the first ``k_v`` of its candidates.  Inputs are read-only, so
 results are deterministic.
 """
 
@@ -32,6 +36,7 @@ from .sparse import (
     column_chunks,
     merge_sum,
     pattern_subtract_offdiag,
+    sorted_lookup,
     sparse_product,
 )
 
@@ -264,6 +269,28 @@ def adjoint_pattern(a, v0_pattern, rule=DropRule()):
     return SubspacePattern.from_keys_or_diagonal(n, probe.entry_keys()).with_diagonal()
 
 
+def _reachable_candidate(a, w_pattern, v_candidate):
+    """The candidates on the rows A_j holds, plus every diagonal.
+
+    Those rows are the support of pattern(A) times the indicator of W, so
+    stored zeros of ``a`` count, as among a block's active rows.  Returns
+    the cut pattern and, per position of its keys, whether it is a
+    candidate (false only on a diagonal the candidate lacks).
+    """
+    n = a.n_cols
+    w_keys = w_pattern.keys()
+    reach = sparse_product(
+        SparseMatrix(n, n, a.col_ptr, a.row_idx, np.ones(a.nnz), validate=False),
+        SparseMatrix.from_keys(n, n, w_keys, np.ones(len(w_keys))),
+    ).entry_keys()
+    diag = np.arange(n, dtype=np.int64) * (n + 1)
+    pos, found = sorted_lookup(reach, diag)
+    keys = np.insert(reach, pos[~found], diag[~found])
+    inside = v_candidate.contains(keys)
+    keep = inside | (keys // n == keys % n)
+    return SubspacePattern.from_keys(n, keys[keep]), inside[keep]
+
+
 def select_v_pattern(a, w_pattern, v_candidate, k_v):
     """Choose the V pattern greedily from admissible candidate positions.
 
@@ -274,6 +301,14 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     ties resolved toward smaller indices so selections nest as ``k_v``
     grows.  Only columns with more than ``k_v`` candidates are factored,
     one :func:`qr_householder` call each.
+
+    Only the candidates on the active rows of A_j can score above zero, so
+    the blocks are gathered with the candidate cut to those rows plus the
+    diagonal: a chunk counts cut positions, not the whole candidate (for a
+    block-upper shape, every row above the end of the column's block).  A
+    column with fewer than ``k_v`` positive scores is filled with its
+    smallest-index candidates that score zero, which lie among its first
+    ``k_v`` candidates, so only these are read.
     """
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_candidate.n != n:
@@ -281,16 +316,27 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     if k_v < 1:
         raise ValueError("k_v must be at least 1")
     counts = v_candidate.counts()
-    kept = np.flatnonzero(counts <= k_v)
+    kept, ranked = np.flatnonzero(counts <= k_v), np.flatnonzero(counts > k_v)
     _, owner, rows = v_candidate.gather(kept)
     keys = [kept[owner] * n + rows, np.arange(n, dtype=np.int64) * (n + 1)]
-    for ch in column_chunks(a, w_pattern, v_candidate, np.flatnonzero(counts > k_v)):
+    cut, in_candidate = _reachable_candidate(a, w_pattern, v_candidate)
+    # the zero-score candidates a column may need, as far as the cut lacks them
+    _, owner, rows = v_candidate.gather(ranked, limit=k_v)
+    head = ranked[owner] * n + rows
+    head = head[~cut.contains(head)]
+    col, row, score = [head // n], [head % n], [np.zeros(len(head))]
+    for ch in column_chunks(a, w_pattern, cut, ranked):
         vis, vptr, local = ch.v_visible()
         scores = np.zeros(len(ch.v_rows))
         for block, rows, lo, hi in zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]),
                                        vptr[:-1].tolist(), vptr[1:].tolist()):
             qt = qr_householder(block).q_thin[rows]
             scores[vis[lo:hi]] = np.sqrt((qt * qt).sum(axis=1))
-        best = _top_per_column(ch.v_col, ch.v_rows, scores, k_v)
-        keys.append(ch.cols[ch.v_col[best]] * n + ch.v_rows[best])
+        ok = in_candidate[ch.v_pos]
+        col.append(ch.cols[ch.v_col[ok]])
+        row.append(ch.v_rows[ok])
+        score.append(scores[ok])
+    col, row = np.concatenate(col), np.concatenate(row)
+    best = _top_per_column(col, row, np.concatenate(score), k_v)
+    keys.append(col[best] * n + row[best])
     return SubspacePattern.from_keys(n, np.unique(np.concatenate(keys)))

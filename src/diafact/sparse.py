@@ -363,16 +363,18 @@ class SubspacePattern:
         pos, col = _span_gather(self._ptr, self._which)
         return col * self.n + self._rows[pos]
 
-    def gather(self, cols):
+    def gather(self, cols, limit=None):
         """The allowed positions of the columns ``cols``, column after column.
 
         Returns ``(pos, owner, rows)``: each position's index among
         :meth:`keys`, the index into ``cols`` of its column, and its row.
+        With ``limit``, only the first ``limit`` positions (smallest rows)
+        of each column.
         """
         cols = np.asarray(cols, dtype=np.int64)
         key_ptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.counts(), out=key_ptr[1:])
-        pos, owner = _span_gather(key_ptr, cols)
+        pos, owner = _span_gather(key_ptr, cols, limit)
         first = (self._ptr[self._which[cols]] - key_ptr[cols])[owner]
         return pos, owner, self._rows[first + pos]
 
@@ -673,16 +675,19 @@ def _col_ptr(cols, n_cols):
     return col_ptr
 
 
-def _span_gather(col_ptr, cols):
+def _span_gather(col_ptr, cols, limit=None):
     """Entry positions of the columns ``cols`` of a CSC array, in order.
 
     Returns ``(pos, owner)``: the positions of the columns' entries, column
     after column and in storage order within each, and for every position
-    the index into ``cols`` of the column it belongs to.
+    the index into ``cols`` of the column it belongs to.  With ``limit``,
+    only the first ``limit`` entries of each column.
     """
     cols = np.asarray(cols, dtype=np.int64)
     starts = col_ptr[cols]
     counts = col_ptr[cols + 1] - starts
+    if limit is not None:
+        counts = np.minimum(counts, limit)
     # ndarray methods: this runs once per column problem, where the
     # dispatch of the np.* wrappers is a noticeable share of the cost
     owner = np.arange(len(cols), dtype=np.int64).repeat(counts)

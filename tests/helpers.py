@@ -4,6 +4,7 @@ import numpy as np
 
 from diafact.kernels import lstsq, pad_tall, qr_householder, svd_small
 from diafact.patterns import _V0Solver
+from diafact.preprocess import BlockStructure, block_pattern
 from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern, extract_columns, merge_sum
 
 
@@ -238,6 +239,47 @@ def sweep_problem(seed, n=60):
         others = rng.choice(pool, size=size - gathered[j] - 1, replace=False)
         v_cols.append(np.unique(np.concatenate([others, [j]])))
     return a, SubspacePattern(n, w_cols), SubspacePattern(n, v_cols), size
+
+
+def block_upper_problem(seed, n=48):
+    """A V selection over a block-upper candidate whose blocks reach few rows.
+
+    The candidate of column j is every row above the end of its block
+    (blocks of 4 to 9 columns).  A has about five entries per column, and
+    three kinds of W set mix:
+    - every fifth column outside the last block takes only column n - 1,
+      whose entries all lie in the last block: A_j reaches no candidate;
+    - the columns after those take only themselves: A_j reaches a few;
+    - the rest take column 0, themselves and up to two more columns.
+
+    Column 0 stores an explicit 0.0 at row ``zero_row``, and that row holds
+    nothing else but its diagonal, so a block holding column 0 has an
+    active row of zeros.  Returns ``(a, w_pattern, candidate, zero_row)``.
+    """
+    rng = np.random.default_rng(seed)
+    bounds = np.concatenate([[0], np.cumsum(rng.integers(4, 10, size=n))])
+    bounds = np.append(bounds[bounds < n], n)
+    last, zero_row = bounds[-2], n // 2
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 5 / n)
+    dense[:, n - 1] = 0.0
+    dense[last:, n - 1] = rng.standard_normal(n - last)
+    dense[zero_row] = 0.0
+    np.fill_diagonal(dense, rng.random(n) + 0.5)
+    keys = np.union1d(np.flatnonzero(dense.T), [zero_row])  # col * n + row; (zero_row, 0) holds 0.0
+    a = SparseMatrix.from_keys(n, n, keys, dense.T.ravel()[keys])
+    block_end = np.repeat(bounds[1:], np.diff(bounds))
+    others = np.setdiff1d(np.arange(1, n), [zero_row])
+    w_cols = []
+    for j in range(n):
+        if j % 5 == 0 and block_end[j] <= last:
+            w_cols.append(np.array([n - 1]))
+        elif j % 5 == 1:
+            w_cols.append(np.array([j]))
+        else:
+            extra = rng.choice(others, size=int(rng.integers(0, 3)), replace=False)
+            w_cols.append(np.unique(np.concatenate([[0, j], extra])))
+    candidate = block_pattern(BlockStructure(bounds), "block-upper-triangular")
+    return a, SubspacePattern(n, w_cols), candidate, zero_row
 
 
 def select_v_pattern_reference(a, w_pattern, v_candidate, k_v):

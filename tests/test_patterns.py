@@ -11,11 +11,13 @@ from diafact.patterns import (
     numerical_drop,
     select_v_pattern,
 )
+from diafact.kernels import pad_tall, qr_householder
 from diafact.krylov import SingularBlockError
 from diafact.preprocess import BlockStructure, block_pattern
-from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern
+from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern, extract_columns
 
 from helpers import (
+    block_upper_problem,
     neumann_pattern_reference,
     random_pattern,
     random_sparse,
@@ -307,3 +309,80 @@ class TestSelectV:
             large = select_v_pattern(a, w, cand, k_v=8)
             for j in range(15):
                 assert np.all(np.isin(small.cols[j], large.cols[j]))
+
+
+def structural_reach(a, wp):
+    """Dense mask of the rows each block A_j holds, stored zeros included:
+    the support of pattern(A) times the indicator of W."""
+    n = a.n_cols
+    pa = np.zeros((n, n))
+    pa[a.row_idx, np.repeat(np.arange(n), np.diff(a.col_ptr))] = 1.0
+    pw = np.zeros((n, n))
+    keys = wp.keys()
+    pw[keys % n, keys // n] = 1.0
+    return pa @ pw > 0
+
+
+class TestSelectVCut:
+    """The selection scores only the candidates its blocks reach."""
+
+    def test_problem_has_short_columns_and_a_zero_row(self):
+        a, wp, cand, zero_row = block_upper_problem(11)
+        n = a.n_cols
+        keys = cand.keys()
+        reached = structural_reach(a, wp)[keys % n, keys // n]
+        per_col = np.bincount(keys // n, weights=reached, minlength=n)
+        counts = cand.counts()
+        for k_v in (1, 3, 8):  # columns that the zero-score ties must fill
+            assert np.any((counts > k_v) & (per_col < k_v))
+        assert np.count_nonzero(a.values == 0.0) == 1
+        zero_scores = 0
+        for j in np.flatnonzero(counts > zero_row):
+            sub = extract_columns(a, wp.cols[j])
+            at = np.flatnonzero(sub.active_rows == zero_row)
+            if len(at):
+                q = qr_householder(pad_tall(sub.dense_block)).q_thin
+                zero_scores += not np.any(q[at[0]])
+        assert zero_scores > 0  # a stored-zero row is active and scores 0
+
+    @pytest.mark.parametrize("entries", [1, 60, 1 << 30])  # one, a few, all columns per chunk
+    @pytest.mark.parametrize("k_v", [1, 3, 8])
+    def test_block_upper_matches_columns_scored_alone(self, monkeypatch, entries, k_v):
+        a, wp, cand, _ = block_upper_problem(11)
+        monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", entries)
+        assert select_v_pattern(a, wp, cand, k_v) == select_v_pattern_reference(a, wp, cand, k_v)
+
+    @pytest.mark.parametrize("k_v", [1, 2, 4])
+    def test_candidate_without_diagonal(self, k_v):
+        # the cut adds every diagonal; one the candidate lacks must not rank
+        rng = np.random.default_rng(13)
+        a = random_sparse(rng, 30, density=0.1)
+        wp = random_pattern(rng, 30, per_col=2)
+        cand = SubspacePattern(30, [np.sort(rng.choice(np.setdiff1d(np.arange(30), [j]), 6,
+                                                       replace=False)) for j in range(30)])
+        assert select_v_pattern(a, wp, cand, k_v) == select_v_pattern_reference(a, wp, cand, k_v)
+
+    @pytest.mark.parametrize("k_v", [1, 3, 8])
+    def test_factors_each_column_with_more_than_kv_candidates(self, monkeypatch, k_v):
+        a, wp, cand, _ = block_upper_problem(11)
+        calls = []
+        real = patterns.qr_householder
+        monkeypatch.setattr(patterns, "qr_householder", lambda m: calls.append(1) or real(m))
+        select_v_pattern(a, wp, cand, k_v)
+        assert len(calls) == np.count_nonzero(cand.counts() > k_v)
+
+    def test_chunks_hold_only_reachable_positions(self, monkeypatch):
+        a, wp, cand, _ = block_upper_problem(12, n=240)
+        held = []
+        real = patterns.column_chunks
+
+        def counted(*args, **kwargs):
+            for ch in real(*args, **kwargs):
+                held.append(len(ch.v_rows))
+                yield ch
+
+        monkeypatch.setattr(patterns, "column_chunks", counted)
+        select_v_pattern(a, wp, cand, 8)
+        bound = np.count_nonzero(structural_reach(a, wp)) + a.n_cols
+        assert held and sum(held) <= bound
+        assert bound < cand.nnz // 4  # the whole candidate would break the bound
