@@ -10,14 +10,17 @@ singular value of A_j with the rows admissible for v_j removed, and V is
 assembled afterwards as the pattern projection of A W.
 
 The column problems are independent, and each algorithm solves them in
-one sweep.  The sweep gathers the blocks A_j of a chunk of columns in one
-index pass (:func:`~diafact.sparse.column_chunks`), runs the dense kernels
-as stacked LAPACK calls over the columns whose kernel inputs share a
-shape, and does the rest in array passes over the chunk; diaf-q keeps one
-:func:`qr_householder` call per column.  Every diaf-q column, stabilized
-or rank-deficient ones too, goes through the same stacked passes.  The
-one-column functions are the sweep over a single column, and a column's
-result does not depend on the chunk it is solved in.
+one sweep.  The sweep visits the columns in order of block width
+(:func:`~diafact.sparse.width_order`), gathers the blocks A_j of a chunk
+of them in one index pass (:func:`~diafact.sparse.column_chunks`), runs
+the dense kernels as stacked LAPACK calls over the columns whose kernel
+inputs share a shape, and does the rest in array passes over the chunk;
+diaf-q keeps one :func:`qr_householder` call per column.  In width order
+a chunk holds few widths, so it makes few stacked calls.  Every diaf-q
+column, stabilized or rank-deficient ones too, goes through the same
+stacked passes.  The one-column functions are the sweep over a single
+column, and a column's result depends neither on the chunk it is solved
+in nor on the order of the sweep.
 
 Columns whose leading direction leaves a tiny diagonal in V can be
 stabilized: the diagonal component is pinned to a constant r and the
@@ -40,6 +43,7 @@ from .sparse import (
     column_chunks,
     sorted_lookup,
     sparse_product,
+    width_order,
 )
 
 __all__ = [
@@ -156,20 +160,25 @@ def _visible_factors(ch):
     Returns ``(q, start, r, rank)``.  ``q`` holds the rows of each Q_j at
     its visible candidates (all that the column problem reads of Q_j),
     column after column; the row of V position ``e`` starts at
-    ``start[e]``.  ``r`` lists the R_j.
+    ``start[e]``.  ``r[k]`` stacks the R_j of the columns of width k, in
+    chunk order.
     """
     vis, vptr, local = ch.v_visible()
-    row_off = np.concatenate([[0], np.cumsum(np.diff(vptr) * ch.k)])
-    col = ch.v_col[vis]
+    off = np.concatenate([[0], np.cumsum(ch.k[ch.v_col[vis]])])
     start = np.zeros(len(ch.v_col), dtype=np.int64)
-    start[vis] = row_off[col] + (np.arange(len(vis)) - vptr[col]) * ch.k[col]
-    q, r, rank = np.empty(row_off[-1]), [], np.empty(len(ch.cols), np.int64)
-    spans = zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]), row_off[:-1].tolist(),
-                row_off[1:].tolist())
-    for c, (block, rows, lo, hi) in enumerate(spans):
+    start[vis] = off[:-1]
+    q, r, rank = np.empty(off[-1]), {}, np.empty(len(ch.cols), np.int64)
+    at = np.empty(len(ch.cols), np.int64)  # each column's place in its stack
+    for kk in np.unique(ch.k).tolist():
+        cols = np.flatnonzero(ch.k == kk)
+        r[kk] = np.empty((len(cols), kk, kk))
+        at[cols] = np.arange(len(cols))
+    spans = zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]), off[vptr[:-1]].tolist(),
+                off[vptr[1:]].tolist(), ch.k.tolist(), at.tolist())
+    for c, (block, rows, lo, hi, kk, i) in enumerate(spans):
         f = qr_householder(block)
         q[lo:hi] = f.q_thin[rows].ravel()
-        r.append(f.r)
+        r[kk][i] = f.r
         rank[c] = f.rank
     return q, start, r, rank
 
@@ -230,7 +239,7 @@ def _solves(ch, q, start, r, rank, val):
         qtb = np.bincount((slot[:, None] * kk + span).ravel(),
                           weights=(q[start[e][:, None] + span] * val[e][:, None]).ravel(),
                           minlength=len(cols) * kk).reshape(len(cols), kk, 1)
-        r_k = np.stack([r[c] for c in cols.tolist()])
+        r_k = r[kk]
         sol, f = np.empty((len(cols), kk)), full[cols]
         if f.any():
             x = np.linalg.solve(r_k[f], qtb[f])[:, :, 0]
@@ -249,7 +258,7 @@ def _solves(ch, q, start, r, rank, val):
 
 
 def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
-    """The diaf-q column problems of ``columns``, a chunk at a time.
+    """The diaf-q column problems of ``columns``, a chunk at a time, in width order.
 
     Per chunk: one :func:`qr_householder` call per column; the SVD of the
     candidate part ``m_j`` of Q_j^T, stacked over the columns whose
@@ -271,7 +280,7 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     _require_diagonal(v_pattern, columns)
     out = _Sweep.empty(w_pattern, v_pattern, len(columns))
     where = _positions(n, columns)
-    for ch in column_chunks(a, w_pattern, v_pattern, columns):
+    for ch in column_chunks(a, w_pattern, v_pattern, width_order(w_pattern, columns)):
         i, size, col, seen = where[ch.cols], len(ch.cols), ch.v_col, ch.v_seen
         q, start, r, rank = _visible_factors(ch)
         lead, sigma, _ = _leading_directions(ch, q, start, seen)
@@ -317,7 +326,7 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
 
 
 def _sweep_s(a, w_pattern, v_pattern, columns):
-    """The diaf-s column problems of ``columns``, a chunk at a time.
+    """The diaf-s column problems of ``columns``, a chunk at a time, in width order.
 
     A_j comes without the rows admissible for v_j; its QR, the SVD of R_j
     and the sign rule run stacked over the columns whose blocks share one
@@ -328,7 +337,8 @@ def _sweep_s(a, w_pattern, v_pattern, columns):
     out = _Sweep.empty(w_pattern, v_pattern, len(columns))
     where = _positions(n, columns)
     a_keys = a.entry_keys()
-    for ch in column_chunks(a, w_pattern, v_pattern, columns, outside_v=True):
+    for ch in column_chunks(a, w_pattern, v_pattern, width_order(w_pattern, columns),
+                            outside_v=True):
         for sel, blocks in ch.shape_groups():
             j, k = ch.cols[sel], blocks.shape[2]
             _, r, rank = _qr_signed(blocks)

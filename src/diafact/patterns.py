@@ -14,11 +14,13 @@ solution does not depend on its batch.  The V selection first cuts the
 candidate, in one index pass, to the rows the blocks A_j reach, plus the
 diagonal: no other position can score above zero.  It reads the blocks
 from the chunked column sweep of :func:`~diafact.sparse.column_chunks`
-over that cut, so a chunk counts cut positions, not the whole candidate,
-and factors one block per call.  A column with fewer positive scores than
-``k_v`` is filled with its smallest-index candidates that score zero, read
-from the first ``k_v`` of its candidates.  Inputs are read-only, so
-results are deterministic.
+over that cut, in width order like the factor sweeps, so a chunk counts
+cut positions, not the whole candidate.  It factors one block per call
+and takes the scores stacked over the columns of one width.  A column
+with fewer positive scores than ``k_v`` is filled with its smallest-index
+candidates that score zero, read from the first ``k_v`` of its
+candidates.  Inputs are read-only, so results are deterministic, and
+they do not depend on the order of the sweep.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .sparse import (
     pattern_subtract_offdiag,
     sorted_lookup,
     sparse_product,
+    width_order,
 )
 
 __all__ = [
@@ -325,13 +328,20 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     head = ranked[owner] * n + rows
     head = head[~cut.contains(head)]
     col, row, score = [head // n], [head % n], [np.zeros(len(head))]
-    for ch in column_chunks(a, w_pattern, cut, ranked):
+    for ch in column_chunks(a, w_pattern, cut, width_order(w_pattern, ranked)):
+        # the rows of each Q_j at its visible cut positions, back to back
         vis, vptr, local = ch.v_visible()
-        scores = np.zeros(len(ch.v_rows))
+        k = ch.k[ch.v_col[vis]]
+        start = np.concatenate([[0], np.cumsum(k)])
+        q = np.empty(start[-1])
         for block, rows, lo, hi in zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]),
-                                       vptr[:-1].tolist(), vptr[1:].tolist()):
-            qt = qr_householder(block).q_thin[rows]
-            scores[vis[lo:hi]] = np.sqrt((qt * qt).sum(axis=1))
+                                       start[vptr[:-1]].tolist(), start[vptr[1:]].tolist()):
+            q[lo:hi] = qr_householder(block).q_thin[rows].ravel()
+        scores = np.zeros(len(ch.v_rows))
+        for kk in np.unique(k).tolist():
+            e = np.flatnonzero(k == kk)
+            qt = q[start[e][:, None] + np.arange(kk)]
+            scores[vis[e]] = np.sqrt((qt * qt).sum(axis=1))
         ok = in_candidate[ch.v_pos]
         col.append(ch.cols[ch.v_col[ok]])
         row.append(ch.v_rows[ok])

@@ -221,12 +221,15 @@ def _tarjan_components(a):
 
     Iterative Tarjan; components are emitted sinks-first for this
     orientation, so reversing the emission order makes cross-component
-    entries of the reordered matrix fall below the block diagonal.
+    entries of the reordered matrix fall below the block diagonal.  The
+    walk reads the structure as Python ints: per edge, a numpy scalar
+    costs more than the work itself.
     """
     n = a.n_cols
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
+    col_ptr, row_idx = a.col_ptr.tolist(), a.row_idx.tolist()
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
     stack = []
     comps = []
     counter = 0
@@ -234,22 +237,22 @@ def _tarjan_components(a):
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, col_ptr[root])]
         while work:
             v, ei = work.pop()
-            if ei == 0:
+            if ei == col_ptr[v]:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            succ = a.column(v)[0]
+            end = col_ptr[v + 1]
             advanced = False
-            while ei < len(succ):
-                w = int(succ[ei])
+            while ei < end:
+                w = row_idx[ei]
                 ei += 1
                 if index[w] == -1:
                     work.append((v, ei))
-                    work.append((w, 0))
+                    work.append((w, col_ptr[w]))
                     advanced = True
                     break
                 if on_stack[w]:

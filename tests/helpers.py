@@ -296,3 +296,54 @@ def select_v_pattern_reference(a, w_pattern, v_candidate, k_v):
             cand = cand[np.lexsort((cand, -scores))[:k_v]]
         cols.append(np.union1d(cand, [j]))
     return SubspacePattern(n, cols)
+
+
+def tarjan_components_reference(a):
+    """SCCs of the digraph with an edge j -> i for each nonzero a[i, j],
+    by an iterative Tarjan walk over numpy arrays, sinks first."""
+    n = a.n_cols
+    index = np.full(n, -1, dtype=np.int64)
+    lowlink = np.zeros(n, dtype=np.int64)
+    on_stack = np.zeros(n, dtype=bool)
+    stack = []
+    comps = []
+    counter = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work.pop()
+            if ei == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            succ = a.column(v)[0]
+            advanced = False
+            while ei < len(succ):
+                w = int(succ[ei])
+                ei += 1
+                if index[w] == -1:
+                    work.append((v, ei))
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    return comps

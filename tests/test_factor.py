@@ -3,6 +3,7 @@ import pytest
 
 import diafact.factor
 import diafact.kernels
+import diafact.patterns
 import diafact.sparse
 from diafact.factor import (
     StabilizationPolicy,
@@ -12,11 +13,13 @@ from diafact.factor import (
     diaf_s_column,
 )
 from diafact.kernels import qr_householder
+from diafact.patterns import select_v_pattern
 from diafact.sparse import (
     SparseMatrix,
     SubspacePattern,
     extract_columns,
     residual_fro,
+    width_order,
 )
 
 from helpers import (
@@ -474,3 +477,78 @@ class TestSweep:
             assert np.array_equal(w.val, local(pair_s.w, j, wp.cols[j]))
             # diaf_s takes its residuals from A W afterwards, the column from sigma_min
             assert rep.residual == pytest.approx(pair_s.column_residuals[j], rel=1e-12, abs=1e-14)
+
+
+ORDERS = {
+    "identity": lambda w_pattern, columns: np.asarray(columns, dtype=np.int64),
+    "reversed": lambda w_pattern, columns: np.asarray(columns, dtype=np.int64)[::-1],
+    "shuffled": lambda w_pattern, columns: np.random.default_rng(0).permutation(
+        np.asarray(columns, dtype=np.int64)),
+}
+
+
+def sweep_outputs(a, wp, vp):
+    """What the sweeps give: W, V, residuals, norms and flags of diaf-q at
+    two thresholds and of diaf-s, and the V selection at three k_v."""
+    pairs = [diaf_q(a, wp, vp, StabilizationPolicy(threshold=t)) for t in (0.0, 0.3)]
+    pairs.append(diaf_s(a, wp, vp))
+    arrays, flags = [], []
+    for pair in pairs:
+        for m in (pair.w, pair.v):
+            arrays += [m.entry_keys(), m.values]
+        arrays += [pair.column_residuals, np.array([pair.nrm, pair.stab_count])]
+        flags.append(pair.flagged_columns)
+    arrays += [select_v_pattern(a, wp, vp, k_v).keys() for k_v in (1, 3, 8)]
+    return arrays, flags
+
+
+class TestSweepOrder:
+    """The sweeps visit columns in order of block width; results do not
+    depend on that order."""
+
+    def test_width_order_is_stable(self):
+        _, wp, _, _ = sweep_problem(24)
+        cols = np.arange(5, 50)
+        got = width_order(wp, cols)
+        k = wp.counts()[got]
+        assert np.array_equal(np.sort(got), cols) and np.all(np.diff(k) >= 0)
+        for kk in np.unique(k):
+            assert np.all(np.diff(got[k == kk]) > 0)
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("chunk", ["one column", "seven columns", "all columns"])
+    def test_results_do_not_depend_on_the_order(self, monkeypatch, order, chunk):
+        a, wp, vp, size = sweep_problem(24)
+        limit = {"one column": 1, "seven columns": 7 * size, "all columns": 10 ** 12}[chunk]
+        monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", limit)
+        want, want_flags = sweep_outputs(a, wp, vp)
+        for module in (diafact.factor, diafact.patterns):
+            monkeypatch.setattr(module, "width_order", ORDERS[order])
+        got, got_flags = sweep_outputs(a, wp, vp)
+        assert got_flags == want_flags
+        assert set(want_flags[1].values()) == {"rank-deficient", "zero-candidate-fallback"}
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_one_stacked_solve_per_width_run(self, monkeypatch):
+        a, wp, vp, size = sweep_problem(25)
+        monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", 7 * size)
+        chunks, solves = [], []
+        real_chunks, real_solve = diafact.factor.column_chunks, np.linalg.solve
+
+        def counted_chunks(*args, **kwargs):
+            for ch in real_chunks(*args, **kwargs):
+                chunks.append(ch.cols)
+                yield ch
+
+        def counted_solve(r, b):
+            solves.append(r.shape)
+            return real_solve(r, b)
+
+        monkeypatch.setattr(diafact.factor, "column_chunks", counted_chunks)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        diaf_q(a, wp, vp)
+        n_widths = len(np.unique(wp.counts()))
+        assert len(chunks) > 5 and n_widths > 3
+        assert all(len(shape) == 3 for shape in solves)
+        assert len(solves) <= n_widths + len(chunks) - 1

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from diafact.preprocess import (
     BlockStructure,
     Permutation,
     StructuralSingularityError,
+    _tarjan_components,
     block_pattern,
     equilibrate,
     max_transversal,
@@ -14,7 +17,7 @@ from diafact.preprocess import (
 )
 from diafact.sparse import SparseMatrix
 
-from helpers import random_sparse
+from helpers import random_sparse, tarjan_components_reference
 
 
 class TestPermutation:
@@ -165,6 +168,65 @@ class TestSCC:
         assert blocks.max_block <= 7
         assert np.array_equal(np.sort(p.forward), np.arange(40))
         assert blocks.n == 40
+
+
+def random_digraph(rng, n):
+    """Pattern matrix of a digraph mixing the cases of the component walk.
+
+    About a third of the vertices form one large strongly connected
+    component (a cycle with chords), two long acyclic chains run through
+    the rest, some vertices carry a self-loop, and a few have no edge at
+    all, so many components are singletons.
+    """
+    order = rng.permutation(n)
+    big, rest = order[: n // 3], order[n // 3:]
+    src = [big, big[rng.integers(0, len(big), size=len(big))]]
+    dst = [np.roll(big, -1), big[rng.integers(0, len(big), size=len(big))]]
+    for chain in np.array_split(rest[: len(rest) * 3 // 4], 2):
+        src.append(chain[:-1])
+        dst.append(chain[1:])
+    # forward along ``order`` only, so no cycle leaves the large component
+    cross = rng.integers(0, n, size=(2, n // 4))
+    src.append(order[cross.min(axis=0)])
+    dst.append(order[cross.max(axis=0)])
+    loops = rng.choice(n, size=n // 5, replace=False)
+    src.append(loops)
+    dst.append(loops)
+    keys = np.unique(np.concatenate(src) * n + np.concatenate(dst))  # edge j -> i: a[i, j]
+    return SparseMatrix.from_keys(n, n, keys, np.ones(len(keys)))
+
+
+def workload_matrices():
+    """The benchmark workloads' matrices, as generated and as the pipeline
+    walks them (after the transversal)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    try:
+        import harness
+    finally:
+        sys.path.pop(0)
+    for name, spec in harness.WORKLOADS.items():
+        for seed in (2, 1000):
+            coo = spec.generate([seed, 0])
+            a = SparseMatrix.from_coo(coo.n, coo.n, coo.rows, coo.cols, coo.vals)
+            yield f"{name}-{seed}", a
+            yield f"{name}-{seed}-matched", a.permuted_columns(max_transversal(a).forward)
+
+
+class TestTarjan:
+    """The component walk on Python ints against the numpy walk it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_digraphs(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_digraph(rng, int(rng.integers(30, 3000)))
+        comps = _tarjan_components(a)
+        assert comps == tarjan_components_reference(a)
+        sizes = sorted(len(c) for c in comps)
+        assert sizes[-1] >= a.n_cols // 3 and sizes.count(1) > a.n_cols // 4
+
+    def test_workload_matrices(self):
+        for name, a in workload_matrices():
+            assert _tarjan_components(a) == tarjan_components_reference(a), name
 
 
 class TestBlockPattern:
