@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import RANK_TOL, _qr_signed, _svd_signed, qr_householder
+from .kernels import RANK_TOL, _r_signed, _svd_signed, qr_householder
 from .sparse import (
     SparseMatrix,
     SparseVector,
@@ -154,35 +154,6 @@ def _positions(n, columns):
     return where
 
 
-def _visible_factors(ch):
-    """One :func:`qr_householder` call per column of the chunk.
-
-    Returns ``(q, start, r, rank)``.  ``q`` holds the rows of each Q_j at
-    its visible candidates (all that the column problem reads of Q_j),
-    column after column; the row of V position ``e`` starts at
-    ``start[e]``.  ``r[k]`` stacks the R_j of the columns of width k, in
-    chunk order.
-    """
-    vis, vptr, local = ch.v_visible()
-    off = np.concatenate([[0], np.cumsum(ch.k[ch.v_col[vis]])])
-    start = np.zeros(len(ch.v_col), dtype=np.int64)
-    start[vis] = off[:-1]
-    q, r, rank = np.empty(off[-1]), {}, np.empty(len(ch.cols), np.int64)
-    at = np.empty(len(ch.cols), np.int64)  # each column's place in its stack
-    for kk in np.unique(ch.k).tolist():
-        cols = np.flatnonzero(ch.k == kk)
-        r[kk] = np.empty((len(cols), kk, kk))
-        at[cols] = np.arange(len(cols))
-    spans = zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]), off[vptr[:-1]].tolist(),
-                off[vptr[1:]].tolist(), ch.k.tolist(), at.tolist())
-    for c, (block, rows, lo, hi, kk, i) in enumerate(spans):
-        f = qr_householder(block)
-        q[lo:hi] = f.q_thin[rows].ravel()
-        r[kk][i] = f.r
-        rank[c] = f.rank
-    return q, start, r, rank
-
-
 def _leading_directions(ch, q, start, mask):
     """Leading singular triplet of each column's ``m_j``.
 
@@ -282,7 +253,7 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     where = _positions(n, columns)
     for ch in column_chunks(a, w_pattern, v_pattern, width_order(w_pattern, columns)):
         i, size, col, seen = where[ch.cols], len(ch.cols), ch.v_col, ch.v_seen
-        q, start, r, rank = _visible_factors(ch)
+        q, start, r, rank = ch.visible_q(qr_householder)
         lead, sigma, _ = _leading_directions(ch, q, start, seen)
 
         diag = np.flatnonzero(ch.v_rows == ch.cols[col])
@@ -341,7 +312,7 @@ def _sweep_s(a, w_pattern, v_pattern, columns):
                             outside_v=True):
         for sel, blocks in ch.shape_groups():
             j, k = ch.cols[sel], blocks.shape[2]
-            _, r, rank = _qr_signed(blocks)
+            r, rank = _r_signed(blocks)
             _, sigma, v = _svd_signed(r)
             w = v[:, :, -1]
             # sign: (A_j w_j)_j >= 0, or the largest entry of w_j if that is 0

@@ -5,9 +5,9 @@ are tiny compared with the host matrix.  QR and SVD call numpy's LAPACK and
 then fix the signs LAPACK leaves free (nonnegative R diagonal; each right
 singular vector's largest component nonnegative), so callers see one
 convention whatever the build.  The same rules apply to stacks of blocks
-through ``_qr_signed`` and ``_svd_signed``, which the column sweeps call
-once per group of equally shaped blocks.  :func:`qr_householder` factors
-one block, once per column in diaf-q and in the V selection;
+through ``_r_signed`` (R alone) and ``_svd_signed``, which the column
+sweeps call once per group of equally shaped blocks.  :func:`qr_householder`
+factors one block, once per column in diaf-q and in the V selection;
 :func:`svd_small` and :func:`lstsq` are the one-column forms of the sweep's
 stacked SVD and solve, kept for direct use and as references.  The block
 LU of V is stacked the same way: :func:`lu_factor_stack` and
@@ -91,26 +91,27 @@ def qr_householder(m):
         raise ValueError("need rows >= cols >= 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entry in QR input")
-    q, r, rank = _qr_signed(a)
+    q, r = np.linalg.qr(a)
+    sign, rank = _sign_rows(a, r)
+    q *= sign
     return QRFactors(q, r, int(rank))
 
 
-def _qr_signed(a):
-    """LAPACK QR of one block or a stack of blocks ``(..., m, k)``, m >= k.
+def _r_signed(a):
+    """``(r, rank)`` of each block of a stack ``(..., m, k)``, m >= k, bitwise
+    as :func:`qr_householder` gives them, without forming Q."""
+    r = np.linalg.qr(a, mode="r")
+    return r, _sign_rows(a, r)[1]
 
-    Returns ``(q, r, rank)`` under :func:`qr_householder`'s rules: the
-    signs of R's rows (and Q's columns) make R's diagonal nonnegative, and
-    ``rank`` counts the diagonal entries above ``RANK_TOL`` times the
-    Frobenius norm of the block.  A stacked call gives each block bitwise
-    the factors of its own call.
-    """
+
+def _sign_rows(a, r):
+    """Flip R's rows in place to a nonnegative diagonal; returns the flips
+    and the rank (diagonal entries above ``RANK_TOL`` times ``||a||_F``)."""
     fro = np.sqrt((a * a).sum(axis=(-2, -1)))
-    q, r = np.linalg.qr(a)
     sign = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
     r *= sign[..., :, None]
-    q *= sign[..., None, :]
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    return q, r, np.count_nonzero(diag > RANK_TOL * fro[..., None], axis=-1)
+    return sign, np.count_nonzero(diag > RANK_TOL * fro[..., None], axis=-1)
 
 
 def svd_small(m):

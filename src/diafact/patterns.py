@@ -10,16 +10,15 @@ Both W constructions run as index passes over whole sparse matrices,
 summing in the order a per-column loop would.  The V0 solves of S take a
 dense batch of columns through one walk of
 :meth:`~diafact.krylov.VFactorization.solve` each, and a column's
-solution does not depend on its batch.  The V selection first cuts the
-candidate, in one index pass, to the rows the blocks A_j reach, plus the
-diagonal: no other position can score above zero.  It reads the blocks
-from the chunked column sweep of :func:`~diafact.sparse.column_chunks`
-over that cut, in width order like the factor sweeps, so a chunk counts
-cut positions, not the whole candidate.  It factors one block per call
-and takes the scores stacked over the columns of one width.  A column
-with fewer positive scores than ``k_v`` is filled with its smallest-index
-candidates that score zero, read from the first ``k_v`` of its
-candidates.  Inputs are read-only, so results are deterministic, and
+solution does not depend on its batch.  The V selection reads the blocks
+A_j from the chunked column sweep of
+:func:`~diafact.sparse.column_chunks`, in width order like the factor
+sweeps.  A chunk holds only the candidates on its blocks' active rows,
+plus the diagonal: no other position can score above zero.  The
+selection factors one block per call and takes the scores stacked over
+the columns of one width.  A column with fewer positive scores than
+``k_v`` is filled with its smallest-index candidates that score zero,
+read from the first ``k_v`` of its candidates.  Inputs are read-only, so results are deterministic, and
 they do not depend on the order of the sweep.
 """
 
@@ -38,7 +37,6 @@ from .sparse import (
     column_chunks,
     merge_sum,
     pattern_subtract_offdiag,
-    sorted_lookup,
     sparse_product,
     width_order,
 )
@@ -272,28 +270,6 @@ def adjoint_pattern(a, v0_pattern, rule=DropRule()):
     return SubspacePattern.from_keys_or_diagonal(n, probe.entry_keys()).with_diagonal()
 
 
-def _reachable_candidate(a, w_pattern, v_candidate):
-    """The candidates on the rows A_j holds, plus every diagonal.
-
-    Those rows are the support of pattern(A) times the indicator of W, so
-    stored zeros of ``a`` count, as among a block's active rows.  Returns
-    the cut pattern and, per position of its keys, whether it is a
-    candidate (false only on a diagonal the candidate lacks).
-    """
-    n = a.n_cols
-    w_keys = w_pattern.keys()
-    reach = sparse_product(
-        SparseMatrix(n, n, a.col_ptr, a.row_idx, np.ones(a.nnz), validate=False),
-        SparseMatrix.from_keys(n, n, w_keys, np.ones(len(w_keys))),
-    ).entry_keys()
-    diag = np.arange(n, dtype=np.int64) * (n + 1)
-    pos, found = sorted_lookup(reach, diag)
-    keys = np.insert(reach, pos[~found], diag[~found])
-    inside = v_candidate.contains(keys)
-    keep = inside | (keys // n == keys % n)
-    return SubspacePattern.from_keys(n, keys[keep]), inside[keep]
-
-
 def select_v_pattern(a, w_pattern, v_candidate, k_v):
     """Choose the V pattern greedily from admissible candidate positions.
 
@@ -305,13 +281,13 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     grows.  Only columns with more than ``k_v`` candidates are factored,
     one :func:`qr_householder` call each.
 
-    Only the candidates on the active rows of A_j can score above zero, so
-    the blocks are gathered with the candidate cut to those rows plus the
-    diagonal: a chunk counts cut positions, not the whole candidate (for a
-    block-upper shape, every row above the end of the column's block).  A
-    column with fewer than ``k_v`` positive scores is filled with its
-    smallest-index candidates that score zero, which lie among its first
-    ``k_v`` candidates, so only these are read.
+    Only the candidates on the active rows of A_j can score above zero,
+    and a chunk of :func:`~diafact.sparse.column_chunks` holds just those
+    (and the diagonal), never the whole candidate (for a block-upper
+    shape, every row above the end of the column's block).  A column with
+    fewer than ``k_v`` positive scores is filled with its smallest-index
+    candidates that score zero, which lie among its first ``k_v``
+    candidates, so only these are read besides.
     """
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_candidate.n != n:
@@ -322,31 +298,23 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     kept, ranked = np.flatnonzero(counts <= k_v), np.flatnonzero(counts > k_v)
     _, owner, rows = v_candidate.gather(kept)
     keys = [kept[owner] * n + rows, np.arange(n, dtype=np.int64) * (n + 1)]
-    cut, in_candidate = _reachable_candidate(a, w_pattern, v_candidate)
-    # the zero-score candidates a column may need, as far as the cut lacks them
-    _, owner, rows = v_candidate.gather(ranked, limit=k_v)
-    head = ranked[owner] * n + rows
-    head = head[~cut.contains(head)]
-    col, row, score = [head // n], [head % n], [np.zeros(len(head))]
-    for ch in column_chunks(a, w_pattern, cut, width_order(w_pattern, ranked)):
-        # the rows of each Q_j at its visible cut positions, back to back
-        vis, vptr, local = ch.v_visible()
-        k = ch.k[ch.v_col[vis]]
-        start = np.concatenate([[0], np.cumsum(k)])
-        q = np.empty(start[-1])
-        for block, rows, lo, hi in zip(ch.views(ch.blocks), np.split(local, vptr[1:-1]),
-                                       start[vptr[:-1]].tolist(), start[vptr[1:]].tolist()):
-            q[lo:hi] = qr_householder(block).q_thin[rows].ravel()
+    col, row, score = [], [], []
+    for ch in column_chunks(a, w_pattern, v_candidate, width_order(w_pattern, ranked)):
+        q, start, _, _ = ch.visible_q(qr_householder)
+        k = ch.k[ch.v_col]
         scores = np.zeros(len(ch.v_rows))
-        for kk in np.unique(k).tolist():
-            e = np.flatnonzero(k == kk)
+        for kk in np.unique(k[ch.v_seen]).tolist():
+            e = np.flatnonzero(ch.v_seen & (k == kk))
             qt = q[start[e][:, None] + np.arange(kk)]
-            scores[vis[e]] = np.sqrt((qt * qt).sum(axis=1))
-        ok = in_candidate[ch.v_pos]
-        col.append(ch.cols[ch.v_col[ok]])
-        row.append(ch.v_rows[ok])
-        score.append(scores[ok])
-    col, row = np.concatenate(col), np.concatenate(row)
-    best = _top_per_column(col, row, np.concatenate(score), k_v)
-    keys.append(col[best] * n + row[best])
+            scores[e] = np.sqrt((qt * qt).sum(axis=1))
+        # the zero-score candidates a column may need, as far as the chunk lacks them
+        pos, owner, rows = v_candidate.gather(ch.cols, limit=k_v)
+        fill = ~np.isin(pos, ch.v_pos)
+        col += [ch.cols[ch.v_col], ch.cols[owner[fill]]]
+        row += [ch.v_rows, rows[fill]]
+        score += [scores, np.zeros(np.count_nonzero(fill))]
+    if col:
+        col, row = np.concatenate(col), np.concatenate(row)
+        best = _top_per_column(col, row, np.concatenate(score), k_v)
+        keys.append(col[best] * n + row[best])
     return SubspacePattern.from_keys(n, np.unique(np.concatenate(keys)))

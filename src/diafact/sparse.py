@@ -261,10 +261,11 @@ class SubspacePattern:
     Columns given as one shared array (full blocks) are stored once: the
     distinct index sets sit back to back in ``_rows`` with offsets
     ``_ptr``, and ``_which[j]`` names the set of column ``j``.  Whole-pattern
-    operations work on keys ``col * n + row`` (see :meth:`keys`).
+    operations work on keys ``col * n + row`` (see :meth:`keys`); a position
+    of column ``j`` at ``_rows[i]`` is ``keys()[i + _key_shift[j]]``.
     """
 
-    __slots__ = ("n", "_which", "_ptr", "_rows", "_set_keys", "_cols")
+    __slots__ = ("n", "_which", "_ptr", "_rows", "_set_keys", "_key_shift", "_cols")
 
     def __init__(self, n, cols):
         self.n = int(n)
@@ -311,6 +312,8 @@ class SubspacePattern:
             raise ValueError(f"column {j}: pattern index out of range")
         self._which, self._ptr, self._rows, self._cols = which, ptr, rows, None
         self._set_keys = owner * self.n + rows  # sorted: set after set
+        counts = lens[which]
+        self._key_shift = np.cumsum(counts) - counts - ptr[which]
 
     @property
     def cols(self):
@@ -373,18 +376,23 @@ class SubspacePattern:
         of each column.
         """
         cols = np.asarray(cols, dtype=np.int64)
-        key_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.counts(), out=key_ptr[1:])
-        pos, owner = _span_gather(key_ptr, cols, limit)
-        first = (self._ptr[self._which[cols]] - key_ptr[cols])[owner]
-        return pos, owner, self._rows[first + pos]
+        at, owner = _span_gather(self._ptr, self._which[cols], limit)
+        return at + self._key_shift[cols][owner], owner, self._rows[at]
+
+    def lookup(self, keys):
+        """Where the keys ``col * n + row`` sit among :meth:`keys`.
+
+        Returns ``(pos, found)`` as :func:`sorted_lookup` does: each key's
+        index among :meth:`keys`, meaningful only where ``found``.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        cols = keys // self.n
+        at, found = sorted_lookup(self._set_keys, self._which[cols] * self.n + keys - cols * self.n)
+        return at + self._key_shift[cols], found
 
     def contains(self, keys):
         """Whether each key ``col * n + row`` names an allowed position."""
-        keys = np.asarray(keys, dtype=np.int64)
-        cols = keys // self.n
-        _, found = sorted_lookup(self._set_keys, self._which[cols] * self.n + keys - cols * self.n)
-        return found
+        return self.lookup(keys)[1]
 
     def with_diagonal(self):
         """Return a pattern whose column ``j`` always contains index ``j``."""
@@ -534,13 +542,13 @@ def extract_columns(a, cols):
 
 
 # A chunk of a column sweep gathers about this many entries (of A and of
-# V).  The sweeps visit columns in width order (:func:`width_order`), so a
-# larger chunk would make fewer stacked passes: 2^14 made all three
-# benchmark workloads faster (cd2d-q-diag by about 5%), but it raised the
-# peak RSS of cd3d-s-upper by 2.4% and 3.1% (seeds 2 and 1000), as one
-# chunk's dense blocks grew from 0.5 to 1.2 MB; 2^13 raised it about as
-# much.  The entry count does not bound the dense blocks, which hold m x k
-# values per column.
+# the V positions on its blocks' rows).  The sweeps visit columns in width
+# order (:func:`width_order`), so a larger chunk would make fewer stacked
+# passes: 2^14 made all three benchmark workloads faster (cd2d-q-diag by
+# about 5%), but it raised the peak RSS of cd3d-s-upper by 2.4% and 3.1%
+# (seeds 2 and 1000), as one chunk's dense blocks grew from 0.5 to 1.2 MB;
+# 2^13 raised it about as much.  The entry count does not bound the dense
+# blocks, which hold m x k values per column.
 _SWEEP_ENTRIES = 1 << 12
 
 
@@ -555,10 +563,12 @@ class ColumnChunk:
     are ``val`` at flat active row ``entry_row`` and flat set position
     ``entry_set``.
 
-    The V pattern's positions of the chunk come column after column:
-    ``v_pos`` among its keys, chunk column ``v_col`` and row ``v_rows``;
-    ``v_at`` indexes ``active`` where ``v_seen``, which is true exactly at
-    an active row of the column's block.
+    The chunk holds the V pattern's positions that a column problem sees:
+    those on the column's active rows, and its diagonal when the pattern
+    has it.  They come column after column, ascending: ``v_pos`` among the
+    pattern's keys, chunk column ``v_col`` and row ``v_rows``; ``v_at``
+    indexes ``active`` where ``v_seen``, which is true exactly at an
+    active row.
     """
 
     __slots__ = ("cols", "k", "m", "sets", "set_ptr", "slots", "active", "row_ptr",
@@ -577,10 +587,15 @@ class ColumnChunk:
         self.row_ptr, self.active, local = _set_rows(n, len(cols), col, rows)
         self.entry_row, self.entry_set = self.row_ptr[col] + local, self.set_ptr[col] + at
         self.k, self.m = np.diff(self.set_ptr), np.diff(self.row_ptr)
-        self.v_pos, self.v_col, self.v_rows = v_pattern.gather(cols)
-        row_col = np.arange(len(cols), dtype=np.int64).repeat(self.m)
-        self.v_at, self.v_seen = sorted_lookup(row_col * n + self.active,
-                                               self.v_col * n + self.v_rows)
+        # the active rows and the diagonal of each column, as keys c * n + row
+        c = np.arange(len(cols), dtype=np.int64)
+        seen, diag = c.repeat(self.m) * n + self.active, c * n + cols
+        keys = _insert_keys(seen, diag[~sorted_lookup(seen, diag)[1]])
+        key_col = keys // n
+        pos, found = v_pattern.lookup(keys + (cols[key_col] - key_col) * n)
+        self.v_pos, self.v_col, keys = pos[found], key_col[found], keys[found]
+        self.v_rows = keys - self.v_col * n
+        self.v_at, self.v_seen = sorted_lookup(seen, keys)
 
         # the dense blocks, padded to at least k rows, back to back in one
         # flat array and ordered by shape, so blocks of one shape are a slice
@@ -592,11 +607,6 @@ class ColumnChunk:
         self.blocks = np.zeros(int(size.sum()))
         self.blocks[self._off[col] + local * self.k[col] + at] = self.val
 
-    def views(self, flat):
-        """Each column's ``(rows, k)`` view of ``flat``, laid out like :attr:`blocks`."""
-        for off, rows, k in zip(self._off.tolist(), self._pad.tolist(), self.k.tolist()):
-            yield flat[off:off + rows * k].reshape(rows, k)
-
     def shape_groups(self):
         """Chunk columns sharing one padded block shape, with their blocks stacked."""
         order = self._by_shape
@@ -607,16 +617,38 @@ class ColumnChunk:
             rows, k, off = int(self._pad[sel[0]]), int(self.k[sel[0]]), int(self._off[sel[0]])
             yield sel, self.blocks[off:off + len(sel) * rows * k].reshape(len(sel), rows, k)
 
-    def v_visible(self):
-        """The V positions at active rows, column after column.
+    def visible_q(self, qr):
+        """Factor each column's block by one call of ``qr``, column after column.
 
-        Returns ``(e, ptr, local)``: their indices (where ``v_seen``), the
-        offsets of each column's share of ``e``, and their rows within the
-        column's block.
+        ``qr`` maps a dense block to factors with ``q_thin``, ``r`` and
+        ``rank``.  Returns ``(q, start, r, rank)``.  ``q`` holds the rows of
+        each Q_j at its V positions on active rows (all that a column
+        problem reads of Q_j), column after column; the row of V position
+        ``e`` starts at ``start[e]``.  ``r[k]`` stacks the R_j of the
+        columns of width k, in chunk order, and ``rank`` holds each
+        column's rank.
         """
-        e = np.flatnonzero(self.v_seen)
-        col = self.v_col[e]
-        return e, _col_ptr(col, len(self.cols)), self.v_at[e] - self.row_ptr[col]
+        vis = np.flatnonzero(self.v_seen)
+        col = self.v_col[vis]
+        off = np.concatenate([[0], np.cumsum(self.k[col])])
+        start = np.zeros(len(self.v_col), dtype=np.int64)
+        start[vis] = off[:-1]
+        vptr = _col_ptr(col, len(self.cols))
+        local = np.split(self.v_at[vis] - self.row_ptr[col], vptr[1:-1])
+        q, r, rank = np.empty(off[-1]), {}, np.empty(len(self.cols), np.int64)
+        at = np.empty(len(self.cols), np.int64)  # each column's place in its stack
+        for kk in np.unique(self.k).tolist():
+            cols = np.flatnonzero(self.k == kk)
+            r[kk] = np.empty((len(cols), kk, kk))
+            at[cols] = np.arange(len(cols))
+        spans = zip(self._off.tolist(), self._pad.tolist(), self.k.tolist(), at.tolist(), local,
+                    off[vptr[:-1]].tolist(), off[vptr[1:]].tolist())
+        for c, (o, rows, kk, i, loc, lo, hi) in enumerate(spans):
+            f = qr(self.blocks[o:o + rows * kk].reshape(rows, kk))
+            q[lo:hi] = f.q_thin[loc].ravel()
+            r[kk][i] = f.r
+            rank[c] = f.rank
+        return q, start, r, rank
 
 
 def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False):
@@ -625,11 +657,13 @@ def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False):
     A_j holds the columns ``w_pattern.cols[j]`` of ``a`` on their nonzero
     rows; with ``outside_v`` the rows in ``v_pattern.cols[j]`` are left
     out.  A chunk holds about ``_SWEEP_ENTRIES`` entries of ``a`` and of
-    ``v_pattern``, so memory stays bounded; a column's block does not
-    depend on its chunk.
+    ``v_pattern``, counting for a column at most one V position per entry
+    of A_j plus the diagonal, so memory stays bounded however large the
+    V pattern; a column's block does not depend on its chunk.
     """
     columns = np.asarray(columns, dtype=np.int64)
-    size = w_pattern.sums(np.diff(a.col_ptr))[columns] + v_pattern.counts()[columns]
+    size = w_pattern.sums(np.diff(a.col_ptr))[columns]
+    size += np.minimum(v_pattern.counts()[columns], size + 1)
     chunk = (np.cumsum(size) - size) // _SWEEP_ENTRIES
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [len(columns)]])
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):

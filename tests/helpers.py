@@ -206,38 +206,56 @@ def diaf_s_column_reference(a, w_pattern, v_pattern, j):
 def sweep_problem(seed, n=60):
     """A square matrix with W and V patterns whose column problems mix cases.
 
-    Blocks A_j come in many shapes, tall and wide; the columns 1, 2 and 3
-    of A share the two rows {0, 1}, so a W set holding all three gives a
-    wide, rank-deficient block, and a W set {1} with candidate rows away
-    from {0, 1} leaves nothing visible (the zero-candidate fallback).
-    Every column's gather holds the same number of entries, ``size``
-    (entries of A in its W columns plus its V candidates), so a chunk
-    limit of ``c * size`` entries puts ``c`` columns in each chunk.
+    Blocks A_j come in many shapes, tall and wide; the columns 1 to 6 of A
+    share the two rows {0, 1}, so a W set holding all six gives a wide,
+    rank-deficient block, and a W set holding 1 with candidate rows away
+    from its block's rows leaves nothing visible (the zero-candidate
+    fallback).  Every column's gather counts the same number of entries,
+    ``size``: the entries ``g_j`` of A in its W columns plus
+    ``min(|V_j|, g_j + 1)``, as :func:`diafact.sparse.column_chunks`
+    counts them.  Every ``g_j`` lies in ``[low, 2 low - 1]``, ``size`` is
+    ``2 low + 1`` and ``|V_j|`` is ``size - g_j``, or ``n // 2`` (more
+    than ``g_j + 1``) where ``g_j = low``.  So a chunk limit of ``c * size``
+    entries puts ``c`` columns in each chunk.
 
     Returns ``(a, w_pattern, v_pattern, size)``.
     """
     rng = np.random.default_rng(seed)
     dense = random_sparse(rng, n, density=0.08, dominant=False).to_dense()
-    dense[:, 1:4] = 0.0
-    dense[:2, 1:4] = rng.standard_normal((2, 3))
+    dense[:, 1:7] = 0.0
+    dense[:2, 1:7] = rng.standard_normal((2, 6))
     a = SparseMatrix.from_dense(dense)
     nnz = np.diff(a.col_ptr)
-    w_cols = []
+    low = 12
+    size = 2 * low + 1
+    w_cols, v_cols = [], []
     for j in range(n):
         if j % 9 == 4:
-            w_cols.append(np.array([1, 2, 3]))  # wide and rank-deficient
-        elif j % 9 == 7:
-            w_cols.append(np.array([1]))  # candidates chosen away from rows 0, 1
+            w = [1, 2, 3, 4, 5, 6]  # wide and rank-deficient
         else:
-            extra = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
-            w_cols.append(np.unique(np.concatenate([extra, [j]])))
-    gathered = np.array([nnz[c].sum() for c in w_cols])
-    size = int(gathered.max()) + 2
-    v_cols = []
-    for j in range(n):
-        pool = np.setdiff1d(np.arange(n), [j, 0, 1] if j % 9 == 7 else [j])
-        others = rng.choice(pool, size=size - gathered[j] - 1, replace=False)
-        v_cols.append(np.unique(np.concatenate([others, [j]])))
+            # grow the set by random columns until it gathers at least low
+            # entries; a fallback column takes 1, and then only columns
+            # past 6 without row j, so its block keeps full rank
+            w = [1] if j % 9 == 7 else [j]
+            for c in rng.permutation(n).tolist():
+                g = nnz[w].sum()
+                if g >= low:
+                    break
+                fits = c not in w and g + nnz[c] < 2 * low
+                if fits and not (j % 9 == 7 and (c < 7 or dense[j, c])):
+                    w.append(c)
+        w = np.unique(w)
+        g = int(nnz[w].sum())
+        assert low <= g < 2 * low
+        # a fallback column's candidates avoid the rows of its block; the
+        # wide block sees row 0, so it is not a fallback
+        fixed = [j, 0] if j % 9 == 4 else [j]
+        away = np.flatnonzero(dense[:, w].any(axis=1)) if j % 9 == 7 else []
+        pool = np.setdiff1d(np.arange(n), np.concatenate([away, fixed]))
+        count = n // 2 if g == low else size - g
+        others = rng.choice(pool, size=count - len(fixed), replace=False)
+        w_cols.append(w)
+        v_cols.append(np.unique(np.concatenate([others, fixed])))
     return a, SubspacePattern(n, w_cols), SubspacePattern(n, v_cols), size
 
 

@@ -413,11 +413,47 @@ class TestSweep:
 
     def test_chunks_hold_the_stated_columns(self, monkeypatch):
         a, wp, vp, size = sweep_problem(21)
+        assert np.any(vp.counts() > wp.sums(np.diff(a.col_ptr)) + 1)  # V counts capped
         for limit, count in ((1, 1), (7 * size, 7), (10 ** 12, a.n_cols)):
             monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", limit)
             chunks = list(diafact.sparse.column_chunks(a, wp, vp, np.arange(a.n_cols)))
             assert [len(ch.cols) for ch in chunks[:-1]] == [count] * (len(chunks) - 1)
             assert np.array_equal(np.concatenate([ch.cols for ch in chunks]), np.arange(a.n_cols))
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])  # columns per chunk; None: all in one
+    def test_chunks_hold_the_v_positions_on_active_rows(self, monkeypatch, chunk):
+        a, wp, vp, size = sweep_problem(26)
+        n = a.n_cols
+        keys = vp.keys()  # every third column's pattern lacks its diagonal
+        vp = SubspacePattern.from_keys(n, keys[(keys // n % 3 > 0) | (keys // n != keys % n)])
+        keys, dense = vp.keys(), a.to_dense()
+        monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", 10 ** 12 if chunk is None else chunk * size)
+        held = []
+        for ch in diafact.sparse.column_chunks(a, wp, vp, width_order(wp, np.arange(n))):
+            assert np.all(np.diff(ch.v_col) >= 0)
+            for c, j in enumerate(ch.cols.tolist()):
+                active = np.flatnonzero(dense[:, wp.cols[j]].any(axis=1))
+                want = np.intersect1d(vp.cols[j], np.union1d(active, [j]))
+                mine = ch.v_col == c
+                seen = np.isin(want, active)
+                assert np.array_equal(ch.v_rows[mine], want)
+                assert np.array_equal(keys[ch.v_pos[mine]], j * n + want)
+                assert np.array_equal(ch.v_seen[mine], seen)
+                assert np.array_equal(ch.active[ch.v_at[mine][seen]], want[seen])
+                held.append(j in want)
+        assert len(held) == n and 0 < sum(held) < n
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    def test_diaf_q_writes_v_only_on_active_rows_and_the_diagonal(self, threshold):
+        a, wp, vp, _ = sweep_problem(21)
+        policy = StabilizationPolicy(threshold=threshold)
+        v, dense = diaf_q(a, wp, vp, policy).v, a.to_dense()
+        for j in range(a.n_cols):
+            reach = np.union1d(np.flatnonzero(dense[:, wp.cols[j]].any(axis=1)), [j])
+            assert np.all(np.isin(v.column(j)[0], reach))
+            # the column solved alone, over all of its V positions
+            v_ref = diaf_q_column_reference(a, wp, vp, j, policy)[1]
+            assert np.all(np.isin(vp.cols[j][v_ref != 0.0], reach))
 
     @pytest.mark.parametrize("threshold", [0.0, 0.3])
     def test_diaf_q_matches_columns_solved_alone(self, problem, threshold):

@@ -253,6 +253,24 @@ class TestPatterns:
         r = q.intersected(SubspacePattern.diagonal(3))
         assert r == SubspacePattern.diagonal(3)
 
+    @pytest.mark.parametrize("kind", ["keyed", "shared sets"])
+    def test_lookup_gives_the_index_among_keys(self, kind):
+        rng = np.random.default_rng(8)
+        n = 12
+        if kind == "keyed":
+            pat = SubspacePattern.from_keys(n, np.unique(rng.choice(n * n, 40, replace=False)))
+        else:
+            pat = block_pattern(BlockStructure([0, 3, 4, 8, 12]), "block-upper-triangular")
+        keys = pat.keys()
+        pos, found = pat.lookup(keys[::-1])
+        assert found.all() and np.array_equal(pos, np.arange(len(keys))[::-1])
+        absent = np.setdiff1d(np.arange(n * n), keys)
+        assert not pat.lookup(absent)[1].any() and not pat.contains(absent).any()
+        mixed = rng.permutation(n * n)
+        pos, found = pat.lookup(mixed)
+        assert np.array_equal(found, np.isin(mixed, keys))
+        assert np.array_equal(keys[pos[found]], mixed[found])
+
 
 class TestProducts:
     def test_spmv_matches_dense(self):
