@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,13 +100,6 @@ class ResultRow:
     error_stage: str = ""
     error_message: str = ""
     config: dict = field(default_factory=dict)
-
-    CSV_FIELDS = (
-        "problem", "n", "nnz", "max_block", "n_blocks", "rho", "kappa_v",
-        "nrm", "its", "status", "true_relative_residual", "residual_gap", "stab_count",
-        "flagged_columns", "column_residual_max", "column_residual_p99", "min_abs_v_diag",
-        "solution_error", "timings", "error_stage", "error_message",
-    )
 
 
 def preconditioner_density(w, vf, nnz_a):
@@ -228,13 +221,15 @@ def emit_report(rows, fmt="csv", path=None):
     if not rows:
         raise ValueError("no rows to report")
     if fmt == "csv":
+        # every field of a row but its config, in declaration order
+        names = [f.name for f in fields(ResultRow) if f.name != "config"]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ResultRow.CSV_FIELDS)
+        writer.writerow(names)
         for r in rows:
             d = asdict(r)
             d["timings"] = _format_timings(r.timings)
-            writer.writerow([d[k] for k in ResultRow.CSV_FIELDS])
+            writer.writerow([d[k] for k in names])
         text = buf.getvalue()
     elif fmt == "json":
         text = json.dumps([_null_non_finite(asdict(r)) for r in rows], indent=2, allow_nan=False)

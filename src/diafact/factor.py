@@ -335,16 +335,14 @@ def _assemble(pattern, values):
     return SparseMatrix.from_keys(pattern.n, pattern.n, keys[keep], values[keep])
 
 
-def diaf_q_column(a, w_pattern, v_pattern, j, policy=None, target_norm=1.0):
+def diaf_q_column(a, w_pattern, v_pattern, j, policy=None):
     """One column of the QR-based factorization: the sweep over column ``j``.
 
-    Returns ``(w_j, v_j, report)`` with both columns as sparse vectors.
-    ``target_norm`` rescales the computed unit v_j; the assembled product
-    W V^{-1} is invariant under any positive choice.
+    Returns ``(w_j, v_j, report)`` with both columns as sparse vectors;
+    v_j has unit norm.
     """
     cols = np.array([j], dtype=np.int64)
-    out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(),
-                   np.array([float(target_norm)]))
+    out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(), np.ones(1))
     wpos, _, wrows = w_pattern.gather(cols)
     vpos, _, vrows = v_pattern.gather(cols)
     v = out.v[vpos]

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 BREAKDOWN_EPS = 1e-30
+_COND_STEPS = 5  # steps of cond_estimate's inverse-norm iteration, at most
 
 CONVERGED = "converged"
 NO_CONVERGENCE = "no_convergence"
@@ -280,8 +281,8 @@ def apply_right_precond(w, vf, x):
     return spmv(w, vf.solve(x))
 
 
-def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000, x0=None):
-    """Right-preconditioned BiCGSTAB.
+def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000):
+    """Right-preconditioned BiCGSTAB from the zero vector.
 
     ``precond`` maps a residual-space vector through W V^{-1} (identity when
     None).  Convergence means the recurrence residual dropped below
@@ -294,9 +295,8 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000, x0=None):
     b = np.asarray(b, dtype=np.float64)
     if precond is None:
         precond = lambda x: x
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-
-    r = b - spmv(a, x) if x0 is not None else b.copy()
+    x = np.zeros(n)
+    r = b.copy()
     r_hat = r.copy()
     r0_norm = float(np.linalg.norm(r))
     if r0_norm == 0.0:
@@ -356,7 +356,7 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000, x0=None):
     return finish(maxit, NO_CONVERGENCE, float(np.linalg.norm(r)))
 
 
-def cond_estimate(vf, max_iter=5):
+def cond_estimate(vf):
     """1-norm condition estimate ``kappa ~ ||V||_1 * est(||V^{-1}||_1)``.
 
     The inverse norm is estimated by the classic power-type iteration on
@@ -366,7 +366,7 @@ def cond_estimate(vf, max_iter=5):
     norm_v = vf.v.one_norm()
     x = np.full(n, 1.0 / n)
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(_COND_STEPS):
         y = vf.solve(x)
         est = float(np.abs(y).sum())
         xi = np.where(y >= 0, 1.0, -1.0)

@@ -14,11 +14,10 @@ solution does not depend on its batch.  The V selection reads the blocks
 A_j from the chunked column sweep of
 :func:`~diafact.sparse.column_chunks`, in width order like the factor
 sweeps.  A chunk holds only the candidates on its blocks' active rows,
-plus the diagonal: no other position can score above zero.  The
-selection factors one block per call and takes the scores stacked over
-the columns of one width.  A column with fewer positive scores than
-``k_v`` is filled with its smallest-index candidates that score zero,
-read from the first ``k_v`` of its candidates.  Inputs are read-only, so results are deterministic, and
+plus the diagonal: no other position can score above zero or carry a
+value of V.  The selection factors one block per call, takes the scores
+stacked over the columns of one width and ranks each chunk's positions
+per column.  Inputs are read-only, so results are deterministic, and
 they do not depend on the order of the sweep.
 """
 
@@ -273,21 +272,21 @@ def adjoint_pattern(a, v0_pattern, rule=DropRule()):
 def select_v_pattern(a, w_pattern, v_candidate, k_v):
     """Choose the V pattern greedily from admissible candidate positions.
 
-    Per column j the columns of A allowed by ``w_pattern`` are extracted
-    and factored; each admissible position scores the Euclidean norm of the
-    corresponding column of Q_j^T (zero outside the active rows).  The
-    ``k_v`` best positions are kept, the diagonal always included, with
-    ties resolved toward smaller indices so selections nest as ``k_v``
-    grows.  Only columns with more than ``k_v`` candidates are factored,
-    one :func:`qr_householder` call each.
+    A column with at most ``k_v`` candidates keeps them all, unscored.
+    Any other column j takes the columns of A allowed by ``w_pattern`` as
+    its block A_j, factored by one :func:`qr_householder` call.  Its
+    candidates on the active rows of A_j (stored zeros count) score the
+    Euclidean norm of the corresponding column of Q_j^T, and the diagonal,
+    when a candidate, scores it too (zero off the active rows).  Of these
+    the ``k_v`` best are kept, the diagonal always included, with ties
+    resolved toward smaller indices so selections nest as ``k_v`` grows.
 
-    Only the candidates on the active rows of A_j can score above zero,
-    and a chunk of :func:`~diafact.sparse.column_chunks` holds just those
-    (and the diagonal), never the whole candidate (for a block-upper
-    shape, every row above the end of the column's block).  A column with
-    fewer than ``k_v`` positive scores is filled with its smallest-index
-    candidates that score zero, which lie among its first ``k_v``
-    candidates, so only these are read besides.
+    No other candidate is kept: off the active rows of A_j neither
+    factorization can give V a value.  A chunk of
+    :func:`~diafact.sparse.column_chunks` holds just the scored positions,
+    never the whole candidate (for a block-upper shape, every row above
+    the end of the column's block), and a column never spans two chunks,
+    so each chunk is ranked on its own.
     """
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_candidate.n != n:
@@ -298,7 +297,6 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     kept, ranked = np.flatnonzero(counts <= k_v), np.flatnonzero(counts > k_v)
     _, owner, rows = v_candidate.gather(kept)
     keys = [kept[owner] * n + rows, np.arange(n, dtype=np.int64) * (n + 1)]
-    col, row, score = [], [], []
     for ch in column_chunks(a, w_pattern, v_candidate, width_order(w_pattern, ranked)):
         q, start, _, _ = ch.visible_q(qr_householder)
         k = ch.k[ch.v_col]
@@ -307,14 +305,6 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
             e = np.flatnonzero(ch.v_seen & (k == kk))
             qt = q[start[e][:, None] + np.arange(kk)]
             scores[e] = np.sqrt((qt * qt).sum(axis=1))
-        # the zero-score candidates a column may need, as far as the chunk lacks them
-        pos, owner, rows = v_candidate.gather(ch.cols, limit=k_v)
-        fill = ~np.isin(pos, ch.v_pos)
-        col += [ch.cols[ch.v_col], ch.cols[owner[fill]]]
-        row += [ch.v_rows, rows[fill]]
-        score += [scores, np.zeros(np.count_nonzero(fill))]
-    if col:
-        col, row = np.concatenate(col), np.concatenate(row)
-        best = _top_per_column(col, row, np.concatenate(score), k_v)
-        keys.append(col[best] * n + row[best])
+        best = _top_per_column(ch.v_col, ch.v_rows, scores, k_v)
+        keys.append(ch.cols[ch.v_col[best]] * n + ch.v_rows[best])
     return SubspacePattern.from_keys(n, np.unique(np.concatenate(keys)))

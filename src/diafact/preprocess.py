@@ -29,6 +29,8 @@ __all__ = [
     "block_pattern",
 ]
 
+_EQUILIBRATE_SWEEPS = 10  # max-scaling sweeps of equilibrate
+
 
 class StructuralSingularityError(Exception):
     """No perfect matching of rows to columns through nonzeros exists."""
@@ -188,8 +190,8 @@ def max_transversal(a):
     return Permutation(col_of_row)
 
 
-def equilibrate(a, iterations=10):
-    """Iterative row/column infinity-norm equilibration.
+def equilibrate(a):
+    """Row/column infinity-norm equilibration by ``_EQUILIBRATE_SWEEPS`` sweeps.
 
     Each sweep divides every row scale, then every column scale, by the
     square root of its current scaled maximum magnitude; after convergence
@@ -206,7 +208,7 @@ def equilibrate(a, iterations=10):
     mag = np.abs(a.values)
     r = np.ones(a.n_rows)
     c = np.ones(a.n_cols)
-    for _ in range(iterations):
+    for _ in range(_EQUILIBRATE_SWEEPS):
         row_max = np.zeros(a.n_rows)
         np.maximum.at(row_max, a.row_idx, mag * r[a.row_idx] * c[cols])
         r /= np.sqrt(np.where(row_max > 0.0, row_max, 1.0))

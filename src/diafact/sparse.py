@@ -367,16 +367,14 @@ class SubspacePattern:
         pos, col = _span_gather(self._ptr, self._which)
         return col * self.n + self._rows[pos]
 
-    def gather(self, cols, limit=None):
+    def gather(self, cols):
         """The allowed positions of the columns ``cols``, column after column.
 
         Returns ``(pos, owner, rows)``: each position's index among
         :meth:`keys`, the index into ``cols`` of its column, and its row.
-        With ``limit``, only the first ``limit`` positions (smallest rows)
-        of each column.
         """
         cols = np.asarray(cols, dtype=np.int64)
-        at, owner = _span_gather(self._ptr, self._which[cols], limit)
+        at, owner = _span_gather(self._ptr, self._which[cols])
         return at + self._key_shift[cols][owner], owner, self._rows[at]
 
     def lookup(self, keys):
@@ -441,8 +439,8 @@ def read_matrix_market(path):
     """Read a Matrix Market coordinate file into a :class:`SparseMatrix`.
 
     Supports the ``real`` and ``integer`` fields with ``general`` or
-    ``symmetric`` symmetry.  Symmetric storage is expanded to full,
-    duplicate entries are summed and explicit zeros dropped.
+    ``symmetric`` symmetry.  A symmetric file lists the lower triangle, which
+    is expanded to full; duplicate entries are summed, explicit zeros dropped.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline()
@@ -482,22 +480,26 @@ def read_matrix_market(path):
         # the declared count is checked at the end, never trusted for an
         # allocation
         rows, cols, vals = [], [], []
+        value = int if field == "integer" else float
         for line in fh:
             lineno += 1
             s = line.strip()
             if not s or s.startswith("%"):
                 continue
-            t = s.split()
             try:
-                i, j, v = int(t[0]), int(t[1]), float(t[2])
-            except (ValueError, IndexError):
-                raise MatrixMarketError(f"{path}:{lineno}: malformed entry") from None
+                ti, tj, tv = s.split()
+                i, j, v = int(ti), int(tj), float(value(tv))
+            except (ValueError, OverflowError):
+                raise MatrixMarketError(f"{path}:{lineno}: malformed entry: expected row, "
+                                        f"column and {field} value") from None
             if not math.isfinite(v):
                 raise MatrixMarketError(f"{path}:{lineno}: non-finite entry")
             if len(rows) >= nnz:
                 raise MatrixMarketError(f"{path}:{lineno}: more entries than declared")
             if not (1 <= i <= n_rows and 1 <= j <= n_cols):
                 raise MatrixMarketError(f"{path}:{lineno}: index out of range")
+            if symmetry == "symmetric" and i < j:
+                raise MatrixMarketError(f"{path}:{lineno}: entry above the diagonal (symmetric)")
             rows.append(i - 1)
             cols.append(j - 1)
             vals.append(v)
@@ -728,19 +730,16 @@ def _col_ptr(cols, n_cols):
     return col_ptr
 
 
-def _span_gather(col_ptr, cols, limit=None):
+def _span_gather(col_ptr, cols):
     """Entry positions of the columns ``cols`` of a CSC array, in order.
 
     Returns ``(pos, owner)``: the positions of the columns' entries, column
     after column and in storage order within each, and for every position
-    the index into ``cols`` of the column it belongs to.  With ``limit``,
-    only the first ``limit`` entries of each column.
+    the index into ``cols`` of the column it belongs to.
     """
     cols = np.asarray(cols, dtype=np.int64)
     starts = col_ptr[cols]
     counts = col_ptr[cols + 1] - starts
-    if limit is not None:
-        counts = np.minimum(counts, limit)
     # ndarray methods: this runs once per column problem, where the
     # dispatch of the np.* wrappers is a noticeable share of the cost
     owner = np.arange(len(cols), dtype=np.int64).repeat(counts)

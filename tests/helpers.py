@@ -309,6 +309,7 @@ def select_v_pattern_reference(a, w_pattern, v_candidate, k_v):
         cand = v_candidate.cols[j]
         if len(cand) > k_v:
             sub = extract_columns(a, w_pattern.cols[j])
+            cand = cand[np.isin(cand, np.union1d(sub.active_rows, [j]))]
             m = _qt_at(qr_householder(pad_tall(sub.dense_block)).q_thin, sub.active_rows, cand)
             scores = np.sqrt((m.T * m.T).sum(axis=1))
             cand = cand[np.lexsort((cand, -scores))[:k_v]]

@@ -246,6 +246,21 @@ def _malformed(rng, kind):
     elif kind in ("index 0", "index above n"):
         entries[e][int(rng.integers(2))] = 0 if kind == "index 0" else n + 1
         expect = "read", "index out of range"
+    elif kind == "extra field":
+        entries[e].append("7.5")
+        expect = "read", f":{e + 3}: malformed entry: expected row, column and real value"
+    elif kind == "upper entry in symmetric":
+        banner = banner.replace("general", "symmetric")
+        entries = [entry for entry in entries if entry[0] >= entry[1]]
+        e %= len(entries)
+        entries.insert(e, [1, 2, "3.0"])
+        size = f"{n} {n} {len(entries)}"
+        expect = "read", f":{e + 3}: entry above the diagonal (symmetric)"
+    elif kind == "fraction in integer":
+        banner = banner.replace("real", "integer")
+        entries = [[i, j, "3"] for i, j, _ in entries]
+        entries[e][2] = "2.5"
+        expect = "read", f":{e + 3}: malformed entry: expected row, column and integer value"
     elif kind == "skew-symmetric":
         banner = banner.replace("general", "skew-symmetric")
         expect = "read", "unsupported symmetry 'skew-symmetric'"
@@ -284,8 +299,9 @@ def _malformed(rng, kind):
 
 
 class TestMalformedInputs:
-    KINDS = ("truncated entry", "index 0", "index above n", "skew-symmetric", "pattern", "array",
-             "empty file", "banner only", "n=1", "cancelling duplicates", "zero row",
+    KINDS = ("truncated entry", "index 0", "index above n", "extra field",
+             "upper entry in symmetric", "fraction in integer", "skew-symmetric", "pattern",
+             "array", "empty file", "banner only", "n=1", "cancelling duplicates", "zero row",
              "zero size", "huge declared count")
 
     def test_each_ends_in_a_named_stage_with_exit_one(self, tmp_path, capsys):

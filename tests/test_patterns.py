@@ -11,6 +11,7 @@ from diafact.patterns import (
     numerical_drop,
     select_v_pattern,
 )
+from diafact.factor import StabilizationPolicy, diaf_q, diaf_s
 from diafact.kernels import pad_tall, qr_householder
 from diafact.krylov import SingularBlockError
 from diafact.preprocess import BlockStructure, block_pattern
@@ -333,7 +334,7 @@ class TestSelectVCut:
         reached = structural_reach(a, wp)[keys % n, keys // n]
         per_col = np.bincount(keys // n, weights=reached, minlength=n)
         counts = cand.counts()
-        for k_v in (1, 3, 8):  # columns that the zero-score ties must fill
+        for k_v in (1, 3, 8):  # ranked columns whose blocks reach fewer than k_v candidates
             assert np.any((counts > k_v) & (per_col < k_v))
         assert np.count_nonzero(a.values == 0.0) == 1
         zero_scores = 0
@@ -386,3 +387,35 @@ class TestSelectVCut:
         bound = np.count_nonzero(structural_reach(a, wp)) + a.n_cols
         assert held and sum(held) <= bound
         assert bound < cand.nnz // 4  # the whole candidate would break the bound
+
+    @pytest.mark.parametrize("k_v", [1, 3, 8])
+    def test_ranked_columns_keep_only_reached_positions(self, k_v):
+        a, wp, cand, _ = block_upper_problem(11)
+        n = a.n_cols
+        keys = select_v_pattern(a, wp, cand, k_v).keys()
+        col, row = keys // n, keys % n
+        ranked = (cand.counts() > k_v)[col]
+        assert np.all((structural_reach(a, wp)[row, col] | (row == col))[ranked])
+        assert np.any(ranked & (row != col))
+
+    @pytest.mark.parametrize("k_v", [1, 3, 8])
+    def test_unreached_positions_change_no_factor(self, k_v):
+        # neither factorization can give V a value off the rows A_j reaches
+        a, wp, cand, _ = block_upper_problem(11)
+        n = a.n_cols
+        chosen = select_v_pattern(a, wp, cand, k_v)
+        keys = cand.keys()
+        unreached = keys[~structural_reach(a, wp)[keys % n, keys // n]]
+        padded = SubspacePattern.from_keys(n, np.union1d(chosen.keys(), unreached))
+        assert padded.nnz > chosen.nnz
+        factors = [lambda vp: diaf_q(a, wp, vp),
+                   lambda vp: diaf_q(a, wp, vp, StabilizationPolicy(threshold=0.3)),
+                   lambda vp: diaf_s(a, wp, vp)]
+        for factor in factors:
+            want, got = factor(chosen), factor(padded)
+            for m in ("w", "v"):
+                assert np.array_equal(getattr(got, m).entry_keys(), getattr(want, m).entry_keys())
+                assert np.array_equal(getattr(got, m).values, getattr(want, m).values)
+            assert np.array_equal(got.column_residuals, want.column_residuals)
+            assert got.flagged_columns == want.flagged_columns
+            assert got.stab_count == want.stab_count
