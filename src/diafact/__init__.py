@@ -32,7 +32,6 @@ from .preprocess import (
 from .patterns import (
     DropRule,
     NeumannConfig,
-    numerical_drop,
     neumann_pattern,
     adjoint_pattern,
     select_v_pattern,

@@ -10,17 +10,17 @@ singular value of A_j with the rows admissible for v_j removed, and V is
 assembled afterwards as the pattern projection of A W.
 
 The column problems are independent, and each algorithm solves them in
-one sweep.  The sweep visits the columns in order of block width
-(:func:`~diafact.sparse.width_order`), gathers the blocks A_j of a chunk
-of them in one index pass (:func:`~diafact.sparse.column_chunks`), runs
-the dense kernels as stacked LAPACK calls over the columns whose kernel
-inputs share a shape, and does the rest in array passes over the chunk;
-diaf-q keeps one :func:`qr_householder` call per column.  In width order
-a chunk holds few widths, so it makes few stacked calls.  Every diaf-q
-column, stabilized or rank-deficient ones too, goes through the same
-stacked passes.  The one-column functions are the sweep over a single
-column, and a column's result depends neither on the chunk it is solved
-in nor on the order of the sweep.
+one sweep.  The sweep takes the blocks A_j a chunk at a time from
+:func:`~diafact.sparse.column_chunks`, which gathers a chunk in one index
+pass and visits the columns in order of block width, so a chunk holds few
+widths.  It runs the dense kernels as stacked LAPACK calls over the
+columns whose kernel inputs share a shape, and does the rest in array
+passes over the chunk; diaf-q keeps one :func:`qr_householder` call per
+column.  Every diaf-q column, stabilized or rank-deficient ones too, goes
+through the same stacked passes, and the sweep writes each column's
+results at that column's index.  The one-column functions are the sweep
+over a single column, and a column's result depends neither on the chunk
+it is solved in nor on the order of the sweep.
 
 Columns whose leading direction leaves a tiny diagonal in V can be
 stabilized: the diagonal component is pinned to a constant r and the
@@ -43,7 +43,6 @@ from .sparse import (
     column_chunks,
     sorted_lookup,
     sparse_product,
-    width_order,
 )
 
 __all__ = [
@@ -112,7 +111,7 @@ class _Sweep:
 
     ``w`` and ``v`` hold values on the positions of the W and V patterns'
     :meth:`~diafact.sparse.SubspacePattern.keys` (0.0: nothing stored); the
-    per-column arrays follow the order of the swept columns.
+    per-column arrays are indexed by matrix column (zero where not swept).
     """
 
     w: np.ndarray
@@ -123,21 +122,21 @@ class _Sweep:
     fallback: np.ndarray
 
     @classmethod
-    def empty(cls, w_pattern, v_pattern, n_columns):
-        flags = (np.zeros(n_columns, dtype=bool) for _ in range(3))
-        return cls(np.zeros(w_pattern.nnz), np.zeros(v_pattern.nnz), np.zeros(n_columns), *flags)
+    def empty(cls, w_pattern, v_pattern):
+        flags = (np.zeros(w_pattern.n, dtype=bool) for _ in range(3))
+        return cls(np.zeros(w_pattern.nnz), np.zeros(v_pattern.nnz), np.zeros(w_pattern.n), *flags)
 
-    def report(self, i):
-        return ColumnReport(float(self.residuals[i]), bool(self.stabilized[i]),
-                            bool(self.rank_deficient[i]), bool(self.fallback[i]))
+    def report(self, j):
+        return ColumnReport(float(self.residuals[j]), bool(self.stabilized[j]),
+                            bool(self.rank_deficient[j]), bool(self.fallback[j]))
 
-    def flagged(self, columns):
+    def flagged(self):
         """Flag reasons of the flagged columns, keyed by column."""
         out = {}
-        for i in np.flatnonzero(self.rank_deficient | self.fallback).tolist():
-            reasons = [name for name, hit in (("rank-deficient", self.rank_deficient[i]),
-                                              ("zero-candidate-fallback", self.fallback[i])) if hit]
-            out[int(columns[i])] = ",".join(reasons)
+        for j in np.flatnonzero(self.rank_deficient | self.fallback).tolist():
+            reasons = [name for name, hit in (("rank-deficient", self.rank_deficient[j]),
+                                              ("zero-candidate-fallback", self.fallback[j])) if hit]
+            out[j] = ",".join(reasons)
         return out
 
 
@@ -145,13 +144,6 @@ def _require_diagonal(v_pattern, columns):
     missing = columns[~v_pattern.contains(columns * (v_pattern.n + 1))]
     if len(missing):
         raise ValueError(f"V pattern must contain the diagonal index (column {missing[0]})")
-
-
-def _positions(n, columns):
-    """Index of each column among ``columns``."""
-    where = np.zeros(n, dtype=np.int64)
-    where[columns] = np.arange(len(columns))
-    return where
 
 
 def _leading_directions(ch, q, start, mask):
@@ -206,7 +198,7 @@ def _solves(ch, q, start, r, rank, val):
         cols = np.flatnonzero(k == kk)
         span = np.arange(kk)
         e = np.flatnonzero(ch.v_seen & (k[col] == kk))
-        slot = _positions(len(ch.cols), cols)[col[e]]
+        slot = np.searchsorted(cols, col[e])
         qtb = np.bincount((slot[:, None] * kk + span).ravel(),
                           weights=(q[start[e][:, None] + span] * val[e][:, None]).ravel(),
                           minlength=len(cols) * kk).reshape(len(cols), kk, 1)
@@ -229,7 +221,7 @@ def _solves(ch, q, start, r, rank, val):
 
 
 def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
-    """The diaf-q column problems of ``columns``, a chunk at a time, in width order.
+    """The diaf-q column problems of ``columns``; v_j gets the norm ``norms[j]``.
 
     Per chunk: one :func:`qr_householder` call per column; the SVD of the
     candidate part ``m_j`` of Q_j^T, stacked over the columns whose
@@ -247,12 +239,10 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     ``w_j`` by up to ``m k u kappa(R_j) ||w_j||`` to first order, so such
     entries cannot be told from zero.  Residuals are taken after the drop.
     """
-    n = a.n_cols
     _require_diagonal(v_pattern, columns)
-    out = _Sweep.empty(w_pattern, v_pattern, len(columns))
-    where = _positions(n, columns)
-    for ch in column_chunks(a, w_pattern, v_pattern, width_order(w_pattern, columns)):
-        i, size, col, seen = where[ch.cols], len(ch.cols), ch.v_col, ch.v_seen
+    out = _Sweep.empty(w_pattern, v_pattern)
+    for ch in column_chunks(a, w_pattern, v_pattern, columns):
+        size, col, seen, norm = len(ch.cols), ch.v_col, ch.v_seen, norms[ch.cols]
         q, start, r, rank = ch.visible_q(qr_householder)
         lead, sigma, _ = _leading_directions(ch, q, start, seen)
 
@@ -262,9 +252,9 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
         # of A_j: fall back to the diagonal so V leans nonsingular
         fallback = sigma == 0.0
         stabilize = ~fallback & (np.abs(lead[diag]) < policy.threshold)
-        val = lead * norms[i][col]
+        val = lead * norm[col]
         val[fallback[col]] = 0.0
-        val[diag[fallback]] = norms[i][fallback]
+        val[diag[fallback]] = norm[fallback]
         if stabilize.any():
             # v_jj = r; the rest is the leading direction over the visible
             # admissible positions (< j), signed by u_1 . (row of Q_j at j),
@@ -285,19 +275,19 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
         # active rows, plus the part of v_j outside them
         d = np.bincount(ch.entry_row, weights=ch.val * w[ch.entry_set], minlength=len(ch.active))
         d[ch.v_at[seen]] -= val[seen]
-        row_col = np.arange(size).repeat(ch.m)
+        inside = np.bincount(np.arange(size).repeat(ch.m), weights=d * d, minlength=size)
         outside = np.bincount(col[~seen], weights=val[~seen] ** 2, minlength=size)
-        out.residuals[i] = np.sqrt(np.bincount(row_col, weights=d * d, minlength=size) + outside)
+        out.residuals[ch.cols] = np.sqrt(inside + outside)
         out.w[ch.slots] = w
         out.v[ch.v_pos] = val
-        out.stabilized[i] = stabilize
-        out.rank_deficient[i] = rank < ch.k
-        out.fallback[i] = fallback
+        out.stabilized[ch.cols] = stabilize
+        out.rank_deficient[ch.cols] = rank < ch.k
+        out.fallback[ch.cols] = fallback
     return out
 
 
 def _sweep_s(a, w_pattern, v_pattern, columns):
-    """The diaf-s column problems of ``columns``, a chunk at a time, in width order.
+    """The diaf-s column problems of ``columns``, a chunk at a time.
 
     A_j comes without the rows admissible for v_j; its QR, the SVD of R_j
     and the sign rule run stacked over the columns whose blocks share one
@@ -305,11 +295,9 @@ def _sweep_s(a, w_pattern, v_pattern, columns):
     """
     n = a.n_cols
     _require_diagonal(v_pattern, columns)
-    out = _Sweep.empty(w_pattern, v_pattern, len(columns))
-    where = _positions(n, columns)
+    out = _Sweep.empty(w_pattern, v_pattern)
     a_keys = a.entry_keys()
-    for ch in column_chunks(a, w_pattern, v_pattern, width_order(w_pattern, columns),
-                            outside_v=True):
+    for ch in column_chunks(a, w_pattern, v_pattern, columns, outside_v=True):
         for sel, blocks in ch.shape_groups():
             j, k = ch.cols[sel], blocks.shape[2]
             r, rank = _r_signed(blocks)
@@ -324,8 +312,8 @@ def _sweep_s(a, w_pattern, v_pattern, columns):
             big = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)[:, 0]
             flip = (y < 0.0) | ((y == 0.0) & (big < 0.0))
             out.w[ch.slots[ch.set_ptr[sel][:, None] + np.arange(k)]] = np.where(flip[:, None], -w, w)
-            out.residuals[where[j]] = sigma[:, -1]
-            out.rank_deficient[where[j]] = (ch.m[sel] < k) | (rank < k)
+            out.residuals[j] = sigma[:, -1]
+            out.rank_deficient[j] = (ch.m[sel] < k) | (rank < k)
     return out
 
 
@@ -341,14 +329,14 @@ def diaf_q_column(a, w_pattern, v_pattern, j, policy=None):
     Returns ``(w_j, v_j, report)`` with both columns as sparse vectors;
     v_j has unit norm.
     """
+    n = a.n_cols
     cols = np.array([j], dtype=np.int64)
-    out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(), np.ones(1))
+    out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(), np.ones(n))
     wpos, _, wrows = w_pattern.gather(cols)
     vpos, _, vrows = v_pattern.gather(cols)
     v = out.v[vpos]
     keep = v != 0.0
-    n = a.n_cols
-    return SparseVector(n, wrows, out.w[wpos]), SparseVector(n, vrows[keep], v[keep]), out.report(0)
+    return SparseVector(n, wrows, out.w[wpos]), SparseVector(n, vrows[keep], v[keep]), out.report(j)
 
 
 def diaf_s_column(a, w_pattern, v_pattern, j):
@@ -360,7 +348,7 @@ def diaf_s_column(a, w_pattern, v_pattern, j):
     cols = np.array([j], dtype=np.int64)
     out = _sweep_s(a, w_pattern, v_pattern, cols)
     wpos, _, wrows = w_pattern.gather(cols)
-    return SparseVector(a.n_cols, wrows, out.w[wpos]), out.report(0)
+    return SparseVector(a.n_cols, wrows, out.w[wpos]), out.report(j)
 
 
 def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
@@ -375,11 +363,10 @@ def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
     norms = np.ones(n) if column_norms is None else np.asarray(column_norms, dtype=np.float64)
     if np.any(norms <= 0):
         raise ValueError("column norms must be positive")
-    cols = np.arange(n)
-    out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(), norms)
+    out = _sweep_q(a, w_pattern, v_pattern, np.arange(n), policy or StabilizationPolicy(), norms)
     res = out.residuals
     return FactorPair(_assemble(w_pattern, out.w), _assemble(v_pattern, out.v), res,
-                      int(out.stabilized.sum()), float(np.sqrt((res ** 2).sum())), out.flagged(cols))
+                      int(out.stabilized.sum()), float(np.sqrt((res ** 2).sum())), out.flagged())
 
 
 def diaf_s(a, w_pattern, v_pattern):
@@ -387,8 +374,7 @@ def diaf_s(a, w_pattern, v_pattern):
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     n = a.n_cols
-    cols = np.arange(n)
-    out = _sweep_s(a, w_pattern, v_pattern, cols)
+    out = _sweep_s(a, w_pattern, v_pattern, np.arange(n))
     w = _assemble(w_pattern, out.w)
     # project A W onto the admissible structure; the rest is the residual
     y = sparse_product(a, w)
@@ -396,4 +382,4 @@ def diaf_s(a, w_pattern, v_pattern):
     outside = np.where(inside, 0.0, y.values)
     residuals = np.sqrt(np.bincount(y._entry_columns(), weights=outside * outside, minlength=n))
     return FactorPair(w, y.masked(inside), residuals, 0,
-                      float(np.sqrt((residuals ** 2).sum())), out.flagged(cols))
+                      float(np.sqrt((residuals ** 2).sum())), out.flagged())

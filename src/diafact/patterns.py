@@ -12,13 +12,14 @@ dense batch of columns through one walk of
 :meth:`~diafact.krylov.VFactorization.solve` each, and a column's
 solution does not depend on its batch.  The V selection reads the blocks
 A_j from the chunked column sweep of
-:func:`~diafact.sparse.column_chunks`, in width order like the factor
-sweeps.  A chunk holds only the candidates on its blocks' active rows,
-plus the diagonal: no other position can score above zero or carry a
-value of V.  The selection factors one block per call, takes the scores
-stacked over the columns of one width and ranks each chunk's positions
-per column.  Inputs are read-only, so results are deterministic, and
-they do not depend on the order of the sweep.
+:func:`~diafact.sparse.column_chunks`, which orders the columns by block
+width for it as for the factor sweeps.  A chunk holds only the
+candidates on its blocks' active rows, plus the diagonal: no other
+position can score above zero or carry a value of V.  The selection
+factors one block per call, takes the scores stacked over the columns of
+one width and ranks each chunk's positions per column.  Inputs are
+read-only, so results are deterministic, and they do not depend on the
+order of the sweep.
 """
 
 from __future__ import annotations
@@ -31,19 +32,16 @@ from .kernels import qr_householder
 from .krylov import SingularBlockError, factor_v
 from .sparse import (
     SparseMatrix,
-    SparseVector,
     SubspacePattern,
     column_chunks,
     merge_sum,
     pattern_subtract_offdiag,
     sparse_product,
-    width_order,
 )
 
 __all__ = [
     "DropRule",
     "NeumannConfig",
-    "numerical_drop",
     "neumann_pattern",
     "adjoint_pattern",
     "select_v_pattern",
@@ -94,15 +92,14 @@ def _top_per_column(col, idx, score, p):
     return order[np.arange(len(order)) - np.searchsorted(c, c) < p]
 
 
-def _drop_mask(col, idx, val, rule, protect):
+def _drop_mask(col, idx, val, rule):
     """Entries of column segments that a :class:`DropRule` keeps.
 
     ``col`` is nondecreasing and groups the entries into columns, ``idx``
     holds their indices.  Per column, entries below ``tau`` times the
     column's largest magnitude go, and of the rest at most ``p`` stay,
-    ranked by magnitude with ties to the smaller index.  An entry whose
-    index equals ``protect`` (a scalar, or one value per entry) is kept
-    regardless; ``None`` protects nothing.
+    ranked by magnitude with ties to the smaller index.  An entry on the
+    diagonal (``idx == col``) is kept regardless.
     """
     mag = np.abs(val)
     keep = np.ones(len(val), dtype=bool)
@@ -114,29 +111,15 @@ def _drop_mask(col, idx, val, rule, protect):
         cand = np.flatnonzero(keep)
         keep = np.zeros(len(val), dtype=bool)
         keep[cand[_top_per_column(col[cand], idx[cand], mag[cand], rule.p)]] = True
-    if protect is not None:
-        keep |= idx == protect
-    return keep
-
-
-def numerical_drop(v, rule, protect=None):
-    """Apply a :class:`DropRule` to a sparse vector.
-
-    The protected index (the diagonal, in the pattern constructions) is
-    kept regardless of the rule whenever it is present in the input.
-    """
-    if v.nnz == 0 or rule.unused:
-        return v
-    keep = _drop_mask(np.zeros(v.nnz, dtype=np.int64), v.idx, v.val, rule, protect)
-    return SparseVector(v.n, v.idx[keep], v.val[keep])
+    return keep | (idx == col)
 
 
 def _drop_columns(m, rule):
-    """:func:`numerical_drop` on every column of ``m``, protecting the diagonal."""
+    """``m`` with a :class:`DropRule` applied to each column, the diagonal kept."""
     if m.nnz == 0 or rule.unused:
         return m
     col = m._entry_columns()
-    return m.masked(_drop_mask(col, m.row_idx, m.values, rule, col))
+    return m.masked(_drop_mask(col, m.row_idx, m.values, rule))
 
 
 class _V0Solver:
@@ -297,7 +280,7 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     kept, ranked = np.flatnonzero(counts <= k_v), np.flatnonzero(counts > k_v)
     _, owner, rows = v_candidate.gather(kept)
     keys = [kept[owner] * n + rows, np.arange(n, dtype=np.int64) * (n + 1)]
-    for ch in column_chunks(a, w_pattern, v_candidate, width_order(w_pattern, ranked)):
+    for ch in column_chunks(a, w_pattern, v_candidate, ranked):
         q, start, _, _ = ch.visible_q(qr_householder)
         k = ch.k[ch.v_col]
         scores = np.zeros(len(ch.v_rows))

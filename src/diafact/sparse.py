@@ -23,7 +23,6 @@ __all__ = [
     "write_matrix_market",
     "extract_columns",
     "column_chunks",
-    "width_order",
     "sparse_product",
     "pattern_subtract_offdiag",
     "spmv",
@@ -108,20 +107,6 @@ class SparseMatrix:
     def identity(cls, n):
         idx = np.arange(n, dtype=np.int64)
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
-    @classmethod
-    def from_columns(cls, n_rows, columns):
-        """Assemble from per-column ``(row_indices, values)`` pairs."""
-        n_cols = len(columns)
-        counts = np.fromiter((len(idx) for idx, _ in columns), np.int64, n_cols)
-        if n_cols:
-            row_idx = np.concatenate([idx for idx, _ in columns]).astype(np.int64)
-            values = np.concatenate([val for _, val in columns]).astype(np.float64)
-        else:
-            row_idx, values = np.empty(0, np.int64), np.empty(0)
-        keep = values != 0.0
-        owner = np.repeat(np.arange(n_cols, dtype=np.int64), counts)[keep]
-        return cls(n_rows, n_cols, _col_ptr(owner, n_cols), row_idx[keep], values[keep])
 
     @classmethod
     def from_keys(cls, n_rows, n_cols, keys, values):
@@ -469,7 +454,7 @@ def read_matrix_market(path):
         if size_line is None:
             raise MatrixMarketError(f"{path}:{lineno}: missing size line")
         try:
-            n_rows, n_cols, nnz = (int(t) for t in size_line.split())
+            n_rows, n_cols, nnz = (int(t) for t in _fields(size_line))
         except ValueError:
             raise MatrixMarketError(f"{path}:{lineno}: malformed size line") from None
         if min(n_rows, n_cols, nnz) < 0:
@@ -487,7 +472,7 @@ def read_matrix_market(path):
             if not s or s.startswith("%"):
                 continue
             try:
-                ti, tj, tv = s.split()
+                ti, tj, tv = _fields(s)
                 i, j, v = int(ti), int(tj), float(value(tv))
             except (ValueError, OverflowError):
                 raise MatrixMarketError(f"{path}:{lineno}: malformed entry: expected row, "
@@ -517,6 +502,13 @@ def read_matrix_market(path):
     return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
 
 
+def _fields(line):
+    """``line.split()``, refusing ``_``, which ``int`` and ``float`` accept between digits."""
+    if "_" in line:
+        raise ValueError("underscore in a number")
+    return line.split()
+
+
 def write_matrix_market(a, path):
     """Write ``a`` in coordinate/real/general form with round-trip precision."""
     cols = a._entry_columns()
@@ -544,13 +536,13 @@ def extract_columns(a, cols):
 
 
 # A chunk of a column sweep gathers about this many entries (of A and of
-# the V positions on its blocks' rows).  The sweeps visit columns in width
-# order (:func:`width_order`), so a larger chunk would make fewer stacked
-# passes: 2^14 made all three benchmark workloads faster (cd2d-q-diag by
-# about 5%), but it raised the peak RSS of cd3d-s-upper by 2.4% and 3.1%
-# (seeds 2 and 1000), as one chunk's dense blocks grew from 0.5 to 1.2 MB;
-# 2^13 raised it about as much.  The entry count does not bound the dense
-# blocks, which hold m x k values per column.
+# the V positions on its blocks' rows).  :func:`column_chunks` visits the
+# columns in width order (:func:`width_order`), so a larger chunk would
+# make fewer stacked passes: 2^14 made all three benchmark workloads
+# faster (cd2d-q-diag by about 5%), but it raised the peak RSS of
+# cd3d-s-upper by 2.4% and 3.1% (seeds 2 and 1000), as one chunk's dense
+# blocks grew from 0.5 to 1.2 MB; 2^13 raised it about as much.  The entry
+# count does not bound the dense blocks, which hold m x k values per column.
 _SWEEP_ENTRIES = 1 << 12
 
 
@@ -654,16 +646,19 @@ class ColumnChunk:
 
 
 def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False):
-    """The blocks A_j of ``columns`` as :class:`ColumnChunk` runs.
+    """The blocks A_j of ``columns`` as :class:`ColumnChunk` runs, in width order.
 
     A_j holds the columns ``w_pattern.cols[j]`` of ``a`` on their nonzero
     rows; with ``outside_v`` the rows in ``v_pattern.cols[j]`` are left
-    out.  A chunk holds about ``_SWEEP_ENTRIES`` entries of ``a`` and of
-    ``v_pattern``, counting for a column at most one V position per entry
-    of A_j plus the diagonal, so memory stays bounded however large the
-    V pattern; a column's block does not depend on its chunk.
+    out.  The columns are visited in :func:`width_order`, so a chunk holds
+    few block widths and its stacked passes run on few shapes; callers
+    pass ``columns`` in any order.  A chunk holds about ``_SWEEP_ENTRIES``
+    entries of ``a`` and of ``v_pattern``, counting for a column at most
+    one V position per entry of A_j plus the diagonal, so memory stays
+    bounded however large the V pattern; a column's block does not depend
+    on its chunk.
     """
-    columns = np.asarray(columns, dtype=np.int64)
+    columns = width_order(w_pattern, columns)
     size = w_pattern.sums(np.diff(a.col_ptr))[columns]
     size += np.minimum(v_pattern.counts()[columns], size + 1)
     chunk = (np.cumsum(size) - size) // _SWEEP_ENTRIES
@@ -674,12 +669,7 @@ def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False):
 
 
 def width_order(w_pattern, columns):
-    """``columns`` sorted by their number of W positions, equal ones in order.
-
-    A sweep that hands its columns to :func:`column_chunks` in this order
-    gets chunks that hold few block widths, so its stacked passes run on
-    few shapes.
-    """
+    """``columns`` sorted by their number of W positions, equal ones in order."""
     columns = np.asarray(columns, dtype=np.int64)
     return columns[np.argsort(w_pattern.counts()[columns], kind="stable")]
 

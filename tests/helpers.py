@@ -5,7 +5,7 @@ import numpy as np
 from diafact.kernels import lstsq, pad_tall, qr_householder, svd_small
 from diafact.patterns import _V0Solver
 from diafact.preprocess import BlockStructure, block_pattern
-from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern, extract_columns, merge_sum
+from diafact.sparse import ColumnSubmatrix, SparseMatrix, SparseVector, SubspacePattern, merge_sum
 
 
 def random_sparse(rng, n, density=0.15, dominant=True):
@@ -34,6 +34,23 @@ def random_pattern(rng, n, per_col, with_diag=True):
 
 def full_pattern(n):
     return SubspacePattern(n, [np.arange(n)] * n)
+
+
+def gather_block(a, cols):
+    """The block A_j of the columns ``cols`` of ``a``, gathered entry by entry.
+
+    A plain loop over ``col_ptr``/``row_idx``, sharing no code with the
+    package's gathers, so a fault there cannot hide in the references.  The
+    active rows are those where any of the columns stores an entry, a
+    stored zero included.
+    """
+    entries = [(int(a.row_idx[e]), t, float(a.values[e]))
+               for t, c in enumerate(cols) for e in range(a.col_ptr[c], a.col_ptr[c + 1])]
+    rows = sorted({row for row, _, _ in entries})
+    block = np.zeros((len(rows), len(cols)))
+    for row, t, value in entries:
+        block[rows.index(row), t] = value
+    return ColumnSubmatrix(a.n_rows, np.asarray(cols), np.array(rows, dtype=np.int64), block)
 
 
 def drop_reference(idx, val, rule, protect):
@@ -85,9 +102,12 @@ def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None, v0_shape="block-d
     for j in range(n):
         idx, val = a.column(j)
         inside = np.isin(idx, v0_pattern.cols[j])
-        col = solver.solve_sparse(SparseMatrix.from_columns(n, [(idx[~inside], val[~inside])]))
+        rhs = SparseMatrix.from_coo(n, 1, idx[~inside], np.zeros((~inside).sum()), val[~inside])
+        col = solver.solve_sparse(rhs)
         s_cols.append(drop_reference(col.row_idx, col.values, cfg.initial_drop, j))
-    s = SparseMatrix.from_columns(n, s_cols)
+    owner = np.repeat(np.arange(n), [len(idx) for idx, _ in s_cols])
+    s = SparseMatrix.from_coo(n, n, np.concatenate([idx for idx, _ in s_cols]), owner,
+                              np.concatenate([val for _, val in s_cols]))
 
     cols = []
     for j in range(n):
@@ -147,7 +167,7 @@ def diaf_q_column_reference(a, w_pattern, v_pattern, j, policy, target_norm=1.0)
     """
     n = a.n_cols
     vcols = v_pattern.cols[j]
-    sub = extract_columns(a, w_pattern.cols[j])
+    sub = gather_block(a, w_pattern.cols[j])
     block = pad_tall(sub.dense_block)
     qr = qr_householder(block)
     m_j = _qt_at(qr.q_thin, sub.active_rows, vcols)
@@ -190,7 +210,7 @@ def diaf_q_column_reference(a, w_pattern, v_pattern, j, policy, target_norm=1.0)
 def diaf_s_column_reference(a, w_pattern, v_pattern, j):
     """One diaf-s column solved on its own: ``(w_j, residual, rank_deficient)``."""
     vcols = v_pattern.cols[j]
-    sub = extract_columns(a, w_pattern.cols[j])
+    sub = gather_block(a, w_pattern.cols[j])
     removed = np.isin(sub.active_rows, vcols)
     a_hat = sub.dense_block[~removed]
     qr = qr_householder(pad_tall(a_hat))
@@ -308,7 +328,7 @@ def select_v_pattern_reference(a, w_pattern, v_candidate, k_v):
     for j in range(n):
         cand = v_candidate.cols[j]
         if len(cand) > k_v:
-            sub = extract_columns(a, w_pattern.cols[j])
+            sub = gather_block(a, w_pattern.cols[j])
             cand = cand[np.isin(cand, np.union1d(sub.active_rows, [j]))]
             m = _qt_at(qr_householder(pad_tall(sub.dense_block)).q_thin, sub.active_rows, cand)
             scores = np.sqrt((m.T * m.T).sum(axis=1))

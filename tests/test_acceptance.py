@@ -16,7 +16,15 @@ import pytest
 
 from diafact.bench import ExperimentConfig, run_experiment
 from diafact.factor import StabilizationPolicy, diaf_q, diaf_s
-from diafact.kernels import lstsq, qr_householder, svd_small
+from diafact.kernels import (
+    _r_signed,
+    _svd_signed,
+    lstsq,
+    lu_factor_stack,
+    lu_solve_stack,
+    qr_householder,
+    svd_small,
+)
 from diafact.krylov import apply_right_precond, bicgstab, factor_v
 from diafact.patterns import adjoint_pattern, select_v_pattern
 from diafact.preprocess import BlockStructure, block_pattern
@@ -294,4 +302,51 @@ def test_criterion_9_kernel_oracles():
         x, rep = bicgstab(a, b, tol=1e-8)
         assert rep.status == "converged"
         assert np.linalg.norm(b - d * x) <= 1e-8 * np.linalg.norm(b)
-    passed(9, "QR/SVD/least-squares invariants on 1000 shapes; diagonal solves to 1e-8")
+
+    # the stacked forms the sweeps and factor_v run: the same invariants,
+    # and each block bitwise as its one-block call gives it
+    for _ in range(200):
+        s = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 51))
+        k = int(rng.integers(1, m + 1))
+        stack = rng.standard_normal((s, m, k))
+        r, rank = _r_signed(stack)
+        for i, block in enumerate(stack):
+            f = qr_householder(block)
+            one_r, one_rank = _r_signed(block)
+            assert np.array_equal(r[i], f.r) and np.array_equal(r[i], one_r)
+            assert rank[i] == f.rank == one_rank
+            assert np.linalg.norm(f.q_thin @ r[i] - block) <= 1e-12 * np.linalg.norm(block)
+            assert np.all(np.diag(r[i]) >= 0.0)
+
+        p, q = int(rng.integers(1, 21)), int(rng.integers(1, 21))
+        stack = rng.standard_normal((s, p, q))
+        u, sigma, v = _svd_signed(stack)
+        for i, mat in enumerate(stack):
+            f = svd_small(mat)  # the one-matrix call of _svd_signed
+            for got, want in zip((u[i], sigma[i], v[i]), (f.u, f.sigma, f.v)):
+                assert np.array_equal(got, want)
+            gram = mat.T @ mat if p >= q else mat @ mat.T
+            oracle = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))[::-1]
+            assert np.max(np.abs(sigma[i] - oracle)) <= 1e-10 * max(oracle[0], 1e-300)
+            remade = u[i] @ np.diag(sigma[i]) @ v[i].T
+            assert np.linalg.norm(remade - mat) <= 1e-11 * max(np.linalg.norm(mat), 1e-300)
+
+        k, nrhs = int(rng.integers(1, 21)), int(rng.integers(1, 4))
+        stack = rng.standard_normal((s, k, k))
+        rhs = rng.standard_normal((s, k, nrhs))
+        lu, perm, singular = lu_factor_stack(stack)
+        assert not singular.any()
+        x = lu_solve_stack(lu, perm, rhs)
+        for i, block in enumerate(stack):
+            one_lu, one_perm, _ = lu_factor_stack(block[None])
+            assert np.array_equal(lu[i], one_lu[0]) and np.array_equal(perm[i], one_perm[0])
+            assert np.array_equal(x[i], lu_solve_stack(one_lu, one_perm, rhs[i][None])[0])
+            lower = np.tril(lu[i], -1) + np.eye(k)
+            remade = lower @ np.triu(lu[i])
+            assert np.linalg.norm(remade - block[perm[i]]) <= 1e-12 * np.linalg.norm(block)
+            res_np = np.linalg.norm(block @ np.linalg.solve(block, rhs[i]) - rhs[i])
+            assert np.linalg.norm(block @ x[i] - rhs[i]) <= res_np + 1e-10
+
+    passed(9, "QR/SVD/least-squares invariants on 1000 shapes; stacked QR/SVD/LU on 200 stacks, "
+              "each block bitwise its own call; diagonal solves to 1e-8")

@@ -261,6 +261,17 @@ def _malformed(rng, kind):
         entries = [[i, j, "3"] for i, j, _ in entries]
         entries[e][2] = "2.5"
         expect = "read", f":{e + 3}: malformed entry: expected row, column and integer value"
+    elif kind == "underscore in value":
+        # Python's float reads 1_0.5 as 10.5
+        entries[e][2] = "1_" + repr(abs(float(entries[e][2])))
+        expect = "read", f":{e + 3}: malformed entry: expected row, column and real value"
+    elif kind == "underscore in size":
+        size = f"{n}_0 {n}_0 {len(entries)}"  # read as 10 n by 10 n
+        expect = "read", ":2: malformed size line"
+    elif kind == "underscore in index":
+        c = int(rng.integers(2))
+        entries[e][c] = f"0_{entries[e][c]}"  # read as a valid index
+        expect = "read", f":{e + 3}: malformed entry: expected row, column and real value"
     elif kind == "skew-symmetric":
         banner = banner.replace("general", "skew-symmetric")
         expect = "read", "unsupported symmetry 'skew-symmetric'"
@@ -300,7 +311,8 @@ def _malformed(rng, kind):
 
 class TestMalformedInputs:
     KINDS = ("truncated entry", "index 0", "index above n", "extra field",
-             "upper entry in symmetric", "fraction in integer", "skew-symmetric", "pattern",
+             "upper entry in symmetric", "fraction in integer", "underscore in value",
+             "underscore in size", "underscore in index", "skew-symmetric", "pattern",
              "array", "empty file", "banner only", "n=1", "cancelling duplicates", "zero row",
              "zero size", "huge declared count")
 

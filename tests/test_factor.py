@@ -414,11 +414,17 @@ class TestSweep:
     def test_chunks_hold_the_stated_columns(self, monkeypatch):
         a, wp, vp, size = sweep_problem(21)
         assert np.any(vp.counts() > wp.sums(np.diff(a.col_ptr)) + 1)  # V counts capped
+        k = wp.counts()
+        assert len(np.unique(k)) > 3
+        shuffled = np.random.default_rng(0).permutation(a.n_cols)
         for limit, count in ((1, 1), (7 * size, 7), (10 ** 12, a.n_cols)):
             monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", limit)
-            chunks = list(diafact.sparse.column_chunks(a, wp, vp, np.arange(a.n_cols)))
-            assert [len(ch.cols) for ch in chunks[:-1]] == [count] * (len(chunks) - 1)
-            assert np.array_equal(np.concatenate([ch.cols for ch in chunks]), np.arange(a.n_cols))
+            for given in (np.arange(a.n_cols), shuffled):
+                chunks = list(diafact.sparse.column_chunks(a, wp, vp, given))
+                assert [len(ch.cols) for ch in chunks[:-1]] == [count] * (len(chunks) - 1)
+                # by block width, equal widths in the order given
+                want = given[np.argsort(k[given], kind="stable")]
+                assert np.array_equal(np.concatenate([ch.cols for ch in chunks]), want)
 
     @pytest.mark.parametrize("chunk", [1, 7, None])  # columns per chunk; None: all in one
     def test_chunks_hold_the_v_positions_on_active_rows(self, monkeypatch, chunk):
@@ -429,7 +435,7 @@ class TestSweep:
         keys, dense = vp.keys(), a.to_dense()
         monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", 10 ** 12 if chunk is None else chunk * size)
         held = []
-        for ch in diafact.sparse.column_chunks(a, wp, vp, width_order(wp, np.arange(n))):
+        for ch in diafact.sparse.column_chunks(a, wp, vp, np.arange(n)):
             assert np.all(np.diff(ch.v_col) >= 0)
             for c, j in enumerate(ch.cols.tolist()):
                 active = np.flatnonzero(dense[:, wp.cols[j]].any(axis=1))
@@ -558,8 +564,7 @@ class TestSweepOrder:
         limit = {"one column": 1, "seven columns": 7 * size, "all columns": 10 ** 12}[chunk]
         monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", limit)
         want, want_flags = sweep_outputs(a, wp, vp)
-        for module in (diafact.factor, diafact.patterns):
-            monkeypatch.setattr(module, "width_order", ORDERS[order])
+        monkeypatch.setattr(diafact.sparse, "width_order", ORDERS[order])
         got, got_flags = sweep_outputs(a, wp, vp)
         assert got_flags == want_flags
         assert set(want_flags[1].values()) == {"rank-deficient", "zero-candidate-fallback"}

@@ -8,17 +8,17 @@ from diafact.patterns import (
     NeumannConfig,
     adjoint_pattern,
     neumann_pattern,
-    numerical_drop,
     select_v_pattern,
 )
 from diafact.factor import StabilizationPolicy, diaf_q, diaf_s
 from diafact.kernels import pad_tall, qr_householder
 from diafact.krylov import SingularBlockError
 from diafact.preprocess import BlockStructure, block_pattern
-from diafact.sparse import SparseMatrix, SparseVector, SubspacePattern, extract_columns
+from diafact.sparse import SparseMatrix, SubspacePattern
 
 from helpers import (
     block_upper_problem,
+    gather_block,
     neumann_pattern_reference,
     random_pattern,
     random_sparse,
@@ -39,45 +39,59 @@ def brute_force_drop(values, tau, p):
     return kept
 
 
+def one_column(values, j=None):
+    """A square matrix whose only nonzero column, ``j``, holds ``values``.
+
+    By default ``j`` is one past the rows of ``values`` (the matrix has one
+    row more), so the column has no diagonal entry for the rule to protect.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values) + 1
+    rows = np.flatnonzero(values)
+    return SparseMatrix.from_coo(n, n, rows, np.full(len(rows), n - 1 if j is None else j),
+                                 values[rows])
+
+
+def kept_rows(values, rule, j=None):
+    """Rows that :func:`patterns._drop_columns` keeps of a :func:`one_column` matrix."""
+    return patterns._drop_columns(one_column(values, j), rule).row_idx
+
+
 class TestNumericalDrop:
     def test_relative_tolerance_example(self):
-        v = SparseVector.from_dense([1.0, 0.05, -0.5, 0.002])
-        out = numerical_drop(v, DropRule(0.1, 0))
-        assert np.array_equal(out.idx, [0, 2])
-        assert brute_force_drop(v.val, 0.1, 0) == {0, 2}
+        values = [1.0, 0.05, -0.5, 0.002]
+        assert np.array_equal(kept_rows(values, DropRule(0.1, 0)), [0, 2])
+        assert brute_force_drop(np.array(values), 0.1, 0) == {0, 2}
 
     def test_zero_parameters_leave_input_unchanged(self):
-        v = SparseVector.from_dense([1.0, -2.0, 0.5])
-        out = numerical_drop(v, DropRule(0.0, 0))
-        assert out is v
+        m = one_column([1.0, -2.0, 0.5])
+        assert patterns._drop_columns(m, DropRule(0.0, 0)) is m
 
     def test_protection_overrides(self):
-        v = SparseVector.from_dense([0.01, 1.0])
-        out = numerical_drop(v, DropRule(0.5, 0), protect=0)
-        assert np.array_equal(out.idx, [0, 1])
+        assert np.array_equal(kept_rows([0.01, 1.0], DropRule(0.5, 0), j=0), [0, 1])
+        assert np.array_equal(kept_rows([1.0, 0.01], DropRule(0.0, 1), j=1), [0, 1])
+        assert np.array_equal(kept_rows([0.01, 1.0], DropRule(0.5, 0)), [1])
 
     def test_count_rule_with_ties(self):
-        v = SparseVector.from_dense([1.0, -1.0, 1.0, 0.5])
-        out = numerical_drop(v, DropRule(0.0, 2))
-        assert np.array_equal(out.idx, [0, 1])  # smaller index wins ties
+        rows = kept_rows([1.0, -1.0, 1.0, 0.5], DropRule(0.0, 2))
+        assert np.array_equal(rows, [0, 1])  # smaller index wins ties
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             dense = np.round(rng.standard_normal(12), 2)
-            v = SparseVector.from_dense(dense)
+            idx = np.flatnonzero(dense)
             tau = float(rng.choice([0.0, 0.1, 0.5]))
             p = int(rng.choice([0, 1, 3]))
-            out = numerical_drop(v, DropRule(tau, p))
-            want = {v.idx[i] for i in brute_force_drop(v.val, tau, p)}
-            assert set(out.idx) == want
+            got = kept_rows(dense, DropRule(tau, p))
+            assert set(got.tolist()) == {int(idx[i]) for i in brute_force_drop(dense[idx], tau, p)}
 
     def test_support_never_grows(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            v = SparseVector.from_dense(rng.standard_normal(10) * (rng.random(10) < 0.7))
-            out = numerical_drop(v, DropRule(0.3, 2), protect=4)
-            assert set(out.idx) <= set(v.idx)
+            dense = rng.standard_normal(10) * (rng.random(10) < 0.7)
+            got = kept_rows(dense, DropRule(0.3, 2), j=4)
+            assert set(got.tolist()) <= set(np.flatnonzero(dense).tolist())
 
     def test_invalid_rule_rejected(self):
         with pytest.raises(ValueError):
@@ -339,7 +353,7 @@ class TestSelectVCut:
         assert np.count_nonzero(a.values == 0.0) == 1
         zero_scores = 0
         for j in np.flatnonzero(counts > zero_row):
-            sub = extract_columns(a, wp.cols[j])
+            sub = gather_block(a, wp.cols[j])
             at = np.flatnonzero(sub.active_rows == zero_row)
             if len(at):
                 q = qr_householder(pad_tall(sub.dense_block)).q_thin
