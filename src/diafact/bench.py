@@ -83,6 +83,8 @@ class ResultRow:
     nnz: int = 0
     max_block: int = 0
     n_blocks: int = 0
+    w_nnz: int = 0
+    v_nnz: int = 0
     rho: float = float("nan")
     kappa_v: float = float("nan")
     nrm: float = float("nan")
@@ -145,6 +147,7 @@ def run_experiment(cfg):
         w_pat, v_pat = stage.run(
             "patterns", lambda: _build_patterns(a3, blocks, shape, cfg)
         )
+        row.w_nnz, row.v_nnz = w_pat.nnz, v_pat.nnz
 
         policy = StabilizationPolicy(threshold=cfg.stab_threshold, r=cfg.stab_r)
         if cfg.method == "diaf-q":

@@ -15,11 +15,12 @@ A_j from the chunked column sweep of
 :func:`~diafact.sparse.column_chunks`, which orders the columns by block
 width for it as for the factor sweeps.  A chunk holds only the
 candidates on its blocks' active rows, plus the diagonal: no other
-position can score above zero or carry a value of V.  The selection
-factors one block per call, takes the scores stacked over the columns of
-one width and ranks each chunk's positions per column.  Inputs are
-read-only, so results are deterministic, and they do not depend on the
-order of the sweep.
+position can score above zero or carry a value of V.  A chunk in which
+no column holds more than ``k_v`` positions keeps them all unfactored;
+in any other chunk the selection factors one block per call, takes the
+scores stacked over the columns of one width and ranks the chunk's
+positions per column.  Inputs are read-only, so results are
+deterministic, and they do not depend on the order of the sweep.
 """
 
 from __future__ import annotations
@@ -257,19 +258,22 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
 
     A column with at most ``k_v`` candidates keeps them all, unscored.
     Any other column j takes the columns of A allowed by ``w_pattern`` as
-    its block A_j, factored by one :func:`qr_householder` call.  Its
-    candidates on the active rows of A_j (stored zeros count) score the
-    Euclidean norm of the corresponding column of Q_j^T, and the diagonal,
-    when a candidate, scores it too (zero off the active rows).  Of these
-    the ``k_v`` best are kept, the diagonal always included, with ties
-    resolved toward smaller indices so selections nest as ``k_v`` grows.
+    its block A_j.  It holds its candidates on the active rows of A_j
+    (stored zeros count) and the diagonal when that is a candidate.  Each
+    held position scores the Euclidean norm of the corresponding column of
+    Q_j^T (the diagonal scores zero off the active rows).  The ``k_v``
+    best are kept, the diagonal always included, with ties resolved
+    toward smaller indices so selections nest as ``k_v`` grows.
 
     No other candidate is kept: off the active rows of A_j neither
     factorization can give V a value.  A chunk of
-    :func:`~diafact.sparse.column_chunks` holds just the scored positions,
+    :func:`~diafact.sparse.column_chunks` holds just the held positions,
     never the whole candidate (for a block-upper shape, every row above
     the end of the column's block), and a column never spans two chunks,
-    so each chunk is ranked on its own.
+    so each chunk is ranked on its own.  Blocks are factored one
+    :func:`qr_householder` call each, and only in a chunk where some
+    column holds more than ``k_v`` positions: otherwise every column
+    keeps all it holds, whatever its scores.
     """
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_candidate.n != n:
@@ -281,6 +285,9 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     _, owner, rows = v_candidate.gather(kept)
     keys = [kept[owner] * n + rows, np.arange(n, dtype=np.int64) * (n + 1)]
     for ch in column_chunks(a, w_pattern, v_candidate, ranked):
+        if np.bincount(ch.v_col, minlength=len(ch.cols)).max() <= k_v:
+            keys.append(ch.cols[ch.v_col] * n + ch.v_rows)  # no column has a choice
+            continue
         q, start, _, _ = ch.visible_q(qr_householder)
         k = ch.k[ch.v_col]
         scores = np.zeros(len(ch.v_rows))

@@ -654,9 +654,11 @@ def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False):
     few block widths and its stacked passes run on few shapes; callers
     pass ``columns`` in any order.  A chunk holds about ``_SWEEP_ENTRIES``
     entries of ``a`` and of ``v_pattern``, counting for a column at most
-    one V position per entry of A_j plus the diagonal, so memory stays
-    bounded however large the V pattern; a column's block does not depend
-    on its chunk.
+    one V position per entry of A_j plus the diagonal, so its index arrays
+    do not grow with the V pattern.  Its dense blocks are not bounded by
+    that count: a column's padded ``max(m, k) x k`` block can hold many
+    more values than A_j has entries.  A column's block does not depend on
+    its chunk.
     """
     columns = width_order(w_pattern, columns)
     size = w_pattern.sums(np.diff(a.col_ptr))[columns]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from collections import Counter
 from dataclasses import asdict, fields
@@ -138,6 +140,29 @@ class TestRunExperiment:
         assert row.min_abs_v_diag == pytest.approx(np.abs(np.diag(pair.v.to_dense())).min())
         assert row.residual_gap is False
         assert row.nrm == pytest.approx(pair.nrm)
+
+    @pytest.mark.parametrize("k_v", [0, 5])
+    def test_pattern_sizes_match_recomputation(self, synthetic_mtx, k_v):
+        from diafact.bench import V_SHAPES, _build_patterns
+        from diafact.preprocess import equilibrate, max_transversal, scc_block_structure
+        from diafact.sparse import read_matrix_market
+
+        cfg = ExperimentConfig(matrix=synthetic_mtx, max_block=15, v_shape="block-upper", k_v=k_v)
+        row = run_experiment(cfg)
+        assert row.status == "converged"
+        a0 = read_matrix_market(synthetic_mtx)
+        a1 = a0.permuted_columns(max_transversal(a0).forward)
+        s = equilibrate(a1)
+        a2 = a1.scaled(s.row_scale, s.col_scale)
+        p, blocks = scc_block_structure(a2, cfg.max_block)
+        w_pat, v_pat = _build_patterns(a2.permuted_symmetric(p.forward), blocks,
+                                       V_SHAPES[cfg.v_shape], cfg)
+        assert (row.w_nnz, row.v_nnz) == (w_pat.nnz, v_pat.nnz)
+        assert row.w_nnz > row.n and row.v_nnz > row.n
+        back = json.loads(emit_report([row], "json"))[0]
+        assert (back["w_nnz"], back["v_nnz"]) == (w_pat.nnz, v_pat.nnz)
+        [csv_row] = csv.DictReader(io.StringIO(emit_report([row], "csv")))
+        assert (csv_row["w_nnz"], csv_row["v_nnz"]) == (str(w_pat.nnz), str(v_pat.nnz))
 
 
 class TestEmitReport:

@@ -13,7 +13,7 @@ from diafact.patterns import (
 from diafact.factor import StabilizationPolicy, diaf_q, diaf_s
 from diafact.kernels import pad_tall, qr_householder
 from diafact.krylov import SingularBlockError
-from diafact.preprocess import BlockStructure, block_pattern
+from diafact.preprocess import BlockStructure, block_pattern, scc_block_structure
 from diafact.sparse import SparseMatrix, SubspacePattern
 
 from helpers import (
@@ -338,6 +338,14 @@ def structural_reach(a, wp):
     return pa @ pw > 0
 
 
+def _counting_qr(monkeypatch, *args):
+    """``select_v_pattern(*args)`` and its number of ``qr_householder`` calls."""
+    calls = []
+    real = patterns.qr_householder
+    monkeypatch.setattr(patterns, "qr_householder", lambda m: calls.append(1) or real(m))
+    return select_v_pattern(*args), len(calls)
+
+
 class TestSelectVCut:
     """The selection scores only the candidates its blocks reach."""
 
@@ -377,14 +385,44 @@ class TestSelectVCut:
                                                        replace=False)) for j in range(30)])
         assert select_v_pattern(a, wp, cand, k_v) == select_v_pattern_reference(a, wp, cand, k_v)
 
+    @pytest.mark.parametrize("entries", [1, 1 << 30])  # one column per chunk, one chunk
     @pytest.mark.parametrize("k_v", [1, 3, 8])
-    def test_factors_each_column_with_more_than_kv_candidates(self, monkeypatch, k_v):
+    def test_factors_only_chunks_where_a_column_has_a_choice(self, monkeypatch, entries, k_v):
         a, wp, cand, _ = block_upper_problem(11)
-        calls = []
-        real = patterns.qr_householder
-        monkeypatch.setattr(patterns, "qr_householder", lambda m: calls.append(1) or real(m))
-        select_v_pattern(a, wp, cand, k_v)
-        assert len(calls) == np.count_nonzero(cand.counts() > k_v)
+        n = a.n_cols
+        monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", entries)
+        keys = cand.keys()
+        col, row = keys // n, keys % n
+        # a column holds its reached candidates, and its diagonal when a candidate
+        held = np.bincount(col, weights=structural_reach(a, wp)[row, col] | (row == col),
+                           minlength=n)[cand.counts() > k_v]
+        if entries == 1:
+            want = np.count_nonzero(held > k_v)
+            assert 0 < want < len(held)  # some ranked columns skip, some are factored
+        else:
+            want = len(held) if np.any(held > k_v) else 0
+        assert _counting_qr(monkeypatch, a, wp, cand, k_v)[1] == want
+
+    def test_components_smaller_than_kv_factor_nothing(self, monkeypatch):
+        # block lower triangular A, W the diagonal blocks: A_j reaches no
+        # candidate above its block, so no column has more than its block
+        rng = np.random.default_rng(5)
+        n, k_v = 48, 5
+        bounds = np.concatenate([[0], np.cumsum(rng.integers(2, 5, size=n))])
+        blocks = BlockStructure(np.append(bounds[bounds < n], n))
+        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+        for b in range(blocks.n_blocks):
+            lo, hi = blocks.bounds(b)
+            dense[:hi, lo:hi] = 0.0
+            dense[lo:hi, lo:hi] = rng.standard_normal((hi - lo, hi - lo)) + 4 * np.eye(hi - lo)
+        a = SparseMatrix.from_dense(dense)
+        assert scc_block_structure(a, n)[1].sizes.max() < k_v
+        wp = block_pattern(blocks, "block-diagonal")
+        cand = block_pattern(blocks, "block-upper-triangular")
+        assert np.count_nonzero(cand.counts() > k_v) > n // 2
+        got, calls = _counting_qr(monkeypatch, a, wp, cand, k_v)
+        assert calls == 0
+        assert got == select_v_pattern_reference(a, wp, cand, k_v)
 
     def test_chunks_hold_only_reachable_positions(self, monkeypatch):
         a, wp, cand, _ = block_upper_problem(12, n=240)
