@@ -134,12 +134,13 @@ def run_experiment(cfg):
         a0 = stage.run("read", lambda: read_matrix_market(cfg.matrix))
         row.n, row.nnz = a0.n_cols, a0.nnz
 
-        q = stage.run("transversal", lambda: max_transversal(a0))
-        a1 = a0.permuted_columns(q.forward)
-        sc = stage.run("scale", lambda: equilibrate(a1))
-        a2 = a1.scaled(sc.row_scale, sc.col_scale)
-        p, blocks = stage.run("blocks", lambda: scc_block_structure(a2, cfg.max_block))
-        a3 = a2.permuted_symmetric(p.forward)
+        # each stage applies what it computes, so its time covers that too
+        q, a1 = stage.run("transversal", lambda: (
+            q := max_transversal(a0), a0.permuted_columns(q.forward)))
+        sc, a2 = stage.run("scale", lambda: (
+            sc := equilibrate(a1), a1.scaled(sc.row_scale, sc.col_scale)))
+        (p, blocks), a3 = stage.run("blocks", lambda: (
+            pb := scc_block_structure(a2, cfg.max_block), a2.permuted_symmetric(pb[0].forward)))
         row.max_block = blocks.max_block
         row.n_blocks = blocks.n_blocks
 
@@ -164,10 +165,10 @@ def run_experiment(cfg):
         vf = stage.run("factor_v", lambda: factor_v(pair.v, blocks, shape))
 
         # RHS so that the solution of the *original* system is all ones
-        b3 = (sc.row_scale * spmv(a0, np.ones(a0.n_cols)))[p.forward]
+        b3 = lambda: (sc.row_scale * spmv(a0, np.ones(a0.n_cols)))[p.forward]
         precond = lambda x: apply_right_precond(pair.w, vf, x)
         y3, report = stage.run(
-            "solve", lambda: bicgstab(a3, b3, precond, tol=cfg.tol, maxit=cfg.maxit)
+            "solve", lambda: bicgstab(a3, b3(), precond, tol=cfg.tol, maxit=cfg.maxit)
         )
         row.its = report.iterations
         row.status = report.status

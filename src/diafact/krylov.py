@@ -167,10 +167,8 @@ def _level_plan(blocks, lu_stacks, rows, cols, vals):
     block whose solve updates it, so the blocks of one level do not touch.
     Each level holds the update of its blocks for ``solve`` and for
     ``solve_transpose``, and one stack per block size: its span in the
-    position order, the block size and the blocks' inverses.  The updates
-    subtract in the order of a block-by-block back-substitution: in
-    ``solve`` a row takes one sum per updating block, from the last block
-    down; in ``solve_transpose`` a column takes one sum over its entries.
+    position order, the block size and the blocks' inverses.  In either
+    update a position takes one sum over all of its entries, in CSC order.
     """
     block_of = blocks.block_of()
     src, dst = block_of[cols], block_of[rows]
@@ -201,25 +199,24 @@ def _level_plan(blocks, lu_stacks, rows, cols, vals):
     plan = []
     for lev, level_stacks in enumerate(stacks):
         e = np.flatnonzero(level[dst] == lev)
-        e = e[np.lexsort((-src[e], rows[e]))]
-        update = _update(place[cols[e]], place[rows[e]], src[e], vals[e])
+        update = _update(place[cols[e]], place[rows[e]], vals[e])
         e = np.flatnonzero(level[src] == lev)
-        update_t = _update(place[rows[e]], place[cols[e]], cols[e], vals[e])
+        update_t = _update(place[rows[e]], place[cols[e]], vals[e])
         plan.append((update, update_t, level_stacks))
     return order, place, np.repeat(level, blocks.sizes)[order], plan
 
 
-def _update(src, tgt, key, vals):
-    """A sparse update ``z[tgt] -= vals * z[src]``: the entries of a run of
-    equal ``(tgt, key)`` are summed in order, and the runs subtract in
-    order.  Returns (src, run of each entry, vals, target of each run)."""
-    start = np.ones(len(tgt), dtype=bool)
-    start[1:] = (tgt[1:] != tgt[:-1]) | (key[1:] != key[:-1])
-    return src, np.cumsum(start) - 1, vals, tgt[start]
+def _update(src, tgt, vals):
+    """A sparse update ``z[tgt] -= vals * z[src]`` with one sum per target,
+    its entries added in order.  Returns (src, the index of each entry's
+    target, vals, the distinct targets)."""
+    tgt, run = np.unique(tgt, return_inverse=True)
+    return src, run, vals, tgt
 
 
 def _subtract(z, update):
-    """Apply an :func:`_update` to every row of the C-ordered ``z``."""
+    """Apply an :func:`_update` to every row of the C-ordered ``z``; the
+    targets are distinct, so one fancy subtraction applies the sums."""
     src, run, vals, tgt = update
     if len(src):
         b, n, runs = *z.shape, len(tgt)
@@ -231,7 +228,7 @@ def _subtract(z, update):
             src, tgt = (src + n * shift).ravel(), (tgt + n * shift).ravel()
             run, vals = (run + runs * shift).ravel(), np.tile(vals, b)
         flat = z.reshape(-1)
-        np.subtract.at(flat, tgt, np.bincount(run, weights=vals * flat[src], minlength=len(tgt)))
+        flat[tgt] -= np.bincount(run, weights=vals * flat[src])
 
 
 def factor_v(v, blocks, shape):

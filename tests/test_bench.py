@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from collections import Counter
 from dataclasses import asdict, fields
 
@@ -91,6 +92,18 @@ class TestRunExperiment:
         assert row.status == "error"
         assert row.error_stage == "read"
         assert row.timings["read"] >= 0.0  # the failing stage is timed too
+
+    def test_stage_timings_cover_the_applied_permutation(self, identity_mtx, monkeypatch):
+        permuted_symmetric = SparseMatrix.permuted_symmetric
+
+        def slowed(self, order):
+            time.sleep(0.05)
+            return permuted_symmetric(self, order)
+
+        monkeypatch.setattr(SparseMatrix, "permuted_symmetric", slowed)
+        row = run_experiment(ExperimentConfig(matrix=identity_mtx))
+        assert row.status == "converged"
+        assert row.timings["blocks"] >= 0.05
 
     def test_structurally_singular_matrix_stops_in_transversal(self, tmp_path):
         # columns 0 and 1 both reach row 0 alone; no column is empty
@@ -230,6 +243,20 @@ class TestCli:
     def test_error_exit_one(self, tmp_path, capsys):
         code = cli.main(["--matrix", str(tmp_path / "missing.mtx")])
         assert code == 1
+
+    @pytest.mark.parametrize("statuses, code", [
+        (["converged", "no_convergence"], 2),
+        (["no_convergence", "breakdown"], 3),
+        (["breakdown", "error"], 1),
+    ])
+    def test_exit_code_of_the_worst_status(self, monkeypatch, statuses, code):
+        rows = iter([ResultRow(problem=s, status=s) for s in statuses])
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: next(rows))
+        assert cli.main(["--matrix", "a", "b"]) == code
+
+    def test_invalid_configuration_exit_one(self, capsys):
+        assert cli.main(["--matrix", "x", "--tau-i", "2"]) == 1
+        assert capsys.readouterr().err == "invalid configuration: tau_i must lie in [0, 1]\n"
 
     def test_one_flag_per_config_field(self):
         dests = Counter(a.dest for a in cli.build_parser()._actions)
