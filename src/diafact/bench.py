@@ -68,10 +68,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.p_i < 0 or self.p_l < 0:
             raise ValueError("drop counts must be nonnegative")
-        if self.stab_threshold < 0 or self.stab_r <= 0:
-            raise ValueError("stab_threshold must be >= 0 and stab_r > 0")
-        if self.tol <= 0 or self.maxit < 1:
-            raise ValueError("tol must be positive and maxit >= 1")
+        if not (0.0 <= self.stab_threshold < np.inf and 0.0 < self.stab_r < np.inf):
+            raise ValueError("stab_threshold must be finite and >= 0, stab_r must be finite and > 0")
+        if not 0.0 < self.tol < np.inf or self.maxit < 1:
+            raise ValueError("tol must be finite and positive, and maxit >= 1")
 
 
 @dataclass
@@ -204,7 +204,7 @@ def _build_patterns(a3, blocks, shape, cfg):
         v_pat = candidate.intersected(SubspacePattern.from_matrix(a3)).with_diagonal()
     else:
         # full-block seed keeps the final subspaces disjoint off the diagonal
-        w_pat = neumann_pattern(a3, candidate, neumann_cfg, blocks=blocks, v0_shape=shape)
+        w_pat = neumann_pattern(a3, candidate, neumann_cfg, blocks=blocks)
         v_pat = select_v_pattern(a3, w_pat, candidate, cfg.k_v)
     return w_pat, v_pat
 

@@ -16,11 +16,12 @@ pass and visits the columns in order of block width, so a chunk holds few
 widths.  It runs the dense kernels as stacked LAPACK calls over the
 columns whose kernel inputs share a shape, and does the rest in array
 passes over the chunk; diaf-q keeps one :func:`qr_householder` call per
-column.  Every diaf-q column, stabilized or rank-deficient ones too, goes
-through the same stacked passes, and the sweep writes each column's
-results at that column's index.  The one-column functions are the sweep
-over a single column, and a column's result depends neither on the chunk
-it is solved in nor on the order of the sweep.
+column and writes Q_j where the chunk holds A_j.  Every diaf-q column,
+stabilized or rank-deficient ones too, goes through the same stacked
+passes, and the sweep writes each column's results at that column's
+index.  The one-column functions are the sweep over a single column, and
+a column's result depends neither on the chunk it is solved in nor on
+the order of the sweep.
 
 Columns whose leading direction leaves a tiny diagonal in V can be
 stabilized: the diagonal component is pinned to a constant r and the
@@ -64,17 +65,17 @@ class StabilizationPolicy:
     falls below ``threshold``; the imposed diagonal weight is ``r``.  The
     default threshold 0 never fires, so stabilization is off unless a
     positive threshold is given.  The recomputed direction does not depend
-    on the value of ``r``.
+    on the value of ``r``.  Both must be finite.
     """
 
     threshold: float = 0.0
     r: float = 2.0
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+        if not 0.0 <= self.threshold < np.inf:
+            raise ValueError("threshold must be finite and nonnegative")
+        if not 0.0 < self.r < np.inf:
+            raise ValueError("r must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def _solves(ch, q, start, r, rank, val):
         qtb = np.bincount((slot[:, None] * kk + span).ravel(),
                           weights=(q[start[e][:, None] + span] * val[e][:, None]).ravel(),
                           minlength=len(cols) * kk).reshape(len(cols), kk, 1)
-        r_k = r[kk]
+        r_k = r[cols, :kk, :kk]
         sol, f = np.empty((len(cols), kk)), full[cols]
         if f.any():
             x = np.linalg.solve(r_k[f], qtb[f])[:, :, 0]
@@ -354,15 +355,15 @@ def diaf_s_column(a, w_pattern, v_pattern, j):
 def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
     """QR-based factorization of all columns into a :class:`FactorPair`.
 
-    ``column_norms`` optionally fixes per-column norms for V (default all
-    ones); the resulting W V^{-1} does not depend on them.
+    ``column_norms`` optionally fixes the norms of V's columns, ``n`` finite
+    positive values (default all ones); W V^{-1} does not depend on them.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     n = a.n_cols
     norms = np.ones(n) if column_norms is None else np.asarray(column_norms, dtype=np.float64)
-    if np.any(norms <= 0):
-        raise ValueError("column norms must be positive")
+    if norms.shape != (n,) or not np.all((norms > 0) & (norms < np.inf)):
+        raise ValueError(f"column norms must be {n} finite positive values")
     out = _sweep_q(a, w_pattern, v_pattern, np.arange(n), policy or StabilizationPolicy(), norms)
     res = out.residuals
     return FactorPair(_assemble(w_pattern, out.w), _assemble(v_pattern, out.v), res,

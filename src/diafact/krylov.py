@@ -286,8 +286,10 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000):
     ``tol`` times the initial residual; a breakdown of the recurrence
     coefficients, or a non-finite value in them or in a residual norm, is
     reported via the status instead of raising, with ``x`` left at the
-    last finite iterate.
+    last finite iterate.  ``tol`` must be finite and positive.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     n = a.n_cols
     b = np.asarray(b, dtype=np.float64)
     if precond is None:

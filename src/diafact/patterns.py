@@ -126,15 +126,15 @@ def _drop_columns(m, rule):
 class _V0Solver:
     """Solves with V0 = P_{V0}A.
 
-    A diagonal V0 divides by its diagonal.  Any other V0 is factored by
-    :func:`factor_v` under the given blocks and shape, and a batch of
-    right-hand sides goes through one walk of :meth:`VFactorization.solve`
-    as dense columns.  A zero on the diagonal of a diagonal V0 raises one
-    :class:`SingularBlockError` naming all such positions, as
-    :func:`factor_v` does for singular blocks.
+    A diagonal V0 divides by its diagonal.  Any other V0, block diagonal or
+    block upper triangular, is factored by :func:`factor_v` as the latter
+    under the given blocks, and a batch of right-hand sides goes through
+    one walk of :meth:`VFactorization.solve` as dense columns.  A zero on
+    the diagonal of a diagonal V0 raises one :class:`SingularBlockError`
+    naming all such positions, as :func:`factor_v` does for singular blocks.
     """
 
-    def __init__(self, a, v0_pattern, blocks, v0_shape):
+    def __init__(self, a, v0_pattern, blocks):
         n = a.n_cols
         diag = np.arange(n, dtype=np.int64) * (n + 1)
         missing = np.flatnonzero(~v0_pattern.contains(diag))
@@ -152,7 +152,7 @@ class _V0Solver:
         self._diag = None
         if blocks is None:
             raise ValueError("a non-diagonal V0 pattern needs its blocks")
-        self._vf = factor_v(v0, blocks, v0_shape)
+        self._vf = factor_v(v0, blocks, "block-upper-triangular")
 
     def solve_sparse(self, c):
         """``V0^{-1} c`` for a sparse matrix ``c`` of right-hand sides, as a
@@ -196,7 +196,7 @@ def _sparsified_s(a, v0_pattern, solver, rule):
     return SparseMatrix.from_keys(n, n, np.concatenate(keys), np.concatenate(vals))
 
 
-def neumann_pattern(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
+def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     """Pattern of W from sparsified truncated powers of S = V0^{-1}(I - P_{V0})A.
 
     S is formed a batch of columns at a time: each batch takes one V0 solve
@@ -208,14 +208,14 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
     if it cancels to nothing).  Finally the off-diagonal part of the V0
     pattern is removed so the two subspaces only share the diagonal.
 
-    ``blocks``/``v0_shape`` give the block shape V0 is factored under;
-    ``blocks`` may be omitted only for a diagonal V0 pattern, and any
-    other pattern without them raises ``ValueError``.
+    ``blocks`` gives the blocks V0 is factored under, as block upper
+    triangular; it may be omitted only for a diagonal V0 pattern, and any
+    other pattern without it raises ``ValueError``.
     """
     n = a.n_cols
     if a.n_rows != n or v0_pattern.n != n:
         raise ValueError("square matrix and matching pattern required")
-    solver = _V0Solver(a, v0_pattern, blocks, v0_shape)
+    solver = _V0Solver(a, v0_pattern, blocks)
 
     s = _sparsified_s(a, v0_pattern, solver, cfg.initial_drop)
     t = SparseMatrix.identity(n)

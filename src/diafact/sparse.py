@@ -461,6 +461,8 @@ def read_matrix_market(path):
             raise MatrixMarketError(f"{path}:{lineno}: negative count in size line")
         if min(n_rows, n_cols) == 0:
             raise MatrixMarketError(f"{path}:{lineno}: the matrix is empty ({n_rows} x {n_cols})")
+        if symmetry == "symmetric" and n_rows != n_cols:
+            raise MatrixMarketError(f"{path}:{lineno}: symmetric but not square ({n_rows} x {n_cols})")
 
         # the declared count is checked at the end, never trusted for an
         # allocation
@@ -563,6 +565,9 @@ class ColumnChunk:
     pattern's keys, chunk column ``v_col`` and row ``v_rows``; ``v_at``
     indexes ``active`` where ``v_seen``, which is true exactly at an
     active row.
+
+    ``blocks`` holds the dense blocks, zero-padded to ``max(m, k) x k``;
+    :meth:`visible_q` lays out the columns' Q_j the same way.
     """
 
     __slots__ = ("cols", "k", "m", "sets", "set_ptr", "slots", "active", "row_ptr",
@@ -615,33 +620,23 @@ class ColumnChunk:
         """Factor each column's block by one call of ``qr``, column after column.
 
         ``qr`` maps a dense block to factors with ``q_thin``, ``r`` and
-        ``rank``.  Returns ``(q, start, r, rank)``.  ``q`` holds the rows of
-        each Q_j at its V positions on active rows (all that a column
-        problem reads of Q_j), column after column; the row of V position
-        ``e`` starts at ``start[e]``.  ``r[k]`` stacks the R_j of the
-        columns of width k, in chunk order, and ``rank`` holds each
-        column's rank.
+        ``rank``.  Returns ``(q, start, r, rank)``.  ``q`` is laid out like
+        :attr:`blocks`: each column's ``max(m, k) x k`` Q_j sits where its
+        block A_j does.  The row of Q_j at V position ``e`` starts at
+        ``start[e]``, which is meaningful only where ``v_seen`` is true.
+        ``r[c, :k[c], :k[c]]`` is column ``c``'s R_j, zero-padded to the
+        chunk's largest k, and ``rank`` holds each column's rank.
         """
-        vis = np.flatnonzero(self.v_seen)
-        col = self.v_col[vis]
-        off = np.concatenate([[0], np.cumsum(self.k[col])])
-        start = np.zeros(len(self.v_col), dtype=np.int64)
-        start[vis] = off[:-1]
-        vptr = _col_ptr(col, len(self.cols))
-        local = np.split(self.v_at[vis] - self.row_ptr[col], vptr[1:-1])
-        q, r, rank = np.empty(off[-1]), {}, np.empty(len(self.cols), np.int64)
-        at = np.empty(len(self.cols), np.int64)  # each column's place in its stack
-        for kk in np.unique(self.k).tolist():
-            cols = np.flatnonzero(self.k == kk)
-            r[kk] = np.empty((len(cols), kk, kk))
-            at[cols] = np.arange(len(cols))
-        spans = zip(self._off.tolist(), self._pad.tolist(), self.k.tolist(), at.tolist(), local,
-                    off[vptr[:-1]].tolist(), off[vptr[1:]].tolist())
-        for c, (o, rows, kk, i, loc, lo, hi) in enumerate(spans):
+        q, rank = np.empty(len(self.blocks)), np.empty(len(self.cols), np.int64)
+        r = np.zeros((len(self.cols), self.k.max(), self.k.max()))
+        spans = zip(self._off.tolist(), self._pad.tolist(), self.k.tolist())
+        for c, (o, rows, kk) in enumerate(spans):
             f = qr(self.blocks[o:o + rows * kk].reshape(rows, kk))
-            q[lo:hi] = f.q_thin[loc].ravel()
-            r[kk][i] = f.r
+            q[o:o + rows * kk] = f.q_thin.ravel()
+            r[c, :kk, :kk] = f.r
             rank[c] = f.rank
+        col = self.v_col
+        start = self._off[col] + (self.v_at - self.row_ptr[col]) * self.k[col]
         return q, start, r, rank
 
 

@@ -87,7 +87,7 @@ def lu_factor_reference(a):
     return lu, perm
 
 
-def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None, v0_shape="block-diagonal"):
+def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None):
     """Column-by-column construction of the sparsified-powers W pattern.
 
     Each column of S = V0^{-1}(I - P_{V0})A is solved and dropped on its
@@ -97,7 +97,7 @@ def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None, v0_shape="block-d
     off-diagonal V0 pattern is then removed column by column.
     """
     n = a.n_cols
-    solver = _V0Solver(a, v0_pattern, blocks, v0_shape)
+    solver = _V0Solver(a, v0_pattern, blocks)
     s_cols = []
     for j in range(n):
         idx, val = a.column(j)

@@ -52,6 +52,11 @@ class TestConfig:
             ExperimentConfig(matrix="x", tau_i=2.0)
         with pytest.raises(ValueError):
             ExperimentConfig(matrix="x", maxit=0)
+        for name in ("tol", "stab_threshold", "stab_r"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ExperimentConfig(matrix="x", **{name: bad})
+                assert cli.main(["--matrix", "x", f"--{name.replace('_', '-')}={bad}"]) == 1
 
 
 class TestRunExperiment:
@@ -351,6 +356,13 @@ def _malformed(rng, kind):
         entries += [[i, j, repr(-float(v))] for i, j, v in entries if i == r + 1]
         size = f"{n} {n} {len(entries)}"
         expect = "transversal", "structurally singular matrix"
+    elif kind in ("tall symmetric", "wide symmetric"):
+        # one more row than columns, with an entry in it, or one more column
+        banner = banner.replace("general", "symmetric")
+        entries = [entry for entry in entries if entry[0] >= entry[1]] + [[n + 1, 1, "1.0"]]
+        shape = (n + 1, n) if kind == "tall symmetric" else (n + 1, n + 2)
+        size = f"{shape[0]} {shape[1]} {len(entries)}"
+        expect = "read", f":2: symmetric but not square ({shape[0]} x {shape[1]})"
     elif kind == "zero size":
         size, entries = "0 0 0", []
         expect = "read", "the matrix is empty (0 x 0)"
@@ -366,7 +378,7 @@ class TestMalformedInputs:
              "upper entry in symmetric", "fraction in integer", "underscore in value",
              "underscore in size", "underscore in index", "skew-symmetric", "pattern",
              "array", "empty file", "banner only", "n=1", "cancelling duplicates", "zero row",
-             "zero size", "huge declared count")
+             "zero size", "huge declared count", "tall symmetric", "wide symmetric")
 
     def test_each_ends_in_a_named_stage_with_exit_one(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

@@ -104,6 +104,15 @@ class TestDiafQ:
         assert np.allclose(pair.v.to_dense(), np.eye(5))
         assert pair.nrm == pytest.approx(0.0, abs=1e-15)
 
+    def test_column_norms_are_one_finite_positive_value_per_column(self):
+        a, diag = SparseMatrix.identity(4), SubspacePattern.diagonal(4)
+        assert np.array_equal(diaf_q(a, diag, diag, column_norms=[1.0, 2.0, 3.0, 4.0]).v.diagonal(),
+                              [1.0, 2.0, 3.0, 4.0])
+        for norms in (np.ones(7), [1.0, 0.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0],
+                      [1.0, 1.0, np.inf, 1.0]):
+            with pytest.raises(ValueError, match="column norms must be 4 finite positive values"):
+                diaf_q(a, diag, diag, column_norms=norms)
+
     def test_orthogonal_matrix_recovers_inverse(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -221,6 +230,14 @@ class TestStabilize:
     def random_problem(seed, n=8):
         rng = np.random.default_rng(seed)
         return random_sparse(rng, n, density=0.5), random_pattern(rng, n, per_col=3), full_pattern(n)
+
+    def test_policy_settings_must_be_finite(self):
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+                StabilizationPolicy(threshold=bad)
+        for bad in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match="r must be finite and positive"):
+                StabilizationPolicy(r=bad)
 
     def test_direction_independent_of_r(self):
         a, wp, vp = self.random_problem(6)
@@ -437,6 +454,8 @@ class TestSweep:
         held = []
         for ch in diafact.sparse.column_chunks(a, wp, vp, np.arange(n)):
             assert np.all(np.diff(ch.v_col) >= 0)
+            q, start, r, rank = ch.visible_q(qr_householder)
+            assert r.shape == (len(ch.cols), ch.k.max(), ch.k.max())
             for c, j in enumerate(ch.cols.tolist()):
                 active = np.flatnonzero(dense[:, wp.cols[j]].any(axis=1))
                 want = np.intersect1d(vp.cols[j], np.union1d(active, [j]))
@@ -447,6 +466,15 @@ class TestSweep:
                 assert np.array_equal(ch.v_seen[mine], seen)
                 assert np.array_equal(ch.active[ch.v_at[mine][seen]], want[seen])
                 held.append(j in want)
+                # Q_j's row at each seen V position, and R_j zero-padded
+                k = len(wp.cols[j])
+                block = np.zeros((max(len(active), k), k))
+                block[:len(active)] = dense[np.ix_(active, wp.cols[j])]
+                f = qr_householder(block)
+                for e, row in zip(np.flatnonzero(mine)[seen], np.searchsorted(active, want[seen])):
+                    assert np.array_equal(q[start[e]:start[e] + k], f.q_thin[row])
+                assert np.array_equal(r[c, :k, :k], f.r) and rank[c] == f.rank
+                assert not r[c, k:].any() and not r[c, :, k:].any()
         assert len(held) == n and 0 < sum(held) < n
 
     @pytest.mark.parametrize("threshold", [0.0, 0.3])

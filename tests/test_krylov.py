@@ -276,6 +276,12 @@ class TestBicgstab:
         assert rep.iterations <= 1
         assert np.allclose(x, b)
 
+    def test_tol_must_be_finite_and_positive(self):
+        a = SparseMatrix.identity(3)
+        for bad in (np.nan, np.inf, 0.0, -1e-8):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                bicgstab(a, np.ones(3), tol=bad)
+
     def test_diagonal_system(self):
         a = SparseMatrix.from_dense(np.diag(np.arange(1.0, 11.0)))
         b = np.ones(10)

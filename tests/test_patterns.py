@@ -173,7 +173,7 @@ class TestNeumannPattern:
                     p_v0[c, j] = d[c, j]
                 s = np.linalg.solve(p_v0, d - p_v0)
                 dense_acc = np.eye(n) + s + s @ s
-                pat = neumann_pattern(a, v0, no_drop_cfg(2), blocks=blocks, v0_shape=shape)
+                pat = neumann_pattern(a, v0, no_drop_cfg(2), blocks=blocks)
                 for j in range(n):
                     off_v0 = v0.cols[j][v0.cols[j] != j]
                     want = np.setdiff1d(np.nonzero(dense_acc[:, j])[0], off_v0)
@@ -194,8 +194,8 @@ class TestNeumannPattern:
         cfg = NeumannConfig(k=k, initial_drop=initial, level_drop=level)
         for dominant in (True, False):
             a = random_sparse(rng, n, density=0.12, dominant=dominant)
-            got = neumann_pattern(a, v0, cfg, blocks=blocks, v0_shape=shape)
-            assert got == neumann_pattern_reference(a, v0, cfg, blocks=blocks, v0_shape=shape)
+            got = neumann_pattern(a, v0, cfg, blocks=blocks)
+            assert got == neumann_pattern_reference(a, v0, cfg, blocks=blocks)
 
     @pytest.mark.parametrize("batch", [1, 7, 40])
     def test_s_in_batches_matches_reference(self, monkeypatch, batch):
@@ -208,7 +208,7 @@ class TestNeumannPattern:
         for shape in (None, "block-upper-triangular"):
             v0, blocks = (SubspacePattern.diagonal(n), None) if shape is None else (
                 block_pattern(bounds, shape), bounds)
-            solver = patterns._V0Solver(a, v0, blocks, shape)
+            solver = patterns._V0Solver(a, v0, blocks)
             monkeypatch.setattr(patterns, "_V0_BATCH_COLUMNS", n)
             whole = patterns._sparsified_s(a, v0, solver, cfg.initial_drop)
             monkeypatch.setattr(patterns, "_V0_BATCH_COLUMNS", batch)
@@ -216,8 +216,8 @@ class TestNeumannPattern:
             assert np.array_equal(s.col_ptr, whole.col_ptr)
             assert np.array_equal(s.row_idx, whole.row_idx)
             assert np.array_equal(s.values, whole.values)
-            got = neumann_pattern(a, v0, cfg, blocks=blocks, v0_shape=shape)
-            assert got == neumann_pattern_reference(a, v0, cfg, blocks=blocks, v0_shape=shape)
+            got = neumann_pattern(a, v0, cfg, blocks=blocks)
+            assert got == neumann_pattern_reference(a, v0, cfg, blocks=blocks)
 
     def test_zero_diagonal_v0_names_every_position(self):
         d = np.eye(5) + np.diag([1.0] * 4, 1)
