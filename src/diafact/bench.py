@@ -23,7 +23,7 @@ from .factor import StabilizationPolicy, diaf_q, diaf_s
 from .krylov import apply_right_precond, bicgstab, cond_estimate, factor_v
 from .patterns import DropRule, NeumannConfig, neumann_pattern, select_v_pattern
 from .preprocess import block_pattern, equilibrate, max_transversal, scc_block_structure
-from .sparse import SubspacePattern, read_matrix_market, spmv
+from .sparse import SubspacePattern, _require_integer, read_matrix_market, spmv
 
 __all__ = [
     "ExperimentConfig",
@@ -61,17 +61,17 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.v_shape not in V_SHAPES:
             raise ValueError(f"v_shape must be one of {tuple(V_SHAPES)}")
-        if self.max_block < 1 or self.k_v < 0 or self.neumann_k < 0:
-            raise ValueError("max_block, k_v and neumann_k must be nonnegative (max_block >= 1)")
+        for name, low in (("max_block", 1), ("k_v", 0), ("neumann_k", 0), ("p_i", 0), ("p_l", 0),
+                          ("maxit", 1)):
+            # a plain int, so the JSON report can hold the config
+            setattr(self, name, _require_integer(name, getattr(self, name), low))
         for name in ("tau_i", "tau_l"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.p_i < 0 or self.p_l < 0:
-            raise ValueError("drop counts must be nonnegative")
         if not (0.0 <= self.stab_threshold < np.inf and 0.0 < self.stab_r < np.inf):
             raise ValueError("stab_threshold must be finite and >= 0, stab_r must be finite and > 0")
-        if not 0.0 < self.tol < np.inf or self.maxit < 1:
-            raise ValueError("tol must be finite and positive, and maxit >= 1")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass

@@ -141,8 +141,11 @@ class _Sweep:
         return out
 
 
-def _require_diagonal(v_pattern, columns):
-    missing = columns[~v_pattern.contains(columns * (v_pattern.n + 1))]
+def _require_problem(a, w_pattern, v_pattern, columns):
+    n = a.n_cols
+    if a.n_rows != n or w_pattern.n != n or v_pattern.n != n:
+        raise ValueError("square matrix and matching patterns required")
+    missing = columns[~v_pattern.contains(columns * (n + 1))]
     if len(missing):
         raise ValueError(f"V pattern must contain the diagonal index (column {missing[0]})")
 
@@ -151,20 +154,17 @@ def _leading_directions(ch, q, start, mask):
     """Leading singular triplet of each column's ``m_j``.
 
     ``m_j`` is Q_j^T at the visible V positions where ``mask`` is true.
-    Its SVD runs over the nonzero columns only, stacked over the columns
-    whose ``m_j`` has one shape, so a position that A_j cannot see gets an
-    exact zero, never roundoff.  Returns ``(lead, sigma, u1)``: the right
-    vector on the V positions of the chunk, the value per column (0 where
-    ``m_j`` has no nonzero column) and the left vector on the column's
-    W slots, laid out like ``ch.sets``.
+    Its SVD runs over those columns only, stacked over the columns whose
+    ``m_j`` has one shape, so a position that A_j cannot see gets an exact
+    zero, never roundoff.  None of those columns is zero: a visible
+    position lies on an active row of A_j, which holds a nonzero entry,
+    and A_j = Q_j R_j.  Returns ``(lead, sigma, u1)``: the right vector on
+    the V positions of the chunk, the value per column (0 where ``m_j``
+    has no column) and the left vector on the column's W slots, laid out
+    like ``ch.sets``.
     """
     col, k = ch.v_col, ch.k
-    live = np.zeros(len(col), dtype=bool)
-    vis = np.flatnonzero(mask)
-    for kk in np.unique(k[col[vis]]).tolist():
-        e = vis[k[col[vis]] == kk]
-        live[e] = q[start[e][:, None] + np.arange(kk)].any(axis=1)
-    live = np.flatnonzero(live)
+    live = np.flatnonzero(mask)
     n_live = np.bincount(col[live], minlength=len(ch.cols))
     first = np.cumsum(n_live) - n_live
     lead, sigma, u1 = np.zeros(len(col)), np.zeros(len(ch.cols)), np.zeros(ch.set_ptr[-1])
@@ -183,11 +183,11 @@ def _solves(ch, q, start, r, rank, val):
     """``w_j = R_j^+ Q_j^T v_j`` for the columns of the chunk, stacked by k.
 
     ``Q_j^T v_j`` sums the rows of Q_j at the visible candidates, weighted
-    by ``val``.  A full-rank R_j is solved directly and the roundoff of
-    the solution dropped.  A rank-deficient one is inverted through its
-    SVD, with the singular values up to ``RANK_TOL ||A_j||_F`` cut as
-    :func:`~diafact.kernels.lstsq` cuts them.  Returns the chunk's W
-    values.
+    by ``val``, in one pass over the chunk.  A full-rank R_j is solved
+    directly and the roundoff of the solution dropped.  A rank-deficient
+    one is inverted through its SVD, with the singular values up to
+    ``RANK_TOL ||A_j||_F`` cut as :func:`~diafact.kernels.lstsq` cuts
+    them.  Returns the chunk's W values.
     """
     col, k = ch.v_col, ch.k
     w = np.zeros(ch.set_ptr[-1])
@@ -195,14 +195,14 @@ def _solves(ch, q, start, r, rank, val):
     if not full.all():
         owner = np.arange(len(ch.cols)).repeat(k)[ch.entry_set]
         fro = np.sqrt(np.bincount(owner, weights=ch.val * ch.val, minlength=len(ch.cols)))
+    e = np.flatnonzero(ch.v_seen)
+    slot, owner = _span_gather(ch.set_ptr, col[e])
+    at = (start - ch.set_ptr[col])[e][owner] + slot
+    qtv = np.bincount(slot, weights=q[at] * val[e][owner], minlength=ch.set_ptr[-1])
     for kk in np.unique(k).tolist():
         cols = np.flatnonzero(k == kk)
         span = np.arange(kk)
-        e = np.flatnonzero(ch.v_seen & (k[col] == kk))
-        slot = np.searchsorted(cols, col[e])
-        qtb = np.bincount((slot[:, None] * kk + span).ravel(),
-                          weights=(q[start[e][:, None] + span] * val[e][:, None]).ravel(),
-                          minlength=len(cols) * kk).reshape(len(cols), kk, 1)
+        qtb = qtv[ch.set_ptr[cols][:, None] + span][:, :, None]
         r_k = r[cols, :kk, :kk]
         sol, f = np.empty((len(cols), kk)), full[cols]
         if f.any():
@@ -226,7 +226,7 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
 
     Per chunk: one :func:`qr_householder` call per column; the SVD of the
     candidate part ``m_j`` of Q_j^T, stacked over the columns whose
-    ``m_j`` (over its nonzero columns) has one shape; the sign rules in
+    ``m_j`` (over its visible positions) has one shape; the sign rules in
     array passes; the solve ``w_j = R_j^+ Q_j^T v_j``, stacked over the
     columns with one k; and the residuals in array passes.  A stabilized
     column takes a second pass of the same SVD over its admissible
@@ -240,7 +240,7 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     ``w_j`` by up to ``m k u kappa(R_j) ||w_j||`` to first order, so such
     entries cannot be told from zero.  Residuals are taken after the drop.
     """
-    _require_diagonal(v_pattern, columns)
+    _require_problem(a, w_pattern, v_pattern, columns)
     out = _Sweep.empty(w_pattern, v_pattern)
     for ch in column_chunks(a, w_pattern, v_pattern, columns):
         size, col, seen, norm = len(ch.cols), ch.v_col, ch.v_seen, norms[ch.cols]
@@ -254,7 +254,6 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
         fallback = sigma == 0.0
         stabilize = ~fallback & (np.abs(lead[diag]) < policy.threshold)
         val = lead * norm[col]
-        val[fallback[col]] = 0.0
         val[diag[fallback]] = norm[fallback]
         if stabilize.any():
             # v_jj = r; the rest is the leading direction over the visible
@@ -295,7 +294,7 @@ def _sweep_s(a, w_pattern, v_pattern, columns):
     padded shape.
     """
     n = a.n_cols
-    _require_diagonal(v_pattern, columns)
+    _require_problem(a, w_pattern, v_pattern, columns)
     out = _Sweep.empty(w_pattern, v_pattern)
     a_keys = a.entry_keys()
     for ch in column_chunks(a, w_pattern, v_pattern, columns, outside_v=True):
@@ -358,8 +357,6 @@ def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
     ``column_norms`` optionally fixes the norms of V's columns, ``n`` finite
     positive values (default all ones); W V^{-1} does not depend on them.
     """
-    if a.n_rows != a.n_cols:
-        raise ValueError("square matrix required")
     n = a.n_cols
     norms = np.ones(n) if column_norms is None else np.asarray(column_norms, dtype=np.float64)
     if norms.shape != (n,) or not np.all((norms > 0) & (norms < np.inf)):
@@ -372,8 +369,6 @@ def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
 
 def diaf_s(a, w_pattern, v_pattern):
     """SVD-based factorization; V is the pattern projection of A W."""
-    if a.n_rows != a.n_cols:
-        raise ValueError("square matrix required")
     n = a.n_cols
     out = _sweep_s(a, w_pattern, v_pattern, np.arange(n))
     w = _assemble(w_pattern, out.w)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import lu_factor_stack, lu_solve_stack
-from .sparse import spmv
+from .sparse import _require_integer, spmv
 
 __all__ = [
     "SingularBlockError",
@@ -98,6 +98,8 @@ class VFactorization:
     def solve(self, x):
         """Solve ``V z = x`` for a vector ``x`` or an ``(n, b)`` block of them.
 
+        Any other shape of ``x`` raises ``ValueError``.
+
         The walk goes level by level through the block DAG, from the level
         of the first nonzero entry.  It first subtracts the off-block
         entries that update the level's blocks, then applies each stack of
@@ -117,6 +119,8 @@ class VFactorization:
 
     def _walk(self, x, transpose):
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError("dimension mismatch")
         # one right-hand side per row, positions in the order of the stacks
         z = np.ascontiguousarray(x.T[..., self._order]).reshape(-1, self.n)
         b = len(z)
@@ -286,10 +290,12 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000):
     ``tol`` times the initial residual; a breakdown of the recurrence
     coefficients, or a non-finite value in them or in a residual norm, is
     reported via the status instead of raising, with ``x`` left at the
-    last finite iterate.  ``tol`` must be finite and positive.
+    last finite iterate.  ``tol`` must be finite and positive, ``maxit`` a
+    nonnegative integer.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
+    _require_integer("maxit", maxit, 0)
     n = a.n_cols
     b = np.asarray(b, dtype=np.float64)
     if precond is None:

@@ -34,6 +34,7 @@ from .krylov import SingularBlockError, factor_v
 from .sparse import (
     SparseMatrix,
     SubspacePattern,
+    _require_integer,
     column_chunks,
     merge_sum,
     pattern_subtract_offdiag,
@@ -64,8 +65,7 @@ class DropRule:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
+        _require_integer("p", self.p, 0)
 
     @property
     def unused(self):
@@ -81,8 +81,7 @@ class NeumannConfig:
     level_drop: DropRule = field(default_factory=DropRule)
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("truncation depth must be nonnegative")
+        _require_integer("truncation depth k", self.k, 0)
 
 
 def _top_per_column(col, idx, score, p):
@@ -278,8 +277,7 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_candidate.n != n:
         raise ValueError("square matrix and matching patterns required")
-    if k_v < 1:
-        raise ValueError("k_v must be at least 1")
+    _require_integer("k_v", k_v, 1)
     counts = v_candidate.counts()
     kept, ranked = np.flatnonzero(counts <= k_v), np.flatnonzero(counts > k_v)
     _, owner, rows = v_candidate.gather(kept)

@@ -699,6 +699,14 @@ def sorted_lookup(arr, keys):
     return pos, arr[np.minimum(pos, len(arr) - 1)] == keys
 
 
+def _require_integer(name, value, low):
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer (numpy's
+    too) of at least ``low``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+    return int(value)
+
+
 def spmv(a, x):
     """Dense matrix-vector product ``a @ x``."""
     x = np.asarray(x, dtype=np.float64)

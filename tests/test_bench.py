@@ -52,6 +52,12 @@ class TestConfig:
             ExperimentConfig(matrix="x", tau_i=2.0)
         with pytest.raises(ValueError):
             ExperimentConfig(matrix="x", maxit=0)
+        for name in ("max_block", "k_v", "neumann_k", "p_i", "p_l", "maxit"):
+            for bad in (1.5, 2.0, "2"):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                    ExperimentConfig(matrix="x", **{name: bad})
+            value = getattr(ExperimentConfig(matrix="x", **{name: np.int64(2)}), name)
+            assert value == 2 and type(value) is int  # the JSON report holds the config
         for name in ("tol", "stab_threshold", "stab_r"):
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -466,13 +466,15 @@ class TestSweep:
                 assert np.array_equal(ch.v_seen[mine], seen)
                 assert np.array_equal(ch.active[ch.v_at[mine][seen]], want[seen])
                 held.append(j in want)
-                # Q_j's row at each seen V position, and R_j zero-padded
+                # Q_j's row at each seen V position, never all zero (the
+                # row of A_j = Q_j R_j is not), and R_j zero-padded
                 k = len(wp.cols[j])
                 block = np.zeros((max(len(active), k), k))
                 block[:len(active)] = dense[np.ix_(active, wp.cols[j])]
                 f = qr_householder(block)
                 for e, row in zip(np.flatnonzero(mine)[seen], np.searchsorted(active, want[seen])):
                     assert np.array_equal(q[start[e]:start[e] + k], f.q_thin[row])
+                    assert q[start[e]:start[e] + k].any()
                 assert np.array_equal(r[c, :k, :k], f.r) and rank[c] == f.rank
                 assert not r[c, k:].any() and not r[c, :, k:].any()
         assert len(held) == n and 0 < sum(held) < n
@@ -547,6 +549,16 @@ class TestSweep:
             assert np.array_equal(w.val, local(pair_s.w, j, wp.cols[j]))
             # diaf_s takes its residuals from A W afterwards, the column from sigma_min
             assert rep.residual == pytest.approx(pair_s.column_residuals[j], rel=1e-12, abs=1e-14)
+
+    def test_problems_of_another_dimension_rejected(self):
+        d3, d4 = SubspacePattern.diagonal(3), SubspacePattern.diagonal(4)
+        cases = [(SparseMatrix.identity(3), d3, d4), (SparseMatrix.identity(3), d4, d3),
+                 (SparseMatrix.identity(3), d4, d4), (SparseMatrix.from_dense(np.eye(3, 4)), d4, d4)]
+        for a, wp, vp in cases:
+            for factor in (diaf_q, diaf_s, lambda *p: diaf_q_column(*p, 0),
+                           lambda *p: diaf_s_column(*p, 0)):
+                with pytest.raises(ValueError, match="^square matrix and matching patterns required$"):
+                    factor(a, wp, vp)
 
 
 ORDERS = {

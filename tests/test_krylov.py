@@ -126,6 +126,16 @@ class TestFactorV:
                 want = np.linalg.solve(d, x)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_right_hand_sides_of_another_shape_rejected(self):
+        v = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
+        vf = factor_v(v, BlockStructure([0, 1, 3]), "block-upper-triangular")
+        for x in (np.ones(4), np.ones(2), np.ones((4, 2)), np.ones((3, 2, 2)), np.float64(1.0)):
+            for solve in (vf.solve, vf.solve_transpose):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    solve(x)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_right_precond(SparseMatrix.identity(3), vf, np.ones(4))
+
     def test_block_cancelled_to_zero_by_its_update(self):
         # no zero in x, so no block is tested; block 0's right-hand side
         # cancels exactly after the update from block 1 and solves to zero
@@ -281,6 +291,14 @@ class TestBicgstab:
         for bad in (np.nan, np.inf, 0.0, -1e-8):
             with pytest.raises(ValueError, match="tol must be finite and positive"):
                 bicgstab(a, np.ones(3), tol=bad)
+
+    def test_maxit_must_be_a_nonnegative_integer(self):
+        a = SparseMatrix.identity(3)
+        for bad in (-1, 2.5, 2.0, np.float64(3.0)):
+            with pytest.raises(ValueError, match="^maxit must be an integer >= 0$"):
+                bicgstab(a, np.ones(3), maxit=bad)
+        _, rep = bicgstab(a, np.ones(3), maxit=np.int64(0))
+        assert rep.iterations == 0 and rep.status == "no_convergence"
 
     def test_diagonal_system(self):
         a = SparseMatrix.from_dense(np.diag(np.arange(1.0, 11.0)))

@@ -1,0 +1,40 @@
+"""``tools/output_hashes.py`` on one benchmark matrix."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import diafact.bench as bench
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "benchmarks"))
+
+import harness  # noqa: E402
+import matgen  # noqa: E402
+import oracle  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location("output_hashes", REPO / "tools" / "output_hashes.py")
+output_hashes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_hashes)
+
+
+def test_one_line_per_run_that_follows_the_outputs(tmp_path, monkeypatch):
+    runs = list(output_hashes.runs(harness))
+    assert len(runs) == 42 and len({label for label, *_ in runs}) == 42
+    label = runs[0][0]
+    line = output_hashes.run_line(bench, matgen, oracle, *runs[0], tmp_path)
+    assert line.startswith(f"{label} converged its=")
+    assert output_hashes.run_line(bench, matgen, oracle, *runs[0], tmp_path) == line
+
+    # one ulp more in one value of W changes the line
+    diaf_q = bench.diaf_q
+
+    def perturbed(*args, **kwargs):
+        pair = diaf_q(*args, **kwargs)
+        pair.w.values[0] = np.nextafter(pair.w.values[0], np.inf)
+        return pair
+
+    monkeypatch.setattr(bench, "diaf_q", perturbed)
+    assert output_hashes.run_line(bench, matgen, oracle, *runs[0], tmp_path) != line

@@ -99,6 +99,18 @@ class TestNumericalDrop:
         with pytest.raises(ValueError):
             DropRule(0.0, -1)
 
+    def test_counts_must_be_integers(self):
+        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
+        for bad in (1.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="^p must be an integer >= 0$"):
+                DropRule(0.0, bad)
+            with pytest.raises(ValueError, match="^truncation depth k must be an integer >= 0$"):
+                NeumannConfig(k=bad)
+            with pytest.raises(ValueError, match="^k_v must be an integer >= 1$"):
+                select_v_pattern(a, diag, diag, bad)
+        assert DropRule(0.0, np.int64(2)).p == 2 and NeumannConfig(k=np.int32(1)).k == 1
+        assert select_v_pattern(a, diag, diag, np.int64(1)) == diag
+
 
 def no_drop_cfg(k):
     return NeumannConfig(k=k, initial_drop=DropRule(), level_drop=DropRule())
