@@ -23,7 +23,13 @@ from .factor import StabilizationPolicy, diaf_q, diaf_s
 from .krylov import apply_right_precond, bicgstab, cond_estimate, factor_v
 from .patterns import DropRule, NeumannConfig, neumann_pattern, select_v_pattern
 from .preprocess import block_pattern, equilibrate, max_transversal, scc_block_structure
-from .sparse import SubspacePattern, _require_integer, read_matrix_market, spmv
+from .sparse import (
+    SubspacePattern,
+    _require_integer,
+    pattern_subtract_offdiag,
+    read_matrix_market,
+    spmv,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -191,6 +197,15 @@ def run_experiment(cfg):
 
 
 def _build_patterns(a3, blocks, shape, cfg):
+    """The W and V patterns of one run; on every route they share only the diagonal.
+
+    With ``k_v`` = 0, V is the structure of A inside the block shape plus
+    the diagonal, W comes from powers seeded at the plain diagonal, and
+    V's off-diagonal positions are then taken out of W.  With ``k_v`` > 0,
+    the powers are seeded from the full block shape V0, which
+    ``neumann_pattern`` takes out of W, and V is picked inside V0.  A
+    position in both W and V would let the minimizer drive V singular.
+    """
     candidate = block_pattern(blocks, shape)
     neumann_cfg = NeumannConfig(
         k=cfg.neumann_k,
@@ -198,10 +213,10 @@ def _build_patterns(a3, blocks, shape, cfg):
         level_drop=DropRule(cfg.tau_l, cfg.p_l),
     )
     if cfg.k_v == 0:
-        # V keeps the structure of A inside the block shape; the powers
-        # pattern is seeded from the plain diagonal
-        w_pat = neumann_pattern(a3, SubspacePattern.diagonal(a3.n_cols), neumann_cfg)
         v_pat = candidate.intersected(SubspacePattern.from_matrix(a3)).with_diagonal()
+        w_pat = pattern_subtract_offdiag(
+            neumann_pattern(a3, SubspacePattern.diagonal(a3.n_cols), neumann_cfg), v_pat
+        )
     else:
         # full-block seed keeps the final subspaces disjoint off the diagonal
         w_pat = neumann_pattern(a3, candidate, neumann_cfg, blocks=blocks)

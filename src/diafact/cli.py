@@ -4,7 +4,7 @@ Runs the full preconditioning pipeline on one or more Matrix Market files
 and reports the usual metrics (density, condition estimate, minimizer norm,
 iteration count).  Exit code 0 means every run converged, 2 that some run
 hit the iteration cap, 3 that the solver broke down, 1 that a pipeline
-stage failed.
+stage failed or the command line or configuration is invalid.
 """
 
 from __future__ import annotations
@@ -15,13 +15,21 @@ import sys
 from .bench import METHODS, V_SHAPES, ExperimentConfig, emit_report, run_experiment
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1; 2 means the iteration cap."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
     """Parser with one flag per :class:`ExperimentConfig` field.
 
     Each flag stores into the field it sets; a flag not given is left out
     of the parsed namespace, so the field keeps its dataclass default.
     """
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="diafact",
         description="Approximate inverse factoring preconditioner benchmark",
         argument_default=argparse.SUPPRESS,

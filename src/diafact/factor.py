@@ -145,6 +145,9 @@ def _require_problem(a, w_pattern, v_pattern, columns):
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_pattern.n != n:
         raise ValueError("square matrix and matching patterns required")
+    outside = columns[(columns < 0) | (columns >= n)]
+    if len(outside):
+        raise ValueError(f"column {outside[0]} is not in the valid range 0..{n - 1}")
     missing = columns[~v_pattern.contains(columns * (n + 1))]
     if len(missing):
         raise ValueError(f"V pattern must contain the diagonal index (column {missing[0]})")

@@ -137,7 +137,7 @@ class TestRunExperiment:
             scc_block_structure,
             block_pattern,
         )
-        from diafact.sparse import SubspacePattern, read_matrix_market
+        from diafact.sparse import SubspacePattern, pattern_subtract_offdiag, read_matrix_market
 
         cfg = ExperimentConfig(matrix=synthetic_mtx, max_block=15)
         row = run_experiment(cfg)
@@ -155,6 +155,7 @@ class TestRunExperiment:
         )
         candidate = block_pattern(blocks, "block-diagonal")
         v_pat = candidate.intersected(SubspacePattern.from_matrix(a3)).with_diagonal()
+        w_pat = pattern_subtract_offdiag(w_pat, v_pat)
         pair = diaf_q(a3, w_pat, v_pat)
         vf = factor_v(pair.v, blocks, "block-diagonal")
         assert row.rho == pytest.approx(preconditioner_density(pair.w, vf, a0.nnz))
@@ -268,6 +269,24 @@ class TestCli:
     def test_invalid_configuration_exit_one(self, capsys):
         assert cli.main(["--matrix", "x", "--tau-i", "2"]) == 1
         assert capsys.readouterr().err == "invalid configuration: tau_i must lie in [0, 1]\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--matrix", "x", "--kv", "1.5"], "argument --kv: invalid int value: '1.5'"),
+        (["--matrix", "x", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        (["--kv", "1"], "the following arguments are required: --matrix"),
+    ])
+    def test_malformed_command_line_exit_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: diafact") and err.endswith(f"diafact: error: {message}\n")
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "--stab-threshold" in capsys.readouterr().out
 
     def test_one_flag_per_config_field(self):
         dests = Counter(a.dest for a in cli.build_parser()._actions)

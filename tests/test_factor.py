@@ -63,6 +63,12 @@ class TestDiafQColumn:
         with pytest.raises(ValueError, match="diagonal"):
             diaf_q_column(a, wp, vp, 1)
 
+    @pytest.mark.parametrize("j", [3, -1])
+    def test_column_outside_a_rejected(self, j):
+        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
+        with pytest.raises(ValueError, match=rf"^column {j} is not in the valid range 0\.\.2$"):
+            diaf_q_column(a, diag, diag, j)
+
     def test_all_zero_candidates_fall_back(self):
         # column 0 of A touches only row 1 while V allows only row 0, so
         # every candidate position of Q^T is zero
@@ -341,6 +347,12 @@ class TestDiafSColumn:
         assert np.array_equal(w.idx, [1])
         assert abs(w.val[0]) == pytest.approx(1.0)
         assert rep.residual == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("j", [3, -1])
+    def test_column_outside_a_rejected(self, j):
+        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
+        with pytest.raises(ValueError, match=rf"^column {j} is not in the valid range 0\.\.2$"):
+            diaf_s_column(a, diag, diag, j)
 
     def test_block_diagonal_covered_by_v(self):
         blocks = np.zeros((4, 4))
