@@ -6,7 +6,9 @@ each block's inverse is built once from its LU.  A solve walks the DAG of
 the blocks level by level: the blocks of one size in a level are applied as
 one stacked product, and the entries above the blocks update the later
 levels as a sparse pass.  The same walk serves a vector or a block of
-right-hand sides, and V^T with the levels reversed.  The solver is
+right-hand sides, and V^T with the levels reversed.  A V that couples no
+blocks also applies its inverses to a sparse matrix in one keyed pass,
+without the walk.  The solver is
 right-preconditioned BiCGSTAB with the usual breakdown safeguards;
 convergence is declared when the recurrence residual has dropped by the
 requested factor, and a true-residual check is recorded alongside.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import lu_factor_stack, lu_solve_stack
-from .sparse import _require_integer, spmv
+from .sparse import SparseMatrix, _require_integer, merge_sum, spmv
 
 __all__ = [
     "SingularBlockError",
@@ -95,27 +97,61 @@ class VFactorization:
     def n(self):
         return self.blocks.n
 
+    @property
+    def coupled(self):
+        """Whether any entry of V lies above its diagonal blocks."""
+        return self._off_nnz > 0
+
     def solve(self, x):
         """Solve ``V z = x`` for a vector ``x`` or an ``(n, b)`` block of them.
 
         Any other shape of ``x`` raises ``ValueError``.
 
         The walk goes level by level through the block DAG, from the level
-        of the first nonzero entry.  It first subtracts the off-block
-        entries that update the level's blocks, then applies each stack of
-        the level's equally sized blocks as one product with their
-        inverses, one matrix-vector product per block and right-hand side,
-        so a column's result does not depend on the others.  When ``x``
-        has a zero entry, a block whose right-hand side is all zero is
-        skipped; without one every block is applied, since a block that
-        cancels to zero solves to zero either way.  This one walk serves
-        the preconditioner apply and the V0 solves of the patterns stage.
+        of the first nonzero entry; an all-zero ``x`` solves to zeros
+        without a walk.  It first subtracts the off-block entries that
+        update the level's blocks, then applies each stack of the level's
+        equally sized blocks as one product with their inverses, one
+        matrix-vector product per block and right-hand side, so a column's
+        result does not depend on the others.  When ``x`` has a zero
+        entry, a block whose right-hand side is all zero is skipped;
+        without one every block is applied, since a block that cancels to
+        zero solves to zero either way.  This one walk serves the
+        preconditioner apply and the V0 solves of the patterns stage when
+        V0 couples its blocks.
         """
         return self._walk(x, False)
 
     def solve_transpose(self, x):
         """Solve ``V.T z = x``: the walk of :meth:`solve`, levels reversed."""
         return self._walk(x, True)
+
+    def solve_uncoupled(self, c):
+        """``V^{-1} c`` for a sparse matrix ``c``, when V couples no blocks.
+
+        Each entry ``c_ij`` contributes column ``i`` of its block's inverse
+        times ``c_ij``, and one keyed merge sums the products: nothing is
+        made dense.  A position's products come from the entries of one
+        column in one block, so they are summed in CSC order and a
+        column's result does not depend on the others.  Exact zeros are
+        dropped.  A V with entries above its blocks raises ``ValueError``.
+        """
+        if self.coupled:
+            raise ValueError("V couples its blocks; solve it with the walk")
+        if c.n_rows != self.n:
+            raise ValueError("dimension mismatch")
+        n, (_, _, stacks) = self.n, self._levels[0]
+        pos, col = self._place[c.row_idx], c._entry_columns()
+        stack = np.searchsorted([hi for _, hi, _, _ in stacks], pos, side="right")
+        keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
+        for s, (lo, _, k, inv) in enumerate(stacks):
+            e = np.flatnonzero(stack == s)
+            blk, at = np.divmod(pos[e] - lo, k)
+            rows = self._order[lo + blk * k][:, None] + np.arange(k)
+            keys.append((col[e, None] * n + rows).ravel())
+            vals.append((inv[blk, :, at] * c.values[e, None]).ravel())
+        keys, vals = merge_sum(np.concatenate(keys), np.concatenate(vals))
+        return SparseMatrix.from_keys(n, c.n_cols, keys, vals)
 
     def _walk(self, x, transpose):
         x = np.asarray(x, dtype=np.float64)
@@ -127,6 +163,8 @@ class VFactorization:
         # the levels before the first nonzero entry solve to zero and update
         # nothing; positions are in level order
         reached = z.any(axis=0)
+        if not reached.any():
+            return np.zeros(x.shape)
         if transpose:
             levels = self._levels[self._level_of[-1 - reached[::-1].argmax()]::-1]
         else:

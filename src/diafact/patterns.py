@@ -7,20 +7,23 @@ is then selected greedily per column by scoring admissible positions with
 the norms of the corresponding columns of Q_j^T.
 
 Both W constructions run as index passes over whole sparse matrices,
-summing in the order a per-column loop would.  The V0 solves of S take a
-dense batch of columns through one walk of
-:meth:`~diafact.krylov.VFactorization.solve` each, and a column's
-solution does not depend on its batch.  The V selection reads the blocks
-A_j from the chunked column sweep of
+summing in the order a per-column loop would.  When V0 couples no blocks,
+S is one keyed pass over the entries of (I - P_{V0})A with V0's block
+inverses (:meth:`~diafact.krylov.VFactorization.solve_uncoupled`);
+otherwise the V0 solves of S take a dense batch of columns through one
+walk of :meth:`~diafact.krylov.VFactorization.solve` each.  Either way a
+column's solution does not depend on the other columns.  The V selection
+reads the blocks A_j from the chunked column sweep of
 :func:`~diafact.sparse.column_chunks`, which orders the columns by block
 width for it as for the factor sweeps.  A chunk holds only the
 candidates on its blocks' active rows, plus the diagonal: no other
 position can score above zero or carry a value of V.  A chunk in which
-no column holds more than ``k_v`` positions keeps them all unfactored;
-in any other chunk the selection factors one block per call, takes the
-scores stacked over the columns of one width and ranks the chunk's
-positions per column.  Inputs are read-only, so results are
-deterministic, and they do not depend on the order of the sweep.
+no column holds more than ``k_v`` positions keeps them all unfactored,
+and its dense blocks are never built; in any other chunk the selection
+factors one block per call, takes the scores stacked over the columns of
+one width and ranks the chunk's positions per column.  Inputs are
+read-only, so results are deterministic, and they do not depend on the
+order of the sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import qr_householder
-from .krylov import SingularBlockError, factor_v
+from .krylov import factor_v
+from .preprocess import BlockStructure
 from .sparse import (
     SparseMatrix,
     SubspacePattern,
@@ -125,42 +129,30 @@ def _drop_columns(m, rule):
 class _V0Solver:
     """Solves with V0 = P_{V0}A.
 
-    A diagonal V0 divides by its diagonal.  Any other V0, block diagonal or
-    block upper triangular, is factored by :func:`factor_v` as the latter
-    under the given blocks, and a batch of right-hand sides goes through
-    one walk of :meth:`VFactorization.solve` as dense columns.  A zero on
-    the diagonal of a diagonal V0 raises one :class:`SingularBlockError`
-    naming all such positions, as :func:`factor_v` does for singular blocks.
+    V0 is factored by :func:`factor_v` as block upper triangular under the
+    given blocks, a diagonal V0 under blocks of one, so the singular
+    blocks (or the zeros on the diagonal) raise one
+    :class:`~diafact.krylov.SingularBlockError` naming them all.  A V0
+    that couples no blocks (``coupled`` false) applies its block inverses
+    to the entries of the right-hand sides in one keyed pass; any other V0
+    takes a batch of right-hand sides through one walk of
+    :meth:`VFactorization.solve` as dense columns.
     """
 
     def __init__(self, a, v0_pattern, blocks):
-        n = a.n_cols
-        diag = np.arange(n, dtype=np.int64) * (n + 1)
-        missing = np.flatnonzero(~v0_pattern.contains(diag))
-        if len(missing):
-            raise ValueError(f"V0 pattern must contain the diagonal (column {missing[0]})")
-        v0 = a.masked(v0_pattern.contains(a.entry_keys()))
-        if v0_pattern.nnz == n:  # the diagonal alone
-            d = v0.diagonal()
-            bad = np.flatnonzero(d == 0.0)
-            if len(bad):
-                raise SingularBlockError(bad)
-            self._diag = d
-            self._vf = None
-            return
-        self._diag = None
-        if blocks is None:
-            raise ValueError("a non-diagonal V0 pattern needs its blocks")
-        self._vf = factor_v(v0, blocks, "block-upper-triangular")
+        _check_v0(v0_pattern, blocks)
+        if v0_pattern.nnz == v0_pattern.n:  # the diagonal alone: blocks of one
+            blocks = BlockStructure(np.arange(v0_pattern.n + 1))
+        self._vf = factor_v(a.masked(v0_pattern.contains(a.entry_keys())), blocks,
+                            "block-upper-triangular")
+        self.coupled = self._vf.coupled
 
     def solve_sparse(self, c):
         """``V0^{-1} c`` for a sparse matrix ``c`` of right-hand sides, as a
         sparse matrix of the same shape without exact zeros."""
+        if not self.coupled:
+            return self._vf.solve_uncoupled(c)
         n, width = c.shape
-        if self._diag is not None:
-            z = SparseMatrix(n, width, c.col_ptr, c.row_idx, c.values / self._diag[c.row_idx],
-                             validate=False)
-            return z.masked(z.values != 0.0)
         dense = np.zeros((width, n))
         dense[c._entry_columns(), c.row_idx] = c.values
         z = self._vf.solve(dense.T).T.ravel()  # C order: index col * n + row
@@ -168,19 +160,34 @@ class _V0Solver:
         return SparseMatrix.from_keys(n, width, keys, z[keys])
 
 
-# S is solved this many columns at a time, as dense n-vectors.  The batch
-# bounds the memory the V0 solves take: with 24 columns the peak RSS of a
-# run stays within 1% of solving one column at a time at n = 636
-# (flowsheet-q-upper) and at n = 3,600 (cd2d-60: 75.3 against 75.5 MB).
-# Wider batches spread the walk's fixed cost over more columns: at
-# n = 3,600, batches of 2^14 values (4 columns) made S 2.4 times slower.
+def _check_v0(v0_pattern, blocks):
+    """``ValueError`` unless the V0 pattern holds the diagonal, and comes
+    with its blocks when it holds more."""
+    n = v0_pattern.n
+    missing = np.flatnonzero(~v0_pattern.contains(np.arange(n, dtype=np.int64) * (n + 1)))
+    if len(missing):
+        raise ValueError(f"V0 pattern must contain the diagonal (column {missing[0]})")
+    if blocks is None and v0_pattern.nnz != n:
+        raise ValueError("a non-diagonal V0 pattern needs its blocks")
+
+
+# When V0 couples blocks, S is solved this many columns at a time, as dense
+# n-vectors, through the walk.  The batch bounds the memory the V0 solves
+# take: with 24 columns the peak RSS of a run stays within 1% of solving
+# one column at a time at n = 636 (flowsheet-q-upper) and at n = 3,600
+# (cd2d-60: 75.3 against 75.5 MB).  Wider batches spread the walk's fixed
+# cost over more columns: at n = 3,600, batches of 2^14 values (4 columns)
+# made S 2.4 times slower.
 _V0_BATCH_COLUMNS = 24
 
 
 def _sparsified_s(a, v0_pattern, solver, rule):
-    """S = V0^{-1}(I - P_{V0})A with ``rule`` applied, one batch of columns at a time."""
+    """S = V0^{-1}(I - P_{V0})A with ``rule`` applied: in one keyed pass
+    when V0 couples no blocks, else one batch of columns at a time."""
     n = a.n_cols
     rhs = a.masked(~v0_pattern.contains(a.entry_keys()))
+    if not solver.coupled:
+        return _drop_columns(solver.solve_sparse(rhs), rule)
     keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
     for first in range(0, n, _V0_BATCH_COLUMNS):
         last = min(first + _V0_BATCH_COLUMNS, n)
@@ -198,14 +205,18 @@ def _sparsified_s(a, v0_pattern, solver, rule):
 def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     """Pattern of W from sparsified truncated powers of S = V0^{-1}(I - P_{V0})A.
 
-    S is formed a batch of columns at a time: each batch takes one V0 solve
-    of its dense columns and is sparsified with the initial rule before the
-    next.  Then, on whole matrices, T starts at the identity, is multiplied
-    by S (``cfg.k`` times) and dropped with the level rule after each
-    product, and each T is accumulated onto the identity; the support of
-    each column of the sum becomes that column's allowed set (the diagonal
-    if it cancels to nothing).  Finally the off-diagonal part of the V0
-    pattern is removed so the two subspaces only share the diagonal.
+    S is formed first and sparsified with the initial rule.  When V0
+    couples no blocks, each block's inverse is applied to the entries of
+    ``(I - P_{V0})A`` in one keyed pass; otherwise a batch of columns at a
+    time takes one V0 solve of its dense columns and is sparsified before
+    the next.  Then, on whole matrices, T starts at the identity, is
+    multiplied by S (``cfg.k`` times) and dropped with the level rule
+    after each product, and each T is accumulated onto the identity; the
+    support of each column of the sum becomes that column's allowed set
+    (the diagonal if it cancels to nothing).  Finally the off-diagonal
+    part of the V0 pattern is removed so the two subspaces only share the
+    diagonal.  With ``cfg.k`` = 0 the pattern is the diagonal, and V0 is
+    neither factored nor solved with.
 
     ``blocks`` gives the blocks V0 is factored under, as block upper
     triangular; it may be omitted only for a diagonal V0 pattern, and any
@@ -214,9 +225,10 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     n = a.n_cols
     if a.n_rows != n or v0_pattern.n != n:
         raise ValueError("square matrix and matching pattern required")
-    solver = _V0Solver(a, v0_pattern, blocks)
-
-    s = _sparsified_s(a, v0_pattern, solver, cfg.initial_drop)
+    _check_v0(v0_pattern, blocks)
+    if cfg.k == 0 or n == 0:  # W is the diagonal, and V0 is never solved with
+        return SubspacePattern.diagonal(n)
+    s = _sparsified_s(a, v0_pattern, _V0Solver(a, v0_pattern, blocks), cfg.initial_drop)
     t = SparseMatrix.identity(n)
     acc_keys, acc_vals = t.entry_keys(), t.values
     for _ in range(cfg.k):

@@ -566,13 +566,14 @@ class ColumnChunk:
     indexes ``active`` where ``v_seen``, which is true exactly at an
     active row.
 
-    ``blocks`` holds the dense blocks, zero-padded to ``max(m, k) x k``;
-    :meth:`visible_q` lays out the columns' Q_j the same way.
+    ``blocks`` holds the dense blocks, zero-padded to ``max(m, k) x k`` and
+    built when first read; :meth:`visible_q` lays out the columns' Q_j the
+    same way.
     """
 
     __slots__ = ("cols", "k", "m", "sets", "set_ptr", "slots", "active", "row_ptr",
                  "entry_row", "entry_set", "val", "v_pos", "v_col", "v_rows", "v_at", "v_seen",
-                 "blocks", "_pad", "_by_shape", "_off")
+                 "_blocks", "_val_at", "_pad", "_by_shape", "_off")
 
     def __init__(self, a, w_pattern, v_pattern, cols, outside_v):
         n = a.n_rows
@@ -597,14 +598,23 @@ class ColumnChunk:
         self.v_at, self.v_seen = sorted_lookup(seen, keys)
 
         # the dense blocks, padded to at least k rows, back to back in one
-        # flat array and ordered by shape, so blocks of one shape are a slice
+        # flat array and ordered by shape, so blocks of one shape are a slice;
+        # they are filled when first read, since a chunk the V selection
+        # keeps whole reads none
         self._pad = np.maximum(self.m, self.k)
         size = self._pad * self.k
         order = self._by_shape = np.lexsort((self.k, self._pad))
         self._off = np.empty(len(cols), dtype=np.int64)
         self._off[order] = np.cumsum(size[order]) - size[order]
-        self.blocks = np.zeros(int(size.sum()))
-        self.blocks[self._off[col] + local * self.k[col] + at] = self.val
+        self._blocks, self._val_at = None, self._off[col] + local * self.k[col] + at
+
+    @property
+    def blocks(self):
+        """The dense blocks, zero-padded to ``max(m, k) x k``, in one flat array."""
+        if self._blocks is None:
+            self._blocks = np.zeros(int((self._pad * self.k).sum()))
+            self._blocks[self._val_at] = self.val
+        return self._blocks
 
     def shape_groups(self):
         """Chunk columns sharing one padded block shape, with their blocks stacked."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diafact.krylov as krylov
 from diafact.factor import diaf_q
 from diafact.krylov import (
     SingularBlockError,
@@ -246,6 +247,54 @@ class TestFactorV:
         with pytest.raises(ValueError, match="shape in column 3$"):
             factor_v(SparseMatrix.from_dense(d), BlockStructure([0, 2, 4, 6]),
                      "block-upper-triangular")
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_zero_right_hand_side_walks_no_level(self, monkeypatch, transpose):
+        rng = np.random.default_rng(4)
+        bounds = [0, 3, 7, 10, 13, 18, 21, 25]
+        vf = factor_v(block_upper_matrix(rng, bounds), BlockStructure(bounds),
+                      "block-upper-triangular")
+        assert len(vf._levels) >= 3
+        calls = []
+        monkeypatch.setattr(krylov, "_subtract", lambda z, update: calls.append(update))
+        solve = vf.solve_transpose if transpose else vf.solve
+        for x in (np.zeros(25), np.zeros((25, 4))):
+            got = solve(x)
+            assert got.shape == x.shape and not got.any()
+        assert calls == []
+        solve(np.ones(25))  # a nonzero right-hand side does walk
+        assert len(calls) == len(vf._levels)
+
+    @pytest.mark.parametrize("bounds", [[0, 1, 2, 3, 4, 5, 6], [0, 3, 7, 10, 13, 18, 21, 25]])
+    def test_uncoupled_solve_of_a_sparse_matrix(self, bounds):
+        rng = np.random.default_rng(9)
+        n = bounds[-1]
+        v = block_upper_matrix(rng, bounds)
+        v = v.masked(v.row_idx >= np.repeat(bounds[:-1], np.diff(bounds))[v._entry_columns()])
+        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        assert not vf.coupled
+        dense = rng.standard_normal((n, 9)) * (rng.random((n, 9)) < 0.3)
+        dense[:, 4] = 0.0  # an empty column
+        c = SparseMatrix.from_dense(dense)
+        got = vf.solve_uncoupled(c)
+        assert got.shape == (n, 9) and np.all(got.values != 0.0)
+        want = np.linalg.solve(v.to_dense(), dense)
+        assert np.array_equal(got.to_dense() != 0.0, want != 0.0)
+        assert np.allclose(got.to_dense(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        for j in range(9):  # a column's result does not depend on the others
+            rows, vals = c.column(j)
+            alone = vf.solve_uncoupled(SparseMatrix(n, 1, [0, len(rows)], rows, vals))
+            assert np.array_equal(alone.row_idx, got.column(j)[0])
+            assert np.array_equal(alone.values, got.column(j)[1])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            vf.solve_uncoupled(SparseMatrix.identity(n + 1))
+
+    def test_coupled_v_has_no_uncoupled_solve(self):
+        v = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
+        vf = factor_v(v, BlockStructure([0, 1, 3]), "block-upper-triangular")
+        assert vf.coupled
+        with pytest.raises(ValueError, match="couples its blocks"):
+            vf.solve_uncoupled(SparseMatrix.identity(3))
 
 
 class TestApplyPrecond:

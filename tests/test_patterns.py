@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import diafact.krylov as krylov
 import diafact.patterns as patterns
 import diafact.sparse as sparse
 from diafact.patterns import (
@@ -259,6 +260,72 @@ class TestNeumannPattern:
         with pytest.raises(ValueError, match="blocks"):
             neumann_pattern(a, v0, no_drop_cfg(2))
 
+    def test_truncation_zero_factors_no_v0(self):
+        # V0's first block [[1, 1], [1, 1]] is singular (det A = -3); with
+        # k = 0 the pattern is the diagonal and V0 is never solved with
+        a = SparseMatrix.from_dense([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                                     [1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]])
+        blocks = BlockStructure([0, 2, 4])
+        v0 = block_pattern(blocks, "block-diagonal")
+        with pytest.raises(SingularBlockError, match="block 0"):
+            neumann_pattern(a, v0, no_drop_cfg(1), blocks=blocks)
+        pat = neumann_pattern(a, v0, NeumannConfig(k=0), blocks=blocks)
+        assert pat == SubspacePattern.diagonal(4)
+        # the argument checks still hold
+        with pytest.raises(ValueError, match="blocks"):
+            neumann_pattern(a, v0, NeumannConfig(k=0))
+        with pytest.raises(ValueError, match=r"diagonal \(column 0\)"):
+            neumann_pattern(a, SubspacePattern(4, [[1], [0], [2], [3]]), NeumannConfig(k=0))
+        with pytest.raises(ValueError, match="square"):
+            neumann_pattern(a, SubspacePattern.diagonal(3), NeumannConfig(k=0))
+
+
+def v0_problem(kind, rng):
+    """``(a, v0, blocks)`` on 30 columns: a diagonal V0, a block-diagonal
+    one, a block-upper one that couples no blocks (A is block lower
+    triangular), and that one with one entry of A above its blocks."""
+    bounds = BlockStructure([0, 4, 9, 10, 16, 23, 30])
+    d = random_sparse(rng, 30, density=0.25).to_dense()
+    if kind == "diagonal":
+        return SparseMatrix.from_dense(d), SubspacePattern.diagonal(30), None
+    if kind == "block-diagonal":
+        return SparseMatrix.from_dense(d), block_pattern(bounds, "block-diagonal"), bounds
+    for b in range(bounds.n_blocks):
+        lo, hi = bounds.bounds(b)
+        d[:lo, lo:hi] = 0.0
+    if kind == "coupled":
+        d[0, 29] = 0.5
+    return SparseMatrix.from_dense(d), block_pattern(bounds, "block-upper-triangular"), bounds
+
+
+class TestV0Routes:
+    @pytest.mark.parametrize("kind", ["diagonal", "block-diagonal", "uncoupled", "coupled"])
+    def test_s_matches_dense_solve(self, monkeypatch, kind):
+        rng = np.random.default_rng([8, len(kind)])
+        a, v0, blocks = v0_problem(kind, rng)
+        calls = []
+        solve_sparse = patterns._V0Solver.solve_sparse
+        monkeypatch.setattr(patterns._V0Solver, "solve_sparse",
+                            lambda self, c: calls.append(c.n_cols) or solve_sparse(self, c))
+        walks = []
+        walk = krylov.VFactorization.solve
+        monkeypatch.setattr(krylov.VFactorization, "solve",
+                            lambda self, x: walks.append(x.shape) or walk(self, x))
+        solver = patterns._V0Solver(a, v0, blocks)
+        assert solver.coupled == (kind == "coupled")
+        s = patterns._sparsified_s(a, v0, solver, DropRule())
+        if kind == "coupled":  # the batched walk
+            batch = patterns._V0_BATCH_COLUMNS
+            assert calls == [min(batch, 30 - f) for f in range(0, 30, batch)]
+            assert len(walks) == len(calls)
+        else:  # one keyed pass
+            assert calls == [30] and walks == []
+        d = a.to_dense()
+        p_v0 = np.where(v0.contains(np.arange(900)).reshape(30, 30).T, d, 0.0)
+        want = np.linalg.solve(p_v0, d - p_v0)
+        assert np.array_equal(s.to_dense() != 0.0, want != 0.0)
+        assert np.allclose(s.to_dense(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
 
 class TestAdjointPattern:
     def test_diagonal_v0_matches_transpose_structure(self):
@@ -483,3 +550,20 @@ class TestSelectVCut:
             assert np.array_equal(got.column_residuals, want.column_residuals)
             assert got.flagged_columns == want.flagged_columns
             assert got.stab_count == want.stab_count
+
+
+def test_selection_builds_blocks_only_for_factored_chunks(monkeypatch):
+    # one column per chunk, and some ranked columns hold no more than k_v
+    # positions: those chunks are kept whole and never fill their blocks
+    a, wp, cand, _ = block_upper_problem(11)
+    k_v = 3
+    monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", 1)
+    chunks = []
+    real = patterns.column_chunks
+    monkeypatch.setattr(patterns, "column_chunks",
+                        lambda *args: (chunks.append(ch) or ch for ch in real(*args)))
+    got, calls = _counting_qr(monkeypatch, a, wp, cand, k_v)
+    factored = [np.bincount(ch.v_col).max() > k_v for ch in chunks]
+    assert 0 < sum(factored) == calls < len(chunks)
+    assert [ch._blocks is not None for ch in chunks] == factored
+    assert got == select_v_pattern_reference(a, wp, cand, k_v)
