@@ -13,6 +13,10 @@ stacked SVD and solve, kept for direct use and as references.  The block
 LU of V is stacked the same way: :func:`lu_factor_stack` and
 :func:`lu_solve_stack` work on all equally sized blocks at once, and
 :func:`lu_factor` and :func:`lu_solve` are their one-block case.
+The blocks are so small that numpy's fixed cost per call outweighs their
+arithmetic, so the kernels keep their numpy calls few: the sign fix reads
+R's diagonal once, and the stacked LU swaps rows only where a pivot moved.
+The QR, SVD and LU factorizations raise ``ValueError`` on non-finite input.
 Everything is pure and reentrant.
 """
 
@@ -89,7 +93,7 @@ def qr_householder(m):
     rows, k = a.shape
     if rows < k or k < 1:
         raise ValueError("need rows >= cols >= 1")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("non-finite entry in QR input")
     q, r = np.linalg.qr(a)
     sign, rank = _sign_rows(a, r)
@@ -106,12 +110,17 @@ def _r_signed(a):
 
 def _sign_rows(a, r):
     """Flip R's rows in place to a nonnegative diagonal; returns the flips
-    and the rank (diagonal entries above ``RANK_TOL`` times ``||a||_F``)."""
+    and the rank (diagonal entries above ``RANK_TOL`` times ``||a||_F``).
+
+    R's diagonal is read once, as a view that sees the flip, and the rank is
+    a plain ``sum``: on a small block, ``np.count_nonzero`` along an axis
+    costs more than the arithmetic.
+    """
     fro = np.sqrt((a * a).sum(axis=(-2, -1)))
-    sign = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+    diag = r.diagonal(0, -2, -1)
+    sign = np.where(diag < 0, -1.0, 1.0)
     r *= sign[..., :, None]
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    return sign, np.count_nonzero(diag > RANK_TOL * fro[..., None], axis=-1)
+    return sign, (np.abs(diag) > RANK_TOL * fro[..., None]).sum(axis=-1)
 
 
 def svd_small(m):
@@ -198,7 +207,8 @@ def lu_factor(a):
     """Dense LU with partial pivoting; returns (lu, perm) with a[perm] = L @ U.
 
     The one-block case of :func:`lu_factor_stack`.  Raises
-    ``ZeroDivisionError`` on an exactly singular block.
+    ``ZeroDivisionError`` on an exactly singular block and ``ValueError`` on
+    non-finite input.
     """
     lu = np.asarray(a, dtype=np.float64)
     k = lu.shape[0]
@@ -219,18 +229,24 @@ def lu_factor_stack(a):
     outer product), so its factors are bitwise those of the block alone.
     ``singular`` marks the blocks that met an exactly zero pivot; their
     elimination goes on with a unit divisor, so their factors are not an LU.
+    Rows are swapped only in the blocks whose pivot row moved (a row swapped
+    with itself is unchanged).  Raises ``ValueError`` on non-finite input.
     """
     lu = np.array(a, dtype=np.float64)
+    if not np.isfinite(lu).all():
+        raise ValueError("non-finite entry in LU input")
     s, k, _ = lu.shape
     perm = np.tile(np.arange(k), (s, 1))
     singular = np.zeros(s, dtype=bool)
-    at = np.arange(s)
     for c in range(k):
         piv = c + np.argmax(np.abs(lu[:, c:, c]), axis=1)
-        pivot = lu[at, piv, c]
+        moved = np.flatnonzero(piv != c)
+        if len(moved):
+            to = piv[moved]
+            lu[moved, to], lu[moved, c] = lu[moved, c], lu[moved, to]
+            perm[moved, to], perm[moved, c] = perm[moved, c], perm[moved, to]
+        pivot = lu[:, c, c]
         singular |= pivot == 0.0
-        lu[at, piv], lu[:, c] = lu[:, c], lu[at, piv]
-        perm[at, piv], perm[:, c] = perm[:, c], perm[at, piv]
         lu[:, c + 1:, c] /= np.where(pivot == 0.0, 1.0, pivot)[:, None]
         lu[:, c + 1:, c + 1:] -= lu[:, c + 1:, c, None] * lu[:, c, None, c + 1:]
     return lu, perm, singular

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diafact.kernels import (
+    _r_signed,
     lstsq,
     lu_factor,
     lu_factor_stack,
@@ -103,6 +104,25 @@ class TestQR:
             k = int(rng.integers(1, m + 1))
             a = rng.standard_normal((m, k))
             assert_qr_convention(qr_householder(a), a)
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (4, 2), (6, 3), (15, 5)])
+    def test_stacked_rank_cut_on_degenerate_blocks(self, m, k):
+        # R's diagonal meets exact zeros, roundoff-sized entries and negative
+        # signs; each block's r and rank must be those of its own call
+        rng = np.random.default_rng(m * k)
+        stack = rng.standard_normal((6, m, k))
+        stack[0, :, k - 1] = 0.0  # an exactly zero column
+        stack[1, :, k - 1] = stack[1, :, 0]  # a repeated column
+        stack[2, 0, 0] = -abs(stack[2, 0, 0]) - 1.0  # a negative leading entry
+        stack[3] = 0.0  # an all-zero block
+        stack[4] = -stack[4]  # every sign flipped
+        r, rank = _r_signed(stack)
+        want = [k - 1, max(k - 1, 1), k, 0, k, k]
+        for i, block in enumerate(stack):
+            f = qr_householder(block)
+            assert r[i].tobytes() == f.r.tobytes() and rank[i] == f.rank == want[i]
+            assert np.all(np.diag(r[i]) >= 0.0)
+            assert_qr_convention(f, block)
 
 
 class TestSVD:
@@ -267,3 +287,59 @@ class TestLU:
                 assert np.array_equal(inv[i], lu_solve(one, np.eye(k)))
         assert singular[3] and singular[7] == (k > 1) and singular[10] == (k > 1)
         assert (perm[~singular] != np.arange(k)).any() or k == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_stack_with_skipped_swaps_matches_one_block_factors(self, k):
+        # column diagonally dominant members never swap; the same members
+        # with two rows exchanged swap at one step only; others are exactly
+        # singular, so each step swaps in some blocks and skips the rest
+        rng = np.random.default_rng(100 + k)
+        dominant = rng.uniform(-1.0, 1.0, (6, k, k))
+        at = np.arange(k)
+        dominant[:, at, at] = np.abs(dominant).sum(axis=1) + 1.0
+        late = dominant[3:].copy()
+        late[:, [k - 2, k - 1]] = late[:, [k - 1, k - 2]]
+        early = dominant[:3].copy()
+        early[:, [0, k - 1]] = early[:, [k - 1, 0]]
+        singular_members = np.zeros((3, k, k))
+        if k > 1:
+            singular_members[1] = rng.standard_normal((k, k))
+            singular_members[1, 1] = singular_members[1, 0]
+            singular_members[2] = rng.standard_normal((k, k))
+            singular_members[2, :, k - 1] = 0.0
+        groups = [("dominant", dominant[:1]), ("swaps", late), ("singular", singular_members[:2]),
+                  ("swaps", early), ("dominant", dominant[1:]), ("singular", singular_members[2:])]
+        a = np.concatenate([members for _, members in groups])
+        kinds = [kind for kind, members in groups for _ in members]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lu, perm, singular = lu_factor_stack(a)
+            ok = ~singular
+            inv = np.zeros_like(a)
+            inv[ok] = lu_solve_stack(lu[ok], perm[ok], np.broadcast_to(np.eye(k), a[ok].shape))
+            for i, kind in enumerate(kinds):
+                ref = lu_factor_reference(a[i])
+                assert singular[i] == (kind == "singular") == (ref is None)
+                if ref is None:
+                    with pytest.raises(ZeroDivisionError):
+                        lu_factor(a[i])
+                    continue
+                one = lu_factor(a[i])
+                assert lu[i].tobytes() == one[0].tobytes() == ref[0].tobytes()
+                assert np.array_equal(perm[i], one[1]) and np.array_equal(perm[i], ref[1])
+                assert (perm[i] == at).all() == (kind == "dominant" or k == 1)
+                assert inv[i].tobytes() == lu_solve(one, np.eye(k)).tobytes()
+            # a stack in which no block ever swaps
+            lu, perm, singular = lu_factor_stack(dominant)
+            assert not singular.any() and (perm == at).all()
+            for i, block in enumerate(dominant):
+                assert lu[i].tobytes() == lu_factor(block)[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        a = np.array([[bad, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_factor(a)
+        stack = np.stack([np.eye(2), a, 2.0 * np.eye(2)])
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_factor_stack(stack)
