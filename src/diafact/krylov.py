@@ -6,12 +6,13 @@ each block's inverse is built once from its LU.  A solve walks the DAG of
 the blocks level by level: the blocks of one size in a level are applied as
 one stacked product, and the entries above the blocks update the later
 levels as a sparse pass.  The same walk serves a vector or a block of
-right-hand sides, and V^T with the levels reversed.  A V that couples no
-blocks also applies its inverses to a sparse matrix in one keyed pass,
-without the walk.  The solver is
-right-preconditioned BiCGSTAB with the usual breakdown safeguards;
-convergence is declared when the recurrence residual has dropped by the
-requested factor, and a true-residual check is recorded alongside.
+right-hand sides, and V^T with the levels reversed; it starts at the level
+of the first nonzero entry and applies every block of each level it
+reaches.  A V that couples no blocks also gives its inverse as a sparse
+matrix, for sparse right-hand sides.  The solver is right-preconditioned
+BiCGSTAB with the usual breakdown safeguards; convergence is declared when
+the recurrence residual has dropped by the requested factor, and a
+true-residual check is recorded alongside.
 """
 
 from __future__ import annotations
@@ -80,12 +81,9 @@ class VFactorization:
     block numbers, ascending, and their :func:`lu_factor_stack` factors.
     """
 
-    __slots__ = (
-        "shape", "blocks", "v", "lu_stacks", "_off_nnz", "_order", "_place", "_level_of", "_levels"
-    )
+    __slots__ = ("blocks", "v", "lu_stacks", "_off_nnz", "_order", "_place", "_level_of", "_levels")
 
-    def __init__(self, shape, blocks, v, lu_stacks, off):
-        self.shape = shape
+    def __init__(self, blocks, v, lu_stacks, off):
         self.blocks = blocks
         self.v = v
         self.lu_stacks = lu_stacks
@@ -113,12 +111,10 @@ class VFactorization:
         update the level's blocks, then applies each stack of the level's
         equally sized blocks as one product with their inverses, one
         matrix-vector product per block and right-hand side, so a column's
-        result does not depend on the others.  When ``x`` has a zero
-        entry, a block whose right-hand side is all zero is skipped;
-        without one every block is applied, since a block that cancels to
-        zero solves to zero either way.  This one walk serves the
-        preconditioner apply and the V0 solves of the patterns stage when
-        V0 couples its blocks.
+        result does not depend on the others.  Every block of a level the
+        walk reaches is applied, all-zero right-hand side or not.  This one
+        walk serves the preconditioner apply and the V0 solves of the
+        patterns stage when V0 couples its blocks.
         """
         return self._walk(x, False)
 
@@ -126,32 +122,23 @@ class VFactorization:
         """Solve ``V.T z = x``: the walk of :meth:`solve`, levels reversed."""
         return self._walk(x, True)
 
-    def solve_uncoupled(self, c):
-        """``V^{-1} c`` for a sparse matrix ``c``, when V couples no blocks.
+    def inverse(self):
+        """V^{-1} as a :class:`SparseMatrix`, when V couples no blocks.
 
-        Each entry ``c_ij`` contributes column ``i`` of its block's inverse
-        times ``c_ij``, and one keyed merge sums the products: nothing is
-        made dense.  A position's products come from the entries of one
-        column in one block, so they are summed in CSC order and a
-        column's result does not depend on the others.  Exact zeros are
-        dropped.  A V with entries above its blocks raises ``ValueError``.
+        The inverses of the diagonal blocks, read from the plan's single
+        level, without exact zeros.  A V with entries above its blocks
+        raises ``ValueError``.
         """
         if self.coupled:
             raise ValueError("V couples its blocks; solve it with the walk")
-        if c.n_rows != self.n:
-            raise ValueError("dimension mismatch")
-        n, (_, _, stacks) = self.n, self._levels[0]
-        pos, col = self._place[c.row_idx], c._entry_columns()
-        stack = np.searchsorted([hi for _, hi, _, _ in stacks], pos, side="right")
-        keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
-        for s, (lo, _, k, inv) in enumerate(stacks):
-            e = np.flatnonzero(stack == s)
-            blk, at = np.divmod(pos[e] - lo, k)
-            rows = self._order[lo + blk * k][:, None] + np.arange(k)
-            keys.append((col[e, None] * n + rows).ravel())
-            vals.append((inv[blk, :, at] * c.values[e, None]).ravel())
+        (_, _, stacks), = self._levels
+        keys, vals = [], []
+        for lo, hi, k, inv in stacks:
+            at = self._order[lo:hi].reshape(-1, k)  # each block's positions
+            keys.append((at[:, None, :] * self.n + at[:, :, None]).ravel())
+            vals.append(inv.ravel())
         keys, vals = merge_sum(np.concatenate(keys), np.concatenate(vals))
-        return SparseMatrix.from_keys(n, c.n_cols, keys, vals)
+        return SparseMatrix.from_keys(self.n, self.n, keys, vals)
 
     def _walk(self, x, transpose):
         x = np.asarray(x, dtype=np.float64)
@@ -169,19 +156,13 @@ class VFactorization:
             levels = self._levels[self._level_of[-1 - reached[::-1].argmax()]::-1]
         else:
             levels = self._levels[self._level_of[reached.argmax()]:]
-        sparse = not z.all()
         for update, update_t, stacks in levels:
             _subtract(z, update_t if transpose else update)
             for lo, hi, k, inv in stacks:
                 if transpose:
                     inv = np.swapaxes(inv, 1, 2)
                 seg = z[:, lo:hi].reshape(b, -1, k, 1)  # (right-hand side, block, row)
-                live = np.flatnonzero(seg.any(axis=2)) if sparse else None
-                if live is None or len(live) == b * len(inv):  # no gather of the inverses
-                    seg[...] = inv @ seg
-                elif len(live):
-                    rhs, blk = np.divmod(live, len(inv))
-                    seg[rhs, blk] = inv[blk] @ seg[rhs, blk]
+                seg[...] = inv @ seg
         z = z[:, self._place]
         return z.T if x.ndim == 2 else z[0]
 
@@ -312,7 +293,7 @@ def factor_v(v, blocks, shape):
         singular.extend(members[bad].tolist())
     if singular:
         raise SingularBlockError(singular)
-    return VFactorization(shape, blocks, v, stacks, (v.row_idx[above], cols[above], v.values[above]))
+    return VFactorization(blocks, v, stacks, (v.row_idx[above], cols[above], v.values[above]))
 
 
 def apply_right_precond(w, vf, x):
@@ -328,14 +309,16 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000):
     ``tol`` times the initial residual; a breakdown of the recurrence
     coefficients, or a non-finite value in them or in a residual norm, is
     reported via the status instead of raising, with ``x`` left at the
-    last finite iterate.  ``tol`` must be finite and positive, ``maxit`` a
-    nonnegative integer.
+    last finite iterate.  ``b`` must be a finite vector of length n,
+    ``tol`` finite and positive and ``maxit`` a nonnegative integer.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
     _require_integer("maxit", maxit, 0)
     n = a.n_cols
     b = np.asarray(b, dtype=np.float64)
+    if b.shape != (n,) or not np.isfinite(b).all():
+        raise ValueError(f"b must be a finite vector of length {n}")
     if precond is None:
         precond = lambda x: x
     x = np.zeros(n)

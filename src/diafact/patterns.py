@@ -8,8 +8,8 @@ the norms of the corresponding columns of Q_j^T.
 
 Both W constructions run as index passes over whole sparse matrices,
 summing in the order a per-column loop would.  When V0 couples no blocks,
-S is one keyed pass over the entries of (I - P_{V0})A with V0's block
-inverses (:meth:`~diafact.krylov.VFactorization.solve_uncoupled`);
+S is one sparse product of V0's inverse
+(:meth:`~diafact.krylov.VFactorization.inverse`) with (I - P_{V0})A;
 otherwise the V0 solves of S take a dense batch of columns through one
 walk of :meth:`~diafact.krylov.VFactorization.solve` each.  Either way a
 column's solution does not depend on the other columns.  The V selection
@@ -20,8 +20,8 @@ candidates on its blocks' active rows, plus the diagonal: no other
 position can score above zero or carry a value of V.  A chunk in which
 no column holds more than ``k_v`` positions keeps them all unfactored,
 and its dense blocks are never built; in any other chunk the selection
-factors one block per call, takes the scores stacked over the columns of
-one width and ranks the chunk's positions per column.  Inputs are
+factors one block per call, takes the scores of all the chunk's
+positions in one pass and ranks them per column.  Inputs are
 read-only, so results are deterministic, and they do not depend on the
 order of the sweep.
 """
@@ -39,6 +39,7 @@ from .sparse import (
     SparseMatrix,
     SubspacePattern,
     _require_integer,
+    _span_gather,
     column_chunks,
     merge_sum,
     pattern_subtract_offdiag,
@@ -133,9 +134,9 @@ class _V0Solver:
     given blocks, a diagonal V0 under blocks of one, so the singular
     blocks (or the zeros on the diagonal) raise one
     :class:`~diafact.krylov.SingularBlockError` naming them all.  A V0
-    that couples no blocks (``coupled`` false) applies its block inverses
-    to the entries of the right-hand sides in one keyed pass; any other V0
-    takes a batch of right-hand sides through one walk of
+    that couples no blocks (``coupled`` false) builds its inverse once as a
+    sparse matrix, and a solve is one :func:`sparse_product` with it; any
+    other V0 takes a batch of right-hand sides through one walk of
     :meth:`VFactorization.solve` as dense columns.
     """
 
@@ -146,12 +147,13 @@ class _V0Solver:
         self._vf = factor_v(a.masked(v0_pattern.contains(a.entry_keys())), blocks,
                             "block-upper-triangular")
         self.coupled = self._vf.coupled
+        self._inverse = None if self.coupled else self._vf.inverse()
 
     def solve_sparse(self, c):
         """``V0^{-1} c`` for a sparse matrix ``c`` of right-hand sides, as a
         sparse matrix of the same shape without exact zeros."""
         if not self.coupled:
-            return self._vf.solve_uncoupled(c)
+            return sparse_product(self._inverse, c)
         n, width = c.shape
         dense = np.zeros((width, n))
         dense[c._entry_columns(), c.row_idx] = c.values
@@ -182,8 +184,8 @@ _V0_BATCH_COLUMNS = 24
 
 
 def _sparsified_s(a, v0_pattern, solver, rule):
-    """S = V0^{-1}(I - P_{V0})A with ``rule`` applied: in one keyed pass
-    when V0 couples no blocks, else one batch of columns at a time."""
+    """S = V0^{-1}(I - P_{V0})A with ``rule`` applied: in one sparse
+    product when V0 couples no blocks, else one batch of columns at a time."""
     n = a.n_cols
     rhs = a.masked(~v0_pattern.contains(a.entry_keys()))
     if not solver.coupled:
@@ -206,12 +208,12 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     """Pattern of W from sparsified truncated powers of S = V0^{-1}(I - P_{V0})A.
 
     S is formed first and sparsified with the initial rule.  When V0
-    couples no blocks, each block's inverse is applied to the entries of
-    ``(I - P_{V0})A`` in one keyed pass; otherwise a batch of columns at a
-    time takes one V0 solve of its dense columns and is sparsified before
-    the next.  Then, on whole matrices, T starts at the identity, is
-    multiplied by S (``cfg.k`` times) and dropped with the level rule
-    after each product, and each T is accumulated onto the identity; the
+    couples no blocks, S is the sparse product of V0's inverse with
+    ``(I - P_{V0})A``; otherwise a batch of columns at a time takes one V0
+    solve of its dense columns and is sparsified before the next.  Then,
+    on whole matrices, T starts at the identity, is multiplied by S
+    (``cfg.k`` times) and dropped with the level rule after each product,
+    and each T is accumulated onto the identity; the
     support of each column of the sum becomes that column's allowed set
     (the diagonal if it cancels to nothing).  Finally the off-diagonal
     part of the V0 pattern is removed so the two subspaces only share the
@@ -299,12 +301,11 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
             keys.append(ch.cols[ch.v_col] * n + ch.v_rows)  # no column has a choice
             continue
         q, start, _, _ = ch.visible_q(qr_householder)
-        k = ch.k[ch.v_col]
+        e = np.flatnonzero(ch.v_seen)
+        slot, owner = _span_gather(ch.set_ptr, ch.v_col[e])
+        at = (start[e] - ch.set_ptr[ch.v_col[e]])[owner] + slot
         scores = np.zeros(len(ch.v_rows))
-        for kk in np.unique(k[ch.v_seen]).tolist():
-            e = np.flatnonzero(ch.v_seen & (k == kk))
-            qt = q[start[e][:, None] + np.arange(kk)]
-            scores[e] = np.sqrt((qt * qt).sum(axis=1))
+        scores[e] = np.sqrt(np.bincount(owner, weights=q[at] ** 2, minlength=len(e)))
         best = _top_per_column(ch.v_col, ch.v_rows, scores, k_v)
         keys.append(ch.cols[ch.v_col[best]] * n + ch.v_rows[best])
     return SubspacePattern.from_keys(n, np.unique(np.concatenate(keys)))

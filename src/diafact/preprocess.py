@@ -16,7 +16,7 @@ import heapq
 
 import numpy as np
 
-from .sparse import SubspacePattern
+from .sparse import SubspacePattern, _require_integer
 
 __all__ = [
     "StructuralSingularityError",
@@ -30,6 +30,15 @@ __all__ = [
 ]
 
 _EQUILIBRATE_SWEEPS = 10  # max-scaling sweeps of equilibrate
+
+
+def _integer_array(name, values):
+    """``values`` as an int64 array; ``ValueError`` unless its entries are
+    integers (numpy's too).  An empty sequence passes."""
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"{name} must be integers")
+    return values.astype(np.int64, copy=False)
 
 
 class StructuralSingularityError(Exception):
@@ -47,7 +56,7 @@ class Permutation:
     __slots__ = ("forward", "inverse")
 
     def __init__(self, forward):
-        self.forward = np.asarray(forward, dtype=np.int64)
+        self.forward = _integer_array("permutation entries", forward)
         n = len(self.forward)
         self.inverse = np.empty(n, dtype=np.int64)
         if np.any(np.sort(self.forward) != np.arange(n)):
@@ -84,7 +93,7 @@ class BlockStructure:
     __slots__ = ("block_bounds",)
 
     def __init__(self, block_bounds):
-        b = np.asarray(block_bounds, dtype=np.int64)
+        b = _integer_array("block bounds", block_bounds)
         if len(b) < 2 or b[0] != 0 or np.any(np.diff(b) <= 0):
             raise ValueError("bounds must start at 0 and be strictly increasing")
         self.block_bounds = b
@@ -286,8 +295,7 @@ def scc_block_structure(a, max_block):
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
-    if max_block < 1:
-        raise ValueError("max_block must be positive")
+    max_block = _require_integer("max_block", max_block, 1)
     comps = _tarjan_components(a)
     comps.reverse()
 

@@ -11,7 +11,7 @@ from diafact.krylov import (
     factor_v,
 )
 from diafact.preprocess import BlockStructure
-from diafact.sparse import SparseMatrix, SubspacePattern, spmv
+from diafact.sparse import SparseMatrix, SubspacePattern, sparse_product, spmv
 
 from helpers import lu_factor_reference, random_pattern, random_sparse
 
@@ -276,25 +276,40 @@ class TestFactorV:
         dense = rng.standard_normal((n, 9)) * (rng.random((n, 9)) < 0.3)
         dense[:, 4] = 0.0  # an empty column
         c = SparseMatrix.from_dense(dense)
-        got = vf.solve_uncoupled(c)
+        inv = vf.inverse()
+        got = sparse_product(inv, c)
         assert got.shape == (n, 9) and np.all(got.values != 0.0)
         want = np.linalg.solve(v.to_dense(), dense)
         assert np.array_equal(got.to_dense() != 0.0, want != 0.0)
         assert np.allclose(got.to_dense(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         for j in range(9):  # a column's result does not depend on the others
             rows, vals = c.column(j)
-            alone = vf.solve_uncoupled(SparseMatrix(n, 1, [0, len(rows)], rows, vals))
+            alone = sparse_product(inv, SparseMatrix(n, 1, [0, len(rows)], rows, vals))
             assert np.array_equal(alone.row_idx, got.column(j)[0])
             assert np.array_equal(alone.values, got.column(j)[1])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            vf.solve_uncoupled(SparseMatrix.identity(n + 1))
+            sparse_product(inv, SparseMatrix.identity(n + 1))
 
     def test_coupled_v_has_no_uncoupled_solve(self):
         v = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
         vf = factor_v(v, BlockStructure([0, 1, 3]), "block-upper-triangular")
         assert vf.coupled
         with pytest.raises(ValueError, match="couples its blocks"):
-            vf.solve_uncoupled(SparseMatrix.identity(3))
+            vf.inverse()
+
+    def test_inverse_of_an_uncoupled_v(self):
+        rng = np.random.default_rng(10)
+        bounds = [0, 2, 3, 7, 10, 13, 18, 21, 25]
+        v = block_upper_matrix(rng, bounds)
+        cols = v._entry_columns()
+        lo = np.repeat(bounds[:-1], np.diff(bounds))[cols]
+        diagonal = (cols >= 3) & (cols < 7)  # a block whose inverse holds exact zeros
+        v = v.masked((v.row_idx >= lo) & (~diagonal | (v.row_idx == cols)))
+        inv = factor_v(v, BlockStructure(bounds), "block-upper-triangular").inverse()
+        want = np.linalg.inv(v.to_dense())
+        assert inv.shape == (25, 25) and np.all(inv.values != 0.0)
+        assert np.array_equal(inv.to_dense() != 0.0, want != 0.0)
+        assert np.allclose(inv.to_dense(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestApplyPrecond:
@@ -348,6 +363,14 @@ class TestBicgstab:
                 bicgstab(a, np.ones(3), maxit=bad)
         _, rep = bicgstab(a, np.ones(3), maxit=np.int64(0))
         assert rep.iterations == 0 and rep.status == "no_convergence"
+
+    def test_b_must_be_a_finite_vector(self):
+        a = SparseMatrix.identity(4)
+        bad = [np.ones((4, 1)), np.ones(3), np.array([1.0, np.nan, 1.0, 1.0]),
+               np.array([1.0, 1.0, np.inf, 1.0])]
+        for b in bad:
+            with pytest.raises(ValueError, match="^b must be a finite vector of length 4$"):
+                bicgstab(a, b)
 
     def test_diagonal_system(self):
         a = SparseMatrix.from_dense(np.diag(np.arange(1.0, 11.0)))

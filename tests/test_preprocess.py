@@ -31,6 +31,20 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([0, 0, 2])
 
+    def test_rejects_non_integer_entries(self):
+        for bad in ([0, 1.7, 2], [0.0, 1.0, 2.0], ["0", "1", "2"]):
+            with pytest.raises(ValueError, match="^permutation entries must be integers$"):
+                Permutation(bad)
+        assert np.array_equal(Permutation(np.array([1, 0], dtype=np.int32)).forward, [1, 0])
+
+
+class TestBlockStructure:
+    def test_rejects_non_integer_bounds(self):
+        for bad in ([0, 1, 2.9], [0.0, 2.0], ["0", "2"]):
+            with pytest.raises(ValueError, match="^block bounds must be integers$"):
+                BlockStructure(bad)
+        assert BlockStructure(np.array([0, 1, 3], dtype=np.int32)).n == 3
+
 
 class TestMaxTransversal:
     def test_antidiagonal_swap(self):
@@ -142,6 +156,13 @@ class TestSCC:
         p, blocks = scc_block_structure(a, max_block=8)
         assert blocks.n_blocks == 8
         assert np.all(blocks.sizes == 1)
+
+    def test_max_block_must_be_an_integer(self):
+        a = SparseMatrix.identity(3)
+        for bad in (2.5, 2.0, "2", 0, None):
+            with pytest.raises(ValueError, match="^max_block must be an integer >= 1$"):
+                scc_block_structure(a, bad)
+        assert scc_block_structure(a, np.int64(2))[1].n_blocks == 3
 
     def test_dense_matrix_capped_chunks(self):
         a = SparseMatrix.from_dense(np.ones((120, 120)))
