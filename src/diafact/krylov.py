@@ -333,18 +333,15 @@ def bicgstab(a, b, precond=None, tol=1e-8, maxit=1000):
         gap = not abs(rnorm / r0_norm - true_res) <= 10.0 * tol
         return x, SolveReport(its, status, rnorm / r0_norm, true_res, gap)
 
+    # from p = v = 0 the first update below gives p = r
     rho_prev = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
+    p = v = np.zeros(n)
     for it in range(1, maxit + 1):
         rho = float(np.dot(r_hat, r))
         if abs(rho) < BREAKDOWN_EPS * r0_norm * float(np.linalg.norm(r)) or rho == 0.0:
             return finish(it - 1, BREAKDOWN, float(np.linalg.norm(r)))
-        if it == 1:
-            p = r.copy()
-        else:
-            beta = (rho / rho_prev) * (alpha / omega)
-            p = r + beta * (p - omega * v)
+        beta = (rho / rho_prev) * (alpha / omega)
+        p = r + beta * (p - omega * v)
         p_hat = precond(p)
         v = spmv(a, p_hat)
         denom = float(np.dot(r_hat, v))

@@ -7,21 +7,22 @@ is then selected greedily per column by scoring admissible positions with
 the norms of the corresponding columns of Q_j^T.
 
 Both W constructions run as index passes over whole sparse matrices,
-summing in the order a per-column loop would.  When V0 couples no blocks,
-S is one sparse product of V0's inverse
-(:meth:`~diafact.krylov.VFactorization.inverse`) with (I - P_{V0})A;
-otherwise the V0 solves of S take a dense batch of columns through one
-walk of :meth:`~diafact.krylov.VFactorization.solve` each.  Either way a
-column's solution does not depend on the other columns.  The V selection
-reads the blocks A_j from the chunked column sweep of
-:func:`~diafact.sparse.column_chunks`, which orders the columns by block
-width for it as for the factor sweeps.  A chunk holds only the
-candidates on its blocks' active rows, plus the diagonal: no other
-position can score above zero or carry a value of V.  A chunk in which
-no column holds more than ``k_v`` positions keeps them all unfactored,
-and its dense blocks are never built; in any other chunk the selection
-factors one block per call, takes the scores of all the chunk's
-positions in one pass and ranks them per column.  Inputs are
+summing in the order a per-column loop would.  S is formed by one V0
+solve per :func:`neumann_pattern`, which also applies the initial drop.
+When V0 couples no blocks, that solve is one sparse product of V0's
+inverse (:meth:`~diafact.krylov.VFactorization.inverse`) with
+(I - P_{V0})A; otherwise it takes a dense batch of columns through one
+walk of :meth:`~diafact.krylov.VFactorization.solve` at a time and drops
+each batch before the next.  Either way a column's solution does not
+depend on the other columns.  The V selection reads the blocks A_j from
+the chunked column sweep of :func:`~diafact.sparse.column_chunks`, which
+orders the columns by block width for it as for the factor sweeps.  A
+chunk holds only the candidates on its blocks' active rows, plus the
+diagonal: no other position can score above zero or carry a value of V.
+A chunk in which no column holds more than ``k_v`` positions keeps them
+all unfactored, and its dense blocks are never built; in any other chunk
+the selection factors one block per call, takes the scores of all the
+chunk's positions in one pass and ranks them per column.  Inputs are
 read-only, so results are deterministic, and they do not depend on the
 order of the sweep.
 """
@@ -128,38 +129,43 @@ def _drop_columns(m, rule):
 
 
 class _V0Solver:
-    """Solves with V0 = P_{V0}A.
+    """Solves with V0 = P_{V0}A, given as a matrix.
 
     V0 is factored by :func:`factor_v` as block upper triangular under the
-    given blocks, a diagonal V0 under blocks of one, so the singular
-    blocks (or the zeros on the diagonal) raise one
+    given blocks, or under blocks of one when ``blocks`` is None, so the
+    singular blocks (or the zeros on the diagonal) raise one
     :class:`~diafact.krylov.SingularBlockError` naming them all.  A V0
-    that couples no blocks (``coupled`` false) builds its inverse once as a
-    sparse matrix, and a solve is one :func:`sparse_product` with it; any
-    other V0 takes a batch of right-hand sides through one walk of
-    :meth:`VFactorization.solve` as dense columns.
+    that couples no blocks builds its inverse once as a sparse matrix.
     """
 
-    def __init__(self, a, v0_pattern, blocks):
-        _check_v0(v0_pattern, blocks)
-        if v0_pattern.nnz == v0_pattern.n:  # the diagonal alone: blocks of one
-            blocks = BlockStructure(np.arange(v0_pattern.n + 1))
-        self._vf = factor_v(a.masked(v0_pattern.contains(a.entry_keys())), blocks,
-                            "block-upper-triangular")
-        self.coupled = self._vf.coupled
-        self._inverse = None if self.coupled else self._vf.inverse()
+    def __init__(self, v0, blocks):
+        if blocks is None:
+            blocks = BlockStructure(np.arange(v0.n_cols + 1))
+        self._vf = factor_v(v0, blocks, "block-upper-triangular")
+        self._inverse = None if self._vf.coupled else self._vf.inverse()
 
-    def solve_sparse(self, c):
-        """``V0^{-1} c`` for a sparse matrix ``c`` of right-hand sides, as a
-        sparse matrix of the same shape without exact zeros."""
-        if not self.coupled:
-            return sparse_product(self._inverse, c)
+    def solve_sparse(self, c, rule):
+        """``V0^{-1} c`` for a sparse matrix ``c`` of right-hand sides, with
+        the :class:`DropRule` ``rule`` applied to each column: one
+        :func:`sparse_product` with the inverse when V0 couples no blocks,
+        else one walk of :meth:`VFactorization.solve` per batch of
+        ``_V0_BATCH_COLUMNS`` dense columns, each dropped before the next."""
+        if self._inverse is not None:
+            return _drop_columns(sparse_product(self._inverse, c), rule)
         n, width = c.shape
-        dense = np.zeros((width, n))
-        dense[c._entry_columns(), c.row_idx] = c.values
-        z = self._vf.solve(dense.T).T.ravel()  # C order: index col * n + row
-        keys = np.flatnonzero(z)
-        return SparseMatrix.from_keys(n, width, keys, z[keys])
+        cols = c._entry_columns()
+        keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
+        for first in range(0, width, _V0_BATCH_COLUMNS):
+            last = min(first + _V0_BATCH_COLUMNS, width)
+            lo, hi = c.col_ptr[first], c.col_ptr[last]
+            dense = np.zeros((last - first, n))
+            dense[cols[lo:hi] - first, c.row_idx[lo:hi]] = c.values[lo:hi]
+            z = self._vf.solve(dense.T).T.ravel()  # C order: index col * n + row
+            at = np.flatnonzero(z)
+            part = _drop_columns(SparseMatrix.from_keys(n, width, at + first * n, z[at]), rule)
+            keys.append(part.entry_keys())
+            vals.append(part.values)
+        return SparseMatrix.from_keys(n, width, np.concatenate(keys), np.concatenate(vals))
 
 
 def _check_v0(v0_pattern, blocks):
@@ -173,47 +179,25 @@ def _check_v0(v0_pattern, blocks):
         raise ValueError("a non-diagonal V0 pattern needs its blocks")
 
 
-# When V0 couples blocks, S is solved this many columns at a time, as dense
-# n-vectors, through the walk.  The batch bounds the memory the V0 solves
-# take: with 24 columns the peak RSS of a run stays within 1% of solving
-# one column at a time at n = 636 (flowsheet-q-upper) and at n = 3,600
-# (cd2d-60: 75.3 against 75.5 MB).  Wider batches spread the walk's fixed
-# cost over more columns: at n = 3,600, batches of 2^14 values (4 columns)
-# made S 2.4 times slower.
+# When V0 couples blocks (cd3d-s-upper: 9 batches at n = 216; block-upper
+# cd2d-m at scale), S is solved this many columns at a time, as dense
+# n-vectors, through the walk, and each batch is dropped before the next.
+# The batch bounds the memory the V0 solves take: with 24 columns the peak
+# RSS of a run stayed within 1% of solving one column at a time at
+# n = 3,600 (cd2d-60: 75.3 against 75.5 MB).  Wider batches spread the
+# walk's fixed cost over more columns: at n = 3,600, batches of 2^14 values
+# (4 columns) made S 2.4 times slower.
 _V0_BATCH_COLUMNS = 24
-
-
-def _sparsified_s(a, v0_pattern, solver, rule):
-    """S = V0^{-1}(I - P_{V0})A with ``rule`` applied: in one sparse
-    product when V0 couples no blocks, else one batch of columns at a time."""
-    n = a.n_cols
-    rhs = a.masked(~v0_pattern.contains(a.entry_keys()))
-    if not solver.coupled:
-        return _drop_columns(solver.solve_sparse(rhs), rule)
-    keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
-    for first in range(0, n, _V0_BATCH_COLUMNS):
-        last = min(first + _V0_BATCH_COLUMNS, n)
-        lo, hi = rhs.col_ptr[first], rhs.col_ptr[last]
-        part = solver.solve_sparse(SparseMatrix(
-            n, last - first, rhs.col_ptr[first:last + 1] - lo, rhs.row_idx[lo:hi],
-            rhs.values[lo:hi], validate=False))
-        part = _drop_columns(
-            SparseMatrix.from_keys(n, n, part.entry_keys() + first * n, part.values), rule)
-        keys.append(part.entry_keys())
-        vals.append(part.values)
-    return SparseMatrix.from_keys(n, n, np.concatenate(keys), np.concatenate(vals))
 
 
 def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     """Pattern of W from sparsified truncated powers of S = V0^{-1}(I - P_{V0})A.
 
-    S is formed first and sparsified with the initial rule.  When V0
-    couples no blocks, S is the sparse product of V0's inverse with
-    ``(I - P_{V0})A``; otherwise a batch of columns at a time takes one V0
-    solve of its dense columns and is sparsified before the next.  Then,
-    on whole matrices, T starts at the identity, is multiplied by S
-    (``cfg.k`` times) and dropped with the level rule after each product,
-    and each T is accumulated onto the identity; the
+    One pass splits A into V0 = P_{V0}A and ``(I - P_{V0})A``, and one
+    :meth:`_V0Solver.solve_sparse` call forms S from them, sparsified with
+    the initial rule.  Then, on whole matrices, T starts at the identity,
+    is multiplied by S (``cfg.k`` times) and dropped with the level rule
+    after each product, and each T is accumulated onto the identity; the
     support of each column of the sum becomes that column's allowed set
     (the diagonal if it cancels to nothing).  Finally the off-diagonal
     part of the V0 pattern is removed so the two subspaces only share the
@@ -230,7 +214,9 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     _check_v0(v0_pattern, blocks)
     if cfg.k == 0 or n == 0:  # W is the diagonal, and V0 is never solved with
         return SubspacePattern.diagonal(n)
-    s = _sparsified_s(a, v0_pattern, _V0Solver(a, v0_pattern, blocks), cfg.initial_drop)
+    in_v0 = v0_pattern.contains(a.entry_keys())
+    solver = _V0Solver(a.masked(in_v0), None if v0_pattern.nnz == n else blocks)
+    s = solver.solve_sparse(a.masked(~in_v0), cfg.initial_drop)
     t = SparseMatrix.identity(n)
     acc_keys, acc_vals = t.entry_keys(), t.values
     for _ in range(cfg.k):

@@ -16,7 +16,7 @@ import heapq
 
 import numpy as np
 
-from .sparse import SubspacePattern, _require_integer
+from .sparse import SubspacePattern, _integer_array, _require_integer
 
 __all__ = [
     "StructuralSingularityError",
@@ -30,15 +30,6 @@ __all__ = [
 ]
 
 _EQUILIBRATE_SWEEPS = 10  # max-scaling sweeps of equilibrate
-
-
-def _integer_array(name, values):
-    """``values`` as an int64 array; ``ValueError`` unless its entries are
-    integers (numpy's too).  An empty sequence passes."""
-    values = np.asarray(values)
-    if values.size and not np.issubdtype(values.dtype, np.integer):
-        raise ValueError(f"{name} must be integers")
-    return values.astype(np.int64, copy=False)
 
 
 class StructuralSingularityError(Exception):

@@ -40,6 +40,7 @@ class SparseMatrix:
 
     Invariants enforced at construction:
 
+    * sizes and indices are integers, never truncated floats;
     * ``col_ptr`` is nondecreasing, starts at 0 and ends at ``nnz``;
     * within each column the row indices are strictly increasing and
       smaller than ``n_rows``;
@@ -49,6 +50,11 @@ class SparseMatrix:
     __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "values", "_col_of_entry")
 
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, values, validate=True):
+        if validate:
+            n_rows = _require_integer("n_rows", n_rows, 0)
+            n_cols = _require_integer("n_cols", n_cols, 0)
+            col_ptr = _integer_array("col_ptr", col_ptr)
+            row_idx = _integer_array("row_idx", row_idx)
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.col_ptr = np.ascontiguousarray(col_ptr, dtype=np.int64)
@@ -85,8 +91,9 @@ class SparseMatrix:
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, values):
         """Build from triplets; duplicates are summed, zeros dropped."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        n_rows = _require_integer("n_rows", n_rows, 0)
+        n_cols = _require_integer("n_cols", n_cols, 0)
+        rows, cols = _integer_array("rows", rows), _integer_array("cols", cols)
         values = np.asarray(values, dtype=np.float64)
         if len(rows):
             if rows.min() < 0 or rows.max() >= n_rows:
@@ -238,8 +245,8 @@ class SubspacePattern:
     """Per-column allowed row-index sets defining a standard matrix subspace.
 
     Column ``j`` of any member matrix may only have nonzeros at the row
-    indices in ``cols[j]``.  Every index set is nonempty and within
-    ``[0, n)``.  Patterns meant to host an invertible factor must include
+    indices in ``cols[j]``.  Every index set is nonempty and holds integers
+    within ``[0, n)``.  Patterns meant to host an invertible factor must include
     the diagonal index ``j`` in column ``j``; that is the caller's duty and
     is validated by the consumers that rely on it.
 
@@ -253,7 +260,7 @@ class SubspacePattern:
     __slots__ = ("n", "_which", "_ptr", "_rows", "_set_keys", "_key_shift", "_cols")
 
     def __init__(self, n, cols):
-        self.n = int(n)
+        self.n = _require_integer("pattern size n", n, 0)
         if len(cols) != self.n:
             raise ValueError("pattern needs one index set per column")
         first = {}  # columns may share one array (full blocks); keep it once
@@ -263,9 +270,9 @@ class SubspacePattern:
             d = first.get(id(c))
             if d is None:
                 d = first[id(c)] = len(distinct)
-                distinct.append(c)
+                distinct.append((j, c))
             which[j] = d
-        arrs = [np.asarray(c, dtype=np.int64) for c in distinct]
+        arrs = [_integer_array(f"column {j}: pattern indices", c) for j, c in distinct]
         # a set that is not one-dimensional is reported like an empty one
         arrs = [arr if arr.ndim == 1 else np.empty(0, np.int64) for arr in arrs]
         ptr = np.zeros(len(arrs) + 1, dtype=np.int64)
@@ -717,6 +724,15 @@ def _require_integer(name, value, low):
     return int(value)
 
 
+def _integer_array(name, values):
+    """``values`` as an int64 array; ``ValueError`` unless its entries are
+    integers (numpy's too).  An empty sequence passes."""
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"{name} must be integers")
+    return values.astype(np.int64, copy=False)
+
+
 def spmv(a, x):
     """Dense matrix-vector product ``a @ x``."""
     x = np.asarray(x, dtype=np.float64)
@@ -745,8 +761,9 @@ def _span_gather(col_ptr, cols):
     cols = np.asarray(cols, dtype=np.int64)
     starts = col_ptr[cols]
     counts = col_ptr[cols + 1] - starts
-    # ndarray methods: this runs once per column problem, where the
-    # dispatch of the np.* wrappers is a noticeable share of the cost
+    # ndarray methods: this runs once per chunk of a sweep and per pattern
+    # operation, where the dispatch of the np.* wrappers is a noticeable
+    # share of the cost
     owner = np.arange(len(cols), dtype=np.int64).repeat(counts)
     shift = (starts + counts - counts.cumsum()).repeat(counts)
     return np.arange(len(owner), dtype=np.int64) + shift, owner

@@ -3,7 +3,7 @@
 import numpy as np
 
 from diafact.kernels import lstsq, pad_tall, qr_householder, svd_small
-from diafact.patterns import _V0Solver
+from diafact.patterns import DropRule, _V0Solver
 from diafact.preprocess import BlockStructure, block_pattern
 from diafact.sparse import ColumnSubmatrix, SparseMatrix, SparseVector, SubspacePattern, merge_sum
 
@@ -97,13 +97,15 @@ def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None):
     off-diagonal V0 pattern is then removed column by column.
     """
     n = a.n_cols
-    solver = _V0Solver(a, v0_pattern, blocks)
+    v0 = a.masked(v0_pattern.contains(a.entry_keys()))
+    solver = _V0Solver(v0, None if v0_pattern.nnz == n else blocks)
     s_cols = []
     for j in range(n):
         idx, val = a.column(j)
         inside = np.isin(idx, v0_pattern.cols[j])
-        rhs = SparseMatrix.from_coo(n, 1, idx[~inside], np.zeros((~inside).sum()), val[~inside])
-        col = solver.solve_sparse(rhs)
+        rhs = SparseMatrix.from_coo(n, 1, idx[~inside], np.zeros((~inside).sum(), dtype=np.int64),
+                                    val[~inside])
+        col = solver.solve_sparse(rhs, DropRule())
         s_cols.append(drop_reference(col.row_idx, col.values, cfg.initial_drop, j))
     owner = np.repeat(np.arange(n), [len(idx) for idx, _ in s_cols])
     s = SparseMatrix.from_coo(n, n, np.concatenate([idx for idx, _ in s_cols]), owner,

@@ -221,11 +221,12 @@ class TestNeumannPattern:
         for shape in (None, "block-upper-triangular"):
             v0, blocks = (SubspacePattern.diagonal(n), None) if shape is None else (
                 block_pattern(bounds, shape), bounds)
-            solver = patterns._V0Solver(a, v0, blocks)
+            in_v0 = v0.contains(a.entry_keys())
+            solver = patterns._V0Solver(a.masked(in_v0), blocks)
             monkeypatch.setattr(patterns, "_V0_BATCH_COLUMNS", n)
-            whole = patterns._sparsified_s(a, v0, solver, cfg.initial_drop)
+            whole = solver.solve_sparse(a.masked(~in_v0), cfg.initial_drop)
             monkeypatch.setattr(patterns, "_V0_BATCH_COLUMNS", batch)
-            s = patterns._sparsified_s(a, v0, solver, cfg.initial_drop)
+            s = solver.solve_sparse(a.masked(~in_v0), cfg.initial_drop)
             assert np.array_equal(s.col_ptr, whole.col_ptr)
             assert np.array_equal(s.row_idx, whole.row_idx)
             assert np.array_equal(s.values, whole.values)
@@ -303,28 +304,36 @@ class TestV0Routes:
     def test_s_matches_dense_solve(self, monkeypatch, kind):
         rng = np.random.default_rng([8, len(kind)])
         a, v0, blocks = v0_problem(kind, rng)
-        calls = []
-        solve_sparse = patterns._V0Solver.solve_sparse
-        monkeypatch.setattr(patterns._V0Solver, "solve_sparse",
-                            lambda self, c: calls.append(c.n_cols) or solve_sparse(self, c))
         walks = []
         walk = krylov.VFactorization.solve
         monkeypatch.setattr(krylov.VFactorization, "solve",
                             lambda self, x: walks.append(x.shape) or walk(self, x))
-        solver = patterns._V0Solver(a, v0, blocks)
-        assert solver.coupled == (kind == "coupled")
-        s = patterns._sparsified_s(a, v0, solver, DropRule())
+        in_v0 = v0.contains(a.entry_keys())
+        s = patterns._V0Solver(a.masked(in_v0), blocks).solve_sparse(a.masked(~in_v0), DropRule())
         if kind == "coupled":  # the batched walk
             batch = patterns._V0_BATCH_COLUMNS
-            assert calls == [min(batch, 30 - f) for f in range(0, 30, batch)]
-            assert len(walks) == len(calls)
-        else:  # one keyed pass
-            assert calls == [30] and walks == []
+            assert walks == [(30, min(batch, 30 - f)) for f in range(0, 30, batch)]
+        else:  # one sparse product with the inverse
+            assert walks == []
         d = a.to_dense()
         p_v0 = np.where(v0.contains(np.arange(900)).reshape(30, 30).T, d, 0.0)
         want = np.linalg.solve(p_v0, d - p_v0)
         assert np.array_equal(s.to_dense() != 0.0, want != 0.0)
         assert np.allclose(s.to_dense(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", ["diagonal", "block-diagonal", "uncoupled", "coupled"])
+    def test_one_split_check_and_solve_per_pattern(self, monkeypatch, kind):
+        a, v0, blocks = v0_problem(kind, np.random.default_rng([9, len(kind)]))
+        splits, checks, solves = [], [], []
+        contains, check, solve_sparse = (SubspacePattern.contains, patterns._check_v0,
+                                         patterns._V0Solver.solve_sparse)
+        monkeypatch.setattr(SubspacePattern, "contains", lambda self, keys: splits.append(
+            np.array_equal(keys, a.entry_keys())) or contains(self, keys))
+        monkeypatch.setattr(patterns, "_check_v0", lambda *args: checks.append(1) or check(*args))
+        monkeypatch.setattr(patterns._V0Solver, "solve_sparse",
+                            lambda self, c, rule: solves.append(1) or solve_sparse(self, c, rule))
+        neumann_pattern(a, v0, NeumannConfig(k=2), blocks=blocks)
+        assert splits.count(True) == 1 and len(checks) == 1 and len(solves) == 1
 
 
 class TestAdjointPattern:

@@ -112,6 +112,31 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(2, 2, [0, 2, 2], [1, 0], [1.0, 1.0])  # unsorted rows
 
+    def test_rejects_non_integer_sizes_and_indices(self):
+        for args, name in [
+            ((2.5, 2, [0, 1, 2], [0, 1]), "n_rows"),
+            ((2, 2.0, [0, 1, 2], [0, 1]), "n_cols"),
+            ((2, 2, [0, 1.0, 2], [0, 1]), "col_ptr"),
+            ((2, 2, [0, 1, 2], [0, 1.5]), "row_idx"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                SparseMatrix(*args, [1.0, 2.0])
+        a = SparseMatrix(np.int32(2), np.int64(2), np.array([0, 1, 2], dtype=np.int32),
+                         np.array([0, 1], dtype=np.int32), [1.0, 2.0])
+        assert a.shape == (2, 2) and a.row_idx.dtype == np.int64
+        assert SparseMatrix(2, 2, [0, 0, 0], [], []).nnz == 0  # empty sequences pass
+
+    def test_from_coo_rejects_non_integer_sizes_and_indices(self):
+        for args, name in [
+            ((3, 3, [0.5, 1, 2], [0, 1, 2]), "rows"),
+            ((3, 3, [0, 1, 2], [0, 1, 2.9]), "cols"),
+            ((3.0, 3, [0, 1, 2], [0, 1, 2]), "n_rows"),
+            ((3, 3.5, [0, 1, 2], [0, 1, 2]), "n_cols"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                SparseMatrix.from_coo(*args, [1.0, 2.0, 3.0])
+        assert SparseMatrix.from_coo(2, 2, [], [], []).nnz == 0
+
     def test_diagonal_with_missing_entries(self):
         a = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 0.0, 5.0], [4.0, 0.0, -3.0]])
         assert np.array_equal(a.diagonal(), [2.0, 0.0, -3.0])
@@ -213,6 +238,17 @@ class TestPatterns:
             SubspacePattern(2, [[0], []])
         with pytest.raises(ValueError):
             SubspacePattern(2, [[0], [2]])
+
+    def test_rejects_non_integer_indices(self):
+        with pytest.raises(ValueError, match="^column 1: pattern indices must be integers$"):
+            SubspacePattern(3, [[0], [1.7], [2]])
+        bad = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="^column 1: pattern indices must be integers$"):
+            SubspacePattern(3, [[0], bad, bad])
+        with pytest.raises(ValueError, match="^pattern size n must be an integer"):
+            SubspacePattern(3.0, [[0], [1], [2]])
+        p = SubspacePattern(np.int32(2), np.array([[0, 1], [0, 1]], dtype=np.int32))
+        assert [c.tolist() for c in p.cols] == [[0, 1], [0, 1]]
 
     def test_unsorted_and_duplicate_columns_uniqued(self):
         p = SubspacePattern(3, [[2, 0, 2], np.array([1, 1]), [0, 1, 2]])
