@@ -111,9 +111,8 @@ class ResultRow:
 
 
 def preconditioner_density(w, vf, nnz_a):
-    """Fill of the preconditioner relative to A: (nz(W)+nz(L_V)+nz(U_V))/nz(A)."""
-    nz_l, nz_u = vf.lu_nonzeros()
-    return (w.nnz + nz_l + nz_u) / nnz_a
+    """Fill relative to A: (nz(W) + nz(L_V) + nz(U_V)) / nz(A), the LU as ``vf.lu_nnz``."""
+    return (w.nnz + vf.lu_nnz) / nnz_a
 
 
 class _Stage:

@@ -40,6 +40,7 @@ from .kernels import RANK_TOL, _r_signed, _svd_signed, qr_householder
 from .sparse import (
     SparseMatrix,
     SparseVector,
+    _integer_array,
     _span_gather,
     column_chunks,
     sorted_lookup,
@@ -306,15 +307,14 @@ def _sweep_s(a, w_pattern, v_pattern, columns):
             r, rank = _r_signed(blocks)
             _, sigma, v = _svd_signed(r)
             w = v[:, :, -1]
-            # sign: (A_j w_j)_j >= 0, or the largest entry of w_j if that is 0
+            # sign: (A_j w_j)_j >= 0; where it is 0, _svd_signed has already
+            # made the largest-magnitude entry of w_j nonnegative
             sets = ch.sets[ch.set_ptr[sel][:, None] + np.arange(k)]
             at, found = sorted_lookup(a_keys, sets * n + j[:, None])
             row_j = np.zeros(sets.shape)
             row_j[found] = a.values[at[found]]
             y = (row_j[:, None, :] @ w[:, :, None])[:, 0, 0]
-            big = np.take_along_axis(w, np.argmax(np.abs(w), axis=1)[:, None], axis=1)[:, 0]
-            flip = (y < 0.0) | ((y == 0.0) & (big < 0.0))
-            out.w[ch.slots[ch.set_ptr[sel][:, None] + np.arange(k)]] = np.where(flip[:, None], -w, w)
+            out.w[ch.slots[ch.set_ptr[sel][:, None] + np.arange(k)]] = np.where(y[:, None] < 0.0, -w, w)
             out.residuals[j] = sigma[:, -1]
             out.rank_deficient[j] = (ch.m[sel] < k) | (rank < k)
     return out
@@ -333,7 +333,7 @@ def diaf_q_column(a, w_pattern, v_pattern, j, policy=None):
     v_j has unit norm.
     """
     n = a.n_cols
-    cols = np.array([j], dtype=np.int64)
+    cols = _integer_array("column j", [j])
     out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(), np.ones(n))
     wpos, _, wrows = w_pattern.gather(cols)
     vpos, _, vrows = v_pattern.gather(cols)
@@ -348,7 +348,7 @@ def diaf_s_column(a, w_pattern, v_pattern, j):
     Returns ``(w_j, report)``; w_j has unit norm and minimizes the part of
     ``A_j w`` that falls outside the admissible positions of v_j.
     """
-    cols = np.array([j], dtype=np.int64)
+    cols = _integer_array("column j", [j])
     out = _sweep_s(a, w_pattern, v_pattern, cols)
     wpos, _, wrows = w_pattern.gather(cols)
     return SparseVector(a.n_cols, wrows, out.w[wpos]), out.report(j)

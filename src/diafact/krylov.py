@@ -1,8 +1,9 @@
 """Applying the preconditioner: block LU of V, BiCGSTAB, condition estimate.
 
 The factor V lives in a block-diagonal or block-upper-triangular subspace.
-Its diagonal blocks are factored as stacks of equally sized blocks, and
-each block's inverse is built once from its LU.  A solve walks the DAG of
+Its diagonal blocks are factored as stacks of equally sized blocks; each
+block's inverse is built once from its LU, the LU's nonzeros are counted
+for ``rho`` and only the inverses are kept.  A solve walks the DAG of
 the blocks level by level: the blocks of one size in a level are applied as
 one stacked product, and the entries above the blocks update the later
 levels as a sparse pass.  The same walk serves a vector or a block of
@@ -74,22 +75,22 @@ class SolveReport:
 
 
 class VFactorization:
-    """Dense LU of V's diagonal blocks, stacked by size, and the level plan
-    that applies the inverses built from it; ``rho`` counts the LU.
+    """The inverses of V's diagonal blocks, stacked by size, and the level
+    plan of the walk that applies them.
 
-    ``lu_stacks`` holds one ``(members, lu, perm)`` per block size: the
-    block numbers, ascending, and their :func:`lu_factor_stack` factors.
+    ``lu_nnz``, which ``rho`` reads, counts the nonzeros of V's assembled
+    LU factors: L with its unit diagonal, U with the entries above the
+    diagonal blocks.  :func:`factor_v` counts it and keeps no LU.
     """
 
-    __slots__ = ("blocks", "v", "lu_stacks", "_off_nnz", "_order", "_place", "_level_of", "_levels")
+    __slots__ = ("blocks", "v", "lu_nnz", "_order", "_place", "_level_of", "_levels")
 
-    def __init__(self, blocks, v, lu_stacks, off):
+    def __init__(self, blocks, v, inverses, lu_nnz, off):
         self.blocks = blocks
         self.v = v
-        self.lu_stacks = lu_stacks
-        self._off_nnz = len(off[0])
+        self.lu_nnz = lu_nnz
         self._order, self._place, self._level_of, self._levels = _level_plan(
-            blocks, lu_stacks, *off)
+            blocks, inverses, *off)
 
     @property
     def n(self):
@@ -98,7 +99,7 @@ class VFactorization:
     @property
     def coupled(self):
         """Whether any entry of V lies above its diagonal blocks."""
-        return self._off_nnz > 0
+        return len(self._levels) > 1  # such an entry puts its target a level deeper
 
     def solve(self, x):
         """Solve ``V z = x`` for a vector ``x`` or an ``(n, b)`` block of them.
@@ -166,21 +167,8 @@ class VFactorization:
         z = z[:, self._place]
         return z.T if x.ndim == 2 else z[0]
 
-    def lu_nonzeros(self):
-        """Nonzero counts (nz_l, nz_u) of the assembled LU factors of V.
 
-        L carries its unit diagonal; for the block-upper shape the
-        off-diagonal blocks of V belong to U.
-        """
-        nz_l = self.n  # unit diagonal
-        nz_u = self._off_nnz
-        for _, lu, _ in self.lu_stacks:
-            nz_l += int(np.count_nonzero(np.tril(lu, -1)))
-            nz_u += int(np.count_nonzero(np.triu(lu)))
-        return nz_l, nz_u
-
-
-def _level_plan(blocks, lu_stacks, rows, cols, vals):
+def _level_plan(blocks, inverses, rows, cols, vals):
     """The walk of :meth:`VFactorization.solve`: an order of the positions
     and one entry per level.
 
@@ -188,10 +176,12 @@ def _level_plan(blocks, lu_stacks, rows, cols, vals):
     order, couple blocks: solving block ``block_of[c]`` updates block
     ``block_of[r]``.  A block's level is one more than the level of any
     block whose solve updates it, so the blocks of one level do not touch.
-    Each level holds the update of its blocks for ``solve`` and for
-    ``solve_transpose``, and one stack per block size: its span in the
-    position order, the block size and the blocks' inverses.  In either
-    update a position takes one sum over all of its entries, in CSC order.
+    ``inverses`` holds one ``(members, inv)`` per block size: the block
+    numbers, ascending, and their inverses.  Each level holds the update of
+    its blocks for ``solve`` and for ``solve_transpose``, and one stack per
+    block size: its span in the position order, the block size and the
+    blocks' inverses.  In either update a position takes one sum over all
+    of its entries, in CSC order.
     """
     block_of = blocks.block_of()
     src, dst = block_of[cols], block_of[rows]
@@ -203,10 +193,6 @@ def _level_plan(blocks, lu_stacks, rows, cols, vals):
             break
         level = deeper
     lo = blocks.block_bounds[:-1]
-    inverses = [
-        (members, lu_solve_stack(lu, perm, np.broadcast_to(np.eye(lu.shape[1]), lu.shape)))
-        for members, lu, perm in lu_stacks
-    ]
     order, stacks = [], []
     for lev in range(int(level.max()) + 1):
         stacks.append([])
@@ -258,8 +244,9 @@ def factor_v(v, blocks, shape):
     """Factor V for fast inverse application under the given block shape.
 
     The diagonal blocks of one size are gathered into one dense stack in
-    one index pass and factored together by :func:`lu_factor_stack`, and
-    their inverses are built from that LU; for the block-upper-triangular
+    one index pass and factored together by :func:`lu_factor_stack`; their
+    inverses are built from that LU, whose nonzeros are counted once for
+    ``rho`` and which is then dropped.  For the block-upper-triangular
     shape the entries above the diagonal blocks stay sparse for the walk of
     :meth:`VFactorization.solve`.  Shape errors (an unknown shape,
     dimensions that disagree, an entry outside the shape) are checked over
@@ -293,7 +280,14 @@ def factor_v(v, blocks, shape):
         singular.extend(members[bad].tolist())
     if singular:
         raise SingularBlockError(singular)
-    return VFactorization(blocks, v, stacks, (v.row_idx[above], cols[above], v.values[above]))
+    # L's unit diagonal, U's entries above the blocks, and the rest of both in each LU
+    lu_nnz = blocks.n + int(above.sum()) + sum(int(np.count_nonzero(lu)) for _, lu, _ in stacks)
+    inverses = [
+        (members, lu_solve_stack(lu, perm, np.broadcast_to(np.eye(lu.shape[1]), lu.shape)))
+        for members, lu, perm in stacks
+    ]
+    return VFactorization(blocks, v, inverses, lu_nnz,
+                          (v.row_idx[above], cols[above], v.values[above]))
 
 
 def apply_right_precond(w, vf, x):

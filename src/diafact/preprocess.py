@@ -16,7 +16,7 @@ import heapq
 
 import numpy as np
 
-from .sparse import SubspacePattern, _integer_array, _require_integer
+from .sparse import SubspacePattern, _integer_array, _inverse_permutation, _require_integer
 
 __all__ = [
     "StructuralSingularityError",
@@ -48,11 +48,7 @@ class Permutation:
 
     def __init__(self, forward):
         self.forward = _integer_array("permutation entries", forward)
-        n = len(self.forward)
-        self.inverse = np.empty(n, dtype=np.int64)
-        if np.any(np.sort(self.forward) != np.arange(n)):
-            raise ValueError("not a bijection on {0..n-1}")
-        self.inverse[self.forward] = np.arange(n)
+        self.inverse = _inverse_permutation(self.forward, len(self.forward))
 
     @property
     def n(self):

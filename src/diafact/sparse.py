@@ -183,7 +183,8 @@ class SparseMatrix:
     # -- permutation and scaling -------------------------------------------
 
     def permuted_columns(self, order):
-        """Return B with B[:, k] = A[:, order[k]]."""
+        """Return B with B[:, k] = A[:, order[k]] for a permutation ``order`` of the columns."""
+        _inverse_permutation(order, self.n_cols)
         order = np.asarray(order, dtype=np.int64)
         counts = np.diff(self.col_ptr)[order]
         col_ptr = np.zeros(self.n_cols + 1, dtype=np.int64)
@@ -195,10 +196,8 @@ class SparseMatrix:
         )
 
     def permuted_symmetric(self, order):
-        """Return B with B[i, j] = A[order[i], order[j]]."""
-        order = np.asarray(order, dtype=np.int64)
-        inv = np.empty_like(order)
-        inv[order] = np.arange(len(order))
+        """Return B with B[i, j] = A[order[i], order[j]] for a permutation ``order``."""
+        inv = _inverse_permutation(order, self.n_cols)
         cols = self._entry_columns()
         return SparseMatrix.from_coo(
             self.n_rows, self.n_cols, inv[self.row_idx], inv[cols], self.values
@@ -218,8 +217,8 @@ class SparseVector:
     __slots__ = ("n", "idx", "val")
 
     def __init__(self, n, idx, val):
-        self.n = int(n)
-        self.idx = np.ascontiguousarray(idx, dtype=np.int64)
+        self.n = _require_integer("n", n, 0)
+        self.idx = np.ascontiguousarray(_integer_array("indices", idx))
         self.val = np.ascontiguousarray(val, dtype=np.float64)
 
     @classmethod
@@ -530,7 +529,7 @@ def write_matrix_market(a, path):
 
 def extract_columns(a, cols):
     """Extract columns ``cols`` of ``a`` compressed to their nonzero rows."""
-    cols = np.asarray(cols, dtype=np.int64)
+    cols = _integer_array("columns", cols)
     if len(cols) == 0:
         raise ValueError("at least one column must be selected")
     if (cols[1:] <= cols[:-1]).any():
@@ -731,6 +730,16 @@ def _integer_array(name, values):
     if values.size and not np.issubdtype(values.dtype, np.integer):
         raise ValueError(f"{name} must be integers")
     return values.astype(np.int64, copy=False)
+
+
+def _inverse_permutation(order, n):
+    """The inverse of ``order``; ``ValueError`` unless it holds the integers 0..n-1 once each."""
+    order = _integer_array("permutation entries", order)
+    if order.shape != (n,) or np.any(np.sort(order) != np.arange(n)):
+        raise ValueError("not a bijection on {0..n-1}")
+    inv = np.empty(n, dtype=np.int64)
+    inv[order] = np.arange(n)
+    return inv
 
 
 def spmv(a, x):

@@ -69,6 +69,12 @@ class TestDiafQColumn:
         with pytest.raises(ValueError, match=rf"^column {j} is not in the valid range 0\.\.2$"):
             diaf_q_column(a, diag, diag, j)
 
+    @pytest.mark.parametrize("j", [1.7, 1.0, "1"])
+    def test_non_integer_column_rejected(self, j):
+        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
+        with pytest.raises(ValueError, match="^column j must be integers$"):
+            diaf_q_column(a, diag, diag, j)
+
     def test_all_zero_candidates_fall_back(self):
         # column 0 of A touches only row 1 while V allows only row 0, so
         # every candidate position of Q^T is zero
@@ -352,6 +358,12 @@ class TestDiafSColumn:
     def test_column_outside_a_rejected(self, j):
         a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
         with pytest.raises(ValueError, match=rf"^column {j} is not in the valid range 0\.\.2$"):
+            diaf_s_column(a, diag, diag, j)
+
+    @pytest.mark.parametrize("j", [1.7, 1.0, "1"])
+    def test_non_integer_column_rejected(self, j):
+        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
+        with pytest.raises(ValueError, match="^column j must be integers$"):
             diaf_s_column(a, diag, diag, j)
 
     def test_block_diagonal_covered_by_v(self):

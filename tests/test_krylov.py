@@ -3,6 +3,7 @@ import pytest
 
 import diafact.krylov as krylov
 from diafact.factor import diaf_q
+from diafact.kernels import lu_solve
 from diafact.krylov import (
     SingularBlockError,
     apply_right_precond,
@@ -179,21 +180,26 @@ class TestFactorV:
         assert np.array_equal(again.solve(x), vf.solve(x))
 
     def test_block_lu_reconstructs_blocks(self):
+        # each block's inverse in the walk's plan is the solve of the
+        # reference LU on the identity; lu_nnz counts that LU, L's unit
+        # diagonal and the entries above the blocks
         rng = np.random.default_rng(1)
         bounds = [0, 5, 9, 14]
         v = block_upper_matrix(rng, bounds)
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
         d = v.to_dense()
-        seen = []
-        for members, lu, perm in vf.lu_stacks:
-            for k, f, p in zip(members, lu, perm):
-                lo, hi = vf.blocks.bounds(k)
-                l = np.tril(f, -1) + np.eye(hi - lo)
-                assert np.allclose((l @ np.triu(f)), d[lo:hi, lo:hi][p], atol=1e-12)
-                ref_lu, ref_perm = lu_factor_reference(d[lo:hi, lo:hi])
-                assert np.array_equal(f, ref_lu) and np.array_equal(p, ref_perm)
-                seen.append(int(k))
+        block_of = vf.blocks.block_of()
+        assert len(vf._levels) == 3
+        seen, lu_nnz = [], 14 + np.count_nonzero(d[block_of[:, None] < block_of])
+        for _, _, stacks in vf._levels:
+            for lo, hi, k, inv in stacks:
+                for at, got in zip(vf._order[lo:hi].reshape(-1, k), inv):
+                    ref = lu_factor_reference(d[np.ix_(at, at)])
+                    assert np.array_equal(got, lu_solve(ref, np.eye(k)))
+                    lu_nnz += np.count_nonzero(ref[0])
+                    seen.append(int(block_of[at[0]]))
         assert sorted(seen) == [0, 1, 2]
+        assert vf.lu_nnz == lu_nnz
 
     def test_singular_block_names_index(self):
         d = np.eye(6)

@@ -162,6 +162,15 @@ class TestSparseMatrix:
         r, c = rng.random(8) + 0.5, rng.random(8) + 0.5
         assert np.allclose(a.scaled(r, c).to_dense(), np.diag(r) @ d @ np.diag(c))
 
+    @pytest.mark.parametrize("method", ["permuted_columns", "permuted_symmetric"])
+    @pytest.mark.parametrize("order", [[0, 0, 1], [2, 0], [0, 1, 3], [[0, 1, 2]]])
+    def test_permutations_reject_a_non_permutation(self, method, order):
+        permuted = getattr(SparseMatrix.from_dense(np.arange(1.0, 10.0).reshape(3, 3)), method)
+        with pytest.raises(ValueError, match=r"^not a bijection on \{0\.\.n-1\}$"):
+            permuted(order)
+        with pytest.raises(ValueError, match="^permutation entries must be integers$"):
+            permuted([0.0, 2.0, 1.0])
+
 
 class TestExtractColumns:
     def test_identity_columns(self):
@@ -206,6 +215,13 @@ class TestExtractColumns:
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
             extract_columns(SparseMatrix.identity(3), [])
+
+    def test_rejects_non_integer_columns(self):
+        a = SparseMatrix.identity(3)
+        for bad in ([0.5, 2.7], [0.0, 2.0], ["0", "2"]):
+            with pytest.raises(ValueError, match="^columns must be integers$"):
+                extract_columns(a, bad)
+        assert np.array_equal(extract_columns(a, np.array([0, 2], dtype=np.int32)).cols, [0, 2])
 
 
 class TestPatterns:
@@ -389,3 +405,14 @@ class TestSparseVector:
         assert np.array_equal(v.idx, [1, 3])
         assert np.allclose(v.to_dense(), [0.0, 2.0, 0.0, -1.0])
         assert v.norm() == pytest.approx(np.sqrt(5.0))
+
+    def test_rejects_non_integer_size_and_indices(self):
+        for n in (3.7, 3.0, "3", -1):
+            with pytest.raises(ValueError, match=r"^n must be an integer >= 0$"):
+                SparseVector(n, [0], [1.0])
+        for idx in ([0.5, 2.9], [0.0, 2.0], ["0", "2"]):
+            with pytest.raises(ValueError, match="^indices must be integers$"):
+                SparseVector(3, idx, [1.0, 2.0])
+        v = SparseVector(np.int32(3), np.array([0, 2], dtype=np.int32), [1.0, 2.0])
+        assert v.n == 3 and v.idx.dtype == np.int64
+        assert np.array_equal(v.to_dense(), [1.0, 0.0, 2.0])
