@@ -14,9 +14,10 @@ one sweep.  The sweep takes the blocks A_j a chunk at a time from
 :func:`~diafact.sparse.column_chunks`, which gathers a chunk in one index
 pass and visits the columns in order of block width, so a chunk holds few
 widths.  It runs the dense kernels as stacked LAPACK calls over the
-columns whose kernel inputs share a shape, and does the rest in array
-passes over the chunk; diaf-q keeps one :func:`qr_householder` call per
-column and writes Q_j where the chunk holds A_j.  Every diaf-q column,
+columns whose kernel inputs share a shape, which for the k x k factors
+R_j means once per width k, and does the rest in array passes over the
+chunk; diaf-q keeps one :func:`qr_householder` call per column and
+writes Q_j where the chunk holds A_j.  Every diaf-q column,
 stabilized or rank-deficient ones too, goes through the same stacked
 passes, and the sweep writes each column's results at that column's
 index.  The one-column functions are the sweep over a single column, and
@@ -293,18 +294,22 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
 def _sweep_s(a, w_pattern, v_pattern, columns):
     """The diaf-s column problems of ``columns``, a chunk at a time.
 
-    A_j comes without the rows admissible for v_j; its QR, the SVD of R_j
-    and the sign rule run stacked over the columns whose blocks share one
-    padded shape.
+    A_j comes without the rows admissible for v_j.  Its QR runs stacked
+    over the columns whose blocks share one padded shape; the SVD of R_j,
+    the sign rule and the writes run stacked over the columns with one
+    width k, whatever their padded row counts.
     """
     n = a.n_cols
     _require_problem(a, w_pattern, v_pattern, columns)
     out = _Sweep.empty(w_pattern, v_pattern)
     a_keys = a.entry_keys()
     for ch in column_chunks(a, w_pattern, v_pattern, columns, outside_v=True):
+        by_width = {}
         for sel, blocks in ch.shape_groups():
-            j, k = ch.cols[sel], blocks.shape[2]
-            r, rank = _r_signed(blocks)
+            by_width.setdefault(blocks.shape[2], []).append((sel, *_r_signed(blocks)))
+        for k, parts in by_width.items():
+            sel, r, rank = (np.concatenate(x) for x in zip(*parts))
+            j = ch.cols[sel]
             _, sigma, v = _svd_signed(r)
             w = v[:, :, -1]
             # sign: (A_j w_j)_j >= 0; where it is 0, _svd_signed has already

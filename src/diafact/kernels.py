@@ -6,8 +6,10 @@ then fix the signs LAPACK leaves free (nonnegative R diagonal; each right
 singular vector's largest component nonnegative), so callers see one
 convention whatever the build.  The same rules apply to stacks of blocks
 through ``_r_signed`` (R alone) and ``_svd_signed``, which the column
-sweeps call once per group of equally shaped blocks.  :func:`qr_householder`
-factors one block, once per column in diaf-q and in the V selection;
+sweeps call on stacks of equally shaped matrices: diaf-s runs
+``_r_signed`` once per padded block shape and ``_svd_signed`` once per
+width k of its chunk.  :func:`qr_householder` factors one block, once
+per column in diaf-q and in the V selection;
 :func:`svd_small` and :func:`lstsq` are the one-column forms of the sweep's
 stacked SVD and solve, kept for direct use and as references.  The block
 LU of V is stacked the same way: :func:`lu_factor_stack` and

@@ -40,7 +40,8 @@ class SparseMatrix:
 
     Invariants enforced at construction:
 
-    * sizes and indices are integers, never truncated floats;
+    * sizes and indices are integers, never truncated floats, and every
+      key ``col * n_rows + row`` fits in int64;
     * ``col_ptr`` is nondecreasing, starts at 0 and ends at ``nnz``;
     * within each column the row indices are strictly increasing and
       smaller than ``n_rows``;
@@ -51,8 +52,7 @@ class SparseMatrix:
 
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, values, validate=True):
         if validate:
-            n_rows = _require_integer("n_rows", n_rows, 0)
-            n_cols = _require_integer("n_cols", n_cols, 0)
+            n_rows, n_cols = _require_shape(n_rows, n_cols)
             col_ptr = _integer_array("col_ptr", col_ptr)
             row_idx = _integer_array("row_idx", row_idx)
         self.n_rows = int(n_rows)
@@ -91,8 +91,7 @@ class SparseMatrix:
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, values):
         """Build from triplets; duplicates are summed, zeros dropped."""
-        n_rows = _require_integer("n_rows", n_rows, 0)
-        n_cols = _require_integer("n_cols", n_cols, 0)
+        n_rows, n_cols = _require_shape(n_rows, n_cols)
         rows, cols = _integer_array("rows", rows), _integer_array("cols", cols)
         values = np.asarray(values, dtype=np.float64)
         if len(rows):
@@ -204,15 +203,28 @@ class SparseMatrix:
         )
 
     def scaled(self, row_scale, col_scale):
-        """Return diag(row_scale) @ A @ diag(col_scale)."""
+        """Return diag(row_scale) @ A @ diag(col_scale).
+
+        Raises ``ValueError`` naming the first entry (0-based row and column
+        of A) whose scaled value underflows to zero.
+        """
         cols = self._entry_columns()
         vals = self.values * np.asarray(row_scale)[self.row_idx] * np.asarray(col_scale)[cols]
+        zero = np.flatnonzero(vals == 0.0)
+        if len(zero):
+            e = zero[0]
+            raise ValueError(f"entry (row {self.row_idx[e]}, column {cols[e]}) underflowed "
+                             f"to zero when scaled")
         return SparseMatrix(self.n_rows, self.n_cols, self.col_ptr.copy(),
                             self.row_idx.copy(), vals)
 
 
 class SparseVector:
-    """A length-``n`` vector stored as sorted (index, value) pairs."""
+    """A length-``n`` vector stored as sorted (index, value) pairs.
+
+    The indices must lie in ``[0, n)`` and increase strictly, with one value
+    per index.
+    """
 
     __slots__ = ("n", "idx", "val")
 
@@ -220,6 +232,12 @@ class SparseVector:
         self.n = _require_integer("n", n, 0)
         self.idx = np.ascontiguousarray(_integer_array("indices", idx))
         self.val = np.ascontiguousarray(val, dtype=np.float64)
+        if self.idx.ndim != 1 or self.val.shape != self.idx.shape:
+            raise ValueError("indices and values must be 1-D arrays of one length")
+        if np.any(np.diff(self.idx) <= 0):
+            raise ValueError("indices must be strictly increasing")
+        if len(self.idx) and (self.idx[0] < 0 or self.idx[-1] >= self.n):
+            raise ValueError(f"indices must lie in 0..{self.n - 1}")
 
     @classmethod
     def from_dense(cls, x):
@@ -465,6 +483,9 @@ def read_matrix_market(path):
             raise MatrixMarketError(f"{path}:{lineno}: malformed size line") from None
         if min(n_rows, n_cols, nnz) < 0:
             raise MatrixMarketError(f"{path}:{lineno}: negative count in size line")
+        if max(n_rows * n_cols, nnz) > np.iinfo(np.int64).max:
+            raise MatrixMarketError(f"{path}:{lineno}: size line '{size_line}' is beyond "
+                                    f"the int64 index range")
         if min(n_rows, n_cols) == 0:
             raise MatrixMarketError(f"{path}:{lineno}: the matrix is empty ({n_rows} x {n_cols})")
         if symmetry == "symmetric" and n_rows != n_cols:
@@ -623,7 +644,12 @@ class ColumnChunk:
         return self._blocks
 
     def shape_groups(self):
-        """Chunk columns sharing one padded block shape, with their blocks stacked."""
+        """Chunk columns sharing one padded block shape, with their blocks stacked.
+
+        A group is one stacked QR.  Its R factors are ``k x k`` whatever the
+        padding, so diaf-s runs the later passes once per width, over
+        every group of that width.
+        """
         order = self._by_shape
         shape = self._pad[order] * (self.k.max() + 1) + self.k[order]
         bounds = np.concatenate([[0], np.flatnonzero(np.diff(shape)) + 1, [len(order)]])
@@ -721,6 +747,15 @@ def _require_integer(name, value, low):
     if not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}")
     return int(value)
+
+
+def _require_shape(n_rows, n_cols):
+    """``(n_rows, n_cols)`` as ints; ``ValueError`` unless both are integers
+    >= 0 whose keys ``col * n_rows + row`` fit in int64."""
+    n_rows, n_cols = _require_integer("n_rows", n_rows, 0), _require_integer("n_cols", n_cols, 0)
+    if n_rows * n_cols > np.iinfo(np.int64).max:
+        raise ValueError("n_rows * n_cols is beyond the int64 key range")
+    return n_rows, n_cols
 
 
 def _integer_array(name, values):

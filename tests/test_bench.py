@@ -127,6 +127,18 @@ class TestRunExperiment:
         assert row.error_message.startswith("StructuralSingularityError")
         assert "transversal" in row.timings
 
+    def test_entry_that_underflows_when_scaled_stops_in_scale(self, tmp_path):
+        # equilibration halves every row and column, and half the smallest
+        # subnormal rounds to zero
+        a = SparseMatrix.from_dense([[4.0, 0.0, 5e-324], [1.0, 4.0, 0.0], [0.0, 1.0, 4.0]])
+        path = tmp_path / "tiny.mtx"
+        write_matrix_market(a, path)
+        row = run_experiment(ExperimentConfig(matrix=str(path)))
+        assert row.status == "error"
+        assert row.error_stage == "scale"
+        assert row.error_message == ("ValueError: entry (row 0, column 2) underflowed "
+                                     "to zero when scaled")
+
     def test_rho_matches_recomputation(self, synthetic_mtx):
         from diafact.factor import diaf_q
         from diafact.krylov import factor_v

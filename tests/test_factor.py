@@ -657,3 +657,26 @@ class TestSweepOrder:
         assert len(chunks) > 5 and n_widths > 3
         assert all(len(shape) == 3 for shape in solves)
         assert len(solves) <= n_widths + len(chunks) - 1
+
+    def test_one_stacked_svd_per_width_run(self, monkeypatch):
+        a, wp, vp, size = sweep_problem(25)
+        monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", 7 * size)
+        chunks, svds = [], []
+        real_chunks, real_svd = diafact.factor.column_chunks, diafact.factor._svd_signed
+
+        def counted_chunks(*args, **kwargs):
+            for ch in real_chunks(*args, **kwargs):
+                chunks.append(ch.cols)
+                yield ch
+
+        def counted_svd(r):
+            svds.append(r.shape)
+            return real_svd(r)
+
+        monkeypatch.setattr(diafact.factor, "column_chunks", counted_chunks)
+        monkeypatch.setattr(diafact.factor, "_svd_signed", counted_svd)
+        diaf_s(a, wp, vp)
+        n_widths = len(np.unique(wp.counts()))
+        assert len(chunks) > 5 and n_widths > 3
+        assert sum(shape[0] for shape in svds) == a.n_cols
+        assert len(svds) <= n_widths + len(chunks) - 1

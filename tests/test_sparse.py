@@ -88,6 +88,19 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match=f"{re.escape(str(p))}:{line}: {message}"):
             read_matrix_market(p)
 
+    @pytest.mark.parametrize(
+        "size",
+        ["100000000000000000000 2 1", "2 100000000000000000000 1", "2 2 100000000000000000000",
+         "9223372036854775808 2 1", "4611686018427387904 5 1"],
+        ids=["rows", "cols", "entries", "rows-just-past-int64", "keys-past-int64"],
+    )
+    def test_size_beyond_int64_names_the_size_line(self, tmp_path, size):
+        # the last size would wrap the key of an entry in column 5 to column 1
+        p = write_mm(tmp_path, f"%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n")
+        message = f"{re.escape(str(p))}:2: size line '{size}' is beyond the int64 index range"
+        with pytest.raises(MatrixMarketError, match=message):
+            read_matrix_market(p)
+
     def test_roundtrip_is_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(7)
         for trial in range(5):
@@ -126,6 +139,16 @@ class TestSparseMatrix:
         assert a.shape == (2, 2) and a.row_idx.dtype == np.int64
         assert SparseMatrix(2, 2, [0, 0, 0], [], []).nnz == 0  # empty sequences pass
 
+    def test_rejects_shapes_whose_keys_pass_int64(self):
+        # col * n_rows + row of the entry in column 4 would wrap to 0
+        rows = 2 ** 62
+        with pytest.raises(ValueError, match=r"^n_rows \* n_cols is beyond the int64 key range$"):
+            SparseMatrix.from_coo(rows, 5, [0], [4], [1.0])
+        with pytest.raises(ValueError, match=r"^n_rows \* n_cols is beyond the int64 key range$"):
+            SparseMatrix(rows, 5, [0, 0, 0, 0, 0, 1], [0], [1.0])
+        a = SparseMatrix.from_coo(rows, 1, [rows - 1], [0], [1.0])
+        assert a.entry_keys().tolist() == [rows - 1]
+
     def test_from_coo_rejects_non_integer_sizes_and_indices(self):
         for args, name in [
             ((3, 3, [0.5, 1, 2], [0, 1, 2]), "rows"),
@@ -161,6 +184,11 @@ class TestSparseMatrix:
         assert np.allclose(a.permuted_symmetric(order).to_dense(), d[np.ix_(order, order)])
         r, c = rng.random(8) + 0.5, rng.random(8) + 0.5
         assert np.allclose(a.scaled(r, c).to_dense(), np.diag(r) @ d @ np.diag(c))
+
+    def test_scaling_that_underflows_names_the_entry(self):
+        a = SparseMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 1e-300, 3.0], [4.0, 1e-200, 0.0]])
+        with pytest.raises(ValueError, match=r"^entry \(row 1, column 1\) underflowed to zero when scaled$"):
+            a.scaled(np.ones(3), np.array([1.0, 1e-30, 1.0]))
 
     @pytest.mark.parametrize("method", ["permuted_columns", "permuted_symmetric"])
     @pytest.mark.parametrize("order", [[0, 0, 1], [2, 0], [0, 1, 3], [[0, 1, 2]]])
@@ -416,3 +444,24 @@ class TestSparseVector:
         v = SparseVector(np.int32(3), np.array([0, 2], dtype=np.int32), [1.0, 2.0])
         assert v.n == 3 and v.idx.dtype == np.int64
         assert np.array_equal(v.to_dense(), [1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "idx, val, message",
+        [
+            ([-1], [1.0], r"^indices must lie in 0\.\.2$"),
+            ([0, 3], [1.0, 2.0], r"^indices must lie in 0\.\.2$"),
+            ([1, 1], [1.0, 2.0], "^indices must be strictly increasing$"),
+            ([2, 0], [1.0, 2.0], "^indices must be strictly increasing$"),
+            ([0, 2], [1.0], "^indices and values must be 1-D arrays of one length$"),
+            ([0], [1.0, 2.0], "^indices and values must be 1-D arrays of one length$"),
+            ([[0, 2]], [[1.0, 2.0]], "^indices and values must be 1-D arrays of one length$"),
+        ],
+        ids=["negative", "too-large", "repeated", "unsorted", "short-values", "long-values", "2-d"],
+    )
+    def test_rejects_indices_that_are_not_sorted_pairs(self, idx, val, message):
+        with pytest.raises(ValueError, match=message):
+            SparseVector(3, idx, val)
+
+    def test_empty_vector(self):
+        v = SparseVector(0, [], [])
+        assert v.nnz == 0 and v.norm() == 0.0 and v.to_dense().shape == (0,)
