@@ -6,11 +6,11 @@ block's inverse is built once from its LU, the LU's nonzeros are counted
 for ``rho`` and only the inverses are kept.  A solve walks the DAG of
 the blocks level by level: the blocks of one size in a level are applied as
 one stacked product, and the entries above the blocks update the later
-levels as a sparse pass.  The same walk serves a vector or a block of
-right-hand sides, and V^T with the levels reversed; it starts at the level
-of the first nonzero entry and applies every block of each level it
-reaches.  A V that couples no blocks also gives its inverse as a sparse
-matrix, for sparse right-hand sides.  The solver is right-preconditioned
+levels as a sparse pass.  The same walk serves V^T with the levels
+reversed; it starts at the level of the first nonzero entry and applies
+every block of each level it reaches.  For sparse right-hand sides each
+level is also given as sparse matrices: its block inverses and the entries
+above the blocks in its columns.  The solver is right-preconditioned
 BiCGSTAB with the usual breakdown safeguards; convergence is declared when
 the recurrence residual has dropped by the requested factor, and a
 true-residual check is recorded alongside.
@@ -96,26 +96,18 @@ class VFactorization:
     def n(self):
         return self.blocks.n
 
-    @property
-    def coupled(self):
-        """Whether any entry of V lies above its diagonal blocks."""
-        return len(self._levels) > 1  # such an entry puts its target a level deeper
-
     def solve(self, x):
-        """Solve ``V z = x`` for a vector ``x`` or an ``(n, b)`` block of them.
-
-        Any other shape of ``x`` raises ``ValueError``.
+        """Solve ``V z = x`` for a vector ``x``; any other shape raises
+        ``ValueError``.
 
         The walk goes level by level through the block DAG, from the level
         of the first nonzero entry; an all-zero ``x`` solves to zeros
         without a walk.  It first subtracts the off-block entries that
         update the level's blocks, then applies each stack of the level's
-        equally sized blocks as one product with their inverses, one
-        matrix-vector product per block and right-hand side, so a column's
-        result does not depend on the others.  Every block of a level the
-        walk reaches is applied, all-zero right-hand side or not.  This one
-        walk serves the preconditioner apply and the V0 solves of the
-        patterns stage when V0 couples its blocks.
+        equally sized blocks as one product with their inverses.  Every
+        block of a level the walk reaches is applied, all-zero right-hand
+        side or not.  This walk serves the preconditioner applies; the V0
+        solves of the patterns stage walk :meth:`sparse_levels` instead.
         """
         return self._walk(x, False)
 
@@ -123,49 +115,51 @@ class VFactorization:
         """Solve ``V.T z = x``: the walk of :meth:`solve`, levels reversed."""
         return self._walk(x, True)
 
-    def inverse(self):
-        """V^{-1} as a :class:`SparseMatrix`, when V couples no blocks.
+    def sparse_levels(self):
+        """The levels of the walk as sparse matrices, in walk order.
 
-        The inverses of the diagonal blocks, read from the plan's single
-        level, without exact zeros.  A V with entries above its blocks
-        raises ``ValueError``.
+        Yields ``(at, inv, above)`` per level: the mask of the level's
+        indices, the inverses of its diagonal blocks without exact zeros,
+        and the entries of V above the blocks in the level's columns, both
+        as n x n :class:`SparseMatrix`.  A V that couples no blocks has one
+        level, whose ``inv`` is V^{-1} and whose ``above`` is empty.
         """
-        if self.coupled:
-            raise ValueError("V couples its blocks; solve it with the walk")
-        (_, _, stacks), = self._levels
-        keys, vals = [], []
-        for lo, hi, k, inv in stacks:
-            at = self._order[lo:hi].reshape(-1, k)  # each block's positions
-            keys.append((at[:, None, :] * self.n + at[:, :, None]).ravel())
-            vals.append(inv.ravel())
-        keys, vals = merge_sum(np.concatenate(keys), np.concatenate(vals))
-        return SparseMatrix.from_keys(self.n, self.n, keys, vals)
+        n, level = self.n, self._level_of[self._place]
+        # an entry above the blocks updates a deeper level than its column's
+        above = self.v.masked(level[self.v.row_idx] > level[self.v._entry_columns()])
+        above_level = level[above._entry_columns()]
+        for lev, (_, _, stacks) in enumerate(self._levels):
+            keys, vals = [], []
+            for lo, hi, k, inv in stacks:
+                at = self._order[lo:hi].reshape(-1, k)  # each block's positions
+                keys.append((at[:, None, :] * n + at[:, :, None]).ravel())
+                vals.append(inv.ravel())
+            keys, vals = merge_sum(np.concatenate(keys), np.concatenate(vals))
+            yield (level == lev, SparseMatrix.from_keys(n, n, keys, vals),
+                   above.masked(above_level == lev))
 
     def _walk(self, x, transpose):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+        if x.shape != (self.n,):
             raise ValueError("dimension mismatch")
-        # one right-hand side per row, positions in the order of the stacks
-        z = np.ascontiguousarray(x.T[..., self._order]).reshape(-1, self.n)
-        b = len(z)
+        z = x[self._order]  # positions in the order of the stacks
         # the levels before the first nonzero entry solve to zero and update
         # nothing; positions are in level order
-        reached = z.any(axis=0)
-        if not reached.any():
-            return np.zeros(x.shape)
+        reached = np.flatnonzero(z)
+        if not len(reached):
+            return np.zeros(self.n)
         if transpose:
-            levels = self._levels[self._level_of[-1 - reached[::-1].argmax()]::-1]
+            levels = self._levels[self._level_of[reached[-1]]::-1]
         else:
-            levels = self._levels[self._level_of[reached.argmax()]:]
+            levels = self._levels[self._level_of[reached[0]]:]
         for update, update_t, stacks in levels:
             _subtract(z, update_t if transpose else update)
             for lo, hi, k, inv in stacks:
                 if transpose:
                     inv = np.swapaxes(inv, 1, 2)
-                seg = z[:, lo:hi].reshape(b, -1, k, 1)  # (right-hand side, block, row)
+                seg = z[lo:hi].reshape(-1, k, 1)  # (block, row)
                 seg[...] = inv @ seg
-        z = z[:, self._place]
-        return z.T if x.ndim == 2 else z[0]
+        return z[self._place]
 
 
 def _level_plan(blocks, inverses, rows, cols, vals):
@@ -224,20 +218,11 @@ def _update(src, tgt, vals):
 
 
 def _subtract(z, update):
-    """Apply an :func:`_update` to every row of the C-ordered ``z``; the
-    targets are distinct, so one fancy subtraction applies the sums."""
+    """Apply an :func:`_update` to ``z``; the targets are distinct, so one
+    fancy subtraction applies the sums."""
     src, run, vals, tgt = update
     if len(src):
-        b, n, runs = *z.shape, len(tgt)
-        # the same update on each row, as flat indices into z; a vector
-        # skips the shift (shifting by 0 made a one-vector solve through the
-        # 72 levels of the cd2d-60 V about twice as slow)
-        if b > 1:
-            shift = np.arange(b)[:, None]
-            src, tgt = (src + n * shift).ravel(), (tgt + n * shift).ravel()
-            run, vals = (run + runs * shift).ravel(), np.tile(vals, b)
-        flat = z.reshape(-1)
-        flat[tgt] -= np.bincount(run, weights=vals * flat[src])
+        z[tgt] -= np.bincount(run, weights=vals * z[src])
 
 
 def factor_v(v, blocks, shape):

@@ -8,15 +8,13 @@ the norms of the corresponding columns of Q_j^T.
 
 Both W constructions run as index passes over whole sparse matrices,
 summing in the order a per-column loop would.  S is formed by one V0
-solve per :func:`neumann_pattern`, which also applies the initial drop.
-When V0 couples no blocks, that solve is one sparse product of V0's
-inverse (:meth:`~diafact.krylov.VFactorization.inverse`) with
-(I - P_{V0})A; otherwise it takes a dense batch of columns through one
-walk of :meth:`~diafact.krylov.VFactorization.solve` at a time and drops
-each batch before the next.  Either way a column's solution does not
-depend on the other columns.  The V selection reads the blocks A_j from
-the chunked column sweep of :func:`~diafact.sparse.column_chunks`, which
-orders the columns by block width for it as for the factor sweeps.  A
+solve per :func:`neumann_pattern`, a sparse walk over V0's block levels
+(:meth:`~diafact.krylov.VFactorization.sparse_levels`) that drops as it
+goes and applies the initial drop at the end; with one level it is one
+sparse product of V0's inverse with (I - P_{V0})A.  A column's solution
+does not depend on the other columns.  The V selection reads the blocks
+A_j from the chunked column sweep of :func:`~diafact.sparse.column_chunks`,
+which orders the columns by block width for it as for the factor sweeps.  A
 chunk holds only the candidates on its blocks' active rows, plus the
 diagonal: no other position can score above zero or carry a value of V.
 A chunk in which no column holds more than ``k_v`` positions keeps them
@@ -134,38 +132,49 @@ class _V0Solver:
     V0 is factored by :func:`factor_v` as block upper triangular under the
     given blocks, or under blocks of one when ``blocks`` is None, so the
     singular blocks (or the zeros on the diagonal) raise one
-    :class:`~diafact.krylov.SingularBlockError` naming them all.  A V0
-    that couples no blocks builds its inverse once as a sparse matrix.
+    :class:`~diafact.krylov.SingularBlockError` naming them all.  The
+    levels of its walk are kept as sparse matrices.
     """
 
     def __init__(self, v0, blocks):
         if blocks is None:
             blocks = BlockStructure(np.arange(v0.n_cols + 1))
-        self._vf = factor_v(v0, blocks, "block-upper-triangular")
-        self._inverse = None if self._vf.coupled else self._vf.inverse()
+        self._levels = list(factor_v(v0, blocks, "block-upper-triangular").sparse_levels())
 
     def solve_sparse(self, c, rule):
-        """``V0^{-1} c`` for a sparse matrix ``c`` of right-hand sides, with
-        the :class:`DropRule` ``rule`` applied to each column: one
-        :func:`sparse_product` with the inverse when V0 couples no blocks,
-        else one walk of :meth:`VFactorization.solve` per batch of
-        ``_V0_BATCH_COLUMNS`` dense columns, each dropped before the next."""
-        if self._inverse is not None:
-            return _drop_columns(sparse_product(self._inverse, c), rule)
+        """S = ``V0^{-1} c`` for a sparse matrix ``c``, by one sparse walk
+        over V0's levels, with the :class:`DropRule` ``rule`` applied to
+        each column.
+
+        A level's X is one :func:`sparse_product` of its block inverses with
+        its rows of ``c``.  Before X updates the later levels (``c`` less
+        V0's entries above the blocks times X), the entries of X below
+        ``rule.tau`` times the column's largest magnitude so far go, the
+        diagonal kept.  On the last level ``rule`` makes that drop, so with
+        one level S is V0^{-1} c, dropped.
+        """
+        *coupling, (_, inv, _) = self._levels
         n, width = c.shape
-        cols = c._entry_columns()
-        keys, vals = [np.empty(0, np.int64)], [np.empty(0)]
-        for first in range(0, width, _V0_BATCH_COLUMNS):
-            last = min(first + _V0_BATCH_COLUMNS, width)
-            lo, hi = c.col_ptr[first], c.col_ptr[last]
-            dense = np.zeros((last - first, n))
-            dense[cols[lo:hi] - first, c.row_idx[lo:hi]] = c.values[lo:hi]
-            z = self._vf.solve(dense.T).T.ravel()  # C order: index col * n + row
-            at = np.flatnonzero(z)
-            part = _drop_columns(SparseMatrix.from_keys(n, width, at + first * n, z[at]), rule)
-            keys.append(part.entry_keys())
-            vals.append(part.values)
-        return SparseMatrix.from_keys(n, width, np.concatenate(keys), np.concatenate(vals))
+        peak = np.zeros(width)  # each column's largest magnitude so far
+        parts = []
+        for at, inv_l, above in coupling:
+            here = at[c.row_idx]
+            x = sparse_product(inv_l, c.masked(here))
+            cols, mag = x._entry_columns(), np.abs(x.values)
+            np.maximum.at(peak, cols, mag)
+            x = x.masked((mag >= rule.tau * peak[cols]) | (x.row_idx == cols))
+            parts.append(x)
+            rest, update = c.masked(~here), sparse_product(above, x)
+            c = SparseMatrix.from_keys(n, width, *merge_sum(
+                np.concatenate([rest.entry_keys(), update.entry_keys()]),
+                np.concatenate([rest.values, -update.values])))
+        s = sparse_product(inv, c)
+        if parts:  # the levels' rows are disjoint, so this sum only sorts
+            parts.append(s)
+            s = SparseMatrix.from_keys(n, width, *merge_sum(
+                np.concatenate([x.entry_keys() for x in parts]),
+                np.concatenate([x.values for x in parts])))
+        return _drop_columns(s, rule)
 
 
 def _check_v0(v0_pattern, blocks):
@@ -179,23 +188,15 @@ def _check_v0(v0_pattern, blocks):
         raise ValueError("a non-diagonal V0 pattern needs its blocks")
 
 
-# When V0 couples blocks (cd3d-s-upper: 9 batches at n = 216; block-upper
-# cd2d-m at scale), S is solved this many columns at a time, as dense
-# n-vectors, through the walk, and each batch is dropped before the next.
-# The batch bounds the memory the V0 solves take: with 24 columns the peak
-# RSS of a run stayed within 1% of solving one column at a time at
-# n = 3,600 (cd2d-60: 75.3 against 75.5 MB).  Wider batches spread the
-# walk's fixed cost over more columns: at n = 3,600, batches of 2^14 values
-# (4 columns) made S 2.4 times slower.
-_V0_BATCH_COLUMNS = 24
-
-
 def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     """Pattern of W from sparsified truncated powers of S = V0^{-1}(I - P_{V0})A.
 
     One pass splits A into V0 = P_{V0}A and ``(I - P_{V0})A``, and one
-    :meth:`_V0Solver.solve_sparse` call forms S from them, sparsified with
-    the initial rule.  Then, on whole matrices, T starts at the identity,
+    :meth:`_V0Solver.solve_sparse` call forms S from them.  When V0 couples
+    its blocks, S is not the exact solve: each level of the walk drops the
+    entries below the initial rule's ``tau`` times the column's running
+    maximum before they update the later levels.  The initial rule then
+    sparsifies S.  Then, on whole matrices, T starts at the identity,
     is multiplied by S (``cfg.k`` times) and dropped with the level rule
     after each product, and each T is accumulated onto the identity; the
     support of each column of the sum becomes that column's allowed set

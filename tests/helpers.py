@@ -3,7 +3,6 @@
 import numpy as np
 
 from diafact.kernels import lstsq, pad_tall, qr_householder, svd_small
-from diafact.patterns import DropRule, _V0Solver
 from diafact.preprocess import BlockStructure, block_pattern
 from diafact.sparse import ColumnSubmatrix, SparseMatrix, SparseVector, SubspacePattern, merge_sum
 
@@ -87,26 +86,62 @@ def lu_factor_reference(a):
     return lu, perm
 
 
+def block_levels_reference(v0, bounds):
+    """Each block's level in the DAG of a block upper triangular ``v0``
+    (dense): one more than the deepest block whose solve updates it, the
+    blocks that nothing updates at level 0."""
+    level = [0] * (len(bounds) - 1)
+    for b in reversed(range(len(level))):  # a block is updated only by later ones
+        for c in range(b + 1, len(level)):
+            if np.any(v0[bounds[b]:bounds[b + 1], bounds[c]:bounds[c + 1]]):
+                level[b] = max(level[b], level[c] + 1)
+    return level
+
+
+def s_column_reference(v0, bounds, rhs, j, tau):
+    """Column ``j`` of S: ``v0`` (dense, block upper triangular under
+    ``bounds``) solved for the dense ``rhs`` level by level, each block with
+    numpy.  After each level the entries below ``tau`` times the column's
+    largest magnitude so far are zeroed, ``j`` kept, before the level's
+    columns update the right-hand side."""
+    level = block_levels_reference(v0, bounds)
+    r, x, peak = rhs.copy(), np.zeros(len(rhs)), 0.0
+    for lev in range(max(level) + 1):
+        rows = np.concatenate([np.arange(bounds[b], bounds[b + 1])
+                               for b in range(len(level)) if level[b] == lev])
+        for b in range(len(level)):
+            if level[b] == lev:
+                lo, hi = bounds[b], bounds[b + 1]
+                x[lo:hi] = np.linalg.solve(v0[lo:hi, lo:hi], r[lo:hi])
+        peak = max(peak, np.abs(x[rows]).max())
+        x[rows[(np.abs(x[rows]) < tau * peak) & (rows != j)]] = 0.0
+        r -= v0[:, rows] @ x[rows]
+    idx = np.flatnonzero(x)
+    return idx, x[idx]
+
+
 def neumann_pattern_reference(a, v0_pattern, cfg, blocks=None):
     """Column-by-column construction of the sparsified-powers W pattern.
 
-    Each column of S = V0^{-1}(I - P_{V0})A is solved and dropped on its
-    own, and each column j runs its own power loop from e_j: multiply by S,
-    drop with the level rule (diagonal protected), stop once empty, and
-    accumulate; a column that cancels to nothing keeps its diagonal.  The
-    off-diagonal V0 pattern is then removed column by column.
+    Each column of S = V0^{-1}(I - P_{V0})A is solved densely on its own by
+    :func:`s_column_reference`, with the initial rule's ``tau``, and then
+    dropped with the initial rule.  Each column j runs its own power loop
+    from e_j: multiply by S, drop with the level rule (diagonal protected),
+    stop once empty, and accumulate; a column that cancels to nothing keeps
+    its diagonal.  The off-diagonal V0 pattern is then removed column by
+    column.
     """
     n = a.n_cols
-    v0 = a.masked(v0_pattern.contains(a.entry_keys()))
-    solver = _V0Solver(v0, None if v0_pattern.nnz == n else blocks)
+    d = a.to_dense()
+    in_v0 = np.zeros((n, n), dtype=bool)
+    for j, c in enumerate(v0_pattern.cols):
+        in_v0[c, j] = True
+    v0 = np.where(in_v0, d, 0.0)
+    bounds = np.arange(n + 1) if v0_pattern.nnz == n else blocks.block_bounds
     s_cols = []
     for j in range(n):
-        idx, val = a.column(j)
-        inside = np.isin(idx, v0_pattern.cols[j])
-        rhs = SparseMatrix.from_coo(n, 1, idx[~inside], np.zeros((~inside).sum(), dtype=np.int64),
-                                    val[~inside])
-        col = solver.solve_sparse(rhs, DropRule())
-        s_cols.append(drop_reference(col.row_idx, col.values, cfg.initial_drop, j))
+        idx, val = s_column_reference(v0, bounds, d[:, j] - v0[:, j], j, cfg.initial_drop.tau)
+        s_cols.append(drop_reference(idx, val, cfg.initial_drop, j))
     owner = np.repeat(np.arange(n), [len(idx) for idx, _ in s_cols])
     s = SparseMatrix.from_coo(n, n, np.concatenate([idx for idx, _ in s_cols]), owner,
                               np.concatenate([val for _, val in s_cols]))

@@ -104,34 +104,11 @@ class TestFactorV:
         assert np.all(got_t[:13] == 0.0)
         assert calls["transpose"] == 2  # blocks 0 and 1 skipped
 
-    @pytest.mark.parametrize("shape", ["block-diagonal", "block-upper-triangular"])
-    def test_block_of_right_hand_sides_matches_columns(self, shape):
-        rng = np.random.default_rng(4)
-        bounds = [0, 3, 7, 10, 13, 18, 21, 25]
-        v = block_upper_matrix(rng, bounds)
-        if shape == "block-diagonal":
-            v = v.masked(v.row_idx >= np.repeat(bounds[:-1], np.diff(bounds))[v._entry_columns()])
-        vf = factor_v(v, BlockStructure(bounds), shape)
-        assert len(vf._levels) >= (3 if shape == "block-upper-triangular" else 1)
-        d = v.to_dense()
-        for width in (1, 7, 25):
-            dense = rng.standard_normal((25, width))
-            # with zeros the walk tests each block for a zero right-hand side
-            for x in (dense * (rng.random((25, width)) < 0.5), dense):
-                got, got_t = vf.solve(x), vf.solve_transpose(x)
-                assert got.shape == got_t.shape == (25, width)
-                for j in range(width):
-                    assert np.array_equal(got[:, j], vf.solve(x[:, j]))
-                    assert np.array_equal(got_t[:, j], vf.solve_transpose(x[:, j]))
-                want_t = np.linalg.solve(d.T, x)
-                assert np.linalg.norm(got_t - want_t) <= 1e-12 * np.linalg.norm(want_t)
-                want = np.linalg.solve(d, x)
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
     def test_right_hand_sides_of_another_shape_rejected(self):
         v = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
         vf = factor_v(v, BlockStructure([0, 1, 3]), "block-upper-triangular")
-        for x in (np.ones(4), np.ones(2), np.ones((4, 2)), np.ones((3, 2, 2)), np.float64(1.0)):
+        for x in (np.ones(4), np.ones(2), np.ones((3, 2)), np.ones((4, 2)), np.ones((3, 2, 2)),
+                  np.float64(1.0)):
             for solve in (vf.solve, vf.solve_transpose):
                 with pytest.raises(ValueError, match="dimension mismatch"):
                     solve(x)
@@ -264,9 +241,8 @@ class TestFactorV:
         calls = []
         monkeypatch.setattr(krylov, "_subtract", lambda z, update: calls.append(update))
         solve = vf.solve_transpose if transpose else vf.solve
-        for x in (np.zeros(25), np.zeros((25, 4))):
-            got = solve(x)
-            assert got.shape == x.shape and not got.any()
+        got = solve(np.zeros(25))
+        assert got.shape == (25,) and not got.any()
         assert calls == []
         solve(np.ones(25))  # a nonzero right-hand side does walk
         assert len(calls) == len(vf._levels)
@@ -278,11 +254,11 @@ class TestFactorV:
         v = block_upper_matrix(rng, bounds)
         v = v.masked(v.row_idx >= np.repeat(bounds[:-1], np.diff(bounds))[v._entry_columns()])
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
-        assert not vf.coupled
+        (at, inv, above), = vf.sparse_levels()  # one level
+        assert at.all() and above.nnz == 0
         dense = rng.standard_normal((n, 9)) * (rng.random((n, 9)) < 0.3)
         dense[:, 4] = 0.0  # an empty column
         c = SparseMatrix.from_dense(dense)
-        inv = vf.inverse()
         got = sparse_product(inv, c)
         assert got.shape == (n, 9) and np.all(got.values != 0.0)
         want = np.linalg.solve(v.to_dense(), dense)
@@ -296,12 +272,30 @@ class TestFactorV:
         with pytest.raises(ValueError, match="dimension mismatch"):
             sparse_product(inv, SparseMatrix.identity(n + 1))
 
-    def test_coupled_v_has_no_uncoupled_solve(self):
-        v = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
-        vf = factor_v(v, BlockStructure([0, 1, 3]), "block-upper-triangular")
-        assert vf.coupled
-        with pytest.raises(ValueError, match="couples its blocks"):
-            vf.inverse()
+    def test_sparse_levels_of_a_coupled_v(self):
+        rng = np.random.default_rng(11)
+        bounds = [0, 3, 7, 10, 13, 18, 21, 25]
+        v = block_upper_matrix(rng, bounds)
+        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        levels = list(vf.sparse_levels())
+        assert len(levels) == len(vf._levels) >= 3
+        # the masks partition the indices, the above-block parts V's entries above its blocks
+        assert np.array_equal(sum(at.astype(int) for at, _, _ in levels), np.ones(25))
+        block_of = vf.blocks.block_of()
+        cols = v._entry_columns()
+        want = v.entry_keys()[block_of[v.row_idx] < block_of[cols]]
+        keys = np.concatenate([above.entry_keys() for _, _, above in levels])
+        assert np.array_equal(np.sort(keys), want)
+        d = v.to_dense()
+        for at, inv, above in levels:
+            # a level's columns hold its block inverses and the entries above them
+            assert np.all(at[inv._entry_columns()]) and np.all(at[inv.row_idx])
+            assert np.all(at[above._entry_columns()]) and not np.any(at[above.row_idx])
+            for b in np.unique(block_of[at]):
+                lo, hi = bounds[b], bounds[b + 1]
+                want_inv = np.linalg.inv(d[lo:hi, lo:hi])
+                assert np.allclose(inv.to_dense()[lo:hi, lo:hi], want_inv, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(above.values, d[above.row_idx, above._entry_columns()])
 
     def test_inverse_of_an_uncoupled_v(self):
         rng = np.random.default_rng(10)
@@ -311,7 +305,8 @@ class TestFactorV:
         lo = np.repeat(bounds[:-1], np.diff(bounds))[cols]
         diagonal = (cols >= 3) & (cols < 7)  # a block whose inverse holds exact zeros
         v = v.masked((v.row_idx >= lo) & (~diagonal | (v.row_idx == cols)))
-        inv = factor_v(v, BlockStructure(bounds), "block-upper-triangular").inverse()
+        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        (_, inv, _), = vf.sparse_levels()  # one level
         want = np.linalg.inv(v.to_dense())
         assert inv.shape == (25, 25) and np.all(inv.values != 0.0)
         assert np.array_equal(inv.to_dense() != 0.0, want != 0.0)

@@ -18,6 +18,7 @@ from diafact.preprocess import BlockStructure, block_pattern, scc_block_structur
 from diafact.sparse import SparseMatrix, SubspacePattern
 
 from helpers import (
+    block_levels_reference,
     block_upper_problem,
     gather_block,
     neumann_pattern_reference,
@@ -210,26 +211,23 @@ class TestNeumannPattern:
             got = neumann_pattern(a, v0, cfg, blocks=blocks)
             assert got == neumann_pattern_reference(a, v0, cfg, blocks=blocks)
 
-    @pytest.mark.parametrize("batch", [1, 7, 40])
-    def test_s_in_batches_matches_reference(self, monkeypatch, batch):
-        # batch: columns per dense V0 solve; 40 > n puts all columns in one
-        rng = np.random.default_rng(6)
-        n = 30
-        bounds = BlockStructure([0, 4, 9, 10, 16, 23, 30])
-        cfg = NeumannConfig(k=2, initial_drop=DropRule(0.05, 3), level_drop=DropRule(0.1, 0))
-        a = random_sparse(rng, n, density=0.12, dominant=False)
-        for shape in (None, "block-upper-triangular"):
-            v0, blocks = (SubspacePattern.diagonal(n), None) if shape is None else (
-                block_pattern(bounds, shape), bounds)
-            in_v0 = v0.contains(a.entry_keys())
-            solver = patterns._V0Solver(a.masked(in_v0), blocks)
-            monkeypatch.setattr(patterns, "_V0_BATCH_COLUMNS", n)
-            whole = solver.solve_sparse(a.masked(~in_v0), cfg.initial_drop)
-            monkeypatch.setattr(patterns, "_V0_BATCH_COLUMNS", batch)
-            s = solver.solve_sparse(a.masked(~in_v0), cfg.initial_drop)
-            assert np.array_equal(s.col_ptr, whole.col_ptr)
-            assert np.array_equal(s.row_idx, whole.row_idx)
-            assert np.array_equal(s.values, whole.values)
+    @pytest.mark.parametrize("level", [DropRule(), DropRule(0.2, 4)])
+    @pytest.mark.parametrize("initial", [DropRule(0.1, 0), DropRule(0.05, 3)])
+    def test_deep_v0_matches_per_column_reference(self, level, initial):
+        # every block's first row couples to the next block: a chain of 12
+        # levels, where no workload's V0 has more than 5
+        rng = np.random.default_rng(7)
+        bounds = np.array([0, 3, 7, 8, 12, 15, 19, 22, 23, 27, 30, 34, 36])
+        n = int(bounds[-1])
+        blocks = BlockStructure(bounds)
+        v0 = block_pattern(blocks, "block-upper-triangular")
+        cfg = NeumannConfig(k=2, initial_drop=initial, level_drop=level)
+        for dominant in (True, False):
+            d = random_sparse(rng, n, density=0.08, dominant=dominant).to_dense()
+            d[bounds[:-2], bounds[1:-1]] = rng.random(len(bounds) - 2) + 0.5
+            a = SparseMatrix.from_dense(d)
+            in_v0 = np.where(v0.contains(np.arange(n * n)).reshape(n, n).T, d, 0.0)
+            assert max(block_levels_reference(in_v0, bounds)) == len(bounds) - 2
             got = neumann_pattern(a, v0, cfg, blocks=blocks)
             assert got == neumann_pattern_reference(a, v0, cfg, blocks=blocks)
 
@@ -310,16 +308,26 @@ class TestV0Routes:
                             lambda self, x: walks.append(x.shape) or walk(self, x))
         in_v0 = v0.contains(a.entry_keys())
         s = patterns._V0Solver(a.masked(in_v0), blocks).solve_sparse(a.masked(~in_v0), DropRule())
-        if kind == "coupled":  # the batched walk
-            batch = patterns._V0_BATCH_COLUMNS
-            assert walks == [(30, min(batch, 30 - f)) for f in range(0, 30, batch)]
-        else:  # one sparse product with the inverse
-            assert walks == []
+        assert walks == []  # the sparse level walk, never a dense one
         d = a.to_dense()
         p_v0 = np.where(v0.contains(np.arange(900)).reshape(30, 30).T, d, 0.0)
         want = np.linalg.solve(p_v0, d - p_v0)
         assert np.array_equal(s.to_dense() != 0.0, want != 0.0)
         assert np.allclose(s.to_dense(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", ["diagonal", "block-diagonal", "uncoupled", "coupled"])
+    def test_column_alone_matches_all_columns(self, kind):
+        # a column's S, drop included, does not depend on the other columns
+        a, v0, blocks = v0_problem(kind, np.random.default_rng([10, len(kind)]))
+        in_v0 = v0.contains(a.entry_keys())
+        solver = patterns._V0Solver(a.masked(in_v0), blocks)
+        c, rule = a.masked(~in_v0), DropRule(0.05, 3)
+        s = solver.solve_sparse(c, rule)
+        for j in range(30):
+            alone = solver.solve_sparse(c.masked(c._entry_columns() == j), rule)
+            assert alone.nnz == len(s.column(j)[0])
+            assert np.array_equal(alone.column(j)[0], s.column(j)[0])
+            assert np.array_equal(alone.column(j)[1], s.column(j)[1])
 
     @pytest.mark.parametrize("kind", ["diagonal", "block-diagonal", "uncoupled", "coupled"])
     def test_one_split_check_and_solve_per_pattern(self, monkeypatch, kind):
