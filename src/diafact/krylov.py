@@ -3,17 +3,17 @@
 The factor V lives in a block-diagonal or block-upper-triangular subspace.
 Its diagonal blocks are factored as stacks of equally sized blocks; each
 block's inverse is built once from its LU, the LU's nonzeros are counted
-for ``rho`` and only the inverses are kept.  A solve walks the DAG of
-the blocks level by level: the blocks of one size in a level are applied as
-one stacked product, and the entries above the blocks update the later
-levels as a sparse pass.  The same walk serves V^T with the levels
-reversed; it starts at the level of the first nonzero entry and applies
-every block of each level it reaches.  For sparse right-hand sides each
-level is also given as sparse matrices: its block inverses and the entries
-above the blocks in its columns.  The solver is right-preconditioned
-BiCGSTAB with the usual breakdown safeguards; convergence is declared when
-the recurrence residual has dropped by the requested factor, and a
-true-residual check is recorded alongside.
+for ``rho`` and only the inverses are kept, in one list of the levels of
+the blocks' DAG.  A solve walks that list: each level subtracts the
+entries above the blocks that update it, one sum per position, and then
+applies its blocks of each size as one stacked product at their own
+positions.  The same walk serves V^T with the levels reversed.  For
+sparse right-hand sides the same levels are also given as sparse
+matrices: each level's block inverses and the entries above the blocks
+in its columns.  The solver is right-preconditioned BiCGSTAB with the
+usual breakdown safeguards; convergence is declared when the recurrence
+residual has dropped by the requested factor, and a true-residual check
+is recorded alongside.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import lu_factor_stack, lu_solve_stack
-from .sparse import SparseMatrix, _require_integer, merge_sum, spmv
+from .sparse import SparseMatrix, _require_integer, _spmv_transpose, spmv
 
 __all__ = [
     "SingularBlockError",
@@ -75,22 +75,27 @@ class SolveReport:
 
 
 class VFactorization:
-    """The inverses of V's diagonal blocks, stacked by size, and the level
-    plan of the walk that applies them.
+    """The inverses of V's diagonal blocks and the levels of the walk that
+    applies them.
 
-    ``lu_nnz``, which ``rho`` reads, counts the nonzeros of V's assembled
-    LU factors: L with its unit diagonal, U with the entries above the
-    diagonal blocks.  :func:`factor_v` counts it and keeps no LU.
+    ``levels`` lists the levels of the block DAG in walk order.  A level is
+    a tuple ``(stacks, into, out_of)``: one ``(pos, inv)`` per block size,
+    the positions of the level's blocks of that size, shape ``(b, k)``, and
+    their inverses, shape ``(b, k, k)``; and V's entries above the blocks
+    in the level's rows (``into``) and in its columns (``out_of``), as n x n
+    :class:`SparseMatrix`.  ``lu_nnz``, which ``rho`` reads, counts the
+    nonzeros of V's assembled LU factors: L with its unit diagonal, U with
+    the entries above the diagonal blocks.  :func:`factor_v` counts it and
+    keeps no LU.
     """
 
-    __slots__ = ("blocks", "v", "lu_nnz", "_order", "_place", "_level_of", "_levels")
+    __slots__ = ("blocks", "v", "lu_nnz", "levels")
 
-    def __init__(self, blocks, v, inverses, lu_nnz, off):
+    def __init__(self, blocks, v, inverses, lu_nnz, above):
         self.blocks = blocks
         self.v = v
         self.lu_nnz = lu_nnz
-        self._order, self._place, self._level_of, self._levels = _level_plan(
-            blocks, inverses, *off)
+        self.levels = _block_levels(blocks, inverses, above)
 
     @property
     def n(self):
@@ -100,85 +105,73 @@ class VFactorization:
         """Solve ``V z = x`` for a vector ``x``; any other shape raises
         ``ValueError``.
 
-        The walk goes level by level through the block DAG, from the level
-        of the first nonzero entry; an all-zero ``x`` solves to zeros
-        without a walk.  It first subtracts the off-block entries that
-        update the level's blocks, then applies each stack of the level's
-        equally sized blocks as one product with their inverses.  Every
-        block of a level the walk reaches is applied, all-zero right-hand
-        side or not.  This walk serves the preconditioner applies; the V0
-        solves of the patterns stage walk :meth:`sparse_levels` instead.
+        The walk goes level by level through the block DAG.  At each level
+        it subtracts from ``x`` the entries above the blocks in the level's
+        rows times the solution so far, one sum per position in CSC order,
+        and applies each stack of the level's equally sized blocks as one
+        product with their inverses.  This walk serves the preconditioner
+        applies; the V0 solves of the patterns stage walk
+        :meth:`sparse_levels` instead.
         """
-        return self._walk(x, False)
+        x, z = self._start(x)
+        for stacks, into, _ in self.levels:
+            r = x - spmv(into, z)
+            for pos, inv in stacks:
+                z[pos, None] = inv @ r[pos, None]
+        return z
 
     def solve_transpose(self, x):
-        """Solve ``V.T z = x``: the walk of :meth:`solve`, levels reversed."""
-        return self._walk(x, True)
+        """Solve ``V.T z = x``: the walk of :meth:`solve`, levels reversed,
+        with the entries above the blocks in each level's columns."""
+        x, z = self._start(x)
+        for stacks, _, out_of in reversed(self.levels):
+            r = x - _spmv_transpose(out_of, z)
+            for pos, inv in stacks:
+                z[pos, None] = np.swapaxes(inv, 1, 2) @ r[pos, None]
+        return z
+
+    def _start(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n,):
+            raise ValueError("dimension mismatch")
+        return x, np.zeros(self.n)
 
     def sparse_levels(self):
         """The levels of the walk as sparse matrices, in walk order.
 
-        Yields ``(at, inv, above)`` per level: the mask of the level's
-        indices, the inverses of its diagonal blocks without exact zeros,
-        and the entries of V above the blocks in the level's columns, both
-        as n x n :class:`SparseMatrix`.  A V that couples no blocks has one
-        level, whose ``inv`` is V^{-1} and whose ``above`` is empty.
+        Yields ``(at, inv, out_of)`` per level: the mask of the level's
+        indices, the inverses of its diagonal blocks without exact zeros
+        as an n x n :class:`SparseMatrix`, and the level's ``out_of``.  A V
+        that couples no blocks has one level, whose ``inv`` is V^{-1} and
+        whose ``out_of`` is empty.
         """
-        n, level = self.n, self._level_of[self._place]
-        # an entry above the blocks updates a deeper level than its column's
-        above = self.v.masked(level[self.v.row_idx] > level[self.v._entry_columns()])
-        above_level = level[above._entry_columns()]
-        for lev, (_, _, stacks) in enumerate(self._levels):
+        n = self.n
+        for stacks, _, out_of in self.levels:
+            at = np.zeros(n, dtype=bool)
             keys, vals = [], []
-            for lo, hi, k, inv in stacks:
-                at = self._order[lo:hi].reshape(-1, k)  # each block's positions
-                keys.append((at[:, None, :] * n + at[:, :, None]).ravel())
-                vals.append(inv.ravel())
-            keys, vals = merge_sum(np.concatenate(keys), np.concatenate(vals))
-            yield (level == lev, SparseMatrix.from_keys(n, n, keys, vals),
-                   above.masked(above_level == lev))
-
-    def _walk(self, x, transpose):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError("dimension mismatch")
-        z = x[self._order]  # positions in the order of the stacks
-        # the levels before the first nonzero entry solve to zero and update
-        # nothing; positions are in level order
-        reached = np.flatnonzero(z)
-        if not len(reached):
-            return np.zeros(self.n)
-        if transpose:
-            levels = self._levels[self._level_of[reached[-1]]::-1]
-        else:
-            levels = self._levels[self._level_of[reached[0]]:]
-        for update, update_t, stacks in levels:
-            _subtract(z, update_t if transpose else update)
-            for lo, hi, k, inv in stacks:
-                if transpose:
-                    inv = np.swapaxes(inv, 1, 2)
-                seg = z[lo:hi].reshape(-1, k, 1)  # (block, row)
-                seg[...] = inv @ seg
-        return z[self._place]
+            for pos, inv in stacks:
+                at[pos] = True
+                # column by column, so each block's keys ascend
+                keys.append((pos[:, :, None] * n + pos[:, None, :]).ravel())
+                vals.append(np.swapaxes(inv, 1, 2).ravel())
+            keys, vals = np.concatenate(keys), np.concatenate(vals)
+            order = np.argsort(keys, kind="stable")  # fast on ascending runs
+            order = order[vals[order] != 0.0]
+            yield at, SparseMatrix.from_keys(n, n, keys[order], vals[order]), out_of
 
 
-def _level_plan(blocks, inverses, rows, cols, vals):
-    """The walk of :meth:`VFactorization.solve`: an order of the positions
-    and one entry per level.
+def _block_levels(blocks, inverses, above):
+    """The levels of :attr:`VFactorization.levels`.
 
-    The entries ``(rows, cols, vals)`` above the diagonal blocks, in CSC
-    order, couple blocks: solving block ``block_of[c]`` updates block
-    ``block_of[r]``.  A block's level is one more than the level of any
-    block whose solve updates it, so the blocks of one level do not touch.
-    ``inverses`` holds one ``(members, inv)`` per block size: the block
-    numbers, ascending, and their inverses.  Each level holds the update of
-    its blocks for ``solve`` and for ``solve_transpose``, and one stack per
-    block size: its span in the position order, the block size and the
-    blocks' inverses.  In either update a position takes one sum over all
-    of its entries, in CSC order.
+    The entries of ``above``, V's entries above its diagonal blocks, couple
+    blocks: solving block ``block_of[c]`` updates block ``block_of[r]``.
+    A block's level is one more than the level of any block whose solve
+    updates it, so the blocks of one level do not touch.  ``inverses``
+    holds one ``(members, inv)`` per block size: the block numbers,
+    ascending, and their inverses.
     """
     block_of = blocks.block_of()
-    src, dst = block_of[cols], block_of[rows]
+    src, dst = block_of[above._entry_columns()], block_of[above.row_idx]
     level = np.zeros(blocks.n_blocks, dtype=np.int64)
     while len(src):  # longest path from the blocks nothing updates
         deeper = level.copy()
@@ -187,42 +180,15 @@ def _level_plan(blocks, inverses, rows, cols, vals):
             break
         level = deeper
     lo = blocks.block_bounds[:-1]
-    order, stacks = [], []
+    levels = []
     for lev in range(int(level.max()) + 1):
-        stacks.append([])
+        stacks = []
         for members, inv in inverses:
             at = level[members] == lev
             if at.any():
-                k, start = inv.shape[1], sum(map(len, order))
-                order.append((lo[members[at], None] + np.arange(k)).ravel())
-                stacks[-1].append((start, start + len(order[-1]), k, inv[at]))
-    order = np.concatenate(order)
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    plan = []
-    for lev, level_stacks in enumerate(stacks):
-        e = np.flatnonzero(level[dst] == lev)
-        update = _update(place[cols[e]], place[rows[e]], vals[e])
-        e = np.flatnonzero(level[src] == lev)
-        update_t = _update(place[rows[e]], place[cols[e]], vals[e])
-        plan.append((update, update_t, level_stacks))
-    return order, place, np.repeat(level, blocks.sizes)[order], plan
-
-
-def _update(src, tgt, vals):
-    """A sparse update ``z[tgt] -= vals * z[src]`` with one sum per target,
-    its entries added in order.  Returns (src, the index of each entry's
-    target, vals, the distinct targets)."""
-    tgt, run = np.unique(tgt, return_inverse=True)
-    return src, run, vals, tgt
-
-
-def _subtract(z, update):
-    """Apply an :func:`_update` to ``z``; the targets are distinct, so one
-    fancy subtraction applies the sums."""
-    src, run, vals, tgt = update
-    if len(src):
-        z[tgt] -= np.bincount(run, weights=vals * z[src])
+                stacks.append((lo[members[at], None] + np.arange(inv.shape[1]), inv[at]))
+        levels.append((stacks, above.masked(level[dst] == lev), above.masked(level[src] == lev)))
+    return levels
 
 
 def factor_v(v, blocks, shape):
@@ -271,8 +237,7 @@ def factor_v(v, blocks, shape):
         (members, lu_solve_stack(lu, perm, np.broadcast_to(np.eye(lu.shape[1]), lu.shape)))
         for members, lu, perm in stacks
     ]
-    return VFactorization(blocks, v, inverses, lu_nnz,
-                          (v.row_idx[above], cols[above], v.values[above]))
+    return VFactorization(blocks, v, inverses, lu_nnz, v.masked(above))
 
 
 def apply_right_precond(w, vf, x):

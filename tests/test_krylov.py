@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import diafact.krylov as krylov
 from diafact.factor import diaf_q
 from diafact.kernels import lu_solve
 from diafact.krylov import (
@@ -55,54 +54,47 @@ class TestFactorV:
                 got_t = vf.solve_transpose(x)
                 assert np.linalg.norm(got_t - want_t) <= 1e-10 * np.linalg.norm(want_t)
 
-    def test_sparse_rhs_skips_zero_blocks(self):
-        calls = {"solve": 0, "transpose": 0}
-
-        class CountedStack:
-            """A stack of block inverses that counts its products, plain and transposed."""
-
-            def __init__(self, inv, transposed=False):
-                self.inv, self.transposed = inv, transposed
-
-            def __len__(self):
-                return len(self.inv)
-
-            def __getitem__(self, blocks):
-                return CountedStack(self.inv[blocks], self.transposed)
-
-            def swapaxes(self, axis1, axis2):  # np.swapaxes defers to this
-                return CountedStack(np.swapaxes(self.inv, axis1, axis2), not self.transposed)
-
-            def __matmul__(self, x):
-                calls["transpose" if self.transposed else "solve"] += 1
-                return self.inv @ x
-
+    def test_sparse_rhs_leaves_unreached_blocks_zero(self):
         rng = np.random.default_rng(2)
         bounds = [0, 7, 13, 21, 30]
         v = block_upper_matrix(rng, bounds)
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
-        # four sizes: each stack holds one block, so an apply is a block's
-        assert sum(len(stacks) for _, _, stacks in vf._levels) == 4
-        vf._levels = [(up, up_t, [(lo, hi, k, CountedStack(inv)) for lo, hi, k, inv in stacks])
-                      for up, up_t, stacks in vf._levels]
         d = v.to_dense()
-        # nonzero only inside block 1: blocks 2 and 3 are all zero on the way
-        # back, and block 0 is reached only through the off-block coupling
+        # nonzero only inside block 1: blocks 2 and 3 solve to exact zeros,
+        # and block 0 is reached only through the off-block coupling
         x = np.zeros(30)
         x[[8, 11]] = [1.5, -2.0]
         got = vf.solve(x)
         want = np.linalg.solve(d, x)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert np.all(got[13:] == 0.0)
-        assert calls["solve"] == 2  # blocks 2 and 3 skipped
-        # transposed: blocks 0 and 1 stay zero on the way forward
+        # transposed: blocks 0 and 1 stay exactly zero
         e = np.zeros(30)
         e[15] = 1.0
         got_t = vf.solve_transpose(e)
         want_t = np.linalg.solve(d.T, e)
         assert np.linalg.norm(got_t - want_t) <= 1e-12 * np.linalg.norm(want_t)
         assert np.all(got_t[:13] == 0.0)
-        assert calls["transpose"] == 2  # blocks 0 and 1 skipped
+
+    def test_one_sum_per_position(self):
+        # three 1x1 blocks, V strictly upper triangular off its unit
+        # diagonal: position 0 is updated from two levels, and in the
+        # transpose position 2 is; each subtracts one sum over its entries,
+        # in CSC order, not the entries one by one
+        v01, v02, v12 = 0.72, 0.45, 0.22
+        d = np.array([[1.0, v01, v02], [0.0, 1.0, v12], [0.0, 0.0, 1.0]])
+        vf = factor_v(SparseMatrix.from_dense(d), BlockStructure([0, 1, 2, 3]),
+                      "block-upper-triangular")
+        assert len(vf.levels) == 3
+        x = np.array([0.75, 0.57, 0.38])
+        z2 = x[2]
+        z1 = x[1] - v12 * z2
+        assert x[0] - (v01 * z1 + v02 * z2) != (x[0] - v01 * z1) - v02 * z2
+        assert np.array_equal(vf.solve(x), [x[0] - (v01 * z1 + v02 * z2), z1, z2])
+        y0 = x[0]
+        y1 = x[1] - v01 * y0
+        assert x[2] - (v02 * y0 + v12 * y1) != (x[2] - v02 * y0) - v12 * y1
+        assert np.array_equal(vf.solve_transpose(x), [y0, y1, x[2] - (v02 * y0 + v12 * y1)])
 
     def test_right_hand_sides_of_another_shape_rejected(self):
         v = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
@@ -157,7 +149,7 @@ class TestFactorV:
         assert np.array_equal(again.solve(x), vf.solve(x))
 
     def test_block_lu_reconstructs_blocks(self):
-        # each block's inverse in the walk's plan is the solve of the
+        # each block's inverse in the walk's levels is the solve of the
         # reference LU on the identity; lu_nnz counts that LU, L's unit
         # diagonal and the entries above the blocks
         rng = np.random.default_rng(1)
@@ -166,13 +158,13 @@ class TestFactorV:
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
         d = v.to_dense()
         block_of = vf.blocks.block_of()
-        assert len(vf._levels) == 3
+        assert len(vf.levels) == 3
         seen, lu_nnz = [], 14 + np.count_nonzero(d[block_of[:, None] < block_of])
-        for _, _, stacks in vf._levels:
-            for lo, hi, k, inv in stacks:
-                for at, got in zip(vf._order[lo:hi].reshape(-1, k), inv):
+        for stacks, _, _ in vf.levels:
+            for pos, inv in stacks:
+                for at, got in zip(pos, inv):
                     ref = lu_factor_reference(d[np.ix_(at, at)])
-                    assert np.array_equal(got, lu_solve(ref, np.eye(k)))
+                    assert np.array_equal(got, lu_solve(ref, np.eye(len(at))))
                     lu_nnz += np.count_nonzero(ref[0])
                     seen.append(int(block_of[at[0]]))
         assert sorted(seen) == [0, 1, 2]
@@ -232,20 +224,15 @@ class TestFactorV:
                      "block-upper-triangular")
 
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_zero_right_hand_side_walks_no_level(self, monkeypatch, transpose):
+    def test_zero_right_hand_side_solves_to_zeros(self, transpose):
         rng = np.random.default_rng(4)
         bounds = [0, 3, 7, 10, 13, 18, 21, 25]
         vf = factor_v(block_upper_matrix(rng, bounds), BlockStructure(bounds),
                       "block-upper-triangular")
-        assert len(vf._levels) >= 3
-        calls = []
-        monkeypatch.setattr(krylov, "_subtract", lambda z, update: calls.append(update))
+        assert len(vf.levels) >= 3
         solve = vf.solve_transpose if transpose else vf.solve
         got = solve(np.zeros(25))
         assert got.shape == (25,) and not got.any()
-        assert calls == []
-        solve(np.ones(25))  # a nonzero right-hand side does walk
-        assert len(calls) == len(vf._levels)
 
     @pytest.mark.parametrize("bounds", [[0, 1, 2, 3, 4, 5, 6], [0, 3, 7, 10, 13, 18, 21, 25]])
     def test_uncoupled_solve_of_a_sparse_matrix(self, bounds):
@@ -278,7 +265,7 @@ class TestFactorV:
         v = block_upper_matrix(rng, bounds)
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
         levels = list(vf.sparse_levels())
-        assert len(levels) == len(vf._levels) >= 3
+        assert len(levels) == len(vf.levels) >= 3
         # the masks partition the indices, the above-block parts V's entries above its blocks
         assert np.array_equal(sum(at.astype(int) for at, _, _ in levels), np.ones(25))
         block_of = vf.blocks.block_of()
