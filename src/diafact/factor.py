@@ -16,13 +16,14 @@ pass and visits the columns in order of block width, so a chunk holds few
 widths.  It runs the dense kernels as stacked LAPACK calls over the
 columns whose kernel inputs share a shape, which for the k x k factors
 R_j means once per width k, and does the rest in array passes over the
-chunk; diaf-q keeps one :func:`qr_householder` call per column and
-writes Q_j where the chunk holds A_j.  Every diaf-q column,
-stabilized or rank-deficient ones too, goes through the same stacked
-passes, and the sweep writes each column's results at that column's
-index.  The one-column functions are the sweep over a single column, and
-a column's result depends neither on the chunk it is solved in nor on
-the order of the sweep.
+chunk; diaf-q keeps one :func:`qr_householder` call per column, writes
+Q_j over A_j in the chunk's one dense buffer and keeps R_j unpadded, as
+its k^2 values, from which the solve gathers each width's stack.  Every
+diaf-q column, stabilized or rank-deficient ones too, goes through the
+same stacked passes, and the sweep writes each column's results at that
+column's index.  The one-column functions are the sweep over a single
+column, and a column's result depends neither on the chunk it is solved
+in nor on the order of the sweep.
 
 Columns whose leading direction leaves a tiny diagonal in V can be
 stabilized: the diagonal component is pinned to a constant r and the
@@ -184,7 +185,7 @@ def _leading_directions(ch, q, start, mask):
     return lead, sigma, u1
 
 
-def _solves(ch, q, start, r, rank, val):
+def _solves(ch, q, start, r, r_at, rank, val):
     """``w_j = R_j^+ Q_j^T v_j`` for the columns of the chunk, stacked by k.
 
     ``Q_j^T v_j`` sums the rows of Q_j at the visible candidates, weighted
@@ -192,7 +193,9 @@ def _solves(ch, q, start, r, rank, val):
     directly and the roundoff of the solution dropped.  A rank-deficient
     one is inverted through its SVD, with the singular values up to
     ``RANK_TOL ||A_j||_F`` cut as :func:`~diafact.kernels.lstsq` cuts
-    them.  Returns the chunk's W values.
+    them.  ``r`` and ``r_at`` hold the R_j as
+    :meth:`~diafact.sparse.ColumnChunk.visible_q` lays them out, and each
+    width's stack is gathered from them.  Returns the chunk's W values.
     """
     col, k = ch.v_col, ch.k
     w = np.zeros(ch.set_ptr[-1])
@@ -208,7 +211,7 @@ def _solves(ch, q, start, r, rank, val):
         cols = np.flatnonzero(k == kk)
         span = np.arange(kk)
         qtb = qtv[ch.set_ptr[cols][:, None] + span][:, :, None]
-        r_k = r[cols, :kk, :kk]
+        r_k = r[r_at[cols][:, None] + np.arange(kk * kk)].reshape(len(cols), kk, kk)
         sol, f = np.empty((len(cols), kk)), full[cols]
         if f.any():
             x = np.linalg.solve(r_k[f], qtb[f])[:, :, 0]
@@ -229,13 +232,13 @@ def _solves(ch, q, start, r, rank, val):
 def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     """The diaf-q column problems of ``columns``; v_j gets the norm ``norms[j]``.
 
-    Per chunk: one :func:`qr_householder` call per column; the SVD of the
-    candidate part ``m_j`` of Q_j^T, stacked over the columns whose
-    ``m_j`` (over its visible positions) has one shape; the sign rules in
-    array passes; the solve ``w_j = R_j^+ Q_j^T v_j``, stacked over the
-    columns with one k; and the residuals in array passes.  A stabilized
-    column takes a second pass of the same SVD over its admissible
-    positions.
+    Per chunk: one :func:`qr_householder` call per column, Q_j written over
+    A_j; the SVD of the candidate part ``m_j`` of Q_j^T, stacked over the
+    columns whose ``m_j`` (over its visible positions) has one shape; the
+    sign rules in array passes; the solve ``w_j = R_j^+ Q_j^T v_j``,
+    stacked over the columns with one k; and the residuals in array
+    passes.  A stabilized column takes a second pass of the same SVD over
+    its admissible positions.
 
     Entries of a full-rank solve's ``w_j`` below ``m k u kappa ||w_j||``
     are dropped, where the block factored is ``m x k``, ``u`` is the unit
@@ -249,7 +252,7 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     out = _Sweep.empty(w_pattern, v_pattern)
     for ch in column_chunks(a, w_pattern, v_pattern, columns):
         size, col, seen, norm = len(ch.cols), ch.v_col, ch.v_seen, norms[ch.cols]
-        q, start, r, rank = ch.visible_q(qr_householder)
+        q, start, r, r_at, rank = ch.visible_q(qr_householder)
         lead, sigma, _ = _leading_directions(ch, q, start, seen)
 
         diag = np.flatnonzero(ch.v_rows == ch.cols[col])
@@ -274,7 +277,7 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
             val[redo] = (lead * np.where(align < 0.0, -1.0, 1.0)[col])[redo]
             val[diag[stabilize]] = policy.r
 
-        w = _solves(ch, q, start, r, rank, val)
+        w = _solves(ch, q, start, r, r_at, rank, val)
 
         # ||A_j w_j - v_j||: the block's entries times w_j, less v_j on the
         # active rows, plus the part of v_j outside them

@@ -19,8 +19,10 @@ chunk holds only the candidates on its blocks' active rows, plus the
 diagonal: no other position can score above zero or carry a value of V.
 A chunk in which no column holds more than ``k_v`` positions keeps them
 all unfactored, and its dense blocks are never built; in any other chunk
-the selection factors one block per call, takes the scores of all the
-chunk's positions in one pass and ranks them per column.  Inputs are
+the selection factors one block per call, writing Q_j over A_j, takes
+the scores of all the chunk's positions in one pass and ranks them per
+column.  Since that skip is decided per chunk, the selection's chunks
+(``_SELECT_ENTRIES``) stay smaller than a factor sweep's.  Inputs are
 read-only, so results are deterministic, and they do not depend on the
 order of the sweep.
 """
@@ -253,6 +255,13 @@ def adjoint_pattern(a, v0_pattern, rule=DropRule()):
     return SubspacePattern.from_keys_or_diagonal(n, probe.entry_keys()).with_diagonal()
 
 
+# A chunk of the V selection gathers about this many entries, fewer than a
+# factor sweep's (``sparse._SWEEP_ENTRIES``): the selection skips a chunk
+# only when no column in it has a choice, so coarser chunks factor more
+# blocks (on cd3d-s-upper, 175 per call at 2^12 and 216 at 2^14).
+_SELECT_ENTRIES = 1 << 12
+
+
 def select_v_pattern(a, w_pattern, v_candidate, k_v):
     """Choose the V pattern greedily from admissible candidate positions.
 
@@ -283,11 +292,11 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     kept, ranked = np.flatnonzero(counts <= k_v), np.flatnonzero(counts > k_v)
     _, owner, rows = v_candidate.gather(kept)
     keys = [kept[owner] * n + rows, np.arange(n, dtype=np.int64) * (n + 1)]
-    for ch in column_chunks(a, w_pattern, v_candidate, ranked):
+    for ch in column_chunks(a, w_pattern, v_candidate, ranked, entries=_SELECT_ENTRIES):
         if np.bincount(ch.v_col, minlength=len(ch.cols)).max() <= k_v:
             keys.append(ch.cols[ch.v_col] * n + ch.v_rows)  # no column has a choice
             continue
-        q, start, _, _ = ch.visible_q(qr_householder)
+        q, start, *_ = ch.visible_q(qr_householder)
         e = np.flatnonzero(ch.v_seen)
         slot, owner = _span_gather(ch.set_ptr, ch.v_col[e])
         at = (start[e] - ch.set_ptr[ch.v_col[e]])[owner] + slot

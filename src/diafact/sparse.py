@@ -564,15 +564,16 @@ def extract_columns(a, cols):
     return ColumnSubmatrix(a.n_rows, cols, active, block)
 
 
-# A chunk of a column sweep gathers about this many entries (of A and of
+# A chunk of a factor sweep gathers about this many entries (of A and of
 # the V positions on its blocks' rows).  :func:`column_chunks` visits the
-# columns in width order (:func:`width_order`), so a larger chunk would
-# make fewer stacked passes: 2^14 made all three benchmark workloads
-# faster (cd2d-q-diag by about 5%), but it raised the peak RSS of
-# cd3d-s-upper by 2.4% and 3.1% (seeds 2 and 1000), as one chunk's dense
-# blocks grew from 0.5 to 1.2 MB; 2^13 raised it about as much.  The entry
-# count does not bound the dense blocks, which hold m x k values per column.
-_SWEEP_ENTRIES = 1 << 12
+# columns in width order (:func:`width_order`), so a larger chunk makes
+# fewer stacked passes, but it holds more: one dense buffer (its blocks,
+# or the Q_j written over them) and sum(k_j^2) values of R.  Sized by
+# alternating benchmark runs on a 2-core x86_64 machine: against 2^12,
+# 2^14 made cd2d-q-diag about 6% faster with every peak RSS flat; 2^13
+# gained less, and 2^15 no more while it raised cd2d-q-diag's peak RSS by
+# 7%.  The V selection sizes its chunks apart (``patterns._SELECT_ENTRIES``).
+_SWEEP_ENTRIES = 1 << 14
 
 
 class ColumnChunk:
@@ -594,8 +595,8 @@ class ColumnChunk:
     active row.
 
     ``blocks`` holds the dense blocks, zero-padded to ``max(m, k) x k`` and
-    built when first read; :meth:`visible_q` lays out the columns' Q_j the
-    same way.
+    built when first read; :meth:`visible_q` writes the columns' Q_j over
+    them and hands the buffer on.
     """
 
     __slots__ = ("cols", "k", "m", "sets", "set_ptr", "slots", "active", "row_ptr",
@@ -662,45 +663,50 @@ class ColumnChunk:
         """Factor each column's block by one call of ``qr``, column after column.
 
         ``qr`` maps a dense block to factors with ``q_thin``, ``r`` and
-        ``rank``.  Returns ``(q, start, r, rank)``.  ``q`` is laid out like
-        :attr:`blocks`: each column's ``max(m, k) x k`` Q_j sits where its
-        block A_j does.  The row of Q_j at V position ``e`` starts at
-        ``start[e]``, which is meaningful only where ``v_seen`` is true.
-        ``r[c, :k[c], :k[c]]`` is column ``c``'s R_j, zero-padded to the
-        chunk's largest k, and ``rank`` holds each column's rank.
+        ``rank``, and keeps no view of the block it is given.  Returns
+        ``(q, start, r, r_at, rank)``.  ``q`` is the buffer of
+        :attr:`blocks` with each column's ``max(m, k) x k`` Q_j written over
+        its block A_j; the chunk lets go of it, so reading :attr:`blocks`
+        again builds the blocks anew.  The row of Q_j at V position ``e``
+        starts at ``start[e]``, which is meaningful only where ``v_seen`` is
+        true.  Column ``c``'s R_j is the ``k[c]^2`` values from
+        ``r[r_at[c]]`` on, row after row, and ``rank`` holds each column's
+        rank.
         """
-        q, rank = np.empty(len(self.blocks)), np.empty(len(self.cols), np.int64)
-        r = np.zeros((len(self.cols), self.k.max(), self.k.max()))
-        spans = zip(self._off.tolist(), self._pad.tolist(), self.k.tolist())
-        for c, (o, rows, kk) in enumerate(spans):
-            f = qr(self.blocks[o:o + rows * kk].reshape(rows, kk))
+        q, self._blocks = self.blocks, None
+        size = self.k * self.k
+        r_at = np.cumsum(size) - size
+        r, rank = np.empty(int(size.sum())), np.empty(len(self.cols), np.int64)
+        spans = zip(self._off.tolist(), self._pad.tolist(), self.k.tolist(), r_at.tolist())
+        for c, (o, rows, kk, at) in enumerate(spans):
+            f = qr(q[o:o + rows * kk].reshape(rows, kk))
             q[o:o + rows * kk] = f.q_thin.ravel()
-            r[c, :kk, :kk] = f.r
+            r[at:at + kk * kk] = f.r.ravel()
             rank[c] = f.rank
         col = self.v_col
         start = self._off[col] + (self.v_at - self.row_ptr[col]) * self.k[col]
-        return q, start, r, rank
+        return q, start, r, r_at, rank
 
 
-def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False):
+def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False, entries=None):
     """The blocks A_j of ``columns`` as :class:`ColumnChunk` runs, in width order.
 
     A_j holds the columns ``w_pattern.cols[j]`` of ``a`` on their nonzero
     rows; with ``outside_v`` the rows in ``v_pattern.cols[j]`` are left
     out.  The columns are visited in :func:`width_order`, so a chunk holds
     few block widths and its stacked passes run on few shapes; callers
-    pass ``columns`` in any order.  A chunk holds about ``_SWEEP_ENTRIES``
-    entries of ``a`` and of ``v_pattern``, counting for a column at most
-    one V position per entry of A_j plus the diagonal, so its index arrays
-    do not grow with the V pattern.  Its dense blocks are not bounded by
-    that count: a column's padded ``max(m, k) x k`` block can hold many
-    more values than A_j has entries.  A column's block does not depend on
-    its chunk.
+    pass ``columns`` in any order.  A chunk holds about ``entries`` entries
+    (``_SWEEP_ENTRIES`` when None) of ``a`` and of ``v_pattern``, counting
+    for a column at most one V position per entry of A_j plus the
+    diagonal, so its index arrays do not grow with the V pattern.  Its
+    dense blocks are not bounded by that count: a column's padded
+    ``max(m, k) x k`` block can hold many more values than A_j has
+    entries.  A column's block does not depend on its chunk.
     """
     columns = width_order(w_pattern, columns)
     size = w_pattern.sums(np.diff(a.col_ptr))[columns]
     size += np.minimum(v_pattern.counts()[columns], size + 1)
-    chunk = (np.cumsum(size) - size) // _SWEEP_ENTRIES
+    chunk = (np.cumsum(size) - size) // (_SWEEP_ENTRIES if entries is None else entries)
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [len(columns)]])
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         if lo < hi:

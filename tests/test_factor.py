@@ -478,8 +478,8 @@ class TestSweep:
         held = []
         for ch in diafact.sparse.column_chunks(a, wp, vp, np.arange(n)):
             assert np.all(np.diff(ch.v_col) >= 0)
-            q, start, r, rank = ch.visible_q(qr_householder)
-            assert r.shape == (len(ch.cols), ch.k.max(), ch.k.max())
+            q, start, r, r_at, rank = ch.visible_q(qr_householder)
+            assert len(r) == (ch.k ** 2).sum()
             for c, j in enumerate(ch.cols.tolist()):
                 active = np.flatnonzero(dense[:, wp.cols[j]].any(axis=1))
                 want = np.intersect1d(vp.cols[j], np.union1d(active, [j]))
@@ -491,7 +491,7 @@ class TestSweep:
                 assert np.array_equal(ch.active[ch.v_at[mine][seen]], want[seen])
                 held.append(j in want)
                 # Q_j's row at each seen V position, never all zero (the
-                # row of A_j = Q_j R_j is not), and R_j zero-padded
+                # row of A_j = Q_j R_j is not), and R_j's k^2 values
                 k = len(wp.cols[j])
                 block = np.zeros((max(len(active), k), k))
                 block[:len(active)] = dense[np.ix_(active, wp.cols[j])]
@@ -499,9 +499,36 @@ class TestSweep:
                 for e, row in zip(np.flatnonzero(mine)[seen], np.searchsorted(active, want[seen])):
                     assert np.array_equal(q[start[e]:start[e] + k], f.q_thin[row])
                     assert q[start[e]:start[e] + k].any()
-                assert np.array_equal(r[c, :k, :k], f.r) and rank[c] == f.rank
-                assert not r[c, k:].any() and not r[c, :, k:].any()
+                assert np.array_equal(r[r_at[c]:r_at[c] + k * k].reshape(k, k), f.r)
+                assert rank[c] == f.rank
         assert len(held) == n and 0 < sum(held) < n
+
+    def test_chunk_holds_r_unpadded_and_q_over_the_blocks(self):
+        # one wide column among many of width 1: R takes sum(k_j^2) values,
+        # not cols * kmax^2, and Q_j is written over the block buffer
+        rng = np.random.default_rng(27)
+        n, wide = 40, 9
+        a = random_sparse(rng, n, density=0.2)
+        wp = SubspacePattern(n, [np.arange(wide)] + [np.array([j]) for j in range(1, n)])
+        vp = SubspacePattern.diagonal(n)
+        [ch] = diafact.sparse.column_chunks(a, wp, vp, np.arange(n))
+        blocks = ch.blocks.copy()
+        q, start, r, r_at, rank = ch.visible_q(qr_householder)
+        assert len(r) == wide ** 2 + n - 1 < n * wide ** 2
+        assert ch._blocks is None  # the chunk let go of the buffer Q_j fills
+        assert np.array_equal(ch.blocks, blocks)  # and builds A_j again on a read
+        dense = a.to_dense()
+        for c, j in enumerate(ch.cols.tolist()):
+            k = len(wp.cols[j])
+            active = np.flatnonzero(dense[:, wp.cols[j]].any(axis=1))
+            block = np.zeros((max(len(active), k), k))
+            block[:len(active)] = dense[np.ix_(active, wp.cols[j])]
+            f = qr_householder(block)
+            assert np.array_equal(r[r_at[c]:r_at[c] + k * k].reshape(k, k), f.r)
+            assert rank[c] == f.rank
+            e = np.flatnonzero((ch.v_col == c) & ch.v_seen)
+            assert np.array_equal(q[start[e][:, None] + np.arange(k)],
+                                  f.q_thin[np.searchsorted(active, ch.v_rows[e])])
 
     @pytest.mark.parametrize("threshold", [0.0, 0.3])
     def test_diaf_q_writes_v_only_on_active_rows_and_the_diagonal(self, threshold):
@@ -627,6 +654,7 @@ class TestSweepOrder:
         a, wp, vp, size = sweep_problem(24)
         limit = {"one column": 1, "seven columns": 7 * size, "all columns": 10 ** 12}[chunk]
         monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", limit)
+        monkeypatch.setattr(diafact.patterns, "_SELECT_ENTRIES", limit)
         want, want_flags = sweep_outputs(a, wp, vp)
         monkeypatch.setattr(diafact.sparse, "width_order", ORDERS[order])
         got, got_flags = sweep_outputs(a, wp, vp)

@@ -389,7 +389,7 @@ class TestSelectV:
     def test_matches_columns_scored_alone(self, monkeypatch, chunk, k_v):
         a, wp, cand, size = sweep_problem(23)
         if chunk is not None:  # columns per chunk; None: all in one
-            monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", chunk * size)
+            monkeypatch.setattr(patterns, "_SELECT_ENTRIES", chunk * size)
         assert select_v_pattern(a, wp, cand, k_v) == select_v_pattern_reference(a, wp, cand, k_v)
 
     def test_identity_selects_diagonal(self):
@@ -468,7 +468,7 @@ class TestSelectVCut:
     @pytest.mark.parametrize("k_v", [1, 3, 8])
     def test_block_upper_matches_columns_scored_alone(self, monkeypatch, entries, k_v):
         a, wp, cand, _ = block_upper_problem(11)
-        monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", entries)
+        monkeypatch.setattr(patterns, "_SELECT_ENTRIES", entries)
         assert select_v_pattern(a, wp, cand, k_v) == select_v_pattern_reference(a, wp, cand, k_v)
 
     @pytest.mark.parametrize("k_v", [1, 2, 4])
@@ -486,7 +486,7 @@ class TestSelectVCut:
     def test_factors_only_chunks_where_a_column_has_a_choice(self, monkeypatch, entries, k_v):
         a, wp, cand, _ = block_upper_problem(11)
         n = a.n_cols
-        monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", entries)
+        monkeypatch.setattr(patterns, "_SELECT_ENTRIES", entries)
         keys = cand.keys()
         col, row = keys // n, keys % n
         # a column holds its reached candidates, and its diagonal when a candidate
@@ -574,13 +574,44 @@ def test_selection_builds_blocks_only_for_factored_chunks(monkeypatch):
     # positions: those chunks are kept whole and never fill their blocks
     a, wp, cand, _ = block_upper_problem(11)
     k_v = 3
-    monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", 1)
-    chunks = []
+    monkeypatch.setattr(patterns, "_SELECT_ENTRIES", 1)
+    chunks, filled = [], []
     real = patterns.column_chunks
     monkeypatch.setattr(patterns, "column_chunks",
-                        lambda *args: (chunks.append(ch) or ch for ch in real(*args)))
+                        lambda *args, **kw: (chunks.append(ch) or ch for ch in real(*args, **kw)))
+    real_blocks = sparse.ColumnChunk.blocks.fget
+
+    def counted_blocks(ch):
+        if ch._blocks is None:
+            filled.append(ch)
+        return real_blocks(ch)
+
+    monkeypatch.setattr(sparse.ColumnChunk, "blocks", property(counted_blocks))
     got, calls = _counting_qr(monkeypatch, a, wp, cand, k_v)
     factored = [np.bincount(ch.v_col).max() > k_v for ch in chunks]
     assert 0 < sum(factored) == calls < len(chunks)
-    assert [ch._blocks is not None for ch in chunks] == factored
+    # each factored chunk fills its buffer once, and no other chunk fills one
+    assert [sum(f is ch for f in filled) for ch in chunks] == [int(f) for f in factored]
     assert got == select_v_pattern_reference(a, wp, cand, k_v)
+
+
+@pytest.mark.parametrize("sweep_entries", [1, 10 ** 12])
+def test_selection_chunks_do_not_follow_the_sweep_budget(monkeypatch, sweep_entries):
+    # the factor sweeps' chunk budget leaves the selection's chunks, and so
+    # the blocks it factors, as they are; a chunk of one column would
+    # factor few blocks here, and one chunk all of them
+    rng = np.random.default_rng(14)
+    a = random_sparse(rng, 300, density=0.02)
+    wp, cand = random_pattern(rng, 300, per_col=3), random_pattern(rng, 300, per_col=6)
+    chunks = []
+    real = patterns.column_chunks
+    monkeypatch.setattr(patterns, "column_chunks",
+                        lambda *args, **kw: (chunks.append(ch.cols) or ch for ch in real(*args, **kw)))
+    want, want_calls = _counting_qr(monkeypatch, a, wp, cand, 3)
+    want_chunks, chunks[:] = chunks[:], []
+    monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", sweep_entries)
+    got, calls = _counting_qr(monkeypatch, a, wp, cand, 3)
+    assert len(want_chunks) > 2 and 0 < want_calls < a.n_cols
+    assert got == want and calls == want_calls
+    assert len(chunks) == len(want_chunks)
+    assert all(np.array_equal(g, w) for g, w in zip(chunks, want_chunks))
