@@ -6,8 +6,9 @@ the largest product of magnitudes (a choice that does not depend on the
 input's diagonal scaling, up to ties), iterative equilibration balances
 row/column magnitudes, and a strongly connected component analysis yields an
 ordered block partition so that the permuted matrix is block lower
-triangular up to the diagonal blocks.  The partition in turn defines
-block-shaped subspace patterns.
+triangular up to the diagonal blocks.  Inside each block the indices follow
+a reverse Cuthill-McKee order, which keeps the LU fill of V's diagonal
+blocks low.  The partition in turn defines block-shaped subspace patterns.
 """
 
 from __future__ import annotations
@@ -277,8 +278,11 @@ def scc_block_structure(a, max_block):
 
     Returns a symmetric permutation and the block partition.  Components
     are placed so the permuted matrix is block lower triangular up to the
-    blocks; any component larger than ``max_block`` is split into
-    contiguous chunks of at most that size.
+    blocks; any component larger than ``max_block`` is split, in ascending
+    index order, into contiguous chunks of at most that size.  Each block's
+    indices are then ordered by reverse Cuthill-McKee on the pattern of
+    A + A^T restricted to the block (:func:`_reverse_cuthill_mckee`), which
+    changes neither a block's members nor the bounds.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
@@ -294,7 +298,50 @@ def scc_block_structure(a, max_block):
             chunk = comp[lo: lo + max_block]
             order.extend(chunk)
             bounds.append(bounds[-1] + len(chunk))
-    return Permutation(np.array(order)), BlockStructure(np.array(bounds))
+    order, blocks = np.array(order, dtype=np.int64), BlockStructure(bounds)
+    return Permutation(order[_reverse_cuthill_mckee(a, order, blocks)]), blocks
+
+
+def _reverse_cuthill_mckee(a, order, blocks):
+    """Reverse Cuthill-McKee order inside each block of an ordering.
+
+    ``order`` lists the indices of ``a`` block by block, ascending within
+    each block of ``blocks``.  Returns positions into ``order`` that keep
+    every block in place and reorder it by RCM on the pattern of A + A^T
+    restricted to the block: each connected piece starts at its
+    lowest-degree node (lowest index on ties), a breadth-first walk appends
+    each node's unplaced neighbours by degree, then index, and the block's
+    order is reversed.  Like :func:`_tarjan_components`, the walk reads the
+    structure as Python ints.
+    """
+    n, bounds, block = blocks.n, blocks.block_bounds, blocks.block_of()
+    pos = _inverse_permutation(order, n)
+    u, v = pos[a.row_idx], pos[a._entry_columns()]
+    keep = (block[u] == block[v]) & (u != v)
+    u, v = u[keep], v[keep]
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique, without its fixed cost
+    u, v = keys // n, keys % n
+    degree = np.bincount(u, minlength=n)
+    # positions ascend with the index inside a block, and lexsort is stable
+    nbrs = v[np.lexsort((degree[v], u))].tolist()
+    ptr = np.searchsorted(u, np.arange(n + 1)).tolist()
+    placed = [False] * n
+    walk = []
+    for seed in np.lexsort((degree, block)).tolist():
+        if placed[seed]:
+            continue
+        placed[seed] = True
+        piece = [seed]
+        for x in piece:  # the queue: the loop reaches what it appends
+            for y in nbrs[ptr[x]:ptr[x + 1]]:
+                if not placed[y]:
+                    placed[y] = True
+                    piece.append(y)
+        walk += piece
+    # the seeds run block by block, so each block's walk fills its own span
+    # [lo, hi); reversed, position p takes walk[lo + hi - 1 - p]
+    return np.array(walk, dtype=np.int64)[(bounds[:-1] + bounds[1:] - 1)[block] - np.arange(n)]
 
 
 def block_pattern(blocks, shape):

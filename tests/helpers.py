@@ -1,5 +1,7 @@
 """Shared constructors for the test suite."""
 
+from collections import deque
+
 import numpy as np
 
 from diafact.kernels import lstsq, pad_tall, qr_householder, svd_small
@@ -423,3 +425,38 @@ def tarjan_components_reference(a):
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
     return comps
+
+
+def rcm_reference(a, members):
+    """Reverse Cuthill-McKee order of the indices ``members`` of one block.
+
+    The graph is the pattern of A + A^T restricted to ``members``, self-loops
+    left out.  Each connected piece starts at the unplaced node of lowest
+    degree (lowest index on ties); a first-in first-out queue visits the
+    piece, and each visited node enqueues its unplaced neighbours by degree,
+    then index.  The whole visit order is returned reversed.
+    """
+    inside = {int(i) for i in members}
+    nbrs = {i: set() for i in inside}
+    for j in inside:
+        for e in range(a.col_ptr[j], a.col_ptr[j + 1]):
+            i = int(a.row_idx[e])
+            if i in inside and i != j:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+
+    def rank(i):
+        return len(nbrs[i]), i
+
+    visited, seen = [], set()
+    while len(visited) < len(inside):
+        start = min(inside - seen, key=rank)
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            visited.append(x)
+            for y in sorted(nbrs[x] - seen, key=rank):
+                seen.add(y)
+                queue.append(y)
+    return visited[::-1]

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import diafact.bench as bench
 
@@ -38,3 +39,13 @@ def test_one_line_per_run_that_follows_the_outputs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "diaf_q", perturbed)
     assert output_hashes.run_line(bench, matgen, oracle, *runs[0], tmp_path) != line
+
+
+@pytest.mark.parametrize("name", sorted(output_hashes.STABILIZED))
+def test_each_stabilized_run_stabilizes_some_but_not_all_columns(tmp_path, name):
+    [(label, generate, seed, config)] = [
+        run for run in output_hashes.runs(harness) if run[0] == f"{name} seed=2 k=0"]
+    path = tmp_path / "a.mtx"
+    matgen.write_matrix_market(generate(seed), path)
+    row = bench.run_experiment(bench.ExperimentConfig(matrix=str(path), **config))
+    assert row.status == "converged" and 0 < row.stab_count < row.n, (label, row.stab_count)

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diafact.bench import ExperimentConfig, _build_patterns
+from diafact.factor import diaf_q
+from diafact.krylov import factor_v
 from diafact.preprocess import (
     BlockStructure,
     Permutation,
@@ -17,7 +20,7 @@ from diafact.preprocess import (
 )
 from diafact.sparse import SparseMatrix
 
-from helpers import random_sparse, tarjan_components_reference
+from helpers import random_sparse, rcm_reference, tarjan_components_reference
 
 
 class TestPermutation:
@@ -248,6 +251,92 @@ class TestTarjan:
     def test_workload_matrices(self):
         for name, a in workload_matrices():
             assert _tarjan_components(a) == tarjan_components_reference(a), name
+
+
+def ascending_blocks(a, max_block):
+    """The blocks of :func:`scc_block_structure` with their indices ascending:
+    the components in reverse emission order, each split into chunks."""
+    comps = tarjan_components_reference(a)[::-1]
+    return [sorted(c)[lo: lo + max_block] for c in comps for lo in range(0, len(c), max_block)]
+
+
+def symmetric_pattern(n, edges):
+    """Pattern matrix with the diagonal and both directions of each edge."""
+    rows = list(range(n)) + [i for i, j in edges] + [j for i, j in edges]
+    cols = list(range(n)) + [j for i, j in edges] + [i for i, j in edges]
+    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+
+
+class TestBlockOrder:
+    """Each block is ordered by reverse Cuthill-McKee; its members do not move."""
+
+    def check(self, a, max_block):
+        """The blocks hold the ascending split's members in the reference order;
+        returns the order of each block."""
+        p, blocks = scc_block_structure(a, max_block)
+        expected = ascending_blocks(a, max_block)
+        assert blocks.sizes.tolist() == [len(c) for c in expected]
+        got = [p.forward[lo:hi].tolist() for lo, hi in map(blocks.bounds, range(blocks.n_blocks))]
+        for block, members in zip(got, expected):
+            assert sorted(block) == members
+            assert block == rcm_reference(a, members)
+        return got
+
+    def test_ties_in_degree(self):
+        # degree-1 seeds 4 and 5 tie, so 4 starts; 1 reaches 3 (degree 2)
+        # before 0 (degree 3)
+        a = symmetric_pattern(6, [(5, 0), (0, 1), (0, 2), (1, 3), (1, 4), (2, 3)])
+        assert self.check(a, 6) == [[5, 2, 0, 3, 1, 4]]
+        # 3 reaches 1 and 5 (degree 2 each) by index; 1's child 4 comes
+        # before 5's child 0, by first parent
+        a = symmetric_pattern(8, [(4, 1), (4, 2), (1, 3), (2, 0), (3, 5), (3, 6), (0, 5), (7, 2)])
+        assert self.check(a, 8) == [[7, 2, 0, 4, 5, 1, 3, 6]]
+
+    def test_component_split_into_blocks_of_two_pieces(self):
+        # one component through the cycle 0 4 1 5 2 6 3 7; split at 4, the
+        # first block holds the pieces {0, 2} and {1, 3} and the second
+        # {4, 6} and {5, 7}
+        cycle = [0, 4, 1, 5, 2, 6, 3, 7]
+        a = symmetric_pattern(8, [(0, 2), (1, 3), (4, 6), (5, 7)])
+        a = SparseMatrix.from_keys(8, 8, np.union1d(a.entry_keys(), [
+            j * 8 + i for j, i in zip(cycle, cycle[1:] + cycle[:1])]), np.ones(24))
+        assert self.check(a, 4) == [[3, 1, 2, 0], [7, 5, 6, 4]]
+
+    def test_one_node_blocks(self):
+        # a lower triangular matrix, and a component of five split by 2
+        a = SparseMatrix.from_dense(np.tril(np.ones((4, 4))))
+        assert self.check(a, 4) == [[0], [1], [2], [3]]
+        a = symmetric_pattern(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert self.check(a, 2) == [[1, 0], [3, 2], [4]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_digraph(rng, int(rng.integers(30, 400)))
+        self.check(a, int(rng.integers(2, 40)))
+
+    def test_workload_matrices(self):
+        for name, a in workload_matrices():
+            self.check(a, 50)
+
+    def test_lowers_the_lu_fill_of_v(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        try:
+            import matgen
+        finally:
+            sys.path.pop(0)
+        coo = matgen.convection_diffusion_2d(12, [2, 0])
+        a = SparseMatrix.from_coo(coo.n, coo.n, coo.rows, coo.cols, coo.vals)
+        p, blocks = scc_block_structure(a, 24)  # two grid rows per block
+        assert blocks.sizes.tolist() == [24] * 6
+        cfg = ExperimentConfig(matrix="", max_block=24)
+
+        def lu_nnz(order):
+            a3 = a.permuted_symmetric(order)
+            w_pat, v_pat = _build_patterns(a3, blocks, "block-diagonal", cfg)
+            return factor_v(diaf_q(a3, w_pat, v_pat).v, blocks, "block-diagonal").lu_nnz
+
+        assert lu_nnz(p.forward) < lu_nnz(np.concatenate(ascending_blocks(a, 24)))
 
 
 class TestBlockPattern:

@@ -25,11 +25,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 SEEDS = (2, 1000)
-# stabilized diaf-q runs: block-diagonal V stabilizes 14 columns of the first
-# matrix, block-upper V 276
+# stabilized diaf-q runs: block-diagonal V stabilizes 11 of the 576 columns of
+# the first matrix, block-upper V 276
 STABILIZED = {
     "cd2d-q-diag-stab-diag": dict(method="diaf-q", v_shape="block-diag", k_v=0, max_block=50,
-                                  stab_threshold=0.5),
+                                  stab_threshold=0.85),
     "cd2d-q-diag-stab-upper": dict(method="diaf-q", v_shape="block-upper", k_v=10, max_block=50,
                                    stab_threshold=0.9),
 }
