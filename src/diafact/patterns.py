@@ -17,14 +17,14 @@ A_j from the chunked column sweep of :func:`~diafact.sparse.column_chunks`,
 which orders the columns by block width for it as for the factor sweeps.  A
 chunk holds only the candidates on its blocks' active rows, plus the
 diagonal: no other position can score above zero or carry a value of V.
-A chunk in which no column holds more than ``k_v`` positions keeps them
-all unfactored, and its dense blocks are never built; in any other chunk
-the selection factors one block per call, writing Q_j over A_j, takes
-the scores of all the chunk's positions in one pass and ranks them per
-column.  Since that skip is decided per chunk, the selection's chunks
-(``_SELECT_ENTRIES``) stay smaller than a factor sweep's.  Inputs are
-read-only, so results are deterministic, and they do not depend on the
-order of the sweep.
+The selection cuts the columns, in the same order, into runs of about
+``_SELECT_ENTRIES`` entries, much smaller than its chunks.  A run in which
+no column holds more than ``k_v`` positions keeps them all unfactored; of
+any other run the selection factors one block per call, writing Q_j over
+A_j, and scores and ranks the run's positions per column, in one pass per
+chunk.  A chunk with no such run never builds its dense blocks.
+Inputs are read-only, so results are deterministic, and they do not
+depend on the order of the sweep or on the sizes of its chunks and runs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sparse
 from .kernels import qr_householder
 from .krylov import factor_v
 from .preprocess import BlockStructure
@@ -255,11 +256,19 @@ def adjoint_pattern(a, v0_pattern, rule=DropRule()):
     return SubspacePattern.from_keys_or_diagonal(n, probe.entry_keys()).with_diagonal()
 
 
-# A chunk of the V selection gathers about this many entries, fewer than a
-# factor sweep's (``sparse._SWEEP_ENTRIES``): the selection skips a chunk
-# only when no column in it has a choice, so coarser chunks factor more
-# blocks (on cd3d-s-upper, 175 per call at 2^12 and 216 at 2^14).
-_SELECT_ENTRIES = 1 << 12
+# The V selection cuts its columns, in width order, into runs of about this
+# many entries, counted as :func:`~diafact.sparse.column_chunks` counts
+# them, and factors the blocks of a run only when some column in it has a
+# choice.  Its chunks take the factor sweeps' budget
+# (``sparse._SWEEP_ENTRIES``) or this one, whichever is larger, so a run
+# spans two chunks only when that is no multiple of this one.  Smaller runs
+# factor fewer blocks at no cost in chunk builds: on cd3d-s-upper, 10 or 11
+# per call at 2^8, 16 to 19 at 2^9 and 30 to 34 at 2^10, where deciding per
+# chunk of 2^12 entries factored 175.  Sized by alternating runs on a 2-core
+# x86_64 machine: the selection alone took 4.30 ms per call at 2^8 against
+# 4.85 ms at 2^9, and 2^7 (8 or 9 blocks, one per column with a choice)
+# gained nothing more.
+_SELECT_ENTRIES = 1 << 8
 
 
 def select_v_pattern(a, w_pattern, v_candidate, k_v):
@@ -279,10 +288,11 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     :func:`~diafact.sparse.column_chunks` holds just the held positions,
     never the whole candidate (for a block-upper shape, every row above
     the end of the column's block), and a column never spans two chunks,
-    so each chunk is ranked on its own.  Blocks are factored one
-    :func:`qr_householder` call each, and only in a chunk where some
-    column holds more than ``k_v`` positions: otherwise every column
-    keeps all it holds, whatever its scores.
+    so each chunk is ranked on its own.  The columns are cut into runs of
+    about ``_SELECT_ENTRIES`` entries, in the chunks' width order, and a
+    run's blocks are factored one :func:`qr_householder` call each only
+    when some column in the run holds more than ``k_v`` positions; every
+    other column keeps all it holds, whatever its scores.
     """
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_candidate.n != n:
@@ -292,16 +302,21 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     kept, ranked = np.flatnonzero(counts <= k_v), np.flatnonzero(counts > k_v)
     _, owner, rows = v_candidate.gather(kept)
     keys = [kept[owner] * n + rows, np.arange(n, dtype=np.int64) * (n + 1)]
-    for ch in column_chunks(a, w_pattern, v_candidate, ranked, entries=_SELECT_ENTRIES):
-        if np.bincount(ch.v_col, minlength=len(ch.cols)).max() <= k_v:
-            keys.append(ch.cols[ch.v_col] * n + ch.v_rows)  # no column has a choice
-            continue
-        q, start, *_ = ch.visible_q(qr_householder)
-        e = np.flatnonzero(ch.v_seen)
-        slot, owner = _span_gather(ch.set_ptr, ch.v_col[e])
-        at = (start[e] - ch.set_ptr[ch.v_col[e]])[owner] + slot
-        scores = np.zeros(len(ch.v_rows))
-        scores[e] = np.sqrt(np.bincount(owner, weights=q[at] ** 2, minlength=len(e)))
-        best = _top_per_column(ch.v_col, ch.v_rows, scores, k_v)
-        keys.append(ch.cols[ch.v_col[best]] * n + ch.v_rows[best])
-    return SubspacePattern.from_keys(n, np.unique(np.concatenate(keys)))
+    entries = max(sparse._SWEEP_ENTRIES, _SELECT_ENTRIES)
+    for ch in column_chunks(a, w_pattern, v_candidate, ranked, entries=entries):
+        run = ch.offset // _SELECT_ENTRIES
+        choice = np.bincount(ch.v_col, minlength=len(ch.cols)) > k_v
+        factor = np.isin(run, run[choice])  # the columns of runs with a choice
+        keep = ~factor[ch.v_col]
+        if factor.any():
+            q, start, *_ = ch.visible_q(qr_householder, factor)
+            p = np.flatnonzero(~keep)
+            e = p[ch.v_seen[p]]
+            slot, owner = _span_gather(ch.set_ptr, ch.v_col[e])
+            at = (start[e] - ch.set_ptr[ch.v_col[e]])[owner] + slot
+            scores = np.zeros(len(ch.v_rows))
+            scores[e] = np.sqrt(np.bincount(owner, weights=q[at] ** 2, minlength=len(e)))
+            keep[p[_top_per_column(ch.v_col[p], ch.v_rows[p], scores[p], k_v)]] = True
+        keys.append(ch.cols[ch.v_col[keep]] * n + ch.v_rows[keep])
+    keys = np.sort(np.concatenate(keys))
+    return SubspacePattern.from_keys(n, keys[np.diff(keys, prepend=-1) != 0])

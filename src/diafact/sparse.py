@@ -572,7 +572,8 @@ def extract_columns(a, cols):
 # alternating benchmark runs on a 2-core x86_64 machine: against 2^12,
 # 2^14 made cd2d-q-diag about 6% faster with every peak RSS flat; 2^13
 # gained less, and 2^15 no more while it raised cd2d-q-diag's peak RSS by
-# 7%.  The V selection sizes its chunks apart (``patterns._SELECT_ENTRIES``).
+# 7%.  The V selection takes chunks of at least this size, and decides
+# what to factor in runs of ``patterns._SELECT_ENTRIES`` entries.
 _SWEEP_ENTRIES = 1 << 14
 
 
@@ -594,18 +595,22 @@ class ColumnChunk:
     indexes ``active`` where ``v_seen``, which is true exactly at an
     active row.
 
+    ``offset`` holds each column's first entry among those of the whole
+    sweep, as :func:`column_chunks` counts them, so a caller can cut the
+    sweep's columns into runs that do not follow the chunks.
+
     ``blocks`` holds the dense blocks, zero-padded to ``max(m, k) x k`` and
     built when first read; :meth:`visible_q` writes the columns' Q_j over
     them and hands the buffer on.
     """
 
-    __slots__ = ("cols", "k", "m", "sets", "set_ptr", "slots", "active", "row_ptr",
+    __slots__ = ("cols", "offset", "k", "m", "sets", "set_ptr", "slots", "active", "row_ptr",
                  "entry_row", "entry_set", "val", "v_pos", "v_col", "v_rows", "v_at", "v_seen",
                  "_blocks", "_val_at", "_pad", "_by_shape", "_off")
 
-    def __init__(self, a, w_pattern, v_pattern, cols, outside_v):
+    def __init__(self, a, w_pattern, v_pattern, cols, outside_v, offset):
         n = a.n_rows
-        self.cols = cols
+        self.cols, self.offset = cols, offset
         self.slots, owner, self.sets = w_pattern.gather(cols)
         self.set_ptr = _col_ptr(owner, len(cols))
         col, at, rows, self.val = _set_entries(a, self.sets, self.set_ptr)
@@ -627,8 +632,8 @@ class ColumnChunk:
 
         # the dense blocks, padded to at least k rows, back to back in one
         # flat array and ordered by shape, so blocks of one shape are a slice;
-        # they are filled when first read, since a chunk the V selection
-        # keeps whole reads none
+        # they are filled when first read, since a chunk in which the V
+        # selection factors nothing reads none
         self._pad = np.maximum(self.m, self.k)
         size = self._pad * self.k
         order = self._by_shape = np.lexsort((self.k, self._pad))
@@ -659,26 +664,30 @@ class ColumnChunk:
             rows, k, off = int(self._pad[sel[0]]), int(self.k[sel[0]]), int(self._off[sel[0]])
             yield sel, self.blocks[off:off + len(sel) * rows * k].reshape(len(sel), rows, k)
 
-    def visible_q(self, qr):
+    def visible_q(self, qr, factor=None):
         """Factor each column's block by one call of ``qr``, column after column.
 
         ``qr`` maps a dense block to factors with ``q_thin``, ``r`` and
-        ``rank``, and keeps no view of the block it is given.  Returns
-        ``(q, start, r, r_at, rank)``.  ``q`` is the buffer of
-        :attr:`blocks` with each column's ``max(m, k) x k`` Q_j written over
-        its block A_j; the chunk lets go of it, so reading :attr:`blocks`
-        again builds the blocks anew.  The row of Q_j at V position ``e``
-        starts at ``start[e]``, which is meaningful only where ``v_seen`` is
-        true.  Column ``c``'s R_j is the ``k[c]^2`` values from
-        ``r[r_at[c]]`` on, row after row, and ``rank`` holds each column's
-        rank.
+        ``rank``, and keeps no view of the block it is given.  With a mask
+        ``factor`` over the chunk's columns, only the masked columns are
+        factored: an unmasked column's block stays as it is, its R_j is
+        zero and its rank 0.  Returns ``(q, start, r, r_at, rank)``.  ``q``
+        is the buffer of :attr:`blocks` with each factored column's
+        ``max(m, k) x k`` Q_j written over its block A_j; the chunk lets go
+        of it, so reading :attr:`blocks` again builds the blocks anew.  The
+        row of Q_j at V position ``e`` starts at ``start[e]``, which is
+        meaningful only where ``v_seen`` is true.  Column ``c``'s R_j is the
+        ``k[c]^2`` values from ``r[r_at[c]]`` on, row after row, and
+        ``rank`` holds each column's rank.
         """
         q, self._blocks = self.blocks, None
         size = self.k * self.k
         r_at = np.cumsum(size) - size
-        r, rank = np.empty(int(size.sum())), np.empty(len(self.cols), np.int64)
-        spans = zip(self._off.tolist(), self._pad.tolist(), self.k.tolist(), r_at.tolist())
-        for c, (o, rows, kk, at) in enumerate(spans):
+        r, rank = np.zeros(int(size.sum())), np.zeros(len(self.cols), np.int64)
+        cs = np.arange(len(self.cols)) if factor is None else np.flatnonzero(factor)
+        spans = zip(cs.tolist(), self._off[cs].tolist(), self._pad[cs].tolist(),
+                    self.k[cs].tolist(), r_at[cs].tolist())
+        for c, o, rows, kk, at in spans:
             f = qr(q[o:o + rows * kk].reshape(rows, kk))
             q[o:o + rows * kk] = f.q_thin.ravel()
             r[at:at + kk * kk] = f.r.ravel()
@@ -698,19 +707,21 @@ def column_chunks(a, w_pattern, v_pattern, columns, outside_v=False, entries=Non
     pass ``columns`` in any order.  A chunk holds about ``entries`` entries
     (``_SWEEP_ENTRIES`` when None) of ``a`` and of ``v_pattern``, counting
     for a column at most one V position per entry of A_j plus the
-    diagonal, so its index arrays do not grow with the V pattern.  Its
-    dense blocks are not bounded by that count: a column's padded
-    ``max(m, k) x k`` block can hold many more values than A_j has
-    entries.  A column's block does not depend on its chunk.
+    diagonal, so its index arrays do not grow with the V pattern; a
+    chunk's :attr:`ColumnChunk.offset` places its columns in that count
+    over the whole sweep.  Its dense blocks are not bounded by that count:
+    a column's padded ``max(m, k) x k`` block can hold many more values
+    than A_j has entries.  A column's block does not depend on its chunk.
     """
     columns = width_order(w_pattern, columns)
     size = w_pattern.sums(np.diff(a.col_ptr))[columns]
     size += np.minimum(v_pattern.counts()[columns], size + 1)
-    chunk = (np.cumsum(size) - size) // (_SWEEP_ENTRIES if entries is None else entries)
+    offset = np.cumsum(size) - size
+    chunk = offset // (_SWEEP_ENTRIES if entries is None else entries)
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [len(columns)]])
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         if lo < hi:
-            yield ColumnChunk(a, w_pattern, v_pattern, columns[lo:hi], outside_v)
+            yield ColumnChunk(a, w_pattern, v_pattern, columns[lo:hi], outside_v, offset[lo:hi])
 
 
 def width_order(w_pattern, columns):

@@ -530,6 +530,30 @@ class TestSweep:
             assert np.array_equal(q[start[e][:, None] + np.arange(k)],
                                   f.q_thin[np.searchsorted(active, ch.v_rows[e])])
 
+    def test_visible_q_factors_only_the_masked_columns(self, monkeypatch):
+        a, wp, vp, _ = sweep_problem(21)
+        monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", 10 ** 12)
+        [ch] = diafact.sparse.column_chunks(a, wp, vp, np.arange(a.n_cols))
+        blocks = ch.blocks.copy()
+        want = ch.visible_q(qr_householder)
+        factor = np.arange(len(ch.cols)) % 3 == 1
+        given = []
+        q, start, r, r_at, rank = ch.visible_q(lambda m: given.append(m.copy()) or qr_householder(m), factor)
+        assert len(given) == factor.sum() > 0
+        assert np.array_equal(start, want[1]) and np.array_equal(r_at, want[3])
+        for c in range(len(ch.cols)):
+            o, size, k = ch._off[c], ch._pad[c] * ch.k[c], ch.k[c]
+            r_c = r[r_at[c]:r_at[c] + k * k]
+            if factor[c]:
+                block = given[np.count_nonzero(factor[:c])]
+                assert np.array_equal(block.ravel(), blocks[o:o + size])
+                assert np.array_equal(q[o:o + size], want[0][o:o + size])
+                assert np.array_equal(r_c, want[2][r_at[c]:r_at[c] + k * k])
+                assert rank[c] == want[4][c]
+            else:  # the block stays A_j, with R_j zero and rank 0
+                assert np.array_equal(q[o:o + size], blocks[o:o + size])
+                assert not r_c.any() and rank[c] == 0
+
     @pytest.mark.parametrize("threshold", [0.0, 0.3])
     def test_diaf_q_writes_v_only_on_active_rows_and_the_diagonal(self, threshold):
         a, wp, vp, _ = sweep_problem(21)

@@ -570,11 +570,13 @@ class TestSelectVCut:
 
 
 def test_selection_builds_blocks_only_for_factored_chunks(monkeypatch):
-    # one column per chunk, and some ranked columns hold no more than k_v
-    # positions: those chunks are kept whole and never fill their blocks
+    # with both budgets at one entry every chunk is one column and one run,
+    # and some ranked columns hold no more than k_v positions: those chunks
+    # are kept whole and never fill their blocks
     a, wp, cand, _ = block_upper_problem(11)
     k_v = 3
     monkeypatch.setattr(patterns, "_SELECT_ENTRIES", 1)
+    monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", 1)
     chunks, filled = [], []
     real = patterns.column_chunks
     monkeypatch.setattr(patterns, "column_chunks",
@@ -588,6 +590,7 @@ def test_selection_builds_blocks_only_for_factored_chunks(monkeypatch):
 
     monkeypatch.setattr(sparse.ColumnChunk, "blocks", property(counted_blocks))
     got, calls = _counting_qr(monkeypatch, a, wp, cand, k_v)
+    assert all(len(ch.cols) == 1 for ch in chunks)
     factored = [np.bincount(ch.v_col).max() > k_v for ch in chunks]
     assert 0 < sum(factored) == calls < len(chunks)
     # each factored chunk fills its buffer once, and no other chunk fills one
@@ -596,22 +599,76 @@ def test_selection_builds_blocks_only_for_factored_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("sweep_entries", [1, 10 ** 12])
-def test_selection_chunks_do_not_follow_the_sweep_budget(monkeypatch, sweep_entries):
-    # the factor sweeps' chunk budget leaves the selection's chunks, and so
-    # the blocks it factors, as they are; a chunk of one column would
-    # factor few blocks here, and one chunk all of them
+def test_selection_result_and_qr_count_do_not_follow_the_sweep_budget(monkeypatch, sweep_entries):
+    # the factor sweeps' budget moves the selection's chunk boundaries (to
+    # every run, or none), never its runs, so it leaves the blocks the
+    # selection factors and the pattern as they are
     rng = np.random.default_rng(14)
     a = random_sparse(rng, 300, density=0.02)
     wp, cand = random_pattern(rng, 300, per_col=3), random_pattern(rng, 300, per_col=6)
     chunks = []
     real = patterns.column_chunks
     monkeypatch.setattr(patterns, "column_chunks",
-                        lambda *args, **kw: (chunks.append(ch.cols) or ch for ch in real(*args, **kw)))
+                        lambda *args, **kw: (chunks.append(1) or ch for ch in real(*args, **kw)))
+    monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", 3 * patterns._SELECT_ENTRIES)
     want, want_calls = _counting_qr(monkeypatch, a, wp, cand, 3)
-    want_chunks, chunks[:] = chunks[:], []
+    want_chunks, chunks[:] = len(chunks), []
     monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", sweep_entries)
     got, calls = _counting_qr(monkeypatch, a, wp, cand, 3)
-    assert len(want_chunks) > 2 and 0 < want_calls < a.n_cols
+    assert want_chunks > 2 and len(chunks) != want_chunks
+    assert 0 < want_calls < a.n_cols
     assert got == want and calls == want_calls
-    assert len(chunks) == len(want_chunks)
-    assert all(np.array_equal(g, w) for g, w in zip(chunks, want_chunks))
+
+
+def circulant_selection_problem(n=40):
+    """A problem whose ranked columns all count 13 entries in a sweep, and
+    whose even columns alone hold more than 4 positions.
+
+    A has entries on the offsets 0, 1 and 3 below the diagonal, cyclically,
+    and column j's W set is {j, j + 2}, so A_j has 6 entries on the 5
+    active rows j + {0, 1, 2, 3, 5}.  Each candidate has 8 rows, so a column
+    counts 6 + min(8, 6 + 1) = 13 entries.  An even column's candidate
+    holds all 5 active rows, an odd column's only j, j + 1 and j + 2.
+    """
+    rng = np.random.default_rng(31)
+    j = np.arange(n)
+    off = np.array([0, 1, 3])
+    rows, cols = ((j[:, None] + off) % n).ravel(), j.repeat(len(off))
+    a = SparseMatrix.from_coo(n, n, rows, cols, rng.uniform(1.0, 2.0, len(rows)))
+    wp = SubspacePattern(n, [np.sort([c, (c + 2) % n]) for c in range(n)])
+
+    def candidate(c):  # the rows it holds, then rows off A_j's up to 8 in all
+        on = [0, 1, 2, 3, 5] if c % 2 == 0 else [0, 1, 2]
+        return np.sort((c + np.array(on + list(range(10, 18 - len(on))))) % n)
+
+    return a, wp, SubspacePattern(n, [candidate(c) for c in range(n)])
+
+
+def test_selection_factors_only_runs_with_a_choice_in_one_chunk(monkeypatch):
+    # a run per column and one chunk for all: the selection builds one
+    # chunk and factors just the columns that have a choice
+    a, wp, cand = circulant_selection_problem()
+    k_v = 4
+    monkeypatch.setattr(patterns, "_SELECT_ENTRIES", 13)
+    monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", 10 ** 12)
+    chunks = []
+    real = patterns.column_chunks
+    monkeypatch.setattr(patterns, "column_chunks",
+                        lambda *args, **kw: (chunks.append(ch) or ch for ch in real(*args, **kw)))
+    got, calls = _counting_qr(monkeypatch, a, wp, cand, k_v)
+    [ch] = chunks
+    assert np.array_equal(ch.offset, 13 * np.arange(a.n_cols))
+    held = np.bincount(ch.v_col, minlength=len(ch.cols))
+    assert np.array_equal(held, np.where(ch.cols % 2 == 0, 5, 3))
+    assert calls == np.count_nonzero(held > k_v) == a.n_cols // 2
+    assert got == select_v_pattern_reference(a, wp, cand, k_v)
+
+
+@pytest.mark.parametrize("k_v", [1, 3, 8])
+def test_selection_with_runs_across_chunk_boundaries(monkeypatch, k_v):
+    # budgets that are not multiples of each other cut runs at the chunks'
+    # ends; each part is decided on its own, and no column's result moves
+    a, wp, cand, size = sweep_problem(23)
+    monkeypatch.setattr(patterns, "_SELECT_ENTRIES", 3 * size)
+    monkeypatch.setattr(sparse, "_SWEEP_ENTRIES", 7 * size)
+    assert select_v_pattern(a, wp, cand, k_v) == select_v_pattern_reference(a, wp, cand, k_v)
