@@ -4,13 +4,13 @@ The factor V lives in a block-diagonal or block-upper-triangular subspace.
 Its diagonal blocks are factored as stacks of equally sized blocks; each
 block's inverse is built once from its LU, the LU's nonzeros are counted
 for ``rho`` and only the inverses are kept, in one list of the levels of
-the blocks' DAG.  A solve walks that list: each level subtracts the
-entries above the blocks that update it, one sum per position, and then
-applies its blocks of each size as one stacked product at their own
-positions.  The same walk serves V^T with the levels reversed.  For
-sparse right-hand sides the same levels are also given as sparse
-matrices: each level's block inverses and the entries above the blocks
-in its columns.  The solver is right-preconditioned BiCGSTAB with the
+the blocks' DAG.  A level holds its indices, its blocks' inverses and
+V's entries above the blocks in its rows and in its columns, nothing of
+length n.  A solve walks that list: each level subtracts at its indices
+the entries that update it, one sum per position, and then applies its
+blocks of each size as one stacked product.  The same walk serves V^T
+with the levels reversed; the V0 walk of the patterns stage reads the
+same levels.  The solver is right-preconditioned BiCGSTAB with the
 usual breakdown safeguards; convergence is declared when the recurrence
 residual has dropped by the requested factor, and a true-residual check
 is recorded alongside.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import lu_factor_stack, lu_solve_stack
-from .sparse import SparseMatrix, _require_integer, _spmv_transpose, spmv
+from .sparse import _col_ptr, _require_integer, spmv
 
 __all__ = [
     "SingularBlockError",
@@ -78,15 +78,16 @@ class VFactorization:
     """The inverses of V's diagonal blocks and the levels of the walk that
     applies them.
 
-    ``levels`` lists the levels of the block DAG in walk order.  A level is
-    a tuple ``(stacks, into, out_of)``: one ``(pos, inv)`` per block size,
-    the positions of the level's blocks of that size, shape ``(b, k)``, and
-    their inverses, shape ``(b, k, k)``; and V's entries above the blocks
-    in the level's rows (``into``) and in its columns (``out_of``), as n x n
-    :class:`SparseMatrix`.  ``lu_nnz``, which ``rho`` reads, counts the
-    nonzeros of V's assembled LU factors: L with its unit diagonal, U with
-    the entries above the diagonal blocks.  :func:`factor_v` counts it and
-    keeps no LU.
+    ``levels`` lists the levels of the block DAG in walk order, each a tuple
+    ``(pos, stacks, into, out_of)``: the level's indices, ascending; one
+    ``(at, inv)`` per block size, the places in ``pos`` of the level's
+    blocks of that size, shape ``(b, k)``, and their inverses, shape
+    ``(b, k, k)``; and V's entries above the blocks in the level's rows
+    and in its columns, as triplets ``(place in pos, column or row,
+    value)`` in CSC order.  ``lu_nnz``, which ``rho`` reads, counts the
+    nonzeros of V's assembled LU factors, L with its unit diagonal and U
+    with the entries above the blocks; :func:`factor_v` counts it and keeps
+    no LU.
     """
 
     __slots__ = ("blocks", "v", "lu_nnz", "levels")
@@ -106,58 +107,29 @@ class VFactorization:
         ``ValueError``.
 
         The walk goes level by level through the block DAG.  At each level
-        it subtracts from ``x`` the entries above the blocks in the level's
-        rows times the solution so far, one sum per position in CSC order,
-        and applies each stack of the level's equally sized blocks as one
-        product with their inverses.  This walk serves the preconditioner
-        applies; the V0 solves of the patterns stage walk
-        :meth:`sparse_levels` instead.
+        it subtracts from ``x`` at the level's indices the entries above
+        the blocks in the level's rows times the solution so far, one sum
+        per position in CSC order, and applies each stack of the level's
+        equally sized blocks as one product with their inverses.
         """
-        x, z = self._start(x)
-        for stacks, into, _ in self.levels:
-            r = x - spmv(into, z)
-            for pos, inv in stacks:
-                z[pos, None] = inv @ r[pos, None]
-        return z
+        return self._walk(x, False)
 
     def solve_transpose(self, x):
         """Solve ``V.T z = x``: the walk of :meth:`solve`, levels reversed,
         with the entries above the blocks in each level's columns."""
-        x, z = self._start(x)
-        for stacks, _, out_of in reversed(self.levels):
-            r = x - _spmv_transpose(out_of, z)
-            for pos, inv in stacks:
-                z[pos, None] = np.swapaxes(inv, 1, 2) @ r[pos, None]
-        return z
+        return self._walk(x, True)
 
-    def _start(self, x):
+    def _walk(self, x, transpose):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError("dimension mismatch")
-        return x, np.zeros(self.n)
-
-    def sparse_levels(self):
-        """The levels of the walk as sparse matrices, in walk order.
-
-        Yields ``(at, inv, out_of)`` per level: the mask of the level's
-        indices, the inverses of its diagonal blocks without exact zeros
-        as an n x n :class:`SparseMatrix`, and the level's ``out_of``.  A V
-        that couples no blocks has one level, whose ``inv`` is V^{-1} and
-        whose ``out_of`` is empty.
-        """
-        n = self.n
-        for stacks, _, out_of in self.levels:
-            at = np.zeros(n, dtype=bool)
-            keys, vals = [], []
-            for pos, inv in stacks:
-                at[pos] = True
-                # column by column, so each block's keys ascend
-                keys.append((pos[:, :, None] * n + pos[:, None, :]).ravel())
-                vals.append(np.swapaxes(inv, 1, 2).ravel())
-            keys, vals = np.concatenate(keys), np.concatenate(vals)
-            order = np.argsort(keys, kind="stable")  # fast on ascending runs
-            order = order[vals[order] != 0.0]
-            yield at, SparseMatrix.from_keys(n, n, keys[order], vals[order]), out_of
+        z = np.zeros(self.n)
+        for pos, stacks, into, out_of in reversed(self.levels) if transpose else self.levels:
+            here, other, vals = out_of if transpose else into
+            r = x[pos] - np.bincount(here, weights=vals * z[other], minlength=len(pos))
+            for at, inv in stacks:
+                z[pos[at], None] = (np.swapaxes(inv, 1, 2) if transpose else inv) @ r[at, None]
+        return z
 
 
 def _block_levels(blocks, inverses, above):
@@ -166,29 +138,44 @@ def _block_levels(blocks, inverses, above):
     The entries of ``above``, V's entries above its diagonal blocks, couple
     blocks: solving block ``block_of[c]`` updates block ``block_of[r]``.
     A block's level is one more than the level of any block whose solve
-    updates it, so the blocks of one level do not touch.  ``inverses``
-    holds one ``(members, inv)`` per block size: the block numbers,
-    ascending, and their inverses.
+    updates it, so the blocks of one level do not touch.  An update goes
+    to an earlier block, so one pass over the couplings in descending
+    source order reads each source's level only once it is final.
+    ``inverses`` holds one ``(members, inv)`` per block size: the block
+    numbers, ascending, and their inverses.
     """
     block_of = blocks.block_of()
-    src, dst = block_of[above._entry_columns()], block_of[above.row_idx]
-    level = np.zeros(blocks.n_blocks, dtype=np.int64)
-    while len(src):  # longest path from the blocks nothing updates
-        deeper = level.copy()
-        np.maximum.at(deeper, dst, level[src] + 1)
-        if np.array_equal(deeper, level):
-            break
-        level = deeper
+    cols, rows = above._entry_columns(), above.row_idx
+    src, dst = block_of[cols], block_of[rows]
+    n_blocks = blocks.n_blocks
+    level = [0] * n_blocks
+    for edge in np.unique(src * n_blocks + dst)[::-1].tolist():
+        s, d = divmod(edge, n_blocks)
+        level[d] = max(level[d], level[s] + 1)
+    level = np.array(level, dtype=np.int64)
+    count = int(level.max()) + 1
+    positions = _by_level(level[block_of], count, np.arange(blocks.n))
+    local = np.empty(blocks.n, dtype=np.int64)  # each index's place in its level
+    for (pos,) in positions:
+        local[pos] = np.arange(len(pos))
+    stacks = [[] for _ in range(count)]
     lo = blocks.block_bounds[:-1]
-    levels = []
-    for lev in range(int(level.max()) + 1):
-        stacks = []
-        for members, inv in inverses:
-            at = level[members] == lev
-            if at.any():
-                stacks.append((lo[members[at], None] + np.arange(inv.shape[1]), inv[at]))
-        levels.append((stacks, above.masked(level[dst] == lev), above.masked(level[src] == lev)))
-    return levels
+    for members, inv in inverses:
+        for lev, (start, inv_l) in enumerate(_by_level(level[members], count, lo[members], inv)):
+            if len(start):
+                stacks[lev].append((local[start[:, None] + np.arange(inv.shape[1])], inv_l))
+    into = _by_level(level[dst], count, local[rows], cols, above.values)
+    out_of = _by_level(level[src], count, local[cols], rows, above.values)
+    return [(pos, *parts) for (pos,), *parts in zip(positions, stacks, into, out_of)]
+
+
+def _by_level(level, count, *arrays):
+    """Per level ``0 .. count - 1``, the slices of ``arrays`` at the items
+    whose ``level`` it is, in their order."""
+    order = np.argsort(level, kind="stable")
+    ptr = _col_ptr(level, count)
+    arrays = [a[order] for a in arrays]
+    return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip(ptr[:-1], ptr[1:])]
 
 
 def factor_v(v, blocks, shape):

@@ -9,9 +9,9 @@ the norms of the corresponding columns of Q_j^T.
 Both W constructions run as index passes over whole sparse matrices,
 summing in the order a per-column loop would.  S is formed by one V0
 solve per :func:`neumann_pattern`, a sparse walk over V0's block levels
-(:meth:`~diafact.krylov.VFactorization.sparse_levels`) that drops as it
-goes and applies the initial drop at the end; with one level it is one
-sparse product of V0's inverse with (I - P_{V0})A.  A column's solution
+(:attr:`~diafact.krylov.VFactorization.levels`) that drops as it goes and
+applies the initial drop at the end; with one level it is one sparse
+product of V0's inverse with (I - P_{V0})A.  A column's solution
 does not depend on the other columns.  The V selection reads the blocks
 A_j from the chunked column sweep of :func:`~diafact.sparse.column_chunks`,
 which orders the columns by block width for it as for the factor sweeps.  A
@@ -135,14 +135,29 @@ class _V0Solver:
     V0 is factored by :func:`factor_v` as block upper triangular under the
     given blocks, or under blocks of one when ``blocks`` is None, so the
     singular blocks (or the zeros on the diagonal) raise one
-    :class:`~diafact.krylov.SingularBlockError` naming them all.  The
-    levels of its walk are kept as sparse matrices.
+    :class:`~diafact.krylov.SingularBlockError` naming them all.  A level
+    of its walk keeps its m indices, its block inverses as an m x m matrix
+    and the entries above them in its columns as an n x m one; each index's
+    level and place there are kept once.
     """
 
     def __init__(self, v0, blocks):
+        n = v0.n_cols
         if blocks is None:
-            blocks = BlockStructure(np.arange(v0.n_cols + 1))
-        self._levels = list(factor_v(v0, blocks, "block-upper-triangular").sparse_levels())
+            blocks = BlockStructure(np.arange(n + 1))
+        self._level, self._local = np.empty((2, n), dtype=np.int64)
+        self._levels = []
+        vf = factor_v(v0, blocks, "block-upper-triangular")
+        for lev, (pos, stacks, _, (cols, rows, vals)) in enumerate(vf.levels):
+            m = len(pos)
+            self._level[pos], self._local[pos] = lev, np.arange(m)
+            # column by column, so each block's keys ascend
+            keys = np.concatenate([(at[:, :, None] * m + at[:, None, :]).ravel() for at, _ in stacks])
+            inv_vals = np.concatenate([np.swapaxes(inv, 1, 2).ravel() for _, inv in stacks])
+            order = np.argsort(keys, kind="stable")  # fast on ascending runs
+            order = order[inv_vals[order] != 0.0]
+            self._levels.append((pos, SparseMatrix.from_keys(m, m, keys[order], inv_vals[order]),
+                                 SparseMatrix.from_keys(n, m, cols * n + rows, vals)))
 
     def solve_sparse(self, c, rule):
         """S = ``V0^{-1} c`` for a sparse matrix ``c``, by one sparse walk
@@ -156,28 +171,32 @@ class _V0Solver:
         diagonal kept.  On the last level ``rule`` makes that drop, so with
         one level S is V0^{-1} c, dropped.
         """
-        *coupling, (_, inv, _) = self._levels
         n, width = c.shape
         peak = np.zeros(width)  # each column's largest magnitude so far
         parts = []
-        for at, inv_l, above in coupling:
-            here = at[c.row_idx]
-            x = sparse_product(inv_l, c.masked(here))
-            cols, mag = x._entry_columns(), np.abs(x.values)
-            np.maximum.at(peak, cols, mag)
-            x = x.masked((mag >= rule.tau * peak[cols]) | (x.row_idx == cols))
-            parts.append(x)
-            rest, update = c.masked(~here), sparse_product(above, x)
-            c = SparseMatrix.from_keys(n, width, *merge_sum(
-                np.concatenate([rest.entry_keys(), update.entry_keys()]),
-                np.concatenate([rest.values, -update.values])))
-        s = sparse_product(inv, c)
-        if parts:  # the levels' rows are disjoint, so this sum only sorts
-            parts.append(s)
+        for lev, (pos, inv, above) in enumerate(self._levels):
+            here = self._level[c.row_idx] == lev
+            x = sparse_product(inv, _renumbered(c.masked(here), self._local, len(pos)))
+            if above.nnz:  # every level but the last updates a later one
+                cols, mag = x._entry_columns(), np.abs(x.values)
+                np.maximum.at(peak, cols, mag)
+                x = x.masked((mag >= rule.tau * peak[cols]) | (pos[x.row_idx] == cols))
+                rest, update = c.masked(~here), sparse_product(above, x)
+                c = SparseMatrix.from_keys(n, width, *merge_sum(
+                    np.concatenate([rest.entry_keys(), update.entry_keys()]),
+                    np.concatenate([rest.values, -update.values])))
+            parts.append(_renumbered(x, pos, n))
+        s = parts[0]
+        if len(parts) > 1:  # the levels' rows are disjoint, so this sum only sorts
             s = SparseMatrix.from_keys(n, width, *merge_sum(
                 np.concatenate([x.entry_keys() for x in parts]),
                 np.concatenate([x.values for x in parts])))
         return _drop_columns(s, rule)
+
+
+def _renumbered(m, rows, n_rows):
+    """``m`` with row ``i`` moved to ``rows[i]`` of ``n_rows``, an ascending map."""
+    return SparseMatrix(n_rows, m.n_cols, m.col_ptr, rows[m.row_idx], m.values, validate=False)
 
 
 def _check_v0(v0_pattern, blocks):

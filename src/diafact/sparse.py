@@ -805,15 +805,6 @@ def spmv(a, x):
     return np.bincount(a.row_idx, weights=contrib, minlength=a.n_rows)
 
 
-def _spmv_transpose(a, x):
-    """Dense product ``a.T @ x`` for a vector ``x`` of length ``a.n_rows``,
-    each column's entries summed in storage order."""
-    if a.nnz == 0:
-        return np.zeros(a.n_cols)
-    contrib = a.values * x[a.row_idx]
-    return np.bincount(a._entry_columns(), weights=contrib, minlength=a.n_cols)
-
-
 def _col_ptr(cols, n_cols):
     """CSC column offsets of entries whose sorted column indices are ``cols``."""
     col_ptr = np.zeros(n_cols + 1, dtype=np.int64)

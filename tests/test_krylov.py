@@ -10,10 +10,11 @@ from diafact.krylov import (
     cond_estimate,
     factor_v,
 )
+from diafact.patterns import _V0Solver
 from diafact.preprocess import BlockStructure
 from diafact.sparse import SparseMatrix, SubspacePattern, sparse_product, spmv
 
-from helpers import lu_factor_reference, random_pattern, random_sparse
+from helpers import block_levels_reference, lu_factor_reference, random_pattern, random_sparse
 
 
 def block_upper_matrix(rng, bounds):
@@ -160,13 +161,13 @@ class TestFactorV:
         block_of = vf.blocks.block_of()
         assert len(vf.levels) == 3
         seen, lu_nnz = [], 14 + np.count_nonzero(d[block_of[:, None] < block_of])
-        for stacks, _, _ in vf.levels:
-            for pos, inv in stacks:
-                for at, got in zip(pos, inv):
-                    ref = lu_factor_reference(d[np.ix_(at, at)])
-                    assert np.array_equal(got, lu_solve(ref, np.eye(len(at))))
+        for pos, stacks, _, _ in vf.levels:
+            for at, inv in stacks:
+                for idx, got in zip(pos[at], inv):
+                    ref = lu_factor_reference(d[np.ix_(idx, idx)])
+                    assert np.array_equal(got, lu_solve(ref, np.eye(len(idx))))
                     lu_nnz += np.count_nonzero(ref[0])
-                    seen.append(int(block_of[at[0]]))
+                    seen.append(int(block_of[idx[0]]))
         assert sorted(seen) == [0, 1, 2]
         assert vf.lu_nnz == lu_nnz
 
@@ -240,9 +241,8 @@ class TestFactorV:
         n = bounds[-1]
         v = block_upper_matrix(rng, bounds)
         v = v.masked(v.row_idx >= np.repeat(bounds[:-1], np.diff(bounds))[v._entry_columns()])
-        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
-        (at, inv, above), = vf.sparse_levels()  # one level
-        assert at.all() and above.nnz == 0
+        (pos, inv, above), = _V0Solver(v, BlockStructure(bounds))._levels  # one level
+        assert np.array_equal(pos, np.arange(n)) and above.nnz == 0
         dense = rng.standard_normal((n, 9)) * (rng.random((n, 9)) < 0.3)
         dense[:, 4] = 0.0  # an empty column
         c = SparseMatrix.from_dense(dense)
@@ -264,25 +264,69 @@ class TestFactorV:
         bounds = [0, 3, 7, 10, 13, 18, 21, 25]
         v = block_upper_matrix(rng, bounds)
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
-        levels = list(vf.sparse_levels())
-        assert len(levels) == len(vf.levels) >= 3
-        # the masks partition the indices, the above-block parts V's entries above its blocks
-        assert np.array_equal(sum(at.astype(int) for at, _, _ in levels), np.ones(25))
+        solver = _V0Solver(v, BlockStructure(bounds))
+        assert len(solver._levels) == len(vf.levels) >= 3
+        # the levels partition the indices as the loop reference levels the
+        # blocks; their into and out_of parts each hold V's entries above its
+        # blocks, in CSC order within a level
+        d = v.to_dense()
+        level = np.repeat(block_levels_reference(d, bounds), np.diff(bounds))
+        assert np.array_equal(np.concatenate([pos for pos, *_ in vf.levels]),
+                              np.argsort(level, kind="stable"))
+        assert np.array_equal(np.sort(level), np.repeat(np.arange(len(vf.levels)),
+                                                         [len(pos) for pos, *_ in vf.levels]))
         block_of = vf.blocks.block_of()
         cols = v._entry_columns()
         want = v.entry_keys()[block_of[v.row_idx] < block_of[cols]]
-        keys = np.concatenate([above.entry_keys() for _, _, above in levels])
-        assert np.array_equal(np.sort(keys), want)
-        d = v.to_dense()
-        for at, inv, above in levels:
-            # a level's columns hold its block inverses and the entries above them
-            assert np.all(at[inv._entry_columns()]) and np.all(at[inv.row_idx])
-            assert np.all(at[above._entry_columns()]) and not np.any(at[above.row_idx])
-            for b in np.unique(block_of[at]):
-                lo, hi = bounds[b], bounds[b + 1]
-                want_inv = np.linalg.inv(d[lo:hi, lo:hi])
-                assert np.allclose(inv.to_dense()[lo:hi, lo:hi], want_inv, rtol=1e-12, atol=1e-12)
-            assert np.array_equal(above.values, d[above.row_idx, above._entry_columns()])
+        into_keys, out_keys = [], []
+        for pos, _, (here, col, val), (there, row, val_t) in vf.levels:
+            assert np.all(np.diff(pos) > 0)
+            into_keys.append(col * 25 + pos[here])
+            out_keys.append(pos[there] * 25 + row)
+            assert np.all(np.diff(into_keys[-1]) > 0) and np.all(np.diff(out_keys[-1]) > 0)
+            assert np.array_equal(val, d[pos[here], col])
+            assert np.array_equal(val_t, d[row, pos[there]])
+        for keys in (into_keys, out_keys):
+            assert np.array_equal(np.sort(np.concatenate(keys)), want)
+        for (pos, stacks, *_), (same, inv, above) in zip(vf.levels, solver._levels):
+            # the stacks cover the level; the V0 walk keeps its block
+            # inverses in the level's numbering, and the entries above them
+            # in its columns, whose rows lie outside the level
+            m = len(pos)
+            assert np.array_equal(np.sort(np.concatenate([at.ravel() for at, _ in stacks])),
+                                  np.arange(m))
+            assert np.array_equal(same, pos) and inv.shape == (m, m) and above.shape == (25, m)
+            want_inv = np.zeros((m, m))
+            for b in np.unique(block_of[pos]):
+                at = np.flatnonzero(block_of[pos] == b)
+                want_inv[np.ix_(at, at)] = np.linalg.inv(d[np.ix_(pos[at], pos[at])])
+            assert np.allclose(inv.to_dense(), want_inv, rtol=1e-12, atol=1e-12)
+            assert not np.isin(above.row_idx, pos).any()
+            assert np.array_equal(above.to_dense(), np.where(
+                block_of[:, None] < block_of[pos], d[:, pos], 0.0))
+
+    def test_levels_hold_their_own_entries(self):
+        # a chain of 300 blocks of one, one level each: the levels of the V
+        # walk and of the V0 walk hold O(n + nnz(V)) values in all, not n
+        # per level
+        n = 300
+        d = 2.0 * np.eye(n) + np.eye(n, k=1)
+        v, blocks = SparseMatrix.from_dense(d), BlockStructure(np.arange(n + 1))
+        vf = factor_v(v, blocks, "block-upper-triangular")
+        assert len(vf.levels) == n
+
+        def held(x):
+            if isinstance(x, np.ndarray):
+                return x.size
+            if isinstance(x, SparseMatrix):
+                return held((x.col_ptr, x.row_idx, x.values))
+            return sum(held(y) for y in x)
+
+        assert held(vf.levels) <= 8 * (n + v.nnz)
+        assert held(_V0Solver(v, blocks)._levels) <= 8 * (n + v.nnz)
+        x = np.random.default_rng(12).standard_normal(n)
+        assert np.allclose(vf.solve(x), np.linalg.solve(d, x), rtol=1e-12, atol=1e-12)
+        assert np.allclose(vf.solve_transpose(x), np.linalg.solve(d.T, x), rtol=1e-12, atol=1e-12)
 
     def test_inverse_of_an_uncoupled_v(self):
         rng = np.random.default_rng(10)
@@ -292,8 +336,7 @@ class TestFactorV:
         lo = np.repeat(bounds[:-1], np.diff(bounds))[cols]
         diagonal = (cols >= 3) & (cols < 7)  # a block whose inverse holds exact zeros
         v = v.masked((v.row_idx >= lo) & (~diagonal | (v.row_idx == cols)))
-        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
-        (_, inv, _), = vf.sparse_levels()  # one level
+        (_, inv, _), = _V0Solver(v, BlockStructure(bounds))._levels  # one level
         want = np.linalg.inv(v.to_dense())
         assert inv.shape == (25, 25) and np.all(inv.values != 0.0)
         assert np.array_equal(inv.to_dense() != 0.0, want != 0.0)

@@ -23,7 +23,7 @@ _spec.loader.exec_module(output_hashes)
 
 def test_one_line_per_run_that_follows_the_outputs(tmp_path, monkeypatch):
     runs = list(output_hashes.runs(harness))
-    assert len(runs) == 42 and len({label for label, *_ in runs}) == 42
+    assert len(runs) == 43 and len({label for label, *_ in runs}) == 43
     label = runs[0][0]
     line = output_hashes.run_line(bench, matgen, oracle, *runs[0], tmp_path)
     assert line.startswith(f"{label} converged its=")

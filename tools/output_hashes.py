@@ -6,8 +6,9 @@ Run from the root of a checkout; it imports the ``diafact`` sources and the
 ``benchmarks/`` modules of that checkout, and changes neither.  The runs
 are the benchmark matrices (each workload of ``benchmarks/harness.py``,
 seeds 2 and 1000, ``generate([seed, k])`` for k = 0 ... 5, with the
-workload's configuration) and two stabilized diaf-q configurations on the
-first three ``cd2d-q-diag`` matrices of seed 2, which no workload runs.
+workload's configuration), two stabilized diaf-q configurations on the
+first three ``cd2d-q-diag`` matrices of seed 2, and one 60 x 60 grid whose
+V0 and V walks have 72 levels; no workload runs these last three.
 
 Each line names a run, its status and iterations, and a hash of W and V
 (keys and values), both patterns' keys, the column residuals, the flagged
@@ -34,6 +35,8 @@ STABILIZED = {
                                    stab_threshold=0.9),
 }
 STABILIZED_MATRICES = 3
+# the deep walks: diaf-s with block-upper V on convection_diffusion_2d(60, [2, 0])
+DEEP = dict(method="diaf-s", v_shape="block-upper", k_v=10, max_block=50)
 
 
 def runs(harness):
@@ -46,6 +49,11 @@ def runs(harness):
     for name, config in STABILIZED.items():
         for k in range(STABILIZED_MATRICES):
             yield f"{name} seed=2 k={k}", generate, [2, k], config
+
+    def deep(seed):
+        return harness.matgen.convection_diffusion_2d(60, seed)
+
+    yield "cd2d-60-s-upper seed=2 k=0", deep, [2, 0], DEEP
 
 
 def run_line(bench, matgen, oracle, label, generate, seed, config, tmp):
