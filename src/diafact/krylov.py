@@ -4,16 +4,17 @@ The factor V lives in a block-diagonal or block-upper-triangular subspace.
 Its diagonal blocks are factored as stacks of equally sized blocks; each
 block's inverse is built once from its LU, the LU's nonzeros are counted
 for ``rho`` and only the inverses are kept, in one list of the levels of
-the blocks' DAG.  A level holds its indices, its blocks' inverses and
-V's entries above the blocks in its rows and in its columns, nothing of
-length n.  A solve walks that list: each level subtracts at its indices
-the entries that update it, one sum per position, and then applies its
-blocks of each size as one stacked product.  The same walk serves V^T
-with the levels reversed; the V0 walk of the patterns stage reads the
-same levels.  The solver is right-preconditioned BiCGSTAB with the
-usual breakdown safeguards; convergence is declared when the recurrence
-residual has dropped by the requested factor, and a true-residual check
-is recorded alongside.
+the blocks' DAG, which no other module reads.  A level holds its indices,
+its blocks' inverses and V's entries above the blocks in its rows and in
+its columns, nothing of length n.  A solve walks that list: each level
+subtracts at its indices the entries that update it, one sum per
+position, and then applies its blocks of each size as one stacked
+product.  The same walk serves V^T with the levels reversed, and a
+sparse walk that drops as it goes forms S from V0 for the patterns stage.
+The solver is right-preconditioned BiCGSTAB with the usual breakdown
+safeguards; convergence is declared when the recurrence residual has
+dropped by the requested factor, and a true-residual check is recorded
+alongside.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import lu_factor_stack, lu_solve_stack
-from .sparse import _col_ptr, _require_integer, spmv
+from .sparse import SparseMatrix, _col_ptr, _require_integer, merge_sum, sparse_product, spmv
 
 __all__ = [
     "SingularBlockError",
@@ -84,10 +85,11 @@ class VFactorization:
     blocks of that size, shape ``(b, k)``, and their inverses, shape
     ``(b, k, k)``; and V's entries above the blocks in the level's rows
     and in its columns, as triplets ``(place in pos, column or row,
-    value)`` in CSC order.  ``lu_nnz``, which ``rho`` reads, counts the
-    nonzeros of V's assembled LU factors, L with its unit diagonal and U
-    with the entries above the blocks; :func:`factor_v` counts it and keeps
-    no LU.
+    value)`` in CSC order; the walks of :meth:`solve`, :meth:`solve_transpose`
+    and :meth:`solve_sparse` read them in place.  ``lu_nnz``, which ``rho``
+    reads, counts the nonzeros of V's assembled LU factors, L with its unit
+    diagonal and U with the entries above the blocks; :func:`factor_v`
+    counts it and keeps no LU.
     """
 
     __slots__ = ("blocks", "v", "lu_nnz", "levels")
@@ -130,6 +132,53 @@ class VFactorization:
             for at, inv in stacks:
                 z[pos[at], None] = (np.swapaxes(inv, 1, 2) if transpose else inv) @ r[at, None]
         return z
+
+    def solve_sparse(self, c, tau):
+        """``V^{-1} c`` for a sparse matrix ``c`` by a sparse walk over the
+        levels.  A level's X is one :func:`sparse_product` of its block
+        inverses, made sparse when the walk reaches it, with its rows of
+        ``c``.  Before X updates the later levels, its entries below ``tau``
+        times the column's largest magnitude so far go, the diagonal kept;
+        the last level drops nothing.  Columns are solved independently."""
+        n, width = c.shape
+        if n != self.n:
+            raise ValueError("dimension mismatch")
+        level, local = np.empty((2, n), dtype=np.int64)  # each index's level and place there
+        for lev, (pos, *_) in enumerate(self.levels):
+            level[pos], local[pos] = lev, np.arange(len(pos))
+        peak = np.zeros(width)  # each column's largest magnitude so far
+        parts = []
+        for lev, (pos, stacks, _, (there, rows, above)) in enumerate(self.levels):
+            here = level[c.row_idx] == lev
+            mine = c.masked(here)
+            x = sparse_product(_sparse_inverse(len(pos), stacks), SparseMatrix(
+                len(pos), width, mine.col_ptr, local[mine.row_idx], mine.values, validate=False))
+            if len(there):  # every level but the last updates a later one
+                cols, mag = x._entry_columns(), np.abs(x.values)
+                np.maximum.at(peak, cols, mag)
+                x = x.masked((mag >= tau * peak[cols]) | (pos[x.row_idx] == cols))
+                update = sparse_product(SparseMatrix.from_keys(n, len(pos), there * n + rows, above), x)
+                rest = c.masked(~here)
+                c = SparseMatrix.from_keys(n, width, *merge_sum(
+                    np.concatenate([rest.entry_keys(), update.entry_keys()]),
+                    np.concatenate([rest.values, -update.values])))
+            parts.append(SparseMatrix(n, width, x.col_ptr, pos[x.row_idx], x.values, validate=False))
+        if len(parts) == 1:
+            return parts[0]
+        keys = np.concatenate([x.entry_keys() for x in parts])
+        order = np.argsort(keys, kind="stable")  # the levels' rows are disjoint: only sort
+        vals = np.concatenate([x.values for x in parts])
+        return SparseMatrix.from_keys(n, width, keys[order], vals[order])
+
+
+def _sparse_inverse(m, stacks):
+    """A level's block inverses as one sparse m x m matrix, no zeros stored."""
+    # column by column, so each block's keys ascend
+    keys = np.concatenate([(at[:, :, None] * m + at[:, None, :]).ravel() for at, _ in stacks])
+    vals = np.concatenate([np.swapaxes(inv, 1, 2).ravel() for _, inv in stacks])
+    order = np.argsort(keys, kind="stable")  # fast on ascending runs
+    order = order[vals[order] != 0.0]
+    return SparseMatrix.from_keys(m, m, keys[order], vals[order])
 
 
 def _block_levels(blocks, inverses, above):

@@ -7,12 +7,10 @@ is then selected greedily per column by scoring admissible positions with
 the norms of the corresponding columns of Q_j^T.
 
 Both W constructions run as index passes over whole sparse matrices,
-summing in the order a per-column loop would.  S is formed by one V0
-solve per :func:`neumann_pattern`, a sparse walk over V0's block levels
-(:attr:`~diafact.krylov.VFactorization.levels`) that drops as it goes and
-applies the initial drop at the end; with one level it is one sparse
-product of V0's inverse with (I - P_{V0})A.  A column's solution
-does not depend on the other columns.  The V selection reads the blocks
+summing in the order a per-column loop would.  S is formed by one sparse
+V0 walk per :func:`neumann_pattern`
+(:meth:`~diafact.krylov.VFactorization.solve_sparse`), which drops as it
+goes, then cut by the initial drop.  The V selection reads the blocks
 A_j from the chunked column sweep of :func:`~diafact.sparse.column_chunks`,
 which orders the columns by block width for it as for the factor sweeps.  A
 chunk holds only the candidates on its blocks' active rows, plus the
@@ -135,68 +133,20 @@ class _V0Solver:
     V0 is factored by :func:`factor_v` as block upper triangular under the
     given blocks, or under blocks of one when ``blocks`` is None, so the
     singular blocks (or the zeros on the diagonal) raise one
-    :class:`~diafact.krylov.SingularBlockError` naming them all.  A level
-    of its walk keeps its m indices, its block inverses as an m x m matrix
-    and the entries above them in its columns as an n x m one; each index's
-    level and place there are kept once.
+    :class:`~diafact.krylov.SingularBlockError` naming them all.  The
+    factorization is all it keeps; its levels are walked by
+    :meth:`~diafact.krylov.VFactorization.solve_sparse`.
     """
 
     def __init__(self, v0, blocks):
-        n = v0.n_cols
         if blocks is None:
-            blocks = BlockStructure(np.arange(n + 1))
-        self._level, self._local = np.empty((2, n), dtype=np.int64)
-        self._levels = []
-        vf = factor_v(v0, blocks, "block-upper-triangular")
-        for lev, (pos, stacks, _, (cols, rows, vals)) in enumerate(vf.levels):
-            m = len(pos)
-            self._level[pos], self._local[pos] = lev, np.arange(m)
-            # column by column, so each block's keys ascend
-            keys = np.concatenate([(at[:, :, None] * m + at[:, None, :]).ravel() for at, _ in stacks])
-            inv_vals = np.concatenate([np.swapaxes(inv, 1, 2).ravel() for _, inv in stacks])
-            order = np.argsort(keys, kind="stable")  # fast on ascending runs
-            order = order[inv_vals[order] != 0.0]
-            self._levels.append((pos, SparseMatrix.from_keys(m, m, keys[order], inv_vals[order]),
-                                 SparseMatrix.from_keys(n, m, cols * n + rows, vals)))
+            blocks = BlockStructure(np.arange(v0.n_cols + 1))
+        self._vf = factor_v(v0, blocks, "block-upper-triangular")
 
     def solve_sparse(self, c, rule):
-        """S = ``V0^{-1} c`` for a sparse matrix ``c``, by one sparse walk
-        over V0's levels, with the :class:`DropRule` ``rule`` applied to
-        each column.
-
-        A level's X is one :func:`sparse_product` of its block inverses with
-        its rows of ``c``.  Before X updates the later levels (``c`` less
-        V0's entries above the blocks times X), the entries of X below
-        ``rule.tau`` times the column's largest magnitude so far go, the
-        diagonal kept.  On the last level ``rule`` makes that drop, so with
-        one level S is V0^{-1} c, dropped.
-        """
-        n, width = c.shape
-        peak = np.zeros(width)  # each column's largest magnitude so far
-        parts = []
-        for lev, (pos, inv, above) in enumerate(self._levels):
-            here = self._level[c.row_idx] == lev
-            x = sparse_product(inv, _renumbered(c.masked(here), self._local, len(pos)))
-            if above.nnz:  # every level but the last updates a later one
-                cols, mag = x._entry_columns(), np.abs(x.values)
-                np.maximum.at(peak, cols, mag)
-                x = x.masked((mag >= rule.tau * peak[cols]) | (pos[x.row_idx] == cols))
-                rest, update = c.masked(~here), sparse_product(above, x)
-                c = SparseMatrix.from_keys(n, width, *merge_sum(
-                    np.concatenate([rest.entry_keys(), update.entry_keys()]),
-                    np.concatenate([rest.values, -update.values])))
-            parts.append(_renumbered(x, pos, n))
-        s = parts[0]
-        if len(parts) > 1:  # the levels' rows are disjoint, so this sum only sorts
-            s = SparseMatrix.from_keys(n, width, *merge_sum(
-                np.concatenate([x.entry_keys() for x in parts]),
-                np.concatenate([x.values for x in parts])))
-        return _drop_columns(s, rule)
-
-
-def _renumbered(m, rows, n_rows):
-    """``m`` with row ``i`` moved to ``rows[i]`` of ``n_rows``, an ascending map."""
-    return SparseMatrix(n_rows, m.n_cols, m.col_ptr, rows[m.row_idx], m.values, validate=False)
+        """S = ``V0^{-1} c`` for a sparse matrix ``c`` by V0's sparse walk,
+        which drops by ``rule.tau``, and then ``rule`` on each column."""
+        return _drop_columns(self._vf.solve_sparse(c, rule.tau), rule)
 
 
 def _check_v0(v0_pattern, blocks):

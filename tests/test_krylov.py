@@ -5,6 +5,7 @@ from diafact.factor import diaf_q
 from diafact.kernels import lu_solve
 from diafact.krylov import (
     SingularBlockError,
+    _sparse_inverse,
     apply_right_precond,
     bicgstab,
     cond_estimate,
@@ -12,7 +13,7 @@ from diafact.krylov import (
 )
 from diafact.patterns import _V0Solver
 from diafact.preprocess import BlockStructure
-from diafact.sparse import SparseMatrix, SubspacePattern, sparse_product, spmv
+from diafact.sparse import SparseMatrix, SubspacePattern, spmv
 
 from helpers import block_levels_reference, lu_factor_reference, random_pattern, random_sparse
 
@@ -241,31 +242,31 @@ class TestFactorV:
         n = bounds[-1]
         v = block_upper_matrix(rng, bounds)
         v = v.masked(v.row_idx >= np.repeat(bounds[:-1], np.diff(bounds))[v._entry_columns()])
-        (pos, inv, above), = _V0Solver(v, BlockStructure(bounds))._levels  # one level
-        assert np.array_equal(pos, np.arange(n)) and above.nnz == 0
+        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        (pos, _, _, (there, _, _)), = vf.levels  # one level
+        assert np.array_equal(pos, np.arange(n)) and len(there) == 0
         dense = rng.standard_normal((n, 9)) * (rng.random((n, 9)) < 0.3)
         dense[:, 4] = 0.0  # an empty column
         c = SparseMatrix.from_dense(dense)
-        got = sparse_product(inv, c)
+        got = vf.solve_sparse(c, 0.5)  # one level: nothing is dropped
         assert got.shape == (n, 9) and np.all(got.values != 0.0)
         want = np.linalg.solve(v.to_dense(), dense)
         assert np.array_equal(got.to_dense() != 0.0, want != 0.0)
         assert np.allclose(got.to_dense(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         for j in range(9):  # a column's result does not depend on the others
             rows, vals = c.column(j)
-            alone = sparse_product(inv, SparseMatrix(n, 1, [0, len(rows)], rows, vals))
+            alone = vf.solve_sparse(SparseMatrix(n, 1, [0, len(rows)], rows, vals), 0.5)
             assert np.array_equal(alone.row_idx, got.column(j)[0])
             assert np.array_equal(alone.values, got.column(j)[1])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            sparse_product(inv, SparseMatrix.identity(n + 1))
+            vf.solve_sparse(SparseMatrix.identity(n + 1), 0.5)
 
     def test_sparse_levels_of_a_coupled_v(self):
         rng = np.random.default_rng(11)
         bounds = [0, 3, 7, 10, 13, 18, 21, 25]
         v = block_upper_matrix(rng, bounds)
         vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
-        solver = _V0Solver(v, BlockStructure(bounds))
-        assert len(solver._levels) == len(vf.levels) >= 3
+        assert len(vf.levels) >= 3
         # the levels partition the indices as the loop reference levels the
         # blocks; their into and out_of parts each hold V's entries above its
         # blocks, in CSC order within a level
@@ -288,27 +289,29 @@ class TestFactorV:
             assert np.array_equal(val_t, d[row, pos[there]])
         for keys in (into_keys, out_keys):
             assert np.array_equal(np.sort(np.concatenate(keys)), want)
-        for (pos, stacks, *_), (same, inv, above) in zip(vf.levels, solver._levels):
-            # the stacks cover the level; the V0 walk keeps its block
-            # inverses in the level's numbering, and the entries above them
-            # in its columns, whose rows lie outside the level
+        for pos, stacks, _, (there, row, _) in vf.levels:
+            # the stacks cover the level; the V0 walk makes their inverses
+            # one sparse matrix in the level's numbering, and the entries
+            # above the blocks in the level's columns have their rows
+            # outside the level
             m = len(pos)
             assert np.array_equal(np.sort(np.concatenate([at.ravel() for at, _ in stacks])),
                                   np.arange(m))
-            assert np.array_equal(same, pos) and inv.shape == (m, m) and above.shape == (25, m)
+            inv = _sparse_inverse(m, stacks)
+            assert inv.shape == (m, m) and np.all(inv.values != 0.0)
             want_inv = np.zeros((m, m))
             for b in np.unique(block_of[pos]):
                 at = np.flatnonzero(block_of[pos] == b)
                 want_inv[np.ix_(at, at)] = np.linalg.inv(d[np.ix_(pos[at], pos[at])])
             assert np.allclose(inv.to_dense(), want_inv, rtol=1e-12, atol=1e-12)
-            assert not np.isin(above.row_idx, pos).any()
-            assert np.array_equal(above.to_dense(), np.where(
-                block_of[:, None] < block_of[pos], d[:, pos], 0.0))
+            assert not np.isin(row, pos).any()
+            assert np.all(block_of[row] < block_of[pos[there]])
 
     def test_levels_hold_their_own_entries(self):
-        # a chain of 300 blocks of one, one level each: the levels of the V
-        # walk and of the V0 walk hold O(n + nnz(V)) values in all, not n
-        # per level
+        # a chain of 300 blocks of one, one level each: the levels that the
+        # V walks and the sparse walk read hold O(n + nnz(V)) values in all,
+        # not n per level, and the V0 solver keeps nothing but its
+        # factorization
         n = 300
         d = 2.0 * np.eye(n) + np.eye(n, k=1)
         v, blocks = SparseMatrix.from_dense(d), BlockStructure(np.arange(n + 1))
@@ -323,10 +326,13 @@ class TestFactorV:
             return sum(held(y) for y in x)
 
         assert held(vf.levels) <= 8 * (n + v.nnz)
-        assert held(_V0Solver(v, blocks)._levels) <= 8 * (n + v.nnz)
+        solver = _V0Solver(v, blocks)
+        assert solver.__dict__.keys() == {"_vf"} and held(solver._vf.levels) <= 8 * (n + v.nnz)
         x = np.random.default_rng(12).standard_normal(n)
         assert np.allclose(vf.solve(x), np.linalg.solve(d, x), rtol=1e-12, atol=1e-12)
         assert np.allclose(vf.solve_transpose(x), np.linalg.solve(d.T, x), rtol=1e-12, atol=1e-12)
+        s = vf.solve_sparse(SparseMatrix.from_dense(x[:, None]), 0.0)
+        assert np.allclose(s.to_dense()[:, 0], np.linalg.solve(d, x), rtol=1e-12, atol=1e-12)
 
     def test_inverse_of_an_uncoupled_v(self):
         rng = np.random.default_rng(10)
@@ -336,11 +342,38 @@ class TestFactorV:
         lo = np.repeat(bounds[:-1], np.diff(bounds))[cols]
         diagonal = (cols >= 3) & (cols < 7)  # a block whose inverse holds exact zeros
         v = v.masked((v.row_idx >= lo) & (~diagonal | (v.row_idx == cols)))
-        (_, inv, _), = _V0Solver(v, BlockStructure(bounds))._levels  # one level
+        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        (_, stacks, _, _), = vf.levels  # one level
+        inv = _sparse_inverse(25, stacks)
         want = np.linalg.inv(v.to_dense())
         assert inv.shape == (25, 25) and np.all(inv.values != 0.0)
         assert np.array_equal(inv.to_dense() != 0.0, want != 0.0)
         assert np.allclose(inv.to_dense(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # with one level the sparse walk applies that inverse as it is
+        got = vf.solve_sparse(SparseMatrix.identity(25), 0.0)
+        assert np.array_equal(got.entry_keys(), inv.entry_keys())
+        assert np.array_equal(got.values, inv.values)
+
+    def test_sparse_walk_matches_the_vector_walk(self):
+        # a coupled V of at least 3 levels: with tau = 0 the sparse walk
+        # drops nothing, and each column of it is the vector walk's solve of
+        # that column of c, holding exactly that solve's nonzeros
+        rng = np.random.default_rng(13)
+        bounds = [0, 3, 7, 10, 13, 18, 21, 25]
+        vf = factor_v(block_upper_matrix(rng, bounds), BlockStructure(bounds),
+                      "block-upper-triangular")
+        assert len(vf.levels) >= 3
+        dense = rng.standard_normal((25, 8)) * (rng.random((25, 8)) < 0.2)
+        dense[:, 3] = 0.0  # an empty column
+        dense[:, 5] = 0.0
+        dense[24, 5] = 1.0  # one entry, in the last block
+        got = vf.solve_sparse(SparseMatrix.from_dense(dense), 0.0)
+        assert got.shape == (25, 8)
+        for j in range(8):
+            want = vf.solve(dense[:, j])
+            rows, vals = got.column(j)
+            assert np.array_equal(rows, np.flatnonzero(want))
+            assert np.allclose(vals, want[rows], rtol=1e-12, atol=0.0)
 
 
 class TestApplyPrecond:
