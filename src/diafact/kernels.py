@@ -11,10 +11,12 @@ sweeps call on stacks of equally shaped matrices: diaf-s runs
 width k of its chunk.  :func:`qr_householder` factors one block, once
 per column in diaf-q and in the V selection;
 :func:`svd_small` and :func:`lstsq` are the one-column forms of the sweep's
-stacked SVD and solve, kept for direct use and as references.  The block
-LU of V is stacked the same way: :func:`lu_factor_stack` and
-:func:`lu_solve_stack` work on all equally sized blocks at once, and
-:func:`lu_factor` and :func:`lu_solve` are their one-block case.
+stacked SVD and solve, kept for direct use and as references.  V's
+diagonal blocks are inverted by numpy's LAPACK (:mod:`diafact.krylov`);
+:func:`lu_factor_stack` factors all equally sized blocks at once only to
+count the LU fill that ``rho`` reads.  :func:`lu_solve_stack` solves with
+its factors, and :func:`lu_factor` and :func:`lu_solve` are their
+one-block case, kept as references.
 The blocks are so small that numpy's fixed cost per call outweighs their
 arithmetic, so the kernels keep their numpy calls few: the sign fix reads
 R's diagonal once, and the stacked LU swaps rows only where a pivot moved.

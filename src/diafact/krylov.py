@@ -1,16 +1,18 @@
-"""Applying the preconditioner: block LU of V, BiCGSTAB, condition estimate.
+"""Applying the preconditioner: inverses of V's blocks, BiCGSTAB, condition estimate.
 
 The factor V lives in a block-diagonal or block-upper-triangular subspace.
-Its diagonal blocks are factored as stacks of equally sized blocks; each
-block's inverse is built once from its LU, the LU's nonzeros are counted
-for ``rho`` and only the inverses are kept, in one list of the levels of
-the blocks' DAG, which no other module reads.  A level holds its indices,
-its blocks' inverses and V's entries above the blocks in its rows and in
-its columns, nothing of length n.  A solve walks that list: each level
-subtracts at its indices the entries that update it, one sum per
-position, and then applies its blocks of each size as one stacked
-product.  The same walk serves V^T with the levels reversed, and a
-sparse walk that drops as it goes forms S from V0 for the patterns stage.
+Its diagonal blocks are gathered into stacks of equally sized blocks, and
+each stack is inverted by one call of numpy's LAPACK.  Only the inverses
+are kept, in one list of the levels of the blocks' DAG, which no other
+module reads.  A level holds its indices, its blocks' inverses and V's
+entries above the blocks in its rows and in its columns, nothing of
+length n.  A solve walks that list: each level subtracts at its indices
+the entries that update it, one sum per position, and then applies its
+blocks of each size as one stacked product.  The same walk serves V^T
+with the levels reversed, and a sparse walk that drops as it goes forms S
+from V0 for the patterns stage.  The nonzeros of V's block LU, which
+``rho`` counts, come from the package's own stacked LU, run only when
+they are first read.
 The solver is right-preconditioned BiCGSTAB with the usual breakdown
 safeguards; convergence is declared when the recurrence residual has
 dropped by the requested factor, and a true-residual check is recorded
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import lu_factor_stack, lu_solve_stack
+from .kernels import lu_factor_stack
 from .sparse import SparseMatrix, _col_ptr, _require_integer, merge_sum, sparse_product, spmv
 
 __all__ = [
@@ -86,19 +88,37 @@ class VFactorization:
     ``(b, k, k)``; and V's entries above the blocks in the level's rows
     and in its columns, as triplets ``(place in pos, column or row,
     value)`` in CSC order; the walks of :meth:`solve`, :meth:`solve_transpose`
-    and :meth:`solve_sparse` read them in place.  ``lu_nnz``, which ``rho``
-    reads, counts the nonzeros of V's assembled LU factors, L with its unit
-    diagonal and U with the entries above the blocks; :func:`factor_v`
-    counts it and keeps no LU.
+    and :meth:`solve_sparse` read them in place.  :attr:`lu_nnz` counts
+    V's block LU for ``rho`` on its first read, and :attr:`applied_nnz`
+    counts the values a walk applies.
     """
 
-    __slots__ = ("blocks", "v", "lu_nnz", "levels")
+    __slots__ = ("blocks", "v", "levels", "_lu_nnz")
 
-    def __init__(self, blocks, v, inverses, lu_nnz, above):
+    def __init__(self, blocks, v, inverses, above):
         self.blocks = blocks
         self.v = v
-        self.lu_nnz = lu_nnz
         self.levels = _block_levels(blocks, inverses, above)
+        self._lu_nnz = None
+
+    @property
+    def lu_nnz(self):
+        """The nonzeros of V's assembled LU factors: L with its unit diagonal,
+        U with the entries above the blocks, and the rest of both in the
+        LU that :func:`lu_factor_stack` gives each diagonal block.  Counted
+        on the first read, which factors the blocks once, and then kept."""
+        if self._lu_nnz is None:
+            stacks, side = _diagonal_stacks(self.v, self.blocks)
+            self._lu_nnz = self.blocks.n + int(np.count_nonzero(side > 0)) + sum(
+                int(np.count_nonzero(lu_factor_stack(dense)[0])) for _, dense in stacks)
+        return self._lu_nnz
+
+    @property
+    def applied_nnz(self):
+        """The values a walk applies: ``k**2`` per diagonal block of size k,
+        and V's entries above the blocks."""
+        above = sum(len(into[0]) for _, _, into, _ in self.levels)
+        return int((self.blocks.sizes ** 2).sum()) + above
 
     @property
     def n(self):
@@ -227,53 +247,74 @@ def _by_level(level, count, *arrays):
     return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip(ptr[:-1], ptr[1:])]
 
 
-def factor_v(v, blocks, shape):
-    """Factor V for fast inverse application under the given block shape.
+def _diagonal_stacks(v, blocks):
+    """V's diagonal blocks, gathered in one index pass, and where V's
+    entries lie.
 
-    The diagonal blocks of one size are gathered into one dense stack in
-    one index pass and factored together by :func:`lu_factor_stack`; their
-    inverses are built from that LU, whose nonzeros are counted once for
-    ``rho`` and which is then dropped.  For the block-upper-triangular
-    shape the entries above the diagonal blocks stay sparse for the walk of
-    :meth:`VFactorization.solve`.  Shape errors (an unknown shape,
-    dimensions that disagree, an entry outside the shape) are checked over
-    the whole of V before any block is factored and raise ``ValueError``;
-    then one :class:`SingularBlockError` names every exactly singular block.
+    Returns ``(stacks, side)``: one ``(members, dense)`` per block size,
+    ascending, with the block numbers, ascending, and their dense blocks,
+    shape ``(b, k, k)``; and per entry of V, in CSC order, the sign of its
+    column's block minus its row's block: 0 inside a diagonal block, 1
+    above the blocks, -1 below them.
+    """
+    cols = v._entry_columns()
+    block_of = blocks.block_of()
+    row_block, col_block = block_of[v.row_idx], block_of[cols]
+    side = np.sign(col_block - row_block)
+    lo, sizes = blocks.block_bounds[:-1], blocks.sizes
+    slot = np.empty(blocks.n_blocks, dtype=np.int64)  # each block's place in its stack
+    stacks = []
+    for size in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == size)
+        slot[members] = np.arange(len(members))
+        e = np.flatnonzero((side == 0) & (sizes[col_block] == size))
+        b = col_block[e]
+        dense = np.zeros((len(members), size, size))
+        dense[slot[b], v.row_idx[e] - lo[b], cols[e] - lo[b]] = v.values[e]
+        stacks.append((members, dense))
+    return stacks, side
+
+
+def factor_v(v, blocks, shape):
+    """Invert V's diagonal blocks for fast inverse application under the
+    given block shape.
+
+    The diagonal blocks of one size are gathered into one dense stack and
+    inverted by one ``np.linalg.inv`` call; only the inverses are kept.
+    For the block-upper-triangular shape the entries above the diagonal
+    blocks stay sparse for the walk of :meth:`VFactorization.solve`.
+    Shape errors (an unknown shape, dimensions that disagree, an entry
+    outside the shape) and then a non-finite entry anywhere in V are
+    checked over the whole of V before any block is inverted and raise
+    ``ValueError``.  A block is singular when LAPACK meets an exactly zero
+    pivot in it (a zero sign from ``np.linalg.slogdet``); one
+    :class:`SingularBlockError` names every singular block.
     """
     if shape not in ("block-diagonal", "block-upper-triangular"):
         raise ValueError(f"unknown shape '{shape}'")
     if v.n_rows != v.n_cols or v.n_cols != blocks.n:
         raise ValueError("V and block structure dimensions disagree")
 
-    cols = v._entry_columns()
-    block_of = blocks.block_of()
-    row_block, col_block = block_of[v.row_idx], block_of[cols]
-    above = row_block < col_block
-    outside = (row_block > col_block) | (above & (shape == "block-diagonal"))
+    stacks, side = _diagonal_stacks(v, blocks)
+    above = side > 0
+    outside = (side < 0) | (above & (shape == "block-diagonal"))
     if outside.any():
-        raise ValueError(f"entry outside the {shape} shape in column {cols[outside][0]}")
-    lo, sizes = blocks.block_bounds[:-1], blocks.sizes
-    slot = np.empty(blocks.n_blocks, dtype=np.int64)  # each block's place in its stack
-    stacks, singular = [], []
-    for size in np.unique(sizes).tolist():
-        members = np.flatnonzero(sizes == size)
-        slot[members] = np.arange(len(members))
-        e = np.flatnonzero((row_block == col_block) & (sizes[col_block] == size))
-        b = col_block[e]
-        dense = np.zeros((len(members), size, size))
-        dense[slot[b], v.row_idx[e] - lo[b], cols[e] - lo[b]] = v.values[e]
-        lu, perm, bad = lu_factor_stack(dense)
-        stacks.append((members, lu, perm))
-        singular.extend(members[bad].tolist())
+        raise ValueError(f"entry outside the {shape} shape in column {v._entry_columns()[outside][0]}")
+    bad = ~np.isfinite(v.values)  # LAPACK's inverse would pass NaN on silently
+    if bad.any():
+        raise ValueError(f"non-finite entry of V in column {v._entry_columns()[bad][0]}")
+    inverses, singular = [], []
+    for members, dense in stacks:
+        try:
+            inverses.append((members, np.linalg.inv(dense)))
+        except np.linalg.LinAlgError:
+            zero = np.linalg.slogdet(dense)[0] == 0.0
+            if not zero.any():
+                raise
+            singular.extend(members[zero].tolist())
     if singular:
         raise SingularBlockError(singular)
-    # L's unit diagonal, U's entries above the blocks, and the rest of both in each LU
-    lu_nnz = blocks.n + int(above.sum()) + sum(int(np.count_nonzero(lu)) for _, lu, _ in stacks)
-    inverses = [
-        (members, lu_solve_stack(lu, perm, np.broadcast_to(np.eye(lu.shape[1]), lu.shape)))
-        for members, lu, perm in stacks
-    ]
-    return VFactorization(blocks, v, inverses, lu_nnz, v.masked(above))
+    return VFactorization(blocks, v, inverses, v.masked(above))
 
 
 def apply_right_precond(w, vf, x):

@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diafact.cli as cli
+import diafact.bench as bench
 from diafact.bench import (
     ExperimentConfig,
     ResultRow,
@@ -16,6 +19,7 @@ from diafact.bench import (
     preconditioner_density,
     run_experiment,
 )
+from diafact.krylov import SingularBlockError
 from diafact.sparse import SparseMatrix, write_matrix_market
 
 from helpers import random_sparse
@@ -177,6 +181,52 @@ class TestRunExperiment:
         assert row.min_abs_v_diag == pytest.approx(np.abs(np.diag(pair.v.to_dense())).min())
         assert row.residual_gap is False
         assert row.nrm == pytest.approx(pair.nrm)
+
+    def test_applied_density_counts_what_an_apply_reads(self, synthetic_mtx, monkeypatch):
+        # W's entries, k**2 per diagonal block of V and V's entries above
+        # the blocks, over nz(A); in the row and both reports
+        made = {}
+
+        def capture(name):
+            fn = getattr(bench, name)
+
+            def wrapper(*args):
+                made[name] = fn(*args), args
+                return made[name][0]
+
+            monkeypatch.setattr(bench, name, wrapper)
+
+        capture("diaf_q")
+        capture("factor_v")
+        row = run_experiment(ExperimentConfig(matrix=synthetic_mtx, max_block=15,
+                                              v_shape="block-upper", k_v=5))
+        assert row.status == "converged"
+        w, (v, blocks, _) = made["diaf_q"][0].w, made["factor_v"][1]
+        block_of = blocks.block_of()
+        d = v.to_dense()
+        above = np.count_nonzero(d[block_of[:, None] < block_of])
+        assert above > 0
+        want = (w.nnz + int((blocks.sizes ** 2).sum()) + above) / row.nnz
+        assert row.applied_density == want and row.applied_density > row.rho
+        assert json.loads(emit_report([row], "json"))[0]["applied_density"] == want
+        [csv_row] = csv.DictReader(io.StringIO(emit_report([row], "csv")))
+        assert float(csv_row["applied_density"]) == want
+
+    @pytest.mark.parametrize("seed", [[2, 0], [2, 1], [2, 2], [1000, 0]])
+    def test_singular_block_of_v_stops_in_factor_v(self, tmp_path, seed):
+        # diaf-s with block-diagonal V and k_v = 10 leaves V's block 1
+        # exactly singular on these grids: LAPACK meets a zero pivot
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        try:
+            import matgen
+        finally:
+            sys.path.pop(0)
+        path = tmp_path / "cd2d-12.mtx"
+        matgen.write_matrix_market(matgen.convection_diffusion_2d(12, seed), path)
+        row = run_experiment(ExperimentConfig(matrix=str(path), method="diaf-s",
+                                              v_shape="block-diag", k_v=10))
+        assert (row.status, row.error_stage) == ("error", "factor_v")
+        assert row.error_message == f"SingularBlockError: {SingularBlockError([1])}"
 
     @pytest.mark.parametrize("k_v", [0, 5])
     def test_pattern_sizes_match_recomputation(self, synthetic_mtx, k_v):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import diafact.krylov as krylov
 from diafact.factor import diaf_q
-from diafact.kernels import lu_solve
 from diafact.krylov import (
     SingularBlockError,
     _sparse_inverse,
@@ -11,8 +11,8 @@ from diafact.krylov import (
     cond_estimate,
     factor_v,
 )
-from diafact.patterns import _V0Solver
-from diafact.preprocess import BlockStructure
+from diafact.patterns import DropRule, NeumannConfig, _V0Solver, neumann_pattern
+from diafact.preprocess import BlockStructure, block_pattern
 from diafact.sparse import SparseMatrix, SubspacePattern, spmv
 
 from helpers import block_levels_reference, lu_factor_reference, random_pattern, random_sparse
@@ -151,9 +151,11 @@ class TestFactorV:
         assert np.array_equal(again.solve(x), vf.solve(x))
 
     def test_block_lu_reconstructs_blocks(self):
-        # each block's inverse in the walk's levels is the solve of the
-        # reference LU on the identity; lu_nnz counts that LU, L's unit
-        # diagonal and the entries above the blocks
+        # each block's inverse in the walk's levels is bitwise np.linalg.inv
+        # of that block alone, whatever its stack, and inverts it to within
+        # 1e-14 in the Frobenius norm (the blocks are diagonally dominant);
+        # lu_nnz counts the reference LU, L's unit diagonal and the entries
+        # above the blocks
         rng = np.random.default_rng(1)
         bounds = [0, 5, 9, 14]
         v = block_upper_matrix(rng, bounds)
@@ -165,12 +167,39 @@ class TestFactorV:
         for pos, stacks, _, _ in vf.levels:
             for at, inv in stacks:
                 for idx, got in zip(pos[at], inv):
-                    ref = lu_factor_reference(d[np.ix_(idx, idx)])
-                    assert np.array_equal(got, lu_solve(ref, np.eye(len(idx))))
+                    block = d[np.ix_(idx, idx)]
+                    assert np.array_equal(got, np.linalg.inv(block))
+                    assert np.linalg.norm(got @ block - np.eye(len(idx))) <= 1e-14
+                    ref = lu_factor_reference(block)
                     lu_nnz += np.count_nonzero(ref[0])
                     seen.append(int(block_of[idx[0]]))
         assert sorted(seen) == [0, 1, 2]
         assert vf.lu_nnz == lu_nnz
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(4, 4), (5, 4), (0, 4)])
+    def test_non_finite_entry_rejected(self, at, bad):
+        # in a diagonal block (its diagonal, then below it) and above the
+        # blocks: LAPACK's inverse would return NaN without a word.  V is
+        # built unvalidated, as the factor sweeps assemble it
+        d = np.eye(6) + np.diag(np.full(5, 0.5), 1)
+        d[at] = 1.0
+        v = SparseMatrix.from_dense(d)
+        values = v.values.copy()
+        values[v.col_ptr[4] + np.searchsorted(v.column(4)[0], at[0])] = bad
+        v = SparseMatrix(6, 6, v.col_ptr, v.row_idx, values, validate=False)
+        with pytest.raises(ValueError, match="^non-finite entry of V in column 4$"):
+            factor_v(v, BlockStructure([0, 2, 4, 6]), "block-upper-triangular")
+
+    def test_applied_nnz_counts_block_squares_and_entries_above(self):
+        # blocks of 2, 1 and 3: 4 + 1 + 9 inverse values, though the
+        # last block is diagonal, and 3 entries above the blocks
+        d = np.eye(6)
+        d[0, 1] = d[1, 0] = 0.5
+        d[0, 2] = d[1, 4] = d[2, 5] = 0.25
+        vf = factor_v(SparseMatrix.from_dense(d), BlockStructure([0, 2, 3, 6]),
+                      "block-upper-triangular")
+        assert vf.applied_nnz == 4 + 1 + 9 + 3
 
     def test_singular_block_names_index(self):
         d = np.eye(6)
@@ -374,6 +403,36 @@ class TestFactorV:
             rows, vals = got.column(j)
             assert np.array_equal(rows, np.flatnonzero(want))
             assert np.allclose(vals, want[rows], rtol=1e-12, atol=0.0)
+
+
+class TestBlockLuOnlyForRho:
+    @pytest.fixture
+    def lu_calls(self, monkeypatch):
+        """The stack shapes of every lu_factor_stack call krylov makes."""
+        calls, real = [], krylov.lu_factor_stack
+        monkeypatch.setattr(krylov, "lu_factor_stack", lambda a: calls.append(a.shape) or real(a))
+        return calls
+
+    def test_inversion_and_v0_walk_run_no_lu(self, lu_calls):
+        rng = np.random.default_rng(6)
+        bounds = BlockStructure([0, 3, 7, 10, 13, 18])
+        a = random_sparse(rng, 18, density=0.3)
+        cfg = NeumannConfig(2, DropRule(0.05, 0), DropRule())
+        pat = neumann_pattern(a, block_pattern(bounds, "block-upper-triangular"), cfg,
+                              blocks=bounds)
+        assert pat.nnz > 18
+        factor_v(block_upper_matrix(rng, bounds.block_bounds), bounds, "block-upper-triangular")
+        assert lu_calls == []
+
+    def test_first_read_of_lu_nnz_factors_each_block_size_once(self, lu_calls):
+        rng = np.random.default_rng(7)
+        bounds = [0, 3, 7, 10, 13, 18]  # sizes 3, 4, 3, 3, 5
+        v = block_upper_matrix(rng, bounds)
+        vf = factor_v(v, BlockStructure(bounds), "block-upper-triangular")
+        assert lu_calls == []
+        lu_nnz = vf.lu_nnz
+        assert sorted(lu_calls) == [(1, 4, 4), (1, 5, 5), (3, 3, 3)]
+        assert vf.lu_nnz == lu_nnz and len(lu_calls) == 3
 
 
 class TestApplyPrecond:
