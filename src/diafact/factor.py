@@ -18,18 +18,20 @@ columns whose kernel inputs share a shape, which for the k x k factors
 R_j means once per width k, and does the rest in array passes over the
 chunk; diaf-q keeps one :func:`qr_householder` call per column, writes
 Q_j over A_j in the chunk's one dense buffer and keeps R_j unpadded, as
-its k^2 values, from which the solve gathers each width's stack.  Every
-diaf-q column, stabilized or rank-deficient ones too, goes through the
-same stacked passes, and the sweep writes each column's results at that
-column's index.  The one-column functions are the sweep over a single
-column, and a column's result depends neither on the chunk it is solved
-in nor on the order of the sweep.
+its k^2 values, from which the solve gathers each width's stack.  diaf-q
+takes v_j from the small Gram matrix of the admissible part of Q_j^T,
+with one stacked ``eigh`` over the columns with one number of visible
+admissible positions.  Every diaf-q column, stabilized or rank-deficient
+ones too, goes through the same stacked passes, and the sweep writes
+each column's results at that column's index.  The one-column functions
+are the sweep over a single column, and a column's result depends neither
+on the chunk it is solved in nor on the order of the sweep.
 
 Columns whose leading direction leaves a tiny diagonal in V can be
 stabilized: the diagonal component is pinned to a constant r and the
 remaining weight goes to the best unit combination of the earlier
-admissible positions that A_j can see, found from the SVD of those
-columns of Q_j^T; with no such position, v_j = r e_j.
+admissible positions that A_j can see, the leading right singular vector
+of those columns of Q_j^T; with no such position, v_j = r e_j.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import RANK_TOL, _r_signed, _svd_signed, qr_householder
+from .kernels import RANK_TOL, _leading_triplets, _r_signed, _svd_signed, qr_householder
 from .sparse import (
     SparseMatrix,
     SparseVector,
@@ -159,29 +161,27 @@ def _require_problem(a, w_pattern, v_pattern, columns):
 def _leading_directions(ch, q, start, mask):
     """Leading singular triplet of each column's ``m_j``.
 
-    ``m_j`` is Q_j^T at the visible V positions where ``mask`` is true.
-    Its SVD runs over those columns only, stacked over the columns whose
-    ``m_j`` has one shape, so a position that A_j cannot see gets an exact
-    zero, never roundoff.  None of those columns is zero: a visible
-    position lies on an active row of A_j, which holds a nonzero entry,
-    and A_j = Q_j R_j.  Returns ``(lead, sigma, u1)``: the right vector on
-    the V positions of the chunk, the value per column (0 where ``m_j``
-    has no column) and the left vector on the column's W slots, laid out
-    like ``ch.sets``.
+    ``m_j`` is Q_j^T at the visible V positions where ``mask`` is true, so
+    a position that A_j cannot see gets an exact zero, never roundoff.
+    Its triplet comes from the Gram matrix of those columns of ``m_j``
+    (:func:`~diafact.kernels._leading_triplets`), one stacked ``eigh`` over
+    the columns with one number of them, whatever their k.  Returns
+    ``(lead, sigma, u1)``: the right vector on the V positions of the
+    chunk, the value per column (0 where ``m_j`` has no column) and the
+    left vector on the column's W slots, laid out like ``ch.sets``.
     """
-    col, k = ch.v_col, ch.k
+    col = ch.v_col
     live = np.flatnonzero(mask)
     n_live = np.bincount(col[live], minlength=len(ch.cols))
     first = np.cumsum(n_live) - n_live
     lead, sigma, u1 = np.zeros(len(col)), np.zeros(len(ch.cols)), np.zeros(ch.set_ptr[-1])
-    shape = k * (n_live.max() + 1) + n_live
-    for key in np.unique(shape[n_live > 0]).tolist():
-        cols = np.flatnonzero(shape == key)
-        width, kk = int(n_live[cols[0]]), int(k[cols[0]])
+    for width in np.unique(n_live[n_live > 0]).tolist():
+        cols = np.flatnonzero(n_live == width)
         e = live[first[cols][:, None] + np.arange(width)]
-        u, sig, v = _svd_signed(np.swapaxes(q[start[e][..., None] + np.arange(kk)], 1, 2))
-        lead[e], sigma[cols] = v[:, :, 0], sig[:, 0]
-        u1[ch.set_ptr[cols][:, None] + np.arange(kk)] = u[:, :, 0]
+        # row i of m_j is entry i of the rows of Q_j at the positions e
+        slot, owner = _span_gather(ch.set_ptr, cols)
+        x = q[start[e][owner] + (slot - ch.set_ptr[cols][owner])[:, None]]
+        sigma[cols], lead[e], u1[slot] = _leading_triplets(x, ch.k[cols])
     return lead, sigma, u1
 
 
@@ -233,12 +233,13 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     """The diaf-q column problems of ``columns``; v_j gets the norm ``norms[j]``.
 
     Per chunk: one :func:`qr_householder` call per column, Q_j written over
-    A_j; the SVD of the candidate part ``m_j`` of Q_j^T, stacked over the
-    columns whose ``m_j`` (over its visible positions) has one shape; the
-    sign rules in array passes; the solve ``w_j = R_j^+ Q_j^T v_j``,
-    stacked over the columns with one k; and the residuals in array
-    passes.  A stabilized column takes a second pass of the same SVD over
-    its admissible positions.
+    A_j; the leading singular triplet of the candidate part ``m_j`` of
+    Q_j^T over its visible positions, from the ``eigh`` of its Gram matrix,
+    stacked over the columns with one number of those positions; the sign
+    rules in array passes; the solve ``w_j = R_j^+ Q_j^T v_j``, stacked
+    over the columns with one k; and the residuals in array passes.  A
+    stabilized column takes a second pass of the same kernel over its
+    admissible positions.
 
     Entries of a full-rank solve's ``w_j`` below ``m k u kappa ||w_j||``
     are dropped, where the block factored is ``m x k``, ``u`` is the unit

@@ -3,20 +3,21 @@
 All routines here operate on row-compressed column blocks whose dimensions
 are tiny compared with the host matrix.  QR and SVD call numpy's LAPACK and
 then fix the signs LAPACK leaves free (nonnegative R diagonal; each right
-singular vector's largest component nonnegative), so callers see one
-convention whatever the build.  The same rules apply to stacks of blocks
-through ``_r_signed`` (R alone) and ``_svd_signed``, which the column
-sweeps call on stacks of equally shaped matrices: diaf-s runs
+singular vector's largest component nonnegative, ``_signs``), so callers
+see one convention whatever the build.  The same rules apply to stacks of
+blocks through ``_r_signed`` (R alone), ``_svd_signed`` and
+``_leading_triplets``, which the column sweeps call on stacks: diaf-s runs
 ``_r_signed`` once per padded block shape and ``_svd_signed`` once per
-width k of its chunk.  :func:`qr_householder` factors one block, once
-per column in diaf-q and in the V selection;
-:func:`svd_small` and :func:`lstsq` are the one-column forms of the sweep's
-stacked SVD and solve, kept for direct use and as references.  V's
-diagonal blocks are inverted by numpy's LAPACK (:mod:`diafact.krylov`);
-:func:`lu_factor_stack` factors all equally sized blocks at once only to
-count the LU fill that ``rho`` reads.  :func:`lu_solve_stack` solves with
-its factors, and :func:`lu_factor` and :func:`lu_solve` are their
-one-block case, kept as references.
+width k of its chunk, and diaf-q takes each column's leading singular
+triplet from one stacked ``eigh`` of small Gram matrices per width.
+:func:`qr_householder` factors one block, once per column in diaf-q and
+in the V selection; :func:`svd_small` and :func:`lstsq` are the
+one-column forms of the sweep's stacked SVD and solve, kept for direct use
+and as references.  V's diagonal blocks are inverted by numpy's LAPACK
+(:mod:`diafact.krylov`); :func:`lu_factor_stack` factors all equally sized
+blocks at once only to count the LU fill that ``rho`` reads.
+:func:`lu_solve_stack` solves with its factors, and :func:`lu_factor` and
+:func:`lu_solve` are their one-block case, kept as references.
 The blocks are so small that numpy's fixed cost per call outweighs their
 arithmetic, so the kernels keep their numpy calls few: the sign fix reads
 R's diagonal once, and the stacked LU swaps rows only where a pivot moved.
@@ -156,9 +157,40 @@ def _svd_signed(a):
     else:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
         v = np.swapaxes(vt, -2, -1)
-    big = np.argmax(np.abs(v), axis=-2)[..., None, :]
-    sign = np.where(np.take_along_axis(v, big, axis=-2) < 0.0, -1.0, 1.0)
+    sign = _signs(v)
     return u * sign, sigma, v * sign
+
+
+def _signs(v):
+    """The sign, shaped ``(..., 1, r)``, that makes the largest-magnitude
+    component of each column of ``v`` (``(..., p, r)``), the first one on
+    ties, nonnegative."""
+    big = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(v, big, axis=-2) < 0.0, -1.0, 1.0)
+
+
+def _leading_triplets(x, rows):
+    """Leading singular triplet ``(sigma, v, u)`` of each matrix of a stack
+    given row after row.
+
+    Matrix ``i`` is the next ``rows[i] >= 1`` rows of ``x``, which has
+    shape ``(rows.sum(), w)``.  Its ``w x w`` Gram matrix ``m^T m`` is summed
+    over its own rows by one ``np.add.reduceat``, and one stacked
+    ``np.linalg.eigh`` takes all of them: ``sigma = sqrt(lambda_max)``,
+    ``v`` is the last eigenvector, signed as :func:`svd_small` signs a right
+    singular vector, and ``u = m v / sigma``, laid out like the rows of
+    ``x``.  Each matrix gets bitwise the triplet of its own call.  The
+    error in ``||m v||`` is second order in the eigenvector's, so ``sigma``
+    is as accurate as an SVD's; a zero matrix gets ``sigma = 0`` and
+    ``u = 0``.
+    """
+    start = np.cumsum(rows) - rows
+    lam, vec = np.linalg.eigh(np.add.reduceat(x[:, :, None] * x[:, None, :], start, axis=0))
+    lead = vec[:, :, -1:]
+    v = (lead * _signs(lead))[:, :, 0]
+    sigma = np.sqrt(np.maximum(lam[:, -1], 0.0))
+    owner = np.arange(len(rows)).repeat(rows)
+    return sigma, v, (x * v[owner]).sum(axis=1) / np.where(sigma > 0.0, sigma, 1.0)[owner]
 
 
 def pad_tall(block):

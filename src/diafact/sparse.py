@@ -450,6 +450,8 @@ def read_matrix_market(path):
     Supports the ``real`` and ``integer`` fields with ``general`` or
     ``symmetric`` symmetry.  A symmetric file lists the lower triangle, which
     is expanded to full; duplicate entries are summed, explicit zeros dropped.
+    A size line that declares more columns than the file has entries (after
+    the expansion) is rejected before anything of that length is allocated.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline()
@@ -477,6 +479,7 @@ def read_matrix_market(path):
             break
         if size_line is None:
             raise MatrixMarketError(f"{path}:{lineno}: missing size line")
+        size_lineno = lineno
         try:
             n_rows, n_cols, nnz = (int(t) for t in _fields(size_line))
         except ValueError:
@@ -528,6 +531,11 @@ def read_matrix_market(path):
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, vals[off]]),
         )
+    # nothing of length n_cols is made before this: a size line that declares
+    # more columns than there are entries cannot make the reader allocate them
+    if n_cols > len(rows):
+        raise MatrixMarketError(f"{path}:{size_lineno}: size line '{size_line}' declares "
+                                f"{n_cols} columns over {len(rows)} entries, so a column is empty")
     return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
 
 

@@ -178,20 +178,45 @@ def _qt_at(q_thin, active_rows, positions):
     return m
 
 
+def leading_triplet_reference(m):
+    """``(sigma, v, u)``, the leading singular triplet of ``m`` as diaf-q
+    takes it: the Gram matrix ``m^T m`` summed over the rows of ``m`` by
+    ``np.add.reduceat``, then ``eigh``; ``v`` is the last eigenvector, negated
+    if its largest-magnitude component (the first on ties) is negative,
+    ``sigma = sqrt(lambda_max)`` and ``u = m v / sigma``.
+
+    Asserts against :func:`svd_small` that ``||m v||`` is the largest
+    singular value to 1e-13 and, where that value is simple (the next one
+    is more than 0.1% below it), that ``v`` agrees up to sign with the
+    leading right singular vector to 1e-12.  A repeated leading value, as
+    when the columns of ``m`` are orthonormal, has no unique leading
+    direction."""
+    lam, vec = np.linalg.eigh(np.add.reduceat(m[:, :, None] * m[:, None, :], [0], axis=0)[0])
+    v = vec[:, -1]
+    if v[np.argmax(np.abs(v))] < 0.0:
+        v = -v
+    sigma = np.sqrt(lam[-1])
+    f = svd_small(m)
+    assert abs(np.linalg.norm(m @ v) - f.sigma[0]) <= 1e-13
+    if len(f.sigma) == 1 or f.sigma[1] < (1.0 - 1e-3) * f.sigma[0]:
+        assert min(np.linalg.norm(v - f.v[:, 0]), np.linalg.norm(v + f.v[:, 0])) <= 1e-12
+    return sigma, v, (m * v).sum(axis=1) / sigma
+
+
 def _stabilized_reference(q_thin, active_rows, vcols, j, r):
     """A stabilized v_j over ``vcols``: ``r`` at j, and on the admissible
     positions below j that A_j can see, the leading right singular vector
-    of those columns of Q_j^T, signed so that its left partner has a
-    nonnegative product with the column of Q_j^T at j.  With no such
-    position, ``r e_j``."""
+    of those columns of Q_j^T (:func:`leading_triplet_reference`), signed so
+    that its left partner has a nonnegative product with the column of
+    Q_j^T at j.  With no such position, ``r e_j``."""
     v = np.where(vcols == j, r, 0.0)
     below = np.flatnonzero(vcols < j)
     m_hat = _qt_at(q_thin, active_rows, vcols[below])
     live = np.any(m_hat != 0.0, axis=0)
     if live.any():
-        f = svd_small(m_hat[:, live])
+        _, lead, u = leading_triplet_reference(m_hat[:, live])
         p_j = _qt_at(q_thin, active_rows, [j])[:, 0]
-        v[below[live]] = f.v[:, 0] if f.u[:, 0] @ p_j >= 0.0 else -f.v[:, 0]
+        v[below[live]] = lead if u @ p_j >= 0.0 else -lead
     return v
 
 
@@ -214,9 +239,8 @@ def diaf_q_column_reference(a, w_pattern, v_pattern, j, policy, target_norm=1.0)
     v_loc = np.zeros(len(vcols))
     fallback = stabilized = False
     if live.any():
-        f = svd_small(m_j[:, live])
-        v_loc[live] = f.v[:, 0]
-        fallback = f.sigma[0] == 0.0
+        sigma, v_loc[live], _ = leading_triplet_reference(m_j[:, live])
+        fallback = sigma == 0.0
     else:
         fallback = True
     dpos = int(np.flatnonzero(vcols == j)[0])

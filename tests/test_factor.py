@@ -710,6 +710,30 @@ class TestSweepOrder:
         assert all(len(shape) == 3 for shape in solves)
         assert len(solves) <= n_widths + len(chunks) - 1
 
+    def test_one_stacked_eigh_per_width_of_m_j(self, monkeypatch):
+        # diaf-q's leading directions: one eigh per chunk and number of
+        # visible V positions, over every column with one, whatever its k
+        a, wp, vp, size = sweep_problem(25)
+        monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", 7 * size)
+        widths, stacks = [], []
+        real_chunks, real_eigh = diafact.factor.column_chunks, np.linalg.eigh
+
+        def counted_chunks(*args, **kwargs):
+            for ch in real_chunks(*args, **kwargs):
+                widths.append(np.bincount(ch.v_col[ch.v_seen], minlength=len(ch.cols)))
+                yield ch
+
+        def counted_eigh(g):
+            stacks.append(g.shape)
+            return real_eigh(g)
+
+        monkeypatch.setattr(diafact.factor, "column_chunks", counted_chunks)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        diaf_q(a, wp, vp)
+        want = [(int((w == x).sum()), x, x) for w in widths for x in np.unique(w[w > 0]).tolist()]
+        assert len(widths) > 5 and len({x for _, x, _ in want}) > 3
+        assert stacks == want
+
     def test_one_stacked_svd_per_width_run(self, monkeypatch):
         a, wp, vp, size = sweep_problem(25)
         monkeypatch.setattr(diafact.sparse, "_SWEEP_ENTRIES", 7 * size)

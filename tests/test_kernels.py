@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diafact.kernels import (
+    _leading_triplets,
     _r_signed,
     lstsq,
     lu_factor,
@@ -188,6 +189,40 @@ class TestSVD:
         for bad in (np.array([[np.nan, 1.0]]), np.array([[1.0], [-np.inf]]), np.zeros((0, 2)), np.ones(3)):
             with pytest.raises(ValueError):
                 svd_small(bad)
+
+
+class TestLeadingTriplets:
+    def test_random_stacks(self):
+        # matrices of unit Frobenius norm, as the rows of a Q_j give them;
+        # some rank-deficient, some with more columns than rows
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            w = int(rng.integers(1, 7))
+            rows = rng.integers(1, 13, size=int(rng.integers(1, 9)))
+            mats = []
+            for k in rows.tolist():
+                m = rng.standard_normal((k, w))
+                if rng.random() < 0.3:
+                    m = rng.standard_normal((k, 1)) @ rng.standard_normal((1, w))
+                mats.append(m / np.linalg.norm(m))
+            sigma, v, u = _leading_triplets(np.concatenate(mats), rows)
+            at = np.cumsum(rows) - rows
+            for i, m in enumerate(mats):
+                one = _leading_triplets(m, rows[i:i + 1])
+                got = sigma[i:i + 1], v[i:i + 1], u[at[i]:at[i] + len(m)]
+                assert all(g.tobytes() == o.tobytes() for g, o in zip(got, one))
+                sigma_max = np.linalg.svd(m, compute_uv=False)[0]
+                assert abs(sigma[i] - sigma_max) <= 1e-13 * sigma_max
+                assert np.linalg.norm(m @ v[i]) >= sigma_max - 1e-13
+                assert abs(np.linalg.norm(v[i]) - 1.0) <= 1e-14
+                mag = np.abs(v[i])
+                assert v[i][np.argmax(mag)] >= 0.0  # the first largest magnitude
+                assert np.allclose(u[at[i]:at[i] + len(m)], m @ v[i] / sigma[i], rtol=0, atol=1e-14)
+
+    def test_zero_matrix_has_zero_value_and_left_vector(self):
+        sigma, v, u = _leading_triplets(np.zeros((3, 2)), np.array([2, 1]))
+        assert not sigma.any() and not u.any()
+        assert np.allclose(np.linalg.norm(v, axis=1), 1.0)
 
 
 def column_block(dense, cols):

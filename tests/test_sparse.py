@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,27 @@ class TestMatrixMarket:
         message = f"{re.escape(str(p))}:2: size line '{size}' is beyond the int64 index range"
         with pytest.raises(MatrixMarketError, match=message):
             read_matrix_market(p)
+
+    @pytest.mark.parametrize("n_cols", [10 ** 7, 10 ** 9])
+    def test_more_columns_than_entries_are_rejected_before_allocating_them(self, tmp_path, n_cols):
+        # one entry leaves a column empty; 10^9 column offsets would take 8 GB
+        size = f"1 {n_cols} 1"
+        p = write_mm(tmp_path, f"%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n")
+        message = f"{re.escape(str(p))}:2: size line '{size}' declares {n_cols} columns over 1 entries,"
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixMarketError, match=message):
+                read_matrix_market(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_symmetric_entries_count_after_expansion(self, tmp_path):
+        # two entries below the diagonal fill all three columns
+        text = "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 1 2.0\n"
+        p = write_mm(tmp_path, text)
+        assert np.array_equal(np.diff(read_matrix_market(p).col_ptr), [2, 1, 1])
 
     def test_roundtrip_is_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -10,12 +10,16 @@ workload's configuration), two stabilized diaf-q configurations on the
 first three ``cd2d-q-diag`` matrices of seed 2, and one 60 x 60 grid whose
 V0 and V walks have 72 levels; no workload runs these last three.
 
-Each line names a run, its status and iterations, and a hash of W and V
-(keys and values), both patterns' keys, the column residuals, the flagged
-columns, the solution ``y`` and every report field but ``timings`` and
-``config``.  The results are captured by wrapping ``diafact.bench``'s
-collaborators with ``benchmarks/oracle.Capture``.  Two checkouts give
-bitwise equal outputs exactly where ``diff`` of their lines is empty.
+Each line names a run and gives its status (the fourth field), its
+iterations, ``rho`` (as ``repr``), the nonzeros of W and V, the flagged and
+the stabilized column counts, and last a hash of W and V (keys and
+values), both patterns' keys, the column residuals, the flagged columns,
+the solution ``y`` and every report field but ``timings`` and ``config``.
+The results are captured by wrapping ``diafact.bench``'s collaborators with
+``benchmarks/oracle.Capture``.  Two checkouts give bitwise equal outputs
+exactly where ``diff`` of their lines is empty.  A change that moves only
+roundoff leaves every field but the hash alone, which ``diff`` of the lines
+without their last field (``awk '{NF--; print}'``) shows.
 """
 
 import hashlib
@@ -88,7 +92,9 @@ def run_line(bench, matgen, oracle, label, generate, seed, config, tmp):
     feed(sorted(out.flagged.items()))
     feed(out.y)
     feed({k: v for k, v in asdict(row).items() if k not in ("timings", "config")})
-    return f"{label} {row.status} its={row.its} {h.hexdigest()}"
+    return (f"{label} {row.status} its={row.its} rho={row.rho!r} w_nnz={row.w_nnz} "
+            f"v_nnz={row.v_nnz} flagged={row.flagged_columns} stab={row.stab_count} "
+            f"{h.hexdigest()}")
 
 
 def main():
