@@ -41,8 +41,6 @@ from .factor import (
     StabilizationPolicy,
     diaf_q,
     diaf_s,
-    diaf_q_column,
-    diaf_s_column,
 )
 from .krylov import (
     SingularBlockError,

@@ -23,9 +23,8 @@ takes v_j from the small Gram matrix of the admissible part of Q_j^T,
 with one stacked ``eigh`` over the columns with one number of visible
 admissible positions.  Every diaf-q column, stabilized or rank-deficient
 ones too, goes through the same stacked passes, and the sweep writes
-each column's results at that column's index.  The one-column functions
-are the sweep over a single column, and a column's result depends neither
-on the chunk it is solved in nor on the order of the sweep.
+each column's results at that column's index.  A column's result depends
+neither on the chunk it is solved in nor on the order of the sweep.
 
 Columns whose leading direction leaves a tiny diagonal in V can be
 stabilized: the diagonal component is pinned to a constant r and the
@@ -43,8 +42,6 @@ import numpy as np
 from .kernels import RANK_TOL, _leading_triplets, _r_signed, _svd_signed, qr_householder
 from .sparse import (
     SparseMatrix,
-    SparseVector,
-    _integer_array,
     _span_gather,
     column_chunks,
     sorted_lookup,
@@ -53,10 +50,7 @@ from .sparse import (
 
 __all__ = [
     "StabilizationPolicy",
-    "ColumnReport",
     "FactorPair",
-    "diaf_q_column",
-    "diaf_s_column",
     "diaf_q",
     "diaf_s",
 ]
@@ -83,14 +77,6 @@ class StabilizationPolicy:
             raise ValueError("r must be finite and positive")
 
 
-@dataclass(frozen=True)
-class ColumnReport:
-    residual: float
-    stabilized: bool = False
-    rank_deficient: bool = False
-    fallback: bool = False
-
-
 @dataclass
 class FactorPair:
     """Computed factors with per-column diagnostics.
@@ -113,11 +99,13 @@ _U = np.finfo(np.float64).eps / 2
 
 @dataclass
 class _Sweep:
-    """What a sweep computed for its columns.
+    """What a sweep computed for the columns of A.
 
     ``w`` and ``v`` hold values on the positions of the W and V patterns'
     :meth:`~diafact.sparse.SubspacePattern.keys` (0.0: nothing stored); the
-    per-column arrays are indexed by matrix column (zero where not swept).
+    per-column arrays are indexed by matrix column.  diaf-s writes only
+    ``w`` and ``rank_deficient``, and takes V and its residuals from A W
+    afterwards.
     """
 
     w: np.ndarray
@@ -132,10 +120,6 @@ class _Sweep:
         flags = (np.zeros(w_pattern.n, dtype=bool) for _ in range(3))
         return cls(np.zeros(w_pattern.nnz), np.zeros(v_pattern.nnz), np.zeros(w_pattern.n), *flags)
 
-    def report(self, j):
-        return ColumnReport(float(self.residuals[j]), bool(self.stabilized[j]),
-                            bool(self.rank_deficient[j]), bool(self.fallback[j]))
-
     def flagged(self):
         """Flag reasons of the flagged columns, keyed by column."""
         out = {}
@@ -146,14 +130,11 @@ class _Sweep:
         return out
 
 
-def _require_problem(a, w_pattern, v_pattern, columns):
+def _require_problem(a, w_pattern, v_pattern):
     n = a.n_cols
     if a.n_rows != n or w_pattern.n != n or v_pattern.n != n:
         raise ValueError("square matrix and matching patterns required")
-    outside = columns[(columns < 0) | (columns >= n)]
-    if len(outside):
-        raise ValueError(f"column {outside[0]} is not in the valid range 0..{n - 1}")
-    missing = columns[~v_pattern.contains(columns * (n + 1))]
+    missing = np.flatnonzero(~v_pattern.contains(np.arange(n) * (n + 1)))
     if len(missing):
         raise ValueError(f"V pattern must contain the diagonal index (column {missing[0]})")
 
@@ -229,8 +210,8 @@ def _solves(ch, q, start, r, r_at, rank, val):
     return w
 
 
-def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
-    """The diaf-q column problems of ``columns``; v_j gets the norm ``norms[j]``.
+def _sweep_q(a, w_pattern, v_pattern, policy, norms):
+    """The diaf-q column problems of every column; v_j gets the norm ``norms[j]``.
 
     Per chunk: one :func:`qr_householder` call per column, Q_j written over
     A_j; the leading singular triplet of the candidate part ``m_j`` of
@@ -249,9 +230,9 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     ``w_j`` by up to ``m k u kappa(R_j) ||w_j||`` to first order, so such
     entries cannot be told from zero.  Residuals are taken after the drop.
     """
-    _require_problem(a, w_pattern, v_pattern, columns)
+    _require_problem(a, w_pattern, v_pattern)
     out = _Sweep.empty(w_pattern, v_pattern)
-    for ch in column_chunks(a, w_pattern, v_pattern, columns):
+    for ch in column_chunks(a, w_pattern, v_pattern, np.arange(a.n_cols)):
         size, col, seen, norm = len(ch.cols), ch.v_col, ch.v_seen, norms[ch.cols]
         q, start, r, r_at, rank = ch.visible_q(qr_householder)
         lead, sigma, _ = _leading_directions(ch, q, start, seen)
@@ -295,8 +276,8 @@ def _sweep_q(a, w_pattern, v_pattern, columns, policy, norms):
     return out
 
 
-def _sweep_s(a, w_pattern, v_pattern, columns):
-    """The diaf-s column problems of ``columns``, a chunk at a time.
+def _sweep_s(a, w_pattern, v_pattern):
+    """The diaf-s column problems of every column, a chunk at a time.
 
     A_j comes without the rows admissible for v_j.  Its QR runs stacked
     over the columns whose blocks share one padded shape; the SVD of R_j,
@@ -304,18 +285,17 @@ def _sweep_s(a, w_pattern, v_pattern, columns):
     width k, whatever their padded row counts.
     """
     n = a.n_cols
-    _require_problem(a, w_pattern, v_pattern, columns)
+    _require_problem(a, w_pattern, v_pattern)
     out = _Sweep.empty(w_pattern, v_pattern)
     a_keys = a.entry_keys()
-    for ch in column_chunks(a, w_pattern, v_pattern, columns, outside_v=True):
+    for ch in column_chunks(a, w_pattern, v_pattern, np.arange(n), outside_v=True):
         by_width = {}
         for sel, blocks in ch.shape_groups():
             by_width.setdefault(blocks.shape[2], []).append((sel, *_r_signed(blocks)))
         for k, parts in by_width.items():
             sel, r, rank = (np.concatenate(x) for x in zip(*parts))
             j = ch.cols[sel]
-            _, sigma, v = _svd_signed(r)
-            w = v[:, :, -1]
+            w = _svd_signed(r)[2][:, :, -1]
             # sign: (A_j w_j)_j >= 0; where it is 0, _svd_signed has already
             # made the largest-magnitude entry of w_j nonnegative
             sets = ch.sets[ch.set_ptr[sel][:, None] + np.arange(k)]
@@ -324,7 +304,6 @@ def _sweep_s(a, w_pattern, v_pattern, columns):
             row_j[found] = a.values[at[found]]
             y = (row_j[:, None, :] @ w[:, :, None])[:, 0, 0]
             out.w[ch.slots[ch.set_ptr[sel][:, None] + np.arange(k)]] = np.where(y[:, None] < 0.0, -w, w)
-            out.residuals[j] = sigma[:, -1]
             out.rank_deficient[j] = (ch.m[sel] < k) | (rank < k)
     return out
 
@@ -333,34 +312,6 @@ def _assemble(pattern, values):
     """The matrix holding ``values`` on the pattern's keys, zeros left out."""
     keys, keep = pattern.keys(), values != 0.0
     return SparseMatrix.from_keys(pattern.n, pattern.n, keys[keep], values[keep])
-
-
-def diaf_q_column(a, w_pattern, v_pattern, j, policy=None):
-    """One column of the QR-based factorization: the sweep over column ``j``.
-
-    Returns ``(w_j, v_j, report)`` with both columns as sparse vectors;
-    v_j has unit norm.
-    """
-    n = a.n_cols
-    cols = _integer_array("column j", [j])
-    out = _sweep_q(a, w_pattern, v_pattern, cols, policy or StabilizationPolicy(), np.ones(n))
-    wpos, _, wrows = w_pattern.gather(cols)
-    vpos, _, vrows = v_pattern.gather(cols)
-    v = out.v[vpos]
-    keep = v != 0.0
-    return SparseVector(n, wrows, out.w[wpos]), SparseVector(n, vrows[keep], v[keep]), out.report(j)
-
-
-def diaf_s_column(a, w_pattern, v_pattern, j):
-    """One column of the SVD-based factorization: the sweep over column ``j``.
-
-    Returns ``(w_j, report)``; w_j has unit norm and minimizes the part of
-    ``A_j w`` that falls outside the admissible positions of v_j.
-    """
-    cols = _integer_array("column j", [j])
-    out = _sweep_s(a, w_pattern, v_pattern, cols)
-    wpos, _, wrows = w_pattern.gather(cols)
-    return SparseVector(a.n_cols, wrows, out.w[wpos]), out.report(j)
 
 
 def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
@@ -373,7 +324,7 @@ def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
     norms = np.ones(n) if column_norms is None else np.asarray(column_norms, dtype=np.float64)
     if norms.shape != (n,) or not np.all((norms > 0) & (norms < np.inf)):
         raise ValueError(f"column norms must be {n} finite positive values")
-    out = _sweep_q(a, w_pattern, v_pattern, np.arange(n), policy or StabilizationPolicy(), norms)
+    out = _sweep_q(a, w_pattern, v_pattern, policy or StabilizationPolicy(), norms)
     res = out.residuals
     return FactorPair(_assemble(w_pattern, out.w), _assemble(v_pattern, out.v), res,
                       int(out.stabilized.sum()), float(np.sqrt((res ** 2).sum())), out.flagged())
@@ -382,7 +333,7 @@ def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
 def diaf_s(a, w_pattern, v_pattern):
     """SVD-based factorization; V is the pattern projection of A W."""
     n = a.n_cols
-    out = _sweep_s(a, w_pattern, v_pattern, np.arange(n))
+    out = _sweep_s(a, w_pattern, v_pattern)
     w = _assemble(w_pattern, out.w)
     # project A W onto the admissible structure; the rest is the residual
     y = sparse_product(a, w)

@@ -8,9 +8,7 @@ import diafact.sparse
 from diafact.factor import (
     StabilizationPolicy,
     diaf_q,
-    diaf_q_column,
     diaf_s,
-    diaf_s_column,
 )
 from diafact.kernels import qr_householder
 from diafact.patterns import select_v_pattern
@@ -38,42 +36,34 @@ def upper_triangular_pattern(n):
 
 
 class TestDiafQColumn:
+    """Per-column behaviour of diaf-q, read from column j of the sweep."""
+
     def test_diagonal_matrix(self):
         a = SparseMatrix.from_dense(np.diag([2.0, 5.0]))
         diag = SubspacePattern.diagonal(2)
-        w, v, rep = diaf_q_column(a, diag, diag, 1)
-        assert np.array_equal(v.idx, [1]) and v.val[0] == 1.0
-        assert np.array_equal(w.idx, [1]) and w.val[0] == pytest.approx(0.2)
-        assert rep.residual == pytest.approx(0.0, abs=1e-15)
+        pair = diaf_q(a, diag, diag)
+        assert [x.tolist() for x in pair.v.column(1)] == [[1], [1.0]]
+        idx, val = pair.w.column(1)
+        assert np.array_equal(idx, [1]) and val[0] == pytest.approx(0.2)
+        assert pair.column_residuals[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_norm_v(self):
         rng = np.random.default_rng(0)
         a = random_sparse(rng, 12, density=0.3)
         wp = random_pattern(rng, 12, per_col=4)
         vp = random_pattern(rng, 12, per_col=3).with_diagonal()
+        pair = diaf_q(a, wp, vp)
         for j in range(12):
-            _, v, rep = diaf_q_column(a, wp, vp, j)
-            if not rep.fallback:
-                assert v.norm() == pytest.approx(1.0, abs=1e-12)
+            if "zero-candidate-fallback" not in pair.flagged_columns.get(j, ""):
+                assert np.linalg.norm(pair.v.column(j)[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_diagonal_rejected(self):
         a = SparseMatrix.identity(3)
         wp = SubspacePattern.diagonal(3)
         vp = SubspacePattern(3, [[0], [0], [2]])
-        with pytest.raises(ValueError, match="diagonal"):
-            diaf_q_column(a, wp, vp, 1)
-
-    @pytest.mark.parametrize("j", [3, -1])
-    def test_column_outside_a_rejected(self, j):
-        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
-        with pytest.raises(ValueError, match=rf"^column {j} is not in the valid range 0\.\.2$"):
-            diaf_q_column(a, diag, diag, j)
-
-    @pytest.mark.parametrize("j", [1.7, 1.0, "1"])
-    def test_non_integer_column_rejected(self, j):
-        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
-        with pytest.raises(ValueError, match="^column j must be integers$"):
-            diaf_q_column(a, diag, diag, j)
+        for factor in (diaf_q, diaf_s):
+            with pytest.raises(ValueError, match=r"diagonal index \(column 1\)$"):
+                factor(a, wp, vp)
 
     def test_all_zero_candidates_fall_back(self):
         # column 0 of A touches only row 1 while V allows only row 0, so
@@ -81,10 +71,9 @@ class TestDiafQColumn:
         a = SparseMatrix.from_dense([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
         wp = SubspacePattern.diagonal(3)
         vp = SubspacePattern(3, [[0], [1], [2]])
-        _, v, rep = diaf_q_column(a, wp, vp, 0)
-        assert rep.fallback
-        assert np.array_equal(v.idx, [0])
-
+        pair = diaf_q(a, wp, vp)
+        assert pair.flagged_columns[0] == "zero-candidate-fallback"
+        assert [x.tolist() for x in pair.v.column(0)] == [[0], [1.0]]
 
     def test_invisible_candidate_stores_no_entry(self):
         # rows 1, 5, 7 and 9 lie outside the active rows of A_j = A[:, [2, 3, 4]],
@@ -98,14 +87,16 @@ class TestDiafQColumn:
         for _ in range(10):
             dense = np.eye(10) * 4.0
             dense[np.ix_(active, wcols)] += rng.standard_normal((len(active), 3))
-            _, v, rep = diaf_q_column(SparseMatrix.from_dense(dense), wp, vp, j)
-            assert not rep.fallback
-            assert np.array_equal(v.idx, visible)
+            pair = diaf_q(SparseMatrix.from_dense(dense), wp, vp)
+            assert j not in pair.flagged_columns
+            idx, val = pair.v.column(j)
+            assert np.array_equal(idx, visible)
 
             q = np.linalg.qr(dense[:, wcols])[0]
             oracle = np.linalg.svd(q[visible, :].T)[2][0]
             oracle *= np.sign(oracle[np.searchsorted(visible, j)])  # diagonal made positive
-            assert np.allclose(v.val, oracle, atol=1e-12, rtol=0.0)
+            assert np.allclose(val, oracle, atol=1e-12, rtol=0.0)
+
 
 class TestDiafQ:
     def test_identity(self):
@@ -210,7 +201,7 @@ class TestDiafQ:
             calls.append(np.shape(m))
             return qr_householder(m)
 
-        # lstsq looks the kernel up in its own module, diaf_q_column in factor
+        # lstsq looks the kernel up in its own module, diaf_q in factor
         monkeypatch.setattr(diafact.factor, "qr_householder", counted)
         monkeypatch.setattr(diafact.kernels, "qr_householder", counted)
         rng = np.random.default_rng(13)
@@ -234,9 +225,11 @@ class TestStabilize:
 
     @staticmethod
     def stabilized(a, wp, vp, j, r=2.0, threshold=1.0):
-        _, v, rep = diaf_q_column(a, wp, vp, j, StabilizationPolicy(threshold=threshold, r=r))
-        assert rep.stabilized
-        return v
+        """Column j of V as ``(idx, val)``; the sweep stabilized it, so its
+        v_jj is pinned to exactly r."""
+        idx, val = diaf_q(a, wp, vp, StabilizationPolicy(threshold=threshold, r=r)).v.column(j)
+        assert val[idx == j].tolist() == [r]
+        return idx, val
 
     @staticmethod
     def random_problem(seed, n=8):
@@ -256,20 +249,19 @@ class TestStabilize:
         j = 6
         results = []
         for r in (0.5, 2.0, 10.0):
-            v = self.stabilized(a, wp, vp, j, r)
-            off = v.idx != j
-            assert np.array_equal(v.val[~off], [r])
-            assert off.any() and np.all(v.idx[off] < j)
-            results.append((v.idx[off], v.val[off]))
+            idx, val = self.stabilized(a, wp, vp, j, r)
+            off = idx != j
+            assert off.any() and np.all(idx[off] < j)
+            results.append((idx[off], val[off]))
         for idx, val in results[1:]:
             assert np.array_equal(idx, results[0][0])
             assert np.array_equal(val, results[0][1])
 
     def test_no_admissible_positions(self):
         a, wp, vp = self.random_problem(7)
-        v = self.stabilized(a, wp, vp, 0)
-        assert np.array_equal(v.idx, [0])
-        assert np.array_equal(v.val, [2.0])
+        idx, val = self.stabilized(a, wp, vp, 0)
+        assert np.array_equal(idx, [0])
+        assert np.array_equal(val, [2.0])
 
     def test_unreachable_admissible_positions_are_left_out(self):
         # A_4 is column 5 of A, on rows {0, 5}: of V_4 = {3, 4, 5} only 5 is
@@ -280,9 +272,9 @@ class TestStabilize:
         a = SparseMatrix.from_dense(dense)
         wp = SubspacePattern(6, [[0], [1], [2], [3], [5], [5]])
         vp = SubspacePattern(6, [[0], [1], [2], [3], [3, 4, 5], [5]])
-        v = self.stabilized(a, wp, vp, 4, threshold=0.1)
-        assert np.array_equal(v.idx, [4])
-        assert np.array_equal(v.val, [2.0])
+        idx, val = self.stabilized(a, wp, vp, 4, threshold=0.1)
+        assert np.array_equal(idx, [4])
+        assert np.array_equal(val, [2.0])
         pair = diaf_q(a, wp, vp, StabilizationPolicy(threshold=0.1))
         assert pair.stab_count == 1
         assert np.array_equal(pair.v.column(4)[0], [4])
@@ -294,18 +286,17 @@ class TestStabilize:
         a = SparseMatrix.identity(5)
         wp = SubspacePattern(5, [[0], [1], [2], [3], [0, 1, 2]])
         vp = SubspacePattern(5, [[0], [1], [2], [3], [1, 4]])
-        v = self.stabilized(a, wp, vp, 4)
-        assert np.array_equal(v.idx, [1, 4])
-        assert v.val[0] > 0
+        idx, val = self.stabilized(a, wp, vp, 4)
+        assert np.array_equal(idx, [1, 4])
+        assert val[0] > 0
 
     def test_aligned_case_keeps_leading_vector(self):
         a, wp, vp = self.random_problem(8)
         j = 7
-        v = self.stabilized(a, wp, vp, j)
+        idx, val = self.stabilized(a, wp, vp, j)
         # the selected off-diagonal part is a unit vector by construction
-        off = v.idx != j
-        assert np.dot(v.val[off], v.val[off]) == pytest.approx(1.0, abs=1e-12)
-        assert v.val[~off][0] == 2.0
+        off = idx != j
+        assert np.dot(val[off], val[off]) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_floor_holds_on_random_problems(self):
         rng = np.random.default_rng(17)
@@ -320,10 +311,8 @@ class TestStabilize:
             pair = diaf_q(a, wp, vp, policy)
             diag = pair.v.diagonal()
             assert np.all(np.abs(diag) >= min(policy.r, policy.threshold))
-            reports = [diaf_q_column(a, wp, vp, j, policy)[2] for j in range(n)]
-            stab = np.array([rep.stabilized for rep in reports])
-            assert np.all(diag[stab] == policy.r)
-            assert pair.stab_count == stab.sum()
+            # a stabilized column is one whose v_jj is pinned to exactly r
+            assert pair.stab_count == np.count_nonzero(diag == policy.r)
             stabilized += pair.stab_count
         assert stabilized > 0
 
@@ -346,25 +335,16 @@ class TestStabilize:
 
 
 class TestDiafSColumn:
+    """Per-column behaviour of diaf-s, read from column j of the sweep."""
+
     def test_identity(self):
         a = SparseMatrix.identity(3)
         diag = SubspacePattern.diagonal(3)
-        w, rep = diaf_s_column(a, diag, diag, 1)
-        assert np.array_equal(w.idx, [1])
-        assert abs(w.val[0]) == pytest.approx(1.0)
-        assert rep.residual == pytest.approx(0.0, abs=1e-15)
-
-    @pytest.mark.parametrize("j", [3, -1])
-    def test_column_outside_a_rejected(self, j):
-        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
-        with pytest.raises(ValueError, match=rf"^column {j} is not in the valid range 0\.\.2$"):
-            diaf_s_column(a, diag, diag, j)
-
-    @pytest.mark.parametrize("j", [1.7, 1.0, "1"])
-    def test_non_integer_column_rejected(self, j):
-        a, diag = SparseMatrix.identity(3), SubspacePattern.diagonal(3)
-        with pytest.raises(ValueError, match="^column j must be integers$"):
-            diaf_s_column(a, diag, diag, j)
+        pair = diaf_s(a, diag, diag)
+        idx, val = pair.w.column(1)
+        assert np.array_equal(idx, [1])
+        assert abs(val[0]) == pytest.approx(1.0)
+        assert pair.column_residuals[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_block_diagonal_covered_by_v(self):
         blocks = np.zeros((4, 4))
@@ -386,14 +366,14 @@ class TestDiafSColumn:
             a = random_sparse(rng, 10, density=0.35)
             wp = random_pattern(rng, 10, per_col=3)
             vp = random_pattern(rng, 10, per_col=1).with_diagonal()
-            j = int(rng.integers(0, 10))
-            w, rep = diaf_s_column(a, wp, vp, j)
-            dense = a.to_dense()[:, wp.cols[j]]
-            dense = np.delete(dense, vp.cols[j], axis=0)
-            svals = np.linalg.svd(dense, compute_uv=False)
-            true_min = svals[-1] if dense.shape[0] >= dense.shape[1] else 0.0
-            got = np.linalg.norm(dense @ w.val)
-            assert got <= true_min + 1e-10
+            pair = diaf_s(a, wp, vp)
+            for j in range(10):
+                dense = a.to_dense()[:, wp.cols[j]]
+                dense = np.delete(dense, vp.cols[j], axis=0)
+                svals = np.linalg.svd(dense, compute_uv=False)
+                true_min = svals[-1] if dense.shape[0] >= dense.shape[1] else 0.0
+                got = np.linalg.norm(dense @ local(pair.w, j, wp.cols[j]))
+                assert got <= true_min + 1e-10
 
     def test_unit_norm_w(self):
         rng = np.random.default_rng(10)
@@ -609,29 +589,12 @@ class TestSweep:
                 assert np.array_equal(getattr(g, m).values, getattr(w, m).values)
             assert np.array_equal(g.column_residuals, w.column_residuals)
 
-    def test_column_functions_are_the_sweep_over_one_column(self):
-        a, wp, vp, _ = sweep_problem(22)
-        policy = StabilizationPolicy(threshold=0.3)
-        pair_q, pair_s = diaf_q(a, wp, vp, policy), diaf_s(a, wp, vp)
-        for j in range(a.n_cols):
-            w, v, rep = diaf_q_column(a, wp, vp, j, policy)
-            assert np.array_equal(w.idx, wp.cols[j])
-            assert np.array_equal(w.val, local(pair_q.w, j, wp.cols[j]))
-            assert np.array_equal(v.idx, pair_q.v.column(j)[0])
-            assert np.array_equal(v.val, pair_q.v.column(j)[1])
-            assert rep.residual == pair_q.column_residuals[j]
-            w, rep = diaf_s_column(a, wp, vp, j)
-            assert np.array_equal(w.val, local(pair_s.w, j, wp.cols[j]))
-            # diaf_s takes its residuals from A W afterwards, the column from sigma_min
-            assert rep.residual == pytest.approx(pair_s.column_residuals[j], rel=1e-12, abs=1e-14)
-
     def test_problems_of_another_dimension_rejected(self):
         d3, d4 = SubspacePattern.diagonal(3), SubspacePattern.diagonal(4)
         cases = [(SparseMatrix.identity(3), d3, d4), (SparseMatrix.identity(3), d4, d3),
                  (SparseMatrix.identity(3), d4, d4), (SparseMatrix.from_dense(np.eye(3, 4)), d4, d4)]
         for a, wp, vp in cases:
-            for factor in (diaf_q, diaf_s, lambda *p: diaf_q_column(*p, 0),
-                           lambda *p: diaf_s_column(*p, 0)):
+            for factor in (diaf_q, diaf_s):
                 with pytest.raises(ValueError, match="^square matrix and matching patterns required$"):
                     factor(a, wp, vp)
 
