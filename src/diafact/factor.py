@@ -42,6 +42,7 @@ import numpy as np
 from .kernels import RANK_TOL, _leading_triplets, _r_signed, _svd_signed, qr_householder
 from .sparse import (
     SparseMatrix,
+    _require_square,
     _span_gather,
     column_chunks,
     sorted_lookup,
@@ -131,10 +132,8 @@ class _Sweep:
 
 
 def _require_problem(a, w_pattern, v_pattern):
-    n = a.n_cols
-    if a.n_rows != n or w_pattern.n != n or v_pattern.n != n:
-        raise ValueError("square matrix and matching patterns required")
-    missing = np.flatnonzero(~v_pattern.contains(np.arange(n) * (n + 1)))
+    _require_square(a, w_pattern, v_pattern)
+    missing = v_pattern.missing_diagonal()
     if len(missing):
         raise ValueError(f"V pattern must contain the diagonal index (column {missing[0]})")
 

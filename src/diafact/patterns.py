@@ -39,6 +39,7 @@ from .sparse import (
     SparseMatrix,
     SubspacePattern,
     _require_integer,
+    _require_square,
     _span_gather,
     column_chunks,
     merge_sum,
@@ -152,11 +153,10 @@ class _V0Solver:
 def _check_v0(v0_pattern, blocks):
     """``ValueError`` unless the V0 pattern holds the diagonal, and comes
     with its blocks when it holds more."""
-    n = v0_pattern.n
-    missing = np.flatnonzero(~v0_pattern.contains(np.arange(n, dtype=np.int64) * (n + 1)))
+    missing = v0_pattern.missing_diagonal()
     if len(missing):
         raise ValueError(f"V0 pattern must contain the diagonal (column {missing[0]})")
-    if blocks is None and v0_pattern.nnz != n:
+    if blocks is None and v0_pattern.nnz != v0_pattern.n:
         raise ValueError("a non-diagonal V0 pattern needs its blocks")
 
 
@@ -181,9 +181,7 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     triangular; it may be omitted only for a diagonal V0 pattern, and any
     other pattern without it raises ``ValueError``.
     """
-    n = a.n_cols
-    if a.n_rows != n or v0_pattern.n != n:
-        raise ValueError("square matrix and matching pattern required")
+    n = _require_square(a, v0_pattern)
     _check_v0(v0_pattern, blocks)
     if cfg.k == 0 or n == 0:  # W is the diagonal, and V0 is never solved with
         return SubspacePattern.diagonal(n)
@@ -211,9 +209,7 @@ def adjoint_pattern(a, v0_pattern, rule=DropRule()):
     through |A^T| stand in for the random-probe values when the rule asks
     for sparsification, keeping the construction deterministic.
     """
-    n = a.n_cols
-    if a.n_rows != n or v0_pattern.n != n:
-        raise ValueError("square matrix and matching pattern required")
+    n = _require_square(a, v0_pattern)
     at = a.transpose()
     # |A^T| times the indicator of the V0 pattern: positive wherever any of
     # the selected rows of A has an entry, so nothing can cancel away
@@ -263,9 +259,7 @@ def select_v_pattern(a, w_pattern, v_candidate, k_v):
     when some column in the run holds more than ``k_v`` positions; every
     other column keeps all it holds, whatever its scores.
     """
-    n = a.n_cols
-    if a.n_rows != n or w_pattern.n != n or v_candidate.n != n:
-        raise ValueError("square matrix and matching patterns required")
+    n = _require_square(a, w_pattern, v_candidate)
     _require_integer("k_v", k_v, 1)
     counts = v_candidate.counts()
     kept, ranked = np.flatnonzero(counts <= k_v), np.flatnonzero(counts > k_v)

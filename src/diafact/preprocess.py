@@ -351,14 +351,8 @@ def block_pattern(blocks, shape):
     from the top of the matrix down to the end of the diagonal block
     ("block-upper-triangular").
     """
-    cols = []
-    for b in range(blocks.n_blocks):
-        lo, hi = blocks.bounds(b)
-        if shape == "block-diagonal":
-            allowed = np.arange(lo, hi)
-        elif shape == "block-upper-triangular":
-            allowed = np.arange(0, hi)
-        else:
-            raise ValueError(f"unknown block pattern shape '{shape}'")
-        cols.extend([allowed] * (hi - lo))
-    return SubspacePattern(blocks.n, cols)
+    if shape not in ("block-diagonal", "block-upper-triangular"):
+        raise ValueError(f"unknown block pattern shape '{shape}'")
+    b = blocks.block_bounds
+    lo = b[:-1] if shape == "block-diagonal" else np.zeros_like(b[1:])
+    return SubspacePattern.from_ranges(blocks.n, blocks.block_of(), lo, b[1:])

@@ -267,52 +267,36 @@ class SubspacePattern:
     the diagonal index ``j`` in column ``j``; that is the caller's duty and
     is validated by the consumers that rely on it.
 
-    Columns given as one shared array (full blocks) are stored once: the
-    distinct index sets sit back to back in ``_rows`` with offsets
-    ``_ptr``, and ``_which[j]`` names the set of column ``j``.  Whole-pattern
-    operations work on keys ``col * n + row`` (see :meth:`keys`); a position
-    of column ``j`` at ``_rows[i]`` is ``keys()[i + _key_shift[j]]``.
+    The index sets sit back to back in ``_rows`` with offsets ``_ptr``, and
+    ``_which[j]`` names the set of column ``j``: each column of ``cols`` has
+    its own set, and only :meth:`from_ranges` gives many columns one set.
+    Whole-pattern operations work on keys ``col * n + row`` (see
+    :meth:`keys`); a position of column ``j`` at ``_rows[i]`` is
+    ``keys()[i + _key_shift[j]]``.
     """
 
     __slots__ = ("n", "_which", "_ptr", "_rows", "_set_keys", "_key_shift", "_cols")
 
     def __init__(self, n, cols):
-        self.n = _require_integer("pattern size n", n, 0)
-        if len(cols) != self.n:
+        n = _require_integer("pattern size n", n, 0)
+        if len(cols) != n:
             raise ValueError("pattern needs one index set per column")
-        first = {}  # columns may share one array (full blocks); keep it once
-        which = np.empty(self.n, dtype=np.int64)
-        distinct = []
-        for j, c in enumerate(cols):
-            d = first.get(id(c))
-            if d is None:
-                d = first[id(c)] = len(distinct)
-                distinct.append((j, c))
-            which[j] = d
-        arrs = [_integer_array(f"column {j}: pattern indices", c) for j, c in distinct]
+        arrs = [_integer_array(f"column {j}: pattern indices", c) for j, c in enumerate(cols)]
         # a set that is not one-dimensional is reported like an empty one
-        arrs = [arr if arr.ndim == 1 else np.empty(0, np.int64) for arr in arrs]
-        ptr = np.zeros(len(arrs) + 1, dtype=np.int64)
+        arrs = [np.unique(arr) if arr.ndim == 1 else np.empty(0, np.int64) for arr in arrs]
+        ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum([len(arr) for arr in arrs], out=ptr[1:])
         rows = np.concatenate(arrs) if arrs else np.empty(0, np.int64)
-        self._set(which, ptr, rows)
+        self._set(n, np.arange(n, dtype=np.int64), ptr, rows)
 
-    def _set(self, which, ptr, rows):
-        """Validate the distinct sets in one pass and store them."""
-        # a set whose indices do not strictly increase goes through np.unique
-        breaks = np.flatnonzero(np.diff(rows) <= 0) + 1
-        breaks = breaks[~np.isin(breaks, ptr)]
-        if len(breaks):
-            parts = [rows[lo:hi] for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
-            for d in np.unique(np.searchsorted(ptr, breaks, side="right") - 1).tolist():
-                parts[d] = np.unique(parts[d])
-            np.cumsum([len(part) for part in parts], out=ptr[1:])
-            rows = np.concatenate(parts)
+    def _set(self, n, which, ptr, rows):
+        """Check and store the sets, each strictly increasing; return the pattern."""
+        self.n = n
         lens = np.diff(ptr)
         empty = lens == 0
         out_of_range = np.zeros(len(lens), dtype=bool)
         owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        out_of_range[owner[(rows < 0) | (rows >= self.n)]] = True
+        out_of_range[owner[(rows < 0) | (rows >= n)]] = True
         bad = empty | out_of_range
         if bad[which].any():
             j = int(np.argmax(bad[which]))
@@ -320,13 +304,16 @@ class SubspacePattern:
                 raise ValueError(f"column {j}: pattern column must be nonempty")
             raise ValueError(f"column {j}: pattern index out of range")
         self._which, self._ptr, self._rows, self._cols = which, ptr, rows, None
-        self._set_keys = owner * self.n + rows  # sorted: set after set
+        owner *= n  # now the keys set * n + row, sorted: set after set
+        owner += rows
+        self._set_keys = owner
         counts = lens[which]
         self._key_shift = np.cumsum(counts) - counts - ptr[which]
+        return self
 
     @property
     def cols(self):
-        """Per-column index arrays; columns sharing a set share one array."""
+        """Per-column index arrays; the columns of one range share one array."""
         if self._cols is None:
             ptr = self._ptr.tolist()
             views = [self._rows[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
@@ -349,11 +336,22 @@ class SubspacePattern:
     @classmethod
     def from_keys(cls, n, keys):
         """Pattern allowing exactly the sorted unique keys ``col * n + row``."""
-        pattern = cls.__new__(cls)
-        pattern.n = n = int(n)
+        n = int(n)
         cols = keys // n
-        pattern._set(np.arange(n, dtype=np.int64), _col_ptr(cols, n), keys - cols * n)
-        return pattern
+        return cls.__new__(cls)._set(n, np.arange(n, dtype=np.int64), _col_ptr(cols, n),
+                                     keys - cols * n)
+
+    @classmethod
+    def from_ranges(cls, n, which, lo, hi):
+        """Pattern whose column ``j`` allows ``lo[d] .. hi[d] - 1``, ``d = which[j]``.
+
+        Each range is stored once, however many columns name it.
+        """
+        lens = hi - lo
+        ptr = np.concatenate([[0], np.cumsum(lens)])
+        rows = np.arange(ptr[-1], dtype=np.int64)
+        rows -= np.repeat(ptr[:-1] - lo, lens)
+        return cls.__new__(cls)._set(int(n), which, ptr, rows)
 
     @classmethod
     def from_keys_or_diagonal(cls, n, keys):
@@ -401,13 +399,16 @@ class SubspacePattern:
         """Whether each key ``col * n + row`` names an allowed position."""
         return self.lookup(keys)[1]
 
+    def missing_diagonal(self):
+        """The columns ``j`` that do not allow index ``j``, ascending."""
+        return np.flatnonzero(~self.contains(np.arange(self.n, dtype=np.int64) * (self.n + 1)))
+
     def with_diagonal(self):
         """Return a pattern whose column ``j`` always contains index ``j``."""
-        diag = np.arange(self.n, dtype=np.int64) * (self.n + 1)
-        missing = diag[~self.contains(diag)]
+        missing = self.missing_diagonal()
         if not len(missing):
             return self
-        return SubspacePattern.from_keys(self.n, _insert_keys(self.keys(), missing))
+        return SubspacePattern.from_keys(self.n, _insert_keys(self.keys(), missing * (self.n + 1)))
 
     def intersected(self, other):
         """Columnwise intersection; empty columns fall back to the diagonal."""
@@ -772,6 +773,15 @@ def _require_integer(name, value, low):
     if not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}")
     return int(value)
+
+
+def _require_square(a, *patterns):
+    """The size n of the square matrix ``a``; ``ValueError`` unless each pattern has it."""
+    n = a.n_cols
+    if a.n_rows != n or any(p.n != n for p in patterns):
+        noun = "patterns" if len(patterns) > 1 else "pattern"
+        raise ValueError(f"square matrix and matching {noun} required")
+    return n
 
 
 def _require_shape(n_rows, n_cols):

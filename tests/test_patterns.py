@@ -279,6 +279,20 @@ class TestNeumannPattern:
             neumann_pattern(a, SubspacePattern.diagonal(3), NeumannConfig(k=0))
 
 
+@pytest.mark.parametrize("build, noun", [
+    (lambda a, p: neumann_pattern(a, p, NeumannConfig(k=0)), "pattern"),
+    (lambda a, p: adjoint_pattern(a, p), "pattern"),
+    (lambda a, p: select_v_pattern(a, p, p, 2), "patterns"),
+])
+def test_size_contract_named(build, noun):
+    message = f"^square matrix and matching {noun} required$"
+    with pytest.raises(ValueError, match=message):
+        build(SparseMatrix.from_dense(np.eye(3, 4)), SubspacePattern.diagonal(4))
+    with pytest.raises(ValueError, match=message):
+        build(SparseMatrix.identity(3), SubspacePattern.diagonal(4))
+    assert build(SparseMatrix.identity(3), SubspacePattern.diagonal(3)) == SubspacePattern.diagonal(3)
+
+
 def v0_problem(kind, rng):
     """``(a, v0, blocks)`` on 30 columns: a diagonal V0, a block-diagonal
     one, a block-upper one that couples no blocks (A is block lower

@@ -348,6 +348,63 @@ class TestPatterns:
             assert np.array_equal(pat.cols[lo], np.arange(hi))
         assert pat.cols[0] is not pat.cols[3]
 
+    @staticmethod
+    def random_blocks(rng, n):
+        """Bounds of random blocks over n indices, with one-index blocks likely."""
+        cuts = rng.choice(np.arange(1, n), size=rng.integers(0, n), replace=False)
+        return BlockStructure(np.unique(np.concatenate([[0, n], cuts])))
+
+    @pytest.mark.parametrize("shape", ["block-diagonal", "block-upper-triangular"])
+    def test_block_pattern_is_its_per_column_definition(self, shape):
+        rng = np.random.default_rng(41)
+        cases = [BlockStructure([0, 1]), BlockStructure([0, 7]), BlockStructure(np.arange(6))]
+        cases += [self.random_blocks(rng, int(rng.integers(2, 30))) for _ in range(30)]
+        for blocks in cases:
+            cols = []
+            for b in range(blocks.n_blocks):
+                lo, hi = blocks.bounds(b)
+                cols += [np.arange(lo if shape == "block-diagonal" else 0, hi)] * (hi - lo)
+            pat = block_pattern(blocks, shape)
+            assert pat == SubspacePattern(blocks.n, cols)
+            assert [c.tolist() for c in pat.cols] == [c.tolist() for c in cols]
+            assert np.array_equal(pat.counts(), [len(c) for c in cols])
+
+    @pytest.mark.parametrize("shape", ["block-diagonal", "block-upper-triangular"])
+    def test_each_block_is_stored_once(self, shape):
+        rng = np.random.default_rng(42)
+        for blocks in [BlockStructure([0, 5]), BlockStructure([0, 3, 4, 8])] + [
+                self.random_blocks(rng, 25) for _ in range(5)]:
+            bounds = blocks.block_bounds
+            lo = bounds[:-1] if shape == "block-diagonal" else 0
+            pat = block_pattern(blocks, shape)
+            assert len(pat._rows) == (bounds[1:] - lo).sum()
+
+    def test_unknown_block_shape_named(self):
+        with pytest.raises(ValueError, match="^unknown block pattern shape 'block-lower'$"):
+            block_pattern(BlockStructure([0, 2, 3]), "block-lower")
+
+    def test_ranges_are_validated_per_column(self):
+        pat = SubspacePattern.from_ranges(4, np.array([1, 0, 1, 0]), np.array([2, 0]), np.array([4, 1]))
+        assert [c.tolist() for c in pat.cols] == [[0], [2, 3], [0], [2, 3]]
+        with pytest.raises(ValueError, match="^column 2: pattern column must be nonempty$"):
+            SubspacePattern.from_ranges(3, np.array([0, 0, 1]), np.array([0, 2]), np.array([2, 2]))
+        with pytest.raises(ValueError, match="^column 1: pattern index out of range$"):
+            SubspacePattern.from_ranges(3, np.array([0, 1, 0]), np.array([0, 2]), np.array([1, 4]))
+
+    def test_one_array_listed_for_every_column_is_no_shared_set(self):
+        x = np.array([0, 2, 3])
+        shared = SubspacePattern(4, [x] * 4)
+        assert shared == SubspacePattern(4, [x.copy() for _ in range(4)])
+        assert len(shared._rows) == 4 * len(x)
+        x[0] = 1  # the pattern keeps no view of its input
+        assert shared.cols[0].tolist() == [0, 2, 3]
+
+    def test_missing_diagonal(self):
+        p = SubspacePattern(4, [[1], [1], [0, 3], [0, 1]])
+        assert p.missing_diagonal().tolist() == [0, 2, 3]
+        assert p.with_diagonal().missing_diagonal().tolist() == []
+        assert SubspacePattern.diagonal(3).missing_diagonal().tolist() == []
+
     def test_with_diagonal_and_intersection(self):
         p = SubspacePattern(3, [[1], [0], [0, 2]])
         q = p.with_diagonal()
