@@ -10,7 +10,8 @@ Both W constructions run as index passes over whole sparse matrices,
 summing in the order a per-column loop would.  S is formed by one sparse
 V0 walk per :func:`neumann_pattern`
 (:meth:`~diafact.krylov.VFactorization.solve_sparse`), which drops as it
-goes, then cut by the initial drop.  The V selection reads the blocks
+goes, then cut by the initial drop; there is none when A lies in V0's
+pattern, as S = 0.  The V selection reads the blocks
 A_j from the chunked column sweep of :func:`~diafact.sparse.column_chunks`,
 which orders the columns by block width for it as for the factor sweeps.  A
 chunk holds only the candidates on its blocks' active rows, plus the
@@ -175,7 +176,9 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     (the diagonal if it cancels to nothing).  Finally the off-diagonal
     part of the V0 pattern is removed so the two subspaces only share the
     diagonal.  With ``cfg.k`` = 0 the pattern is the diagonal, and V0 is
-    neither factored nor solved with.
+    neither factored nor solved with.  So it is when every entry of A lies
+    in the V0 pattern (n = 0 included): then ``(I - P_{V0})A`` is empty
+    and S = 0, so the sum is the identity, as the full path would find.
 
     ``blocks`` gives the blocks V0 is factored under, as block upper
     triangular; it may be omitted only for a diagonal V0 pattern, and any
@@ -183,9 +186,9 @@ def neumann_pattern(a, v0_pattern, cfg, blocks=None):
     """
     n = _require_square(a, v0_pattern)
     _check_v0(v0_pattern, blocks)
-    if cfg.k == 0 or n == 0:  # W is the diagonal, and V0 is never solved with
-        return SubspacePattern.diagonal(n)
     in_v0 = v0_pattern.contains(a.entry_keys())
+    if cfg.k == 0 or in_v0.all():  # W is the diagonal, and V0 is never factored
+        return SubspacePattern.diagonal(n)
     solver = _V0Solver(a.masked(in_v0), None if v0_pattern.nnz == n else blocks)
     s = solver.solve_sparse(a.masked(~in_v0), cfg.initial_drop)
     t = SparseMatrix.identity(n)

@@ -5,7 +5,7 @@ three steps: a maximum-product transversal makes the diagonal nonzero with
 the largest product of magnitudes (a choice that does not depend on the
 input's diagonal scaling, up to ties), iterative equilibration balances
 row/column magnitudes, and a strongly connected component analysis yields an
-ordered block partition so that the permuted matrix is block lower
+ordered block partition so that the permuted matrix is block upper
 triangular up to the diagonal blocks.  Inside each block the indices follow
 a reverse Cuthill-McKee order, which keeps the LU fill of V's diagonal
 blocks low.  The partition in turn defines block-shaped subspace patterns.
@@ -105,9 +105,6 @@ class BlockStructure:
     def block_of(self):
         """Array mapping each index to its block number."""
         return np.repeat(np.arange(self.n_blocks, dtype=np.int64), self.sizes)
-
-    def bounds(self, b):
-        return int(self.block_bounds[b]), int(self.block_bounds[b + 1])
 
 
 def max_transversal(a):
@@ -219,10 +216,10 @@ def _tarjan_components(a):
     """SCCs of the digraph with an edge j -> i for each nonzero a[i, j].
 
     Iterative Tarjan; components are emitted sinks-first for this
-    orientation, so reversing the emission order makes cross-component
-    entries of the reordered matrix fall below the block diagonal.  The
-    walk reads the structure as Python ints: per edge, a numpy scalar
-    costs more than the work itself.
+    orientation, so in emission order every cross-component entry of the
+    reordered matrix falls above the block diagonal.  The walk reads the
+    structure as Python ints: per edge, a numpy scalar costs more than the
+    work itself.
     """
     n = a.n_cols
     col_ptr, row_idx = a.col_ptr.tolist(), a.row_idx.tolist()
@@ -277,8 +274,9 @@ def scc_block_structure(a, max_block):
     """Order strongly connected components into capped diagonal blocks.
 
     Returns a symmetric permutation and the block partition.  Components
-    are placed so the permuted matrix is block lower triangular up to the
-    blocks; any component larger than ``max_block`` is split, in ascending
+    are placed in Tarjan's emission order, so the permuted matrix is block
+    upper triangular up to the blocks, the shape a block-upper V or V0
+    holds; any component larger than ``max_block`` is split, in ascending
     index order, into contiguous chunks of at most that size.  Each block's
     indices are then ordered by reverse Cuthill-McKee on the pattern of
     A + A^T restricted to the block (:func:`_reverse_cuthill_mckee`), which
@@ -288,7 +286,6 @@ def scc_block_structure(a, max_block):
         raise ValueError("square matrix required")
     max_block = _require_integer("max_block", max_block, 1)
     comps = _tarjan_components(a)
-    comps.reverse()
 
     order = []
     bounds = [0]

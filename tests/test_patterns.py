@@ -304,7 +304,7 @@ def v0_problem(kind, rng):
     if kind == "block-diagonal":
         return SparseMatrix.from_dense(d), block_pattern(bounds, "block-diagonal"), bounds
     for b in range(bounds.n_blocks):
-        lo, hi = bounds.bounds(b)
+        lo, hi = bounds.block_bounds[b], bounds.block_bounds[b + 1]
         d[:lo, lo:hi] = 0.0
     if kind == "coupled":
         d[0, 29] = 0.5
@@ -356,6 +356,23 @@ class TestV0Routes:
                             lambda self, c, rule: solves.append(1) or solve_sparse(self, c, rule))
         neumann_pattern(a, v0, NeumannConfig(k=2), blocks=blocks)
         assert splits.count(True) == 1 and len(checks) == 1 and len(solves) == 1
+
+    @pytest.mark.parametrize("shape", ["block-diagonal", "block-upper-triangular"])
+    def test_a_inside_v0_gives_the_diagonal_without_factoring_v0(self, monkeypatch, shape):
+        # (I - P_{V0})A is empty, so S = 0 and W is the diagonal
+        blocks = BlockStructure([0, 4, 9, 10, 16, 23, 30])
+        v0 = block_pattern(blocks, shape)
+        d = random_sparse(np.random.default_rng([11, len(shape)]), 30, density=0.25).to_dense()
+        a = SparseMatrix.from_dense(np.where(v0.contains(np.arange(900)).reshape(30, 30).T, d, 0.0))
+        cfg = NeumannConfig(k=2)
+        full = neumann_pattern_reference(a, v0, cfg, blocks)
+
+        def unbuilt(*args):
+            raise AssertionError("V0 factored")
+
+        monkeypatch.setattr(patterns, "_V0Solver", unbuilt)
+        w = neumann_pattern(a, v0, cfg, blocks=blocks)
+        assert w == full == SubspacePattern.diagonal(30)
 
 
 class TestAdjointPattern:
@@ -522,7 +539,7 @@ class TestSelectVCut:
         blocks = BlockStructure(np.append(bounds[bounds < n], n))
         dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
         for b in range(blocks.n_blocks):
-            lo, hi = blocks.bounds(b)
+            lo, hi = blocks.block_bounds[b], blocks.block_bounds[b + 1]
             dense[:hi, lo:hi] = 0.0
             dense[lo:hi, lo:hi] = rng.standard_normal((hi - lo, hi - lo)) + 4 * np.eye(hi - lo)
         a = SparseMatrix.from_dense(dense)

@@ -172,18 +172,18 @@ class TestSCC:
         _, blocks = scc_block_structure(a, max_block=50)
         assert list(blocks.sizes) == [50, 50, 20]
 
-    def test_block_lower_triangular_up_to_blocks(self):
+    def test_block_upper_triangular_up_to_blocks(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             a = random_sparse(rng, 30, density=0.08)
             p, blocks = scc_block_structure(a, max_block=30)
             b = a.permuted_symmetric(p.forward).to_dense()
-            # nothing above the union of the diagonal blocks
-            upper = np.triu(np.ones((30, 30), dtype=bool), 1)
+            # nothing below the union of the diagonal blocks
+            lower = np.tril(np.ones((30, 30), dtype=bool), -1)
             for k in range(blocks.n_blocks):
-                lo, hi = blocks.bounds(k)
-                upper[lo:hi, lo:hi] = False
-            assert np.all(b[upper] == 0.0)
+                lo, hi = blocks.block_bounds[k], blocks.block_bounds[k + 1]
+                lower[lo:hi, lo:hi] = False
+            assert np.all(b[lower] == 0.0)
 
     def test_partition_covers_everything(self):
         rng = np.random.default_rng(7)
@@ -255,8 +255,8 @@ class TestTarjan:
 
 def ascending_blocks(a, max_block):
     """The blocks of :func:`scc_block_structure` with their indices ascending:
-    the components in reverse emission order, each split into chunks."""
-    comps = tarjan_components_reference(a)[::-1]
+    the components in emission order, each split into chunks."""
+    comps = tarjan_components_reference(a)
     return [sorted(c)[lo: lo + max_block] for c in comps for lo in range(0, len(c), max_block)]
 
 
@@ -276,7 +276,8 @@ class TestBlockOrder:
         p, blocks = scc_block_structure(a, max_block)
         expected = ascending_blocks(a, max_block)
         assert blocks.sizes.tolist() == [len(c) for c in expected]
-        got = [p.forward[lo:hi].tolist() for lo, hi in map(blocks.bounds, range(blocks.n_blocks))]
+        bounds = blocks.block_bounds
+        got = [p.forward[lo:hi].tolist() for lo, hi in zip(bounds[:-1], bounds[1:])]
         for block, members in zip(got, expected):
             assert sorted(block) == members
             assert block == rcm_reference(a, members)
@@ -303,9 +304,10 @@ class TestBlockOrder:
         assert self.check(a, 4) == [[3, 1, 2, 0], [7, 5, 6, 4]]
 
     def test_one_node_blocks(self):
-        # a lower triangular matrix, and a component of five split by 2
+        # a lower triangular matrix, reversed into an upper triangular one,
+        # and a component of five split by 2
         a = SparseMatrix.from_dense(np.tril(np.ones((4, 4))))
-        assert self.check(a, 4) == [[0], [1], [2], [3]]
+        assert self.check(a, 4) == [[3], [2], [1], [0]]
         a = symmetric_pattern(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert self.check(a, 2) == [[1, 0], [3, 2], [4]]
 

@@ -343,7 +343,7 @@ class TestPatterns:
         blocks = BlockStructure([0, 3, 4, 8])
         pat = block_pattern(blocks, "block-upper-triangular")
         for b in range(blocks.n_blocks):
-            lo, hi = blocks.bounds(b)
+            lo, hi = blocks.block_bounds[b], blocks.block_bounds[b + 1]
             assert pat.cols[lo] is pat.cols[hi - 1]
             assert np.array_equal(pat.cols[lo], np.arange(hi))
         assert pat.cols[0] is not pat.cols[3]
@@ -362,7 +362,7 @@ class TestPatterns:
         for blocks in cases:
             cols = []
             for b in range(blocks.n_blocks):
-                lo, hi = blocks.bounds(b)
+                lo, hi = blocks.block_bounds[b], blocks.block_bounds[b + 1]
                 cols += [np.arange(lo if shape == "block-diagonal" else 0, hi)] * (hi - lo)
             pat = block_pattern(blocks, shape)
             assert pat == SubspacePattern(blocks.n, cols)
