@@ -267,46 +267,46 @@ class SubspacePattern:
     the diagonal index ``j`` in column ``j``; that is the caller's duty and
     is validated by the consumers that rely on it.
 
-    The index sets sit back to back in ``_rows`` with offsets ``_ptr``, and
+    The index sets sit back to back in ``_set_keys`` with offsets ``_ptr``,
+    each position once, as the key ``d * n + row`` of its set ``d``, and
     ``_which[j]`` names the set of column ``j``: each column of ``cols`` has
     its own set, and only :meth:`from_ranges` gives many columns one set.
-    Whole-pattern operations work on keys ``col * n + row`` (see
-    :meth:`keys`); a position of column ``j`` at ``_rows[i]`` is
+    The keys ascend, so :meth:`lookup` is one ``searchsorted``, and a row is
+    its key ``% n``.  Whole-pattern operations work on keys ``col * n + row``
+    (see :meth:`keys`); a position of column ``j`` at ``_set_keys[i]`` is
     ``keys()[i + _key_shift[j]]``.
     """
 
-    __slots__ = ("n", "_which", "_ptr", "_rows", "_set_keys", "_key_shift", "_cols")
+    __slots__ = ("n", "_which", "_ptr", "_set_keys", "_key_shift", "_cols")
 
     def __init__(self, n, cols):
         n = _require_integer("pattern size n", n, 0)
         if len(cols) != n:
             raise ValueError("pattern needs one index set per column")
         arrs = [_integer_array(f"column {j}: pattern indices", c) for j, c in enumerate(cols)]
-        # a set that is not one-dimensional is reported like an empty one
-        arrs = [np.unique(arr) if arr.ndim == 1 else np.empty(0, np.int64) for arr in arrs]
+        # a set that is not one-dimensional is reported like an empty one; rows
+        # clipped to -1 .. n keep their keys within int64 and out of range
+        arrs = [np.unique(arr).clip(-1, n) + j * n if arr.ndim == 1 else np.empty(0, np.int64)
+                for j, arr in enumerate(arrs)]
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum([len(arr) for arr in arrs], out=ptr[1:])
-        rows = np.concatenate(arrs) if arrs else np.empty(0, np.int64)
-        self._set(n, np.arange(n, dtype=np.int64), ptr, rows)
+        keys = np.concatenate(arrs) if arrs else np.empty(0, np.int64)
+        self._set(n, np.arange(n, dtype=np.int64), ptr, keys)
 
-    def _set(self, n, which, ptr, rows):
-        """Check and store the sets, each strictly increasing; return the pattern."""
+    def _set(self, n, which, ptr, keys):
+        """Check and store the sets, keys ``set * n + row`` strictly rising; return the pattern."""
         self.n = n
         lens = np.diff(ptr)
-        empty = lens == 0
-        out_of_range = np.zeros(len(lens), dtype=bool)
-        owner = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        out_of_range[owner[(rows < 0) | (rows >= n)]] = True
-        bad = empty | out_of_range
+        bad = lens == 0
+        # a set's first and last keys hold its smallest and largest rows
+        full = np.flatnonzero(~bad)
+        bad[full] = (keys[ptr[full]] < full * n) | (keys[ptr[full + 1] - 1] >= (full + 1) * n)
         if bad[which].any():
             j = int(np.argmax(bad[which]))
-            if empty[which[j]]:
+            if lens[which[j]] == 0:
                 raise ValueError(f"column {j}: pattern column must be nonempty")
             raise ValueError(f"column {j}: pattern index out of range")
-        self._which, self._ptr, self._rows, self._cols = which, ptr, rows, None
-        owner *= n  # now the keys set * n + row, sorted: set after set
-        owner += rows
-        self._set_keys = owner
+        self._which, self._ptr, self._set_keys, self._cols = which, ptr, keys, None
         counts = lens[which]
         self._key_shift = np.cumsum(counts) - counts - ptr[which]
         return self
@@ -315,8 +315,8 @@ class SubspacePattern:
     def cols(self):
         """Per-column index arrays; the columns of one range share one array."""
         if self._cols is None:
-            ptr = self._ptr.tolist()
-            views = [self._rows[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+            ptr, rows = self._ptr.tolist(), self._set_keys % self.n
+            views = [rows[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
             self._cols = [views[d] for d in self._which.tolist()]
         return self._cols
 
@@ -331,15 +331,14 @@ class SubspacePattern:
 
     def sums(self, weights):
         """Per column, the sum of ``weights[i]`` over its allowed indices ``i``."""
-        return np.add.reduceat(weights[self._rows], self._ptr[:-1])[self._which]
+        return np.add.reduceat(weights[self._set_keys % self.n], self._ptr[:-1])[self._which]
 
     @classmethod
     def from_keys(cls, n, keys):
         """Pattern allowing exactly the sorted unique keys ``col * n + row``."""
         n = int(n)
-        cols = keys // n
-        return cls.__new__(cls)._set(n, np.arange(n, dtype=np.int64), _col_ptr(cols, n),
-                                     keys - cols * n)
+        keys = np.array(keys, dtype=np.int64)  # a copy: the pattern keeps no view of its input
+        return cls.__new__(cls)._set(n, np.arange(n, dtype=np.int64), _col_ptr(keys // n, n), keys)
 
     @classmethod
     def from_ranges(cls, n, which, lo, hi):
@@ -347,11 +346,11 @@ class SubspacePattern:
 
         Each range is stored once, however many columns name it.
         """
-        lens = hi - lo
+        n, lens = int(n), hi - lo
         ptr = np.concatenate([[0], np.cumsum(lens)])
-        rows = np.arange(ptr[-1], dtype=np.int64)
-        rows -= np.repeat(ptr[:-1] - lo, lens)
-        return cls.__new__(cls)._set(int(n), which, ptr, rows)
+        keys = np.arange(ptr[-1], dtype=np.int64)
+        keys += np.repeat(np.arange(len(lens)) * n + lo - ptr[:-1], lens)
+        return cls.__new__(cls)._set(n, which, ptr, keys)
 
     @classmethod
     def from_keys_or_diagonal(cls, n, keys):
@@ -372,7 +371,7 @@ class SubspacePattern:
     def keys(self):
         """Sorted keys ``col * n + row`` of every allowed position."""
         pos, col = _span_gather(self._ptr, self._which)
-        return col * self.n + self._rows[pos]
+        return col * self.n + self._set_keys[pos] % self.n
 
     def gather(self, cols):
         """The allowed positions of the columns ``cols``, column after column.
@@ -382,7 +381,7 @@ class SubspacePattern:
         """
         cols = np.asarray(cols, dtype=np.int64)
         at, owner = _span_gather(self._ptr, self._which[cols])
-        return at + self._key_shift[cols][owner], owner, self._rows[at]
+        return at + self._key_shift[cols][owner], owner, self._set_keys[at] % self.n
 
     def lookup(self, keys):
         """Where the keys ``col * n + row`` sit among :meth:`keys`.

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,11 @@ class TestPatterns:
         with pytest.raises(ValueError, match=message):
             SubspacePattern(4, cols)
 
+    def test_row_at_the_int64_limit_is_out_of_range(self):
+        # the key 1 * 4 + row of such a row would wrap below the column's keys
+        with pytest.raises(ValueError, match="^column 1: pattern index out of range$"):
+            SubspacePattern(4, [[0], [0, 2 ** 63 - 1], [2], [3]])
+
     def test_first_bad_column_behind_a_shared_array(self):
         good, bad = np.array([0, 1]), np.array([0, 9])
         with pytest.raises(ValueError, match="column 2: pattern index out of range"):
@@ -377,7 +383,7 @@ class TestPatterns:
             bounds = blocks.block_bounds
             lo = bounds[:-1] if shape == "block-diagonal" else 0
             pat = block_pattern(blocks, shape)
-            assert len(pat._rows) == (bounds[1:] - lo).sum()
+            assert len(pat._set_keys) == (bounds[1:] - lo).sum()
 
     def test_unknown_block_shape_named(self):
         with pytest.raises(ValueError, match="^unknown block pattern shape 'block-lower'$"):
@@ -395,9 +401,36 @@ class TestPatterns:
         x = np.array([0, 2, 3])
         shared = SubspacePattern(4, [x] * 4)
         assert shared == SubspacePattern(4, [x.copy() for _ in range(4)])
-        assert len(shared._rows) == 4 * len(x)
+        assert len(shared._set_keys) == 4 * len(x)
         x[0] = 1  # the pattern keeps no view of its input
         assert shared.cols[0].tolist() == [0, 2, 3]
+
+    def test_block_pattern_holds_one_key_per_stored_position(self):
+        # 72 blocks of 50: the block-upper pattern stores the sum of the
+        # block ends, 131,400 positions; two int64 arrays of that length
+        # would hold 2.1 MB
+        blocks = BlockStructure(np.arange(0, 3601, 50))
+        tracemalloc.start()
+        try:
+            pat = block_pattern(blocks, "block-upper-triangular")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        stored = int(blocks.block_bounds[1:].sum())
+        assert stored == 131_400
+        assert held <= 8 * stored + 64 * pat.n
+
+    @pytest.mark.parametrize("build", [lambda: SubspacePattern(0, []),
+                                       lambda: SubspacePattern.from_keys(0, np.empty(0, np.int64))],
+                             ids=["from_cols", "from_keys"])
+    def test_empty_pattern(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pat = build()
+            assert pat.n == 0 and pat.nnz == 0 and pat.cols == []
+            for got in (pat.keys(), pat.counts(), *pat.gather(np.empty(0, np.int64)),
+                        *pat.lookup(np.empty(0, np.int64))):
+                assert got.shape == (0,)
 
     def test_missing_diagonal(self):
         p = SubspacePattern(4, [[1], [1], [0, 3], [0, 1]])
