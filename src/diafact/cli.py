@@ -79,7 +79,11 @@ def main(argv=None):
                 f"its={row.its} status={row.status}"
             )
 
-    text = emit_report(rows, fmt=fmt, path=out)
+    try:
+        text = emit_report(rows, fmt=fmt, path=out)
+    except OSError as exc:
+        print(f"cannot write report to '{out}': {exc.strerror or exc}", file=sys.stderr)
+        return 1
     if out is None:
         print(text, end="")
 

@@ -98,37 +98,14 @@ class FactorPair:
 _U = np.finfo(np.float64).eps / 2
 
 
-@dataclass
-class _Sweep:
-    """What a sweep computed for the columns of A.
-
-    ``w`` and ``v`` hold values on the positions of the W and V patterns'
-    :meth:`~diafact.sparse.SubspacePattern.keys` (0.0: nothing stored); the
-    per-column arrays are indexed by matrix column.  diaf-s writes only
-    ``w`` and ``rank_deficient``, and takes V and its residuals from A W
-    afterwards.
-    """
-
-    w: np.ndarray
-    v: np.ndarray
-    residuals: np.ndarray
-    stabilized: np.ndarray
-    rank_deficient: np.ndarray
-    fallback: np.ndarray
-
-    @classmethod
-    def empty(cls, w_pattern, v_pattern):
-        flags = (np.zeros(w_pattern.n, dtype=bool) for _ in range(3))
-        return cls(np.zeros(w_pattern.nnz), np.zeros(v_pattern.nnz), np.zeros(w_pattern.n), *flags)
-
-    def flagged(self):
-        """Flag reasons of the flagged columns, keyed by column."""
-        out = {}
-        for j in np.flatnonzero(self.rank_deficient | self.fallback).tolist():
-            reasons = [name for name, hit in (("rank-deficient", self.rank_deficient[j]),
-                                              ("zero-candidate-fallback", self.fallback[j])) if hit]
-            out[j] = ",".join(reasons)
-        return out
+def _flagged(rank_deficient, fallback):
+    """Flag reasons of the flagged columns, keyed by column."""
+    out = {}
+    for j in np.flatnonzero(rank_deficient | fallback).tolist():
+        reasons = [name for name, hit in (("rank-deficient", rank_deficient[j]),
+                                          ("zero-candidate-fallback", fallback[j])) if hit]
+        out[j] = ",".join(reasons)
+    return out
 
 
 def _require_problem(a, w_pattern, v_pattern):
@@ -209,8 +186,17 @@ def _solves(ch, q, start, r, r_at, rank, val):
     return w
 
 
-def _sweep_q(a, w_pattern, v_pattern, policy, norms):
-    """The diaf-q column problems of every column; v_j gets the norm ``norms[j]``.
+def _assemble(pattern, values):
+    """The matrix holding ``values`` on the pattern's keys, zeros left out."""
+    keys, keep = pattern.keys(), values != 0.0
+    return SparseMatrix.from_keys(pattern.n, pattern.n, keys[keep], values[keep])
+
+
+def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
+    """QR-based factorization of all columns into a :class:`FactorPair`.
+
+    ``column_norms`` optionally fixes the norms of V's columns, ``n`` finite
+    positive values (default all ones); W V^{-1} does not depend on them.
 
     Per chunk: one :func:`qr_householder` call per column, Q_j written over
     A_j; the leading singular triplet of the candidate part ``m_j`` of
@@ -229,9 +215,16 @@ def _sweep_q(a, w_pattern, v_pattern, policy, norms):
     ``w_j`` by up to ``m k u kappa(R_j) ||w_j||`` to first order, so such
     entries cannot be told from zero.  Residuals are taken after the drop.
     """
+    n = a.n_cols
+    norms = np.ones(n) if column_norms is None else np.asarray(column_norms, dtype=np.float64)
+    if norms.shape != (n,) or not np.all((norms > 0) & (norms < np.inf)):
+        raise ValueError(f"column norms must be {n} finite positive values")
     _require_problem(a, w_pattern, v_pattern)
-    out = _Sweep.empty(w_pattern, v_pattern)
-    for ch in column_chunks(a, w_pattern, v_pattern, np.arange(a.n_cols)):
+    policy = policy or StabilizationPolicy()
+    w_values, v_values, residuals = np.zeros(w_pattern.nnz), np.zeros(v_pattern.nnz), np.zeros(n)
+    rank_deficient, fell_back = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    stab_count = 0
+    for ch in column_chunks(a, w_pattern, v_pattern, np.arange(n)):
         size, col, seen, norm = len(ch.cols), ch.v_col, ch.v_seen, norms[ch.cols]
         q, start, r, r_at, rank = ch.visible_q(qr_householder)
         lead, sigma, _ = _leading_directions(ch, q, start, seen)
@@ -266,17 +259,19 @@ def _sweep_q(a, w_pattern, v_pattern, policy, norms):
         d[ch.v_at[seen]] -= val[seen]
         inside = np.bincount(np.arange(size).repeat(ch.m), weights=d * d, minlength=size)
         outside = np.bincount(col[~seen], weights=val[~seen] ** 2, minlength=size)
-        out.residuals[ch.cols] = np.sqrt(inside + outside)
-        out.w[ch.slots] = w
-        out.v[ch.v_pos] = val
-        out.stabilized[ch.cols] = stabilize
-        out.rank_deficient[ch.cols] = rank < ch.k
-        out.fallback[ch.cols] = fallback
-    return out
+        residuals[ch.cols] = np.sqrt(inside + outside)
+        w_values[ch.slots] = w
+        v_values[ch.v_pos] = val
+        stab_count += int(stabilize.sum())
+        rank_deficient[ch.cols] = rank < ch.k
+        fell_back[ch.cols] = fallback
+    return FactorPair(_assemble(w_pattern, w_values), _assemble(v_pattern, v_values), residuals,
+                      stab_count, float(np.sqrt((residuals ** 2).sum())),
+                      _flagged(rank_deficient, fell_back))
 
 
-def _sweep_s(a, w_pattern, v_pattern):
-    """The diaf-s column problems of every column, a chunk at a time.
+def diaf_s(a, w_pattern, v_pattern):
+    """SVD-based factorization; V is the pattern projection of A W.
 
     A_j comes without the rows admissible for v_j.  Its QR runs stacked
     over the columns whose blocks share one padded shape; the SVD of R_j,
@@ -285,7 +280,7 @@ def _sweep_s(a, w_pattern, v_pattern):
     """
     n = a.n_cols
     _require_problem(a, w_pattern, v_pattern)
-    out = _Sweep.empty(w_pattern, v_pattern)
+    w_values, rank_deficient = np.zeros(w_pattern.nnz), np.zeros(n, dtype=bool)
     a_keys = a.entry_keys()
     for ch in column_chunks(a, w_pattern, v_pattern, np.arange(n), outside_v=True):
         by_width = {}
@@ -297,47 +292,19 @@ def _sweep_s(a, w_pattern, v_pattern):
             w = _svd_signed(r)[2][:, :, -1]
             # sign: (A_j w_j)_j >= 0; where it is 0, _svd_signed has already
             # made the largest-magnitude entry of w_j nonnegative
-            sets = ch.sets[ch.set_ptr[sel][:, None] + np.arange(k)]
+            span = ch.set_ptr[sel][:, None] + np.arange(k)
+            sets = ch.sets[span]
             at, found = sorted_lookup(a_keys, sets * n + j[:, None])
             row_j = np.zeros(sets.shape)
             row_j[found] = a.values[at[found]]
             y = (row_j[:, None, :] @ w[:, :, None])[:, 0, 0]
-            out.w[ch.slots[ch.set_ptr[sel][:, None] + np.arange(k)]] = np.where(y[:, None] < 0.0, -w, w)
-            out.rank_deficient[j] = (ch.m[sel] < k) | (rank < k)
-    return out
-
-
-def _assemble(pattern, values):
-    """The matrix holding ``values`` on the pattern's keys, zeros left out."""
-    keys, keep = pattern.keys(), values != 0.0
-    return SparseMatrix.from_keys(pattern.n, pattern.n, keys[keep], values[keep])
-
-
-def diaf_q(a, w_pattern, v_pattern, policy=None, column_norms=None):
-    """QR-based factorization of all columns into a :class:`FactorPair`.
-
-    ``column_norms`` optionally fixes the norms of V's columns, ``n`` finite
-    positive values (default all ones); W V^{-1} does not depend on them.
-    """
-    n = a.n_cols
-    norms = np.ones(n) if column_norms is None else np.asarray(column_norms, dtype=np.float64)
-    if norms.shape != (n,) or not np.all((norms > 0) & (norms < np.inf)):
-        raise ValueError(f"column norms must be {n} finite positive values")
-    out = _sweep_q(a, w_pattern, v_pattern, policy or StabilizationPolicy(), norms)
-    res = out.residuals
-    return FactorPair(_assemble(w_pattern, out.w), _assemble(v_pattern, out.v), res,
-                      int(out.stabilized.sum()), float(np.sqrt((res ** 2).sum())), out.flagged())
-
-
-def diaf_s(a, w_pattern, v_pattern):
-    """SVD-based factorization; V is the pattern projection of A W."""
-    n = a.n_cols
-    out = _sweep_s(a, w_pattern, v_pattern)
-    w = _assemble(w_pattern, out.w)
+            w_values[ch.slots[span]] = np.where(y[:, None] < 0.0, -w, w)
+            rank_deficient[j] = (ch.m[sel] < k) | (rank < k)
+    w = _assemble(w_pattern, w_values)
     # project A W onto the admissible structure; the rest is the residual
     y = sparse_product(a, w)
     inside = v_pattern.contains(y.entry_keys())
     outside = np.where(inside, 0.0, y.values)
     residuals = np.sqrt(np.bincount(y._entry_columns(), weights=outside * outside, minlength=n))
-    return FactorPair(w, y.masked(inside), residuals, 0,
-                      float(np.sqrt((residuals ** 2).sum())), out.flagged())
+    return FactorPair(w, y.masked(inside), residuals, 0, float(np.sqrt((residuals ** 2).sum())),
+                      _flagged(rank_deficient, np.zeros(n, dtype=bool)))

@@ -338,6 +338,9 @@ class SubspacePattern:
         """Pattern allowing exactly the sorted unique keys ``col * n + row``."""
         n = int(n)
         keys = np.array(keys, dtype=np.int64)  # a copy: the pattern keeps no view of its input
+        bad = np.flatnonzero(np.diff(keys) <= 0)
+        if len(bad):
+            raise ValueError(f"column {keys[bad[0] + 1] // n}: pattern keys must strictly increase")
         return cls.__new__(cls)._set(n, np.arange(n, dtype=np.int64), _col_ptr(keys // n, n), keys)
 
     @classmethod

@@ -318,6 +318,16 @@ class TestCli:
         code = cli.main(["--matrix", str(tmp_path / "missing.mtx")])
         assert code == 1
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/report.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_report_exit_one(self, identity_mtx, tmp_path, capsys, target, reason):
+        out = tmp_path / target
+        assert cli.main(["--matrix", identity_mtx, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cannot write report to '{out}': {reason}\n"
+
     @pytest.mark.parametrize("statuses, code", [
         (["converged", "no_convergence"], 2),
         (["no_convergence", "breakdown"], 3),

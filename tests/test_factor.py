@@ -575,6 +575,7 @@ class TestSweep:
             assert pair.column_residuals[j] == pytest.approx(res, rel=1e-10, abs=1e-13)
             assert (j in pair.flagged_columns) == deficient
             assert np.allclose(local(pair.v, j, vp.cols[j]), aw[vp.cols[j], j], rtol=0, atol=1e-13)
+        assert set(pair.flagged_columns.values()) == {"rank-deficient"}
 
     def test_results_do_not_depend_on_chunks(self, problem):
         a, wp, vp = problem

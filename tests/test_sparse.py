@@ -340,6 +340,11 @@ class TestPatterns:
         with pytest.raises(ValueError, match="^column 1: pattern index out of range$"):
             SubspacePattern(4, [[0], [0, 2 ** 63 - 1], [2], [3]])
 
+    @pytest.mark.parametrize("keys, column", [([0, 2, 1, 4, 8], 0), ([0, 0, 4, 8], 0), ([0, 4, 8, 7], 2)])
+    def test_keys_that_do_not_rise_rejected(self, keys, column):
+        with pytest.raises(ValueError, match=f"^column {column}: pattern keys must strictly increase$"):
+            SubspacePattern.from_keys(3, keys)
+
     def test_first_bad_column_behind_a_shared_array(self):
         good, bad = np.array([0, 1]), np.array([0, 9])
         with pytest.raises(ValueError, match="column 2: pattern index out of range"):
